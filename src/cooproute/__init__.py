@@ -13,9 +13,7 @@ cross-check.
 """
 
 from .costs import (CooperationProfile, CostReport, LinearCost, MM1Cost,
-                    cost_report, link_cost, link_cost_derivative,
-                    marginal_cost, operating_cost, path_marginal,
-                    selfish_profile, user_cost)
+                    cost_report, path_marginal)
 from .errors import (ConfigError, CoopRouteError, InfeasibleError,
                      SolverError)
 from .experiments import (Branch, ParadoxReport, ParadoxWitness, Scenario,
@@ -46,10 +44,8 @@ __all__ = [
     "SweepTable", "UserSpec", "alpha_sweep", "assemble_profile",
     "br_dynamics", "build_network", "build_path_set", "check_feasibility",
     "cost_report", "detect_braess", "detect_cooperation_paradox",
-    "enumerate_paths", "get_preset", "link_cost", "link_cost_derivative",
-    "make_game", "marginal_cost", "mixed_closed_form", "mixed_costs",
-    "mixed_numeric", "multistart_nash", "operating_cost",
-    "parameter_sweep", "path_marginal", "preset_names", "saturated_links",
-    "selfish_profile", "user_cost", "verify_mixed", "verify_nash",
-    "wardrop_split",
+    "enumerate_paths", "get_preset", "make_game", "mixed_closed_form",
+    "mixed_costs", "mixed_numeric", "multistart_nash", "parameter_sweep",
+    "path_marginal", "preset_names", "saturated_links", "verify_mixed",
+    "verify_nash", "wardrop_split",
 ]

@@ -18,16 +18,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .costs import CooperationProfile, LinearCost, MM1Cost
 from .errors import ConfigError, InfeasibleError, SolverError
-from .experiments import PRESETS, get_preset
+from .experiments import (PRESETS, Scenario, alpha_sweep, get_preset,
+                          parameter_sweep)
 from .mixed import (MixedScenario, MixedSolverConfig, mixed_closed_form,
                     mixed_numeric)
 from .nash import SolverConfig, make_game, multistart_nash, verify_nash
@@ -71,7 +74,13 @@ def _check_keys(obj, required, optional, where):
 def _number(v, where) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:   # an integer past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, not {x}")
+    return x
 
 
 def _integer(v, where) -> int:
@@ -167,20 +176,24 @@ def _game_from_doc(doc):
     return net, users, coop
 
 
-def _solver_config_from(path: str | None, cls):
-    if path is None:
-        return None
-    doc = _load_json(path, "solver configuration")
-    names = {f.name for f in fields(cls)}
-    _check_keys(doc, set(), names, "solver configuration")
-    kwargs = {}
-    for k, v in doc.items():
-        if k in ("max_sweeps", "grid_density", "scan_density",
-                 "deviation_grid", "starts", "max_iters"):
-            kwargs[k] = _integer(v, k)
-        else:
-            kwargs[k] = _number(v, k)
-    return cls(**kwargs)
+def _solver_config_from(args, cls, manifest):
+    """``--solver-config`` over the defaults of ``cls``, or None; the
+    resolved settings go into the manifest either way."""
+    config = None
+    if args.solver_config is not None:
+        doc = _load_json(args.solver_config, "solver configuration")
+        names = {f.name for f in fields(cls)}
+        _check_keys(doc, set(), names, "solver configuration")
+        kwargs = {}
+        for k, v in doc.items():
+            if k in ("max_sweeps", "grid_density", "scan_density",
+                     "deviation_grid", "starts", "max_iters"):
+                kwargs[k] = _integer(v, k)
+            else:
+                kwargs[k] = _number(v, k)
+        config = cls(**kwargs)
+    manifest["resolved_config"] = asdict(config or cls())
+    return config
 
 
 def _resolve_alphas(given, count):
@@ -254,43 +267,48 @@ def _thread_cap() -> int:
     return n
 
 
-def _build_game_for_args(args, manifest):
-    """Shared solve/verify setup: resolve a preset or document to a game."""
+def _scenario_for_args(args, manifest) -> Scenario:
+    """Resolve ``--preset`` or ``--config`` to a routing-game scenario.
+    A document's base degrees are its weight matrix's diagonal; other
+    degrees replace its matrix by the uniform one."""
     if args.preset is not None:
         sc = get_preset(args.preset)
         if sc.kind != "game":
             raise ConfigError(f"preset {sc.name!r} is solved with the "
                               f"'mixed' command")
         manifest["warnings"] += [f"assumed: {a}" for a in sc.assumed]
-        alphas = _resolve_alphas(args.alpha, len(sc.base_alphas))
-        game = sc.build_game(alphas=alphas, param=args.param)
-        manifest["parameters"] = {
-            "alphas": list(alphas if alphas is not None else sc.base_alphas),
-            "param": args.param if args.param is not None
-            else sc.default_param}
-        return game
+        return sc
     doc = _load_json(args.config, "game document")
     if _is_mixed_doc(doc):
         raise ConfigError("this document describes a mixed setup; use the "
                           "'mixed' command")
-    if args.param is not None:
+    if getattr(args, "param", None) is not None:
         raise ConfigError("--param only applies to presets")
     net, users, coop = _game_from_doc(doc)
-    alphas = _resolve_alphas(args.alpha, len(users))
-    if alphas is not None:
-        ids = tuple(u.user_id for u in sorted(users, key=lambda u: u.user_id))
-        coop = CooperationProfile.from_alphas(ids, list(alphas))
-    manifest["parameters"] = {"alphas": [1.0 - coop.rows[i][i]
-                                         for i in range(len(users))],
-                              "param": None}
-    return make_game(net, users, coop)
+    base = tuple(coop.alpha_of(i) for i in range(len(users)))
+
+    def build(alphas, param):
+        return make_game(net, users, coop if alphas is base else alphas)
+
+    return Scenario(name=args.config, description="game document",
+                    kind="game", base_alphas=base, builder=build)
+
+
+def _build_game_for_args(args, manifest):
+    """Shared solve/verify setup: resolve a preset or document to a game."""
+    sc = _scenario_for_args(args, manifest)
+    alphas = _resolve_alphas(args.alpha, len(sc.base_alphas))
+    game = sc.build_game(alphas=alphas, param=args.param)
+    manifest["parameters"] = {
+        "alphas": list(alphas if alphas is not None else sc.base_alphas),
+        "param": args.param if args.param is not None else sc.default_param}
+    return game
 
 
 def _cmd_solve(args, manifest):
     t0 = time.perf_counter()
     game = _build_game_for_args(args, manifest)
-    config = _solver_config_from(args.solver_config, SolverConfig)
-    manifest["resolved_config"] = asdict(config or SolverConfig())
+    config = _solver_config_from(args, SolverConfig, manifest)
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     eqset = multistart_nash(game, config)
@@ -301,102 +319,57 @@ def _cmd_solve(args, manifest):
     return emit_csv([(None, eqset)], user_ids, link_ids)
 
 
-def _sweep_task(payload):
-    kind, source, alphas, param, cfg = payload
-    config = SolverConfig(**cfg) if cfg else None
-    if kind == "preset":
-        game = get_preset(source).build_game(alphas=alphas, param=param)
-    else:
-        net, users, coop = _game_from_doc(json.loads(
-            source, object_pairs_hook=_no_dup_pairs))
-        if alphas is not None:
-            ids = tuple(u.user_id
-                        for u in sorted(users, key=lambda u: u.user_id))
-            coop = CooperationProfile.from_alphas(ids, list(alphas))
-        game = make_game(net, users, coop)
-    return multistart_nash(game, config)
-
-
 def _cmd_sweep(args, manifest):
     t0 = time.perf_counter()
-    config = _solver_config_from(args.solver_config, SolverConfig)
-    manifest["resolved_config"] = asdict(config or SolverConfig())
-    cfg_dict = asdict(config) if config is not None else None
-    if args.preset is not None:
-        sc = get_preset(args.preset)
-        if sc.kind != "game":
-            raise ConfigError(f"preset {sc.name!r} is solved with the "
-                              f"'mixed' command")
-        manifest["warnings"] += [f"assumed: {a}" for a in sc.assumed]
-        source_kind, source = "preset", sc.name
-        n_users = len(sc.base_alphas)
-        base_alphas = sc.base_alphas
-    else:
-        doc = _load_json(args.config, "game document")
-        if _is_mixed_doc(doc):
-            raise ConfigError("this document describes a mixed setup; use "
-                              "the 'mixed' command")
-        net, users, coop = _game_from_doc(doc)
-        source_kind = "doc"
-        source = json.dumps(doc, sort_keys=True)
-        n_users = len(users)
-        base_alphas = tuple(1.0 - coop.rows[i][i] for i in range(n_users))
-        sc = None
+    config = _solver_config_from(args, SolverConfig, manifest)
+    sc = _scenario_for_args(args, manifest)
     if args.parameter:
-        if sc is None or sc.param is None:
+        if sc.param is None:
             raise ConfigError("--parameter needs a preset with a sweep "
                               "parameter")
         values = (_parse_value_list(args.values)
                   if args.values else sc.param.values)
-        alphas = _resolve_alphas(args.alpha, n_users) or base_alphas
-        payloads = [(source_kind, source, alphas, v, cfg_dict)
-                    for v in values]
+        alphas = _resolve_alphas(args.alpha, len(sc.base_alphas))
+        if alphas is not None:
+            sc = replace(sc, base_alphas=alphas)
         parameter_name = sc.param.name
+        sweep = functools.partial(parameter_sweep, sc, values, config)
     else:
         if not args.alphas:
             raise ConfigError("give --alphas for a cooperation sweep or "
                               "--parameter for a structural one")
         values = _parse_value_list(args.alphas)
-        def row_alphas(v):
-            if args.vary == "first":
-                return (v,) + tuple(base_alphas[1:])
-            return tuple(v for _ in range(n_users))
-        payloads = [(source_kind, source, row_alphas(v), None, cfg_dict)
-                    for v in values]
         parameter_name = "alpha" if args.vary == "all" else "alpha_first"
+        sweep = functools.partial(alpha_sweep, sc, values, args.vary, config)
     manifest["parameters"] = {"parameter": parameter_name,
                               "values": list(values), "vary": args.vary}
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     workers = _thread_cap()
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(values) > 1:
         try:
             with concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers) as pool:
-                eqsets = list(pool.map(_sweep_task, payloads))
+                table = sweep(map=pool.map)
         except OSError as e:
             manifest["warnings"].append(
                 f"worker pool unavailable ({e}); ran sequentially")
-            eqsets = [_sweep_task(p) for p in payloads]
+            table = sweep()
     else:
-        eqsets = [_sweep_task(p) for p in payloads]
+        table = sweep()
     manifest["timings"]["solve"] = time.perf_counter() - t1
+    eqsets = [row.equilibria for row in table.rows]
     manifest["diagnostics"] = {
         "rows": len(eqsets),
         "non_converged": sum(s.diagnostics["non_converged"]
                              for s in eqsets),
         "clusters": sum(len(s.equilibria) for s in eqsets)}
     # Header metadata comes from one cheap rebuild, not from re-solving.
-    if source_kind == "preset":
-        game0 = get_preset(source).build_game(alphas=payloads[0][2],
-                                              param=payloads[0][3])
-    else:
-        net, users, coop = _game_from_doc(json.loads(
-            source, object_pairs_hook=_no_dup_pairs))
-        game0 = make_game(net, users, coop)
+    game0 = sc.build_game()
     user_ids = tuple(u.user_id for u in game0.users)
     link_ids = tuple(lk.link_id for lk in game0.net.links)
-    return emit_csv(list(zip(values, eqsets)), user_ids, link_ids)
+    return emit_csv([(row.value, row.equilibria) for row in table.rows],
+                    user_ids, link_ids)
 
 
 def _cmd_mixed(args, manifest):
@@ -415,13 +388,8 @@ def _cmd_mixed(args, manifest):
                               "'solve'")
         scenario = _mixed_from_doc(doc)
         if args.alpha is not None:
-            scenario = MixedScenario(
-                capacity_one=scenario.capacity_one,
-                capacity_two=scenario.capacity_two,
-                group_demand=scenario.group_demand,
-                mass_demand=scenario.mass_demand, alpha=float(args.alpha))
-    config = _solver_config_from(args.solver_config, MixedSolverConfig)
-    manifest["resolved_config"] = asdict(config or MixedSolverConfig())
+            scenario = replace(scenario, alpha=float(args.alpha))
+    config = _solver_config_from(args, MixedSolverConfig, manifest)
     manifest["parameters"] = {"alpha": scenario.alpha}
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
@@ -453,8 +421,7 @@ def _cmd_mixed(args, manifest):
 def _cmd_verify(args, manifest):
     t0 = time.perf_counter()
     game = _build_game_for_args(args, manifest)
-    config = _solver_config_from(args.solver_config, SolverConfig)
-    manifest["resolved_config"] = asdict(config or SolverConfig())
+    config = _solver_config_from(args, SolverConfig, manifest)
     doc = _load_json(args.profile, "flow profile")
     _check_keys(doc, {"path_flows"}, set(), "flow profile")
     raw = doc["path_flows"]
@@ -582,28 +549,19 @@ def main(argv=None) -> int:
             print(json.dumps(e.diagnostics, sort_keys=True), file=sys.stderr)
         return 4
     manifest["timings"]["total"] = time.perf_counter() - t0
-    out_path = getattr(args, "out", None)
-    if out_path:
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    for text, path, stream in (
+            (output, getattr(args, "out", None), sys.stdout),
+            (manifest_text, getattr(args, "manifest", None), sys.stderr)):
+        if not path:
+            stream.write(text)
+            continue
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(output)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as e:
-            print(f"error: cannot write {out_path!r}: {e}", file=sys.stderr)
+            print(f"error: cannot write {path!r}: {e}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(output)
-    manifest_text = json.dumps(manifest, indent=2, sort_keys=True)
-    manifest_path = getattr(args, "manifest", None)
-    if manifest_path:
-        try:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                fh.write(manifest_text + "\n")
-        except OSError as e:
-            print(f"error: cannot write {manifest_path!r}: {e}",
-                  file=sys.stderr)
-            return 2
-    else:
-        print(manifest_text, file=sys.stderr)
     return 0
 
 

@@ -21,14 +21,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .netmodel import FlowProfile, Network
+    from .netmodel import FlowProfile, Link, Network
 
 INFINITE_COST = math.inf
 
 _STOCHASTIC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearCost:
     """Affine latency ``slope * f + intercept``."""
 
@@ -36,6 +36,8 @@ class LinearCost:
     intercept: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
+            raise ConfigError("linear cost needs finite slope and intercept")
         if self.slope < 0 or self.intercept < 0:
             raise ConfigError("linear cost needs slope >= 0 and intercept >= 0")
 
@@ -46,13 +48,15 @@ class LinearCost:
         return self.slope
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MM1Cost:
     """Queueing latency ``1 / (capacity - f)`` for ``f < capacity``."""
 
     capacity: float
 
     def __post_init__(self):
+        if not math.isfinite(self.capacity):
+            raise ConfigError("capacity must be finite")
         if self.capacity < 0:
             raise ConfigError("capacity must be nonnegative")
 
@@ -72,21 +76,7 @@ class MM1Cost:
 CostSpec = LinearCost | MM1Cost
 
 
-def link_cost(spec: CostSpec, flow: float) -> float:
-    """Latency of one link at aggregate flow ``flow``."""
-    if flow < 0:
-        raise ConfigError("link flow must be nonnegative")
-    return spec.value(flow)
-
-
-def link_cost_derivative(spec: CostSpec, flow: float) -> float:
-    """Derivative of the latency with respect to aggregate flow."""
-    if flow < 0:
-        raise ConfigError("link flow must be nonnegative")
-    return spec.derivative(flow)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CooperationProfile:
     """Row-stochastic cost weights, one row per user in user order.
 
@@ -139,10 +129,6 @@ class CooperationProfile:
         return 1.0 - self.rows[user_index][user_index]
 
 
-def selfish_profile(user_ids: Sequence[int]) -> CooperationProfile:
-    return CooperationProfile.from_alphas(user_ids, [0.0] * len(user_ids))
-
-
 def _flow_times_cost(flow: float, cost: float) -> float:
     # Zero flow on an unusable link costs nothing; avoids 0 * inf.
     if flow == 0.0:
@@ -150,74 +136,94 @@ def _flow_times_cost(flow: float, cost: float) -> float:
     return flow * cost
 
 
-def user_cost(net: "Network", profile: "FlowProfile", user_id: int) -> float:
-    """Total cost ``sum_l f_l^i * T_l(f_l)`` experienced by one user."""
-    ui = profile.user_index(user_id)
-    own = profile.user_link_flows[ui]
-    total = profile.total_link_flows
-    acc = 0.0
-    for li, link in enumerate(net.links):
-        if own[li] == 0.0:
-            continue
-        term = _flow_times_cost(own[li], link.cost.value(total[li]))
-        if term == INFINITE_COST:
-            return INFINITE_COST
-        acc += term
-    return acc
+# The kernel below works on link loads in network link order.  Callers
+# build the loads once per evaluation, each in its own summation order,
+# so the kernel adds no rounding of its own to theirs.
 
+def link_shares(links: Sequence["Link"], user_loads, totals
+                ) -> tuple[tuple[float, ...], ...]:
+    """Cost share ``f_l^i * T_l(f_l)`` of every user on every link.
 
-def operating_cost(net: "Network", profile: "FlowProfile",
-                   coop: CooperationProfile, user_id: int) -> float:
-    """Weighted cost the user actually optimizes: its cooperation row applied
-    to everyone's costs."""
-    ui = profile.user_index(user_id)
-    row = coop.rows[ui]
-    acc = 0.0
-    for k, uid in enumerate(profile.user_ids):
-        w = row[k]
-        if w == 0.0:
-            continue
-        jk = user_cost(net, profile, uid)
-        if jk == INFINITE_COST:
-            return INFINITE_COST
-        acc += w * jk
-    return acc
-
-
-def marginal_cost(net: "Network", profile: "FlowProfile",
-                  coop: CooperationProfile, user_id: int, link_id: str) -> float:
-    """Derivative of the user's operating cost in its own flow on one link.
-
-    With weights ``b_k`` this is ``b_i * T_l + (sum_k b_k f_l^k) * T_l'``.
+    ``user_loads[i][l]`` is user ``i``'s flow on link ``l`` and
+    ``totals[l]`` the link's total flow.
     """
-    ui = profile.user_index(user_id)
-    li = net.link_index(link_id)
-    row = coop.rows[ui]
-    total = profile.total_link_flows[li]
-    spec = net.links[li].cost
-    t = spec.value(total)
-    dt = spec.derivative(total)
-    if t == INFINITE_COST or dt == INFINITE_COST:
-        return INFINITE_COST
-    weighted = 0.0
-    for k in range(len(profile.user_ids)):
-        w = row[k]
+    latencies = [lk.cost.value(f) for lk, f in zip(links, totals)]
+    return tuple(tuple(_flow_times_cost(v, t)
+                       for v, t in zip(own, latencies))
+                 for own in user_loads)
+
+
+def user_costs(links: Sequence["Link"], user_loads, totals) -> list[float]:
+    """Raw cost ``sum_l f_l^i * T_l(f_l)`` of every user; infinite when the
+    user puts flow on a full link."""
+    latencies = [lk.cost.value(f) for lk, f in zip(links, totals)]
+    out = []
+    for own in user_loads:
+        acc = 0.0
+        for v, t in zip(own, latencies):
+            if v:
+                acc += v * t
+        out.append(acc)
+    return out
+
+
+def weighted_cost(row: Sequence[float], raws: Sequence[float]) -> float:
+    """Operating cost: one cooperation row applied to everyone's raw cost."""
+    acc = 0.0
+    for w, jk in zip(row, raws):
         if w:
-            weighted += w * profile.user_link_flows[k][li]
-    return row[ui] * t + weighted * dt
+            if jk == INFINITE_COST:
+                return INFINITE_COST
+            acc += w * jk
+    return acc
+
+
+def path_marginals(links: Sequence["Link"], paths, own_weight: float,
+                   base, base_weighted, flows) -> list[float]:
+    """Marginal operating cost of one more unit of a user's flow per path.
+
+    The user routes ``flows`` on ``paths`` (link indices) on top of link
+    loads ``base``, which its cooperation row weighs to ``base_weighted``.
+    On link ``l`` that is ``b T_l + (w_l + b x_l) T_l'`` at the total
+    ``base_l + x_l``, with own load ``x_l`` and self-weight ``b``; a path
+    through a full link is infinite."""
+    own = [0.0] * len(links)
+    for path, v in zip(paths, flows):
+        if v:
+            for li in path:
+                own[li] += v
+    out = []
+    for path in paths:
+        acc = 0.0
+        for li in path:
+            spec = links[li].cost
+            f = base[li] + own[li]
+            t = spec.value(f)
+            dt = spec.derivative(f)
+            if t == INFINITE_COST or dt == INFINITE_COST:
+                acc = INFINITE_COST
+                break
+            acc += (own_weight * t
+                    + (base_weighted[li] + own_weight * own[li]) * dt)
+        out.append(acc)
+    return out
 
 
 def path_marginal(net: "Network", profile: "FlowProfile",
                   coop: CooperationProfile, user_id: int,
                   path: Iterable[str]) -> float:
     """Marginal operating cost of routing one more unit along a path."""
-    acc = 0.0
-    for link_id in path:
-        k = marginal_cost(net, profile, coop, user_id, link_id)
-        if k == INFINITE_COST:
-            return INFINITE_COST
-        acc += k
-    return acc
+    ui = profile.user_index(user_id)
+    row = coop.rows[ui]
+    weighted = [0.0] * len(net.links)
+    for k, own in enumerate(profile.user_link_flows):
+        if row[k]:
+            for li, v in enumerate(own):
+                weighted[li] += row[k] * v
+    # A profile's loads already hold the user's flow: no flow goes on top.
+    idx = [net.link_index(link_id) for link_id in path]
+    return path_marginals(net.links, [idx], row[ui],
+                          profile.total_link_flows, weighted, [0.0])[0]
 
 
 @dataclass(frozen=True)
@@ -235,23 +241,9 @@ class CostReport:
 
 def cost_report(net: "Network", profile: "FlowProfile",
                 coop: CooperationProfile) -> CostReport:
-    raws = tuple(user_cost(net, profile, uid) for uid in profile.user_ids)
-    shares = []
-    for ui in range(len(profile.user_ids)):
-        own = profile.user_link_flows[ui]
-        row = tuple(
-            _flow_times_cost(own[li], link.cost.value(profile.total_link_flows[li]))
-            for li, link in enumerate(net.links))
-        shares.append(row)
-    ops = []
-    for ui in range(len(profile.user_ids)):
-        row = coop.rows[ui]
-        acc = 0.0
-        for k, jk in enumerate(raws):
-            if row[k]:
-                acc = INFINITE_COST if jk == INFINITE_COST else acc + row[k] * jk
-                if acc == INFINITE_COST:
-                    break
-        ops.append(acc)
+    loads, totals = profile.user_link_flows, profile.total_link_flows
+    raws = tuple(user_costs(net.links, loads, totals))
     return CostReport(user_ids=profile.user_ids, raw_costs=raws,
-                      operating_costs=tuple(ops), link_shares=tuple(shares))
+                      operating_costs=tuple(weighted_cost(row, raws)
+                                            for row in coop.rows),
+                      link_shares=link_shares(net.links, loads, totals))

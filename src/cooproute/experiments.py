@@ -14,6 +14,7 @@ a user's own cost falling as that user's cooperation degree rises.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -318,54 +319,61 @@ def _match_lineage(sets: Sequence[EquilibriumSet]) -> tuple[Branch, ...]:
                  for bi, b in enumerate(raw))
 
 
+def _solve_rows(values, games, config, map) -> tuple[SweepRow, ...]:
+    # Looked up at call time, so a replaced ``multistart_nash`` is seen.
+    solve = functools.partial(multistart_nash, config=config)
+    return tuple(SweepRow(value=v, equilibria=eqs)
+                 for v, eqs in zip(values, map(solve, games)))
+
+
 def alpha_sweep(scenario: Scenario, values: Sequence[float],
-                vary: str = "all",
-                config: SolverConfig | None = None) -> SweepTable:
+                vary: str = "all", config: SolverConfig | None = None,
+                map: Callable = map) -> SweepTable:
     """Solve the preset at each cooperation degree in ``values``.
 
     ``vary`` is "all" to move every user's degree together or "first" to
     move only the first user's, keeping the preset's values for the rest.
+    Every row's game is built here and solved through ``map``, which may
+    be a process pool's ``map``; rows keep the order of ``values``.
     """
     if scenario.kind != "game":
         raise ConfigError("cooperation sweeps need a routing-game preset")
     if vary not in ("all", "first"):
         raise ConfigError('vary must be "all" or "first"')
-    rows = []
+    values = tuple(float(v) for v in values)
+    games = []
     for v in values:
         if vary == "all":
-            alphas = tuple(float(v) for _ in scenario.base_alphas)
+            alphas = tuple(v for _ in scenario.base_alphas)
         else:
-            alphas = (float(v),) + scenario.base_alphas[1:]
-        game = scenario.build_game(alphas=alphas)
-        rows.append(SweepRow(value=float(v),
-                             equilibria=multistart_nash(game, config)))
+            alphas = (v,) + scenario.base_alphas[1:]
+        games.append(scenario.build_game(alphas=alphas))
+    rows = _solve_rows(values, games, config, map)
     branches = _match_lineage([r.equilibria for r in rows])
     varied = (tuple(range(len(scenario.base_alphas)))
               if vary == "all" else (0,))
     return SweepTable(scenario=scenario.name,
                       parameter="alpha" if vary == "all" else "alpha_first",
-                      rows=tuple(rows), branches=branches,
-                      varied_users=varied)
+                      rows=rows, branches=branches, varied_users=varied)
 
 
 def parameter_sweep(scenario: Scenario,
                     values: Sequence[float] | None = None,
-                    config: SolverConfig | None = None) -> SweepTable:
-    """Solve the preset at each value of its structural parameter."""
+                    config: SolverConfig | None = None,
+                    map: Callable = map) -> SweepTable:
+    """Solve the preset at each value of its structural parameter,
+    through ``map`` as in ``alpha_sweep``."""
     if scenario.kind != "game":
         raise ConfigError("parameter sweeps need a routing-game preset")
     if scenario.param is None:
         raise ConfigError(f"preset {scenario.name!r} has no sweep parameter")
     vals = tuple(float(v) for v in (values if values is not None
                                     else scenario.param.values))
-    rows = []
-    for v in vals:
-        game = scenario.build_game(param=v)
-        rows.append(SweepRow(value=v,
-                             equilibria=multistart_nash(game, config)))
+    rows = _solve_rows(vals, [scenario.build_game(param=v) for v in vals],
+                       config, map)
     branches = _match_lineage([r.equilibria for r in rows])
     return SweepTable(scenario=scenario.name, parameter=scenario.param.name,
-                      rows=tuple(rows), branches=branches, varied_users=())
+                      rows=rows, branches=branches, varied_users=())
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from typing import Sequence
 
 from .costs import MM1Cost, CostSpec
 from .errors import ConfigError, InfeasibleError, SolverError
-from .search import argmin_by_derivative, bisect_sign_change
+from .search import (argmin_by_derivative, bisect_sign_change,
+                     scan_sign_changes)
 
 _REGION_TOL = 1e-12
 _DUP_TOL = 1e-9
@@ -39,6 +40,10 @@ class MixedScenario:
     alpha: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (
+                self.capacity_one, self.capacity_two, self.group_demand,
+                self.mass_demand, self.alpha)):
+            raise ConfigError("mixed scenario fields must be finite")
         if self.capacity_one < 0 or self.capacity_two < 0:
             raise ConfigError("capacities must be nonnegative")
         if self.group_demand < 0 or self.mass_demand < 0:
@@ -317,21 +322,18 @@ def mixed_closed_form(s: MixedScenario,
         if along(hi1) <= tol:
             emit("both-links", "boundary", hi1, hi1 - offset, span1)
 
-    # Mass only on link one (its split is zero there).
-    hi2 = min(offset, r1)
-    if hi2 >= -tol:
-        hi2 = min(max(hi2, 0.0), r1)
-        span2 = (0.0, hi2)
-        u0 = c1 - r2   # link-one slack at x = 0
-        v0 = c2 - r1   # link-two slack at x = 0
-        heavy = (1.0 - a) * u0 + a * r2
-        light = (1.0 - a) * c2
+    def one_link(case, w, span, u0, v0, heavy, light):
+        # With the mass fixed on one link the group's derivative is
+        # heavy / u^2 - light / v^2 in the slacks u = u0 - x, v = v0 + x;
+        # its zero solves a quadratic whose coefficients form the trail.
+        lo, hi = span
         qa = heavy - light
         qb = 2.0 * (heavy * v0 + light * u0)
         qc = heavy * v0 * v0 - light * u0 * u0
-        disc = qb * qb - 4.0 * qa * qc
+        trail = dict(quad_a=qa, quad_b=qb, quad_c=qc,
+                     quad_disc=qb * qb - 4.0 * qa * qc)
 
-        def deriv_two(x: float) -> float:
+        def deriv(x: float) -> float:
             uu, vv = u0 - x, v0 + x
             if uu <= 0 or vv <= 0:
                 return math.inf if uu <= 0 else -math.inf
@@ -340,53 +342,33 @@ def mixed_closed_form(s: MixedScenario,
         if heavy > 0 and light > 0:
             root = ((math.sqrt(light) * u0 - math.sqrt(heavy) * v0)
                     / (math.sqrt(heavy) + math.sqrt(light)))
-            if -tol <= root <= hi2 + tol:
-                emit("wardrop-link1-only", "interior", root, 0.0, span2,
-                     interior_split=root, quad_a=qa, quad_b=qb, quad_c=qc,
-                     quad_disc=disc)
-        if deriv_two(0.0) >= -tol:
-            emit("wardrop-link1-only", "boundary", 0.0, 0.0, span2,
-                 quad_a=qa, quad_b=qb, quad_c=qc, quad_disc=disc)
-        if deriv_two(hi2) <= tol:
-            emit("wardrop-link1-only", "boundary", hi2, 0.0, span2,
-                 quad_a=qa, quad_b=qb, quad_c=qc, quad_disc=disc)
+            if lo - tol <= root <= hi + tol:
+                emit(case, "interior", root, w, span, interior_split=root,
+                     **trail)
+        if deriv(lo) >= -tol:
+            emit(case, "boundary", lo, w, span, **trail)
+        if deriv(hi) <= tol:
+            emit(case, "boundary", hi, w, span, **trail)
+
+    # Mass only on link one (its split is zero there).
+    hi2 = min(offset, r1)
+    if hi2 >= -tol:
+        u0 = c1 - r2   # link-one slack at x = 0
+        v0 = c2 - r1   # link-two slack at x = 0
+        one_link("wardrop-link1-only", 0.0, (0.0, min(max(hi2, 0.0), r1)),
+                 u0, v0, (1.0 - a) * u0 + a * r2, (1.0 - a) * c2)
 
     # Mass only on link two.
     lo3 = max(upper, 0.0)
     if lo3 <= r1 + tol:
-        lo3 = min(lo3, r1)
-        span3 = (lo3, r1)
         v0 = c2 - r1 - r2  # link-two slack at x = 0
-        heavy = (1.0 - a) * c1
         light = (1.0 - a) * (c2 - r2) + a * r2
-        qa = heavy - light
-        qb = 2.0 * (heavy * v0 + light * c1)
-        qc = heavy * v0 * v0 - light * c1 * c1
-        disc = qb * qb - 4.0 * qa * qc
-
-        def deriv_three(x: float) -> float:
-            uu, vv = c1 - x, v0 + x
-            if uu <= 0 or vv <= 0:
-                return math.inf if uu <= 0 else -math.inf
-            return heavy / (uu * uu) - light / (vv * vv)
-
-        if heavy > 0 and light > 0:
-            root = ((math.sqrt(light) * c1 - math.sqrt(heavy) * v0)
-                    / (math.sqrt(heavy) + math.sqrt(light)))
-            if lo3 - tol <= root <= r1 + tol:
-                emit("wardrop-link2-only", "interior", root, r2, span3,
-                     interior_split=root, quad_a=qa, quad_b=qb, quad_c=qc,
-                     quad_disc=disc)
-        elif light <= 0:
+        if light <= 0:
             notes.append(
                 "second-link derivative keeps one sign in the "
                 "wardrop-link2-only case; no interior stationary point")
-        if deriv_three(lo3) >= -tol:
-            emit("wardrop-link2-only", "boundary", lo3, r2, span3,
-                 quad_a=qa, quad_b=qb, quad_c=qc, quad_disc=disc)
-        if deriv_three(r1) <= tol:
-            emit("wardrop-link2-only", "boundary", r1, r2, span3,
-                 quad_a=qa, quad_b=qb, quad_c=qc, quad_disc=disc)
+        one_link("wardrop-link2-only", r2, (min(lo3, r1), r1), c1, v0,
+                 (1.0 - a) * c1, light)
 
     candidates.sort(key=lambda sol: (sol.group_split, sol.mass_split))
     return MixedSolutionSet(solutions=tuple(candidates), continuum=continuum,
@@ -449,27 +431,9 @@ def mixed_numeric(s: MixedScenario,
     def polish(x: float) -> float:
         # the alternation stops on step size, a bit short of the fixed
         # point; re-bracket the displacement and bisect it down
-        lo = max(0.0, x - 1e-6)
-        hi = min(r1, x + 1e-6)
-        va, vb = displacement(lo), displacement(hi)
-        if va == 0.0:
-            return lo
-        if vb == 0.0:
-            return hi
-        if not ((va > 0 > vb) or (va < 0 < vb)):
-            return x
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            fm = displacement(mid)
-            if fm == 0.0:
-                return mid
-            if (va > 0) == (fm > 0):
-                lo, va = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        roots = scan_sign_changes(
+            displacement, (max(0.0, x - 1e-6), min(r1, x + 1e-6)), 80)
+        return roots[0] if roots else x
 
     non_converged = 0
     for i in range(config.starts):
@@ -492,31 +456,7 @@ def mixed_numeric(s: MixedScenario,
 
     scan_added = 0
     xs = [r1 * i / (config.starts - 1) for i in range(config.starts)]
-    vals = [displacement(x) for x in xs]
-    roots = []
-    for i in range(len(xs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(xs[i])
-            continue
-        if (va > 0 > vb) or (va < 0 < vb):
-            x0, x1, fa = xs[i], xs[i + 1], va
-            for _ in range(80):
-                mid = 0.5 * (x0 + x1)
-                if mid == x0 or mid == x1:
-                    break
-                fm = displacement(mid)
-                if fm == 0.0:
-                    x0 = x1 = mid
-                    break
-                if (fa > 0) == (fm > 0):
-                    x0, fa = mid, fm
-                else:
-                    x1 = mid
-            roots.append(0.5 * (x0 + x1))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    for x in roots:
+    for x in scan_sign_changes(displacement, xs, 80):
         if merge(x, mass_response(x), 0, True):
             scan_added += 1
 

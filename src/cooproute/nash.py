@@ -10,8 +10,13 @@ reached from a grid of starting splits and counts basin sizes.
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
 with two paths each the driver therefore also scans the best-response
-composition for sign changes and refines each bracket by bisection, which
-recovers the repelling equilibria with a basin count of zero.
+composition for sign changes and refines each bracket by bisection
+(``search.scan_sign_changes``), which recovers the repelling equilibria
+with a basin count of zero.
+
+Costs and path marginals come from the link-load kernel in ``costs``;
+this module only sums its per-path state into link loads, in a fixed
+order, and hands them over.
 """
 
 from __future__ import annotations
@@ -21,16 +26,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .costs import (INFINITE_COST, CooperationProfile, cost_report,
-                    MM1Cost, path_marginal)
+from .costs import (INFINITE_COST, CooperationProfile, MM1Cost, cost_report,
+                    path_marginal, path_marginals, user_costs, weighted_cost)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
                        saturated_links)
-from .search import argmin_by_derivative
+from .search import argmin_by_derivative, scan_sign_changes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverConfig:
     """Tolerances and effort knobs for the equilibrium search."""
 
@@ -57,7 +62,7 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingGame:
     """A network, its users, their path sets, and the cooperation weights."""
 
@@ -105,25 +110,36 @@ def make_game(net: Network, users: Sequence[UserSpec],
     return RoutingGame(net=net, users=users, paths=paths, coop=coop)
 
 
-def _loads_excluding(game: RoutingGame, state, ui: int):
-    """Per-link totals and cooperation-weighted totals of the other users."""
+def _state_loads(game: RoutingGame, state, ui: int | None = None):
+    """Each user's link loads, the link totals of every user but ``ui``
+    and those users' loads weighted by ``ui``'s cooperation row (zero for
+    ``ui=None``), all summed path by path in user order."""
     m = len(game.net.links)
-    others = [0.0] * m
+    row = game.coop.rows[ui] if ui is not None else None
+    loads = []
+    totals = [0.0] * m
     weighted = [0.0] * m
-    row = game.coop.rows[ui]
-    for k in range(len(game.users)):
-        if k == ui:
-            continue
-        wk = row[k]
-        for p, links in enumerate(game.path_link_idx[k]):
-            v = state[k][p]
+    for k, paths in enumerate(game.path_link_idx):
+        own = [0.0] * m
+        other = k != ui
+        wk = row[k] if other and row is not None else 0.0
+        for links_p, v in zip(paths, state[k]):
             if v == 0.0:
                 continue
-            for li in links:
-                others[li] += v
-                if wk:
-                    weighted[li] += wk * v
-    return others, weighted
+            for li in links_p:
+                own[li] += v
+                if other:
+                    totals[li] += v
+                    if wk:
+                        weighted[li] += wk * v
+        loads.append(own)
+    return loads, totals, weighted
+
+
+def _operating_cost(game: RoutingGame, state, ui: int) -> float:
+    loads, totals, _ = _state_loads(game, state)
+    return weighted_cost(game.coop.rows[ui],
+                         user_costs(game.net.links, loads, totals))
 
 
 def _two_path_response(game: RoutingGame, ui: int, r: float, others, weighted,
@@ -178,33 +194,6 @@ def _two_path_response(game: RoutingGame, ui: int, r: float, others, weighted,
     return (r - t, t)
 
 
-def _path_marginals_local(game: RoutingGame, ui: int, flows, others, weighted):
-    idx = game.path_link_idx[ui]
-    m = len(game.net.links)
-    own = [0.0] * m
-    for p, links_p in enumerate(idx):
-        v = flows[p]
-        if v:
-            for li in links_p:
-                own[li] += v
-    bii = game.coop.rows[ui][ui]
-    links = game.net.links
-    out = []
-    for links_p in idx:
-        acc = 0.0
-        for li in links_p:
-            spec = links[li].cost
-            f = others[li] + own[li]
-            tv = spec.value(f)
-            dv = spec.derivative(f)
-            if tv == INFINITE_COST or dv == INFINITE_COST:
-                acc = INFINITE_COST
-                break
-            acc += bii * tv + (weighted[li] + bii * own[li]) * dv
-        out.append(acc)
-    return out
-
-
 def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
                             others, weighted, config: SolverConfig,
                             iters: int) -> tuple[float, ...]:
@@ -212,6 +201,7 @@ def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
     k = len(idx)
     links = game.net.links
     guard = config.capacity_guard
+    bii = game.coop.rows[ui][ui]
     f = [max(0.0, v) for v in state[ui]]
     s = math.fsum(f)
     if s > 0:
@@ -219,13 +209,13 @@ def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
     else:
         f = [r] + [0.0] * (k - 1)
     for _ in range(300):
-        margs = _path_marginals_local(game, ui, f, others, weighted)
+        margs = path_marginals(links, idx, bii, others, weighted, f)
         best = min(range(k), key=lambda p: (margs[p], p))
         if margs[best] == INFINITE_COST:
             raise SolverError(
                 f"user {game.users[ui].user_id} has no unsaturated path")
         gap = math.fsum(f[p] * (margs[p] - margs[best]) for p in range(k)
-                        if f[p] > 0 and margs[p] != INFINITE_COST)
+                        if f[p] > 0)
         if gap <= config.br_tol * max(1.0, abs(margs[best]) * r):
             break
         d = [-v for v in f]
@@ -245,8 +235,8 @@ def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
                 gmax = min(gmax, max(room, 0.0) / ddir[li])
 
         def dphi(g: float) -> float:
-            fv = [f[p] + g * d[p] for p in range(k)]
-            margs_g = _path_marginals_local(game, ui, fv, others, weighted)
+            margs_g = path_marginals(links, idx, bii, others, weighted,
+                                     [f[p] + g * d[p] for p in range(k)])
             return math.fsum(d[p] * margs_g[p] for p in range(k) if d[p])
 
         g = argmin_by_derivative(dphi, 0.0, gmax, min(iters, 40))
@@ -266,7 +256,7 @@ def _best_response(game: RoutingGame, state, ui: int, config: SolverConfig,
         return (0.0,) * len(paths)
     if len(paths) == 1:
         return (r,)
-    others, weighted = _loads_excluding(game, state, ui)
+    _, others, weighted = _state_loads(game, state, ui)
     if game.two_path[ui] is not None:
         return _two_path_response(game, ui, r, others, weighted, config, iters)
     return _cond_gradient_response(game, state, ui, r, others, weighted,
@@ -404,46 +394,6 @@ def _aitken_target(window, demands, path_link_idx):
     return target, max(abs(v) for v in d2)
 
 
-def _state_raw_costs(game: RoutingGame, state) -> list[float]:
-    m = len(game.net.links)
-    n = len(game.users)
-    own = [[0.0] * m for _ in range(n)]
-    totals = [0.0] * m
-    for k in range(n):
-        for p, links_p in enumerate(game.path_link_idx[k]):
-            v = state[k][p]
-            if v:
-                for li in links_p:
-                    own[k][li] += v
-                    totals[li] += v
-    latencies = [game.net.links[li].cost.value(totals[li]) for li in range(m)]
-    raws = []
-    for k in range(n):
-        acc = 0.0
-        for li in range(m):
-            v = own[k][li]
-            if v == 0.0:
-                continue
-            if latencies[li] == INFINITE_COST:
-                acc = INFINITE_COST
-                break
-            acc += v * latencies[li]
-        raws.append(acc)
-    return raws
-
-
-def _state_operating_cost(game: RoutingGame, state, ui: int) -> float:
-    raws = _state_raw_costs(game, state)
-    row = game.coop.rows[ui]
-    acc = 0.0
-    for k, jk in enumerate(raws):
-        if row[k]:
-            if jk == INFINITE_COST:
-                return INFINITE_COST
-            acc += row[k] * jk
-    return acc
-
-
 @dataclass(frozen=True)
 class NashCheck:
     """Outcome of an independent equilibrium verification."""
@@ -462,13 +412,17 @@ def verify_nash(game: RoutingGame, profile: FlowProfile,
     the minimum over its paths; recomputing the exact best response must
     reproduce the user's flows; and for two-path users a dense sweep of
     alternative splits must not beat the current operating cost.  All
-    violations are normalized before comparing with ``verify_tol``.
+    violations are normalized before comparing with ``verify_tol``.  NaN
+    compares false both ways, so a NaN cost or marginal counts as an
+    infinite violation.
     """
     config = config or SolverConfig()
     sat = saturated_links(game.net, profile)
     state = [list(f) for f in profile.path_flows]
     lambdas: list[float] = []
-    viol = 0.0
+    raws = user_costs(game.net.links, profile.user_link_flows,
+                      profile.total_link_flows)
+    viol = math.inf if any(math.isnan(j) for j in raws) else 0.0
     for ui, uid in enumerate(profile.user_ids):
         r = game.users[ui].demand
         paths = profile.paths[ui]
@@ -484,27 +438,26 @@ def verify_nash(game: RoutingGame, profile: FlowProfile,
         scale = max(1.0, abs(lam)) if lam != INFINITE_COST else 1.0
         for p in range(len(paths)):
             if profile.path_flows[ui][p] > flow_eps:
-                if margs[p] == INFINITE_COST:
+                if margs[p] == INFINITE_COST or math.isnan(margs[p] - lam):
                     viol = math.inf
                 else:
                     viol = max(viol, (margs[p] - lam) / scale)
+        cur = _operating_cost(game, state, ui)
         br = _best_response(game, state, ui, config, 60)
         res = max(abs(a - b) for a, b in zip(br, profile.path_flows[ui]))
         if res > flow_eps:
             # A different split only disqualifies the profile if it is
             # actually cheaper; with a flat objective any split is a best
             # response and the recomputed one is arbitrary.
-            cur = _state_operating_cost(game, state, ui)
             trial = [list(s) for s in state]
             trial[ui] = list(br)
-            at_br = _state_operating_cost(game, trial, ui)
+            at_br = _operating_cost(game, trial, ui)
             if cur == INFINITE_COST:
                 gap = 0.0 if at_br == INFINITE_COST else math.inf
             else:
                 gap = max(0.0, cur - at_br) / max(1.0, abs(cur))
             viol = max(viol, min(res / max(1.0, r), gap))
         if len(paths) == 2:
-            cur = _state_operating_cost(game, state, ui)
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
             g = config.deviation_grid
             best_alt = math.inf
@@ -513,7 +466,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile,
                 trial = [list(s) for s in state]
                 trial[ui] = [r - t, t]
                 best_alt = min(best_alt,
-                               _state_operating_cost(game, trial, ui))
+                               _operating_cost(game, trial, ui))
             if cur != INFINITE_COST and best_alt < cur:
                 viol = max(viol, (cur - best_alt) / cscale)
             elif cur == INFINITE_COST and best_alt < INFINITE_COST:
@@ -609,35 +562,6 @@ def _start_options(game: RoutingGame, config: SolverConfig):
     return options
 
 
-def _grid_sign_roots(f, lo, hi, density):
-    xs = [lo + (hi - lo) * i / (density - 1) for i in range(density)]
-    vals = [f(x) for x in xs]
-    roots = []
-    for i in range(density - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(xs[i])
-            continue
-        if (a > 0 > b) or (a < 0 < b):
-            x0, x1, fa = xs[i], xs[i + 1], a
-            for _ in range(60):
-                mid = 0.5 * (x0 + x1)
-                if mid == x0 or mid == x1:
-                    break
-                fm = f(mid)
-                if fm == 0.0:
-                    x0 = x1 = mid
-                    break
-                if (fa > 0) == (fm > 0):
-                    x0, fa = mid, fm
-                else:
-                    x1 = mid
-            roots.append(0.5 * (x0 + x1))
-    if vals[-1] == 0.0:
-        roots.append(hi)
-    return roots
-
-
 def _scan_for_fixed_points(game: RoutingGame, config: SolverConfig):
     """Two-user, two-path-each composition scan in both user orders."""
     r1, r2 = game.demands
@@ -650,13 +574,14 @@ def _scan_for_fixed_points(game: RoutingGame, config: SolverConfig):
         st = [[r1 - x, x], [r2, 0.0]]
         return _best_response(game, st, 1, config, 60)[1]
 
+    d = config.scan_density
     candidates = []
-    for x in _grid_sign_roots(lambda x: br_first(br_second(x)) - x,
-                              0.0, r1, config.scan_density):
+    for x in scan_sign_changes(lambda x: br_first(br_second(x)) - x,
+                               [r1 * i / (d - 1) for i in range(d)], 60):
         y = br_second(x)
         candidates.append(((r1 - x, x), (r2 - y, y)))
-    for y in _grid_sign_roots(lambda y: br_second(br_first(y)) - y,
-                              0.0, r2, config.scan_density):
+    for y in scan_sign_changes(lambda y: br_second(br_first(y)) - y,
+                               [r2 * i / (d - 1) for i in range(d)], 60):
         x = br_first(y)
         candidates.append(((r1 - x, x), (r2 - y, y)))
     return candidates

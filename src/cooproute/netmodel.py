@@ -20,7 +20,7 @@ MAX_PATHS = 64
 _FLOW_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     link_id: str
     source: int
@@ -28,7 +28,7 @@ class Link:
     cost: CostSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Network:
     """Directed network with sorted, uniquely named links."""
 
@@ -87,7 +87,7 @@ def build_network(nodes: Iterable[int],
     return Network(nodes=node_tuple, links=tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserSpec:
     """One user: an id, an origin/destination pair, and a demand rate."""
 
@@ -97,6 +97,8 @@ class UserSpec:
     demand: float
 
     def __post_init__(self):
+        if not math.isfinite(self.demand):
+            raise ConfigError("demand must be finite")
         if self.demand < 0:
             raise ConfigError("demand must be nonnegative")
         if self.source == self.target:
@@ -137,7 +139,7 @@ def enumerate_paths(net: Network, source: int, target: int,
     return tuple(found)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSet:
     """Per-user routing options, aligned with a user id list."""
 

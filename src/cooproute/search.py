@@ -3,13 +3,33 @@
 All solvers in this package reduce one-dimensional subproblems to either a
 sign change of a monotone function or the minimum of a convex function with
 an available derivative, so plain bisection is enough everywhere and keeps
-the package dependency-free.
+the package dependency-free.  ``scan_sign_changes`` finds the fixed points
+that iteration repels, with the same bisection as ``bisect_sign_change``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float, fa: float,
+            iters: int) -> float:
+    """Bisect ``[a, b]``, whose ends have opposite signs; ``fa = f(a)``.
+    Stops early at a midpoint where ``f`` is zero or not a number."""
+    sign = 1.0 if fa > 0.0 else -1.0   # read a rising f as falling
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        fm = sign * f(mid)
+        if fm > 0.0:
+            a = mid
+        elif fm < 0.0:
+            b = mid
+        else:
+            return mid
+    return 0.5 * (a + b)
 
 
 def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
@@ -25,18 +45,25 @@ def bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
     fhi = f(hi)
     if fhi >= 0.0:
         return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm > 0.0:
-            lo = mid
-        elif fm < 0.0:
-            hi = mid
-        else:
-            return mid
-    return 0.5 * (lo + hi)
+    return _bisect(f, lo, hi, flo, iters)
+
+
+def scan_sign_changes(f: Callable[[float], float], xs: Sequence[float],
+                      iters: int) -> list[float]:
+    """Every zero of ``f`` that the increasing grid ``xs`` brackets, in
+    grid order: grid points where ``f`` is exactly zero, and each strict
+    sign change between neighbours bisected ``iters`` times."""
+    vals = [f(x) for x in xs]
+    roots = []
+    for i in range(len(xs) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(xs[i])
+        elif (a > 0 > b) or (a < 0 < b):
+            roots.append(_bisect(f, xs[i], xs[i + 1], a, iters))
+    if vals[-1] == 0.0:
+        roots.append(xs[-1])
+    return roots
 
 
 def argmin_by_derivative(deriv: Callable[[float], float], lo: float,

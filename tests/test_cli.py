@@ -143,6 +143,24 @@ class TestErrorPaths:
                            write_doc(tmp_path, doc))
         assert rc == 2
 
+    def test_non_finite_numbers_rejected(self, capsys, tmp_path):
+        # json accepts NaN; such a document must not reach the solver
+        doc = json.loads(json.dumps(GAME_DOC))
+        doc["links"][0]["cost"]["slope"] = float("nan")
+        doc["users"][1]["demand"] = float("nan")
+        rc, out, err = run(capsys, "solve", "--config",
+                           write_doc(tmp_path, doc))
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
+        # an integer too large for a float is infinite, not a crash
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(GAME_DOC).replace(
+            '"demand": 1.0', '"demand": 1' + "0" * 400, 1))
+        rc, out, err = run(capsys, "solve", "--config", str(path))
+        assert rc == 2
+        assert "finite" in err
+
     def test_mixed_document_needs_mixed_command(self, capsys, tmp_path):
         rc, out, err = run(capsys, "solve", "--config",
                            write_doc(tmp_path, MIXED_DOC))
@@ -202,6 +220,31 @@ class TestSweepCommand:
         rc, out, err = run(capsys, "sweep", "--preset", "exp1",
                            "--parameter")
         assert rc == 2
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_document_sweep_matches_preset(self, capsys, monkeypatch,
+                                           tmp_path, threads):
+        # GAME_DOC is the exp2 game
+        monkeypatch.setenv("COOPROUTE_THREADS", threads)
+        rc, doc_out, _ = run(capsys, "sweep", "--config",
+                             write_doc(tmp_path, GAME_DOC),
+                             "--alphas", "0,0.2")
+        rc2, preset_out, _ = run(capsys, "sweep", "--preset", "exp2",
+                                 "--alphas", "0,0.2")
+        assert rc == rc2 == 0
+        assert doc_out == preset_out
+
+    def test_structural_sweep_alpha_matches_solve(self, capsys):
+        rc, out, _ = run(capsys, "sweep", "--preset", "exp5", "--parameter",
+                         "--values", "0,40", "--alpha", "0")
+        assert rc == 0
+        header, *rows = out.strip().splitlines()
+        for value in ("0", "40"):
+            rc, solved, _ = run(capsys, "solve", "--preset", "exp5",
+                                "--param", value, "--alpha", "0")
+            assert rc == 0
+            want = [value + line for line in solved.strip().splitlines()[1:]]
+            assert [r for r in rows if r.split(",")[0] == value] == want
 
     def test_worker_pool_matches_sequential(self, capsys, monkeypatch):
         rc, seq, _ = run(capsys, "sweep", "--preset", "exp2",

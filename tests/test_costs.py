@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from cooproute import (ConfigError, CooperationProfile, LinearCost, MM1Cost,
                        assemble_profile, build_network, build_path_set,
-                       cost_report, link_cost, link_cost_derivative,
-                       marginal_cost, operating_cost, selfish_profile,
-                       user_cost)
+                       cost_report, path_marginal)
 from cooproute.netmodel import UserSpec
 
 
@@ -22,6 +20,10 @@ def parallel_profile(net, rows, demands=None):
                       demand=sum(row)) for i, row in enumerate(rows)]
     pset = build_path_set(net, users)
     return assemble_profile(net, pset, rows, demands)
+
+
+def selfish(n):
+    return CooperationProfile.from_alphas(tuple(range(1, n + 1)), [0.0] * n)
 
 
 class TestLinkCosts:
@@ -56,21 +58,31 @@ class TestLinkCosts:
         assert c.derivative(0.0) == math.inf
 
     def test_negative_flow_rejected(self):
+        # costs are only ever evaluated at the loads of a profile, and a
+        # profile refuses negative flow
+        net = parallel_net([LinearCost(1.0), MM1Cost(2.0)])
         with pytest.raises(ConfigError):
-            link_cost(LinearCost(1.0), -0.1)
+            parallel_profile(net, [[-0.1, 1.1]])
+
+    @pytest.mark.parametrize("make", [
+        lambda v: LinearCost(slope=v),
+        lambda v: LinearCost(slope=1.0, intercept=v),
+        lambda v: MM1Cost(capacity=v),
+    ], ids=["slope", "intercept", "capacity"])
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, make, v):
         with pytest.raises(ConfigError):
-            link_cost_derivative(MM1Cost(2.0), -0.1)
+            make(v)
 
     @given(st.floats(0.0, 50.0), st.floats(0.01, 10.0),
            st.floats(0.0, 5.0))
     def test_linear_matches_direct_formula(self, f, a, g):
-        assert link_cost(LinearCost(a, g), f) == pytest.approx(a * f + g)
+        assert LinearCost(a, g).value(f) == pytest.approx(a * f + g)
 
     @given(st.floats(0.0, 3.9), st.floats(4.0, 20.0))
     def test_queue_derivative_is_squared_slack(self, f, cap):
         c = MM1Cost(cap)
-        assert link_cost_derivative(c, f) == pytest.approx(
-            1.0 / (cap - f) ** 2)
+        assert c.derivative(f) == pytest.approx(1.0 / (cap - f) ** 2)
 
 
 class TestCooperationProfile:
@@ -98,7 +110,7 @@ class TestCooperationProfile:
             CooperationProfile.from_alphas((1, 2), [1.2, 0.0])
 
     def test_selfish_profile_is_identity(self):
-        prof = selfish_profile((1, 2, 3))
+        prof = selfish(3)
         for i, row in enumerate(prof.rows):
             assert row[i] == 1.0
             assert sum(row) == 1.0
@@ -116,35 +128,62 @@ class TestUserCosts:
     def test_user_cost_sums_link_terms(self):
         net = parallel_net([LinearCost(1.0), LinearCost(0.0, 0.5)])
         prof = parallel_profile(net, [[0.25, 0.75], [0.5, 0.5]])
+        report = cost_report(net, prof, selfish(2))
         # link 1 carries 0.75 total, link 2 is constant
-        assert user_cost(net, prof, 1) == pytest.approx(
-            0.25 * 0.75 + 0.75 * 0.5)
-        assert user_cost(net, prof, 2) == pytest.approx(
-            0.5 * 0.75 + 0.5 * 0.5)
+        assert report.link_shares[0] == pytest.approx((0.25 * 0.75,
+                                                       0.75 * 0.5))
+        assert report.raw_costs == pytest.approx(
+            (0.25 * 0.75 + 0.75 * 0.5, 0.5 * 0.75 + 0.5 * 0.5))
 
     def test_zero_flow_on_saturated_link_costs_nothing(self):
         net = parallel_net([MM1Cost(1.0), MM1Cost(10.0)])
         prof = parallel_profile(net, [[1.0, 0.0], [0.0, 2.0]])
-        assert user_cost(net, prof, 1) == math.inf
-        assert user_cost(net, prof, 2) == pytest.approx(2.0 / 8.0)
+        report = cost_report(net, prof, selfish(2))
+        # 0 * inf counts as 0; positive flow on the full link is infinite
+        assert report.link_shares[1][0] == 0.0
+        assert report.raw_costs[0] == math.inf
+        assert report.raw_costs[1] == pytest.approx(2.0 / 8.0)
+
+    def test_infinite_cost_propagates(self):
+        net = parallel_net([MM1Cost(1.0), MM1Cost(10.0)])
+        prof = parallel_profile(net, [[1.0, 0.0], [0.0, 2.0]])
+        coop = CooperationProfile.from_alphas((1, 2), [0.0, 0.5])
+        report = cost_report(net, prof, coop)
+        # user 2 weighs the infinite cost of user 1; user 1 weighs nobody
+        assert report.operating_costs == (math.inf, math.inf)
+        report = cost_report(net, prof, selfish(2))
+        assert report.operating_costs[1] == pytest.approx(2.0 / 8.0)
+        assert path_marginal(net, prof, selfish(2), 2, ("l1",)) == math.inf
+        assert path_marginal(net, prof, selfish(2), 2, ("l2",)) < math.inf
 
     def test_selfish_operating_cost_equals_raw(self):
         net = parallel_net([LinearCost(2.0), MM1Cost(5.0)])
         prof = parallel_profile(net, [[0.3, 0.7], [1.0, 0.5]])
-        coop = selfish_profile((1, 2))
-        for uid in (1, 2):
-            assert operating_cost(net, prof, coop, uid) == pytest.approx(
-                user_cost(net, prof, uid))
+        report = cost_report(net, prof, selfish(2))
+        assert report.operating_costs == pytest.approx(report.raw_costs)
 
     def test_operating_cost_blends_users(self):
         net = parallel_net([LinearCost(1.0), LinearCost(0.0, 0.5)])
         prof = parallel_profile(net, [[0.25, 0.75], [0.5, 0.5]])
         coop = CooperationProfile.from_alphas((1, 2), [0.4, 0.0])
-        j1 = user_cost(net, prof, 1)
-        j2 = user_cost(net, prof, 2)
-        assert operating_cost(net, prof, coop, 1) == pytest.approx(
+        report = cost_report(net, prof, coop)
+        j1, j2 = report.raw_costs
+        assert report.operating_costs[0] == pytest.approx(
             0.6 * j1 + 0.4 * j2)
-        assert operating_cost(net, prof, coop, 2) == pytest.approx(j2)
+        assert report.operating_costs[1] == pytest.approx(j2)
+
+    def test_marginal_is_weighted_formula(self):
+        # b_i T_l + (sum_k b_k f_l^k) T_l' on each link, summed on a path
+        net = parallel_net([MM1Cost(8.0), LinearCost(1.5, 0.2)])
+        prof = parallel_profile(net, [[0.4, 0.6], [1.0, 0.3]])
+        coop = CooperationProfile.from_alphas((1, 2), [0.3, 0.0])
+        f1 = 1.4
+        want = 0.7 / (8.0 - f1) + (0.7 * 0.4 + 0.3 * 1.0) / (8.0 - f1) ** 2
+        assert path_marginal(net, prof, coop, 1, ("l1",)) == \
+            pytest.approx(want, rel=1e-12)
+        want = 1.5 * 0.9 + 0.2 + 1.0 * 0.3 * 1.5
+        assert path_marginal(net, prof, coop, 2, ("l2",)) == \
+            pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=40)
     @given(st.lists(st.floats(0.01, 1.5), min_size=2, max_size=2),
@@ -160,7 +199,7 @@ class TestUserCosts:
             trial = [list(r) for r in rows]
             trial[uid - 1][link] = flow
             prof = parallel_profile(net, trial)
-            return operating_cost(net, prof, coop, uid)
+            return cost_report(net, prof, coop).operating_costs[uid - 1]
 
         prof = parallel_profile(net, rows)
         for uid in (1, 2):
@@ -168,7 +207,7 @@ class TestUserCosts:
                 base = rows[uid - 1][li]
                 fd = (objective(uid, li, base + h)
                       - objective(uid, li, base - h)) / (2 * h)
-                assert marginal_cost(net, prof, coop, uid, lid) == \
+                assert path_marginal(net, prof, coop, uid, (lid,)) == \
                     pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
@@ -178,8 +217,8 @@ def test_cost_report_is_consistent():
     coop = CooperationProfile.from_alphas((1, 2), [0.3, 0.1])
     report = cost_report(net, prof, coop)
     assert report.user_ids == (1, 2)
-    for i, uid in enumerate(report.user_ids):
+    for i, row in enumerate(coop.rows):
         assert report.raw_costs[i] == pytest.approx(
-            user_cost(net, prof, uid))
+            sum(report.link_shares[i]))
         assert report.operating_costs[i] == pytest.approx(
-            operating_cost(net, prof, coop, uid))
+            sum(w * j for w, j in zip(row, report.raw_costs)))

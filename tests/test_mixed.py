@@ -40,6 +40,14 @@ class TestScenario:
         with pytest.raises(ConfigError):
             MixedScenario(4.0, 3.0, 1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, field, v):
+        args = [4.0, 3.0, 1.0, 1.0, 0.5]
+        args[field] = v
+        with pytest.raises(ConfigError):
+            MixedScenario(*args)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             MixedSolverConfig(starts=1)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, LinearCost, MM1Cost, SolverConfig,
-                       assemble_profile, br_dynamics, make_game,
+                       assemble_profile, br_dynamics, cost_report, make_game,
                        multistart_nash, verify_nash)
 from cooproute.nash import _best_response, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
@@ -200,6 +200,28 @@ class TestVerification:
         assert not check.ok
         assert "l1" in check.saturated
 
+    def test_nan_profile_fails(self):
+        # NaN flows pass the profile's sum check, since NaN compares false
+        game = linear_two_origin((0.3, 0.0))
+        prof = assemble_profile(game.net, game.paths,
+                                [[math.nan, math.nan], [0.5, 0.5]],
+                                game.demands)
+        check = verify_nash(game, prof)
+        assert not check.ok
+        assert check.max_violation == math.inf
+
+    def test_nan_cost_fails(self):
+        # a NaN slope slipped past validation makes every cost NaN
+        game = parallel_game([LinearCost(1.0), LinearCost(0.0, 0.5)],
+                             [1.0, 1.0], [0.0, 0.0])
+        object.__setattr__(game.net.links[0].cost, "slope", math.nan)
+        prof = assemble_profile(game.net, game.paths,
+                                [[1 / 6, 5 / 6], [1 / 6, 5 / 6]],
+                                game.demands)
+        check = verify_nash(game, prof)
+        assert not check.ok
+        assert check.max_violation == math.inf
+
     def test_multiplier_matches_used_path_marginal(self):
         from cooproute import path_marginal
         game = linear_two_origin((0.0, 0.0))
@@ -208,6 +230,26 @@ class TestVerification:
         lam = check.kkt_multipliers[0]
         direct = path_marginal(game.net, eq.profile, game.coop, 1, ("l1",))
         assert lam == pytest.approx(direct, abs=1e-7)
+
+
+class TestSaturatedStarts:
+    """Three users of demand 1 on three parallel links at alpha 0.3.
+
+    Everyone on l3 overloads it (3 > 2.5) and everyone on l1 fills it to
+    capacity; best response must leave both starts.
+    """
+
+    @pytest.mark.parametrize("start", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
+    def test_dynamics_leave_a_full_link(self, start):
+        game = parallel_game(
+            [MM1Cost(3.0), LinearCost(1.0, 0.2), MM1Cost(2.5)],
+            [1.0, 1.0, 1.0], [0.3, 0.3, 0.3])
+        res = br_dynamics(game, [start] * 3)
+        assert res.converged
+        prof = profile_from_state(game, res.state)
+        raw = cost_report(game.net, prof, game.coop).raw_costs
+        assert all(c < math.inf for c in raw)
+        assert verify_nash(game, prof).ok
 
 
 class TestConfigValidation:

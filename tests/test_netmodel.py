@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,11 @@ class TestPathSetAndProfiles:
         users = [UserSpec(user_id=1, source=1, target=3, demand=1.0)]
         with pytest.raises(InfeasibleError):
             build_path_set(net, users)
+
+    @pytest.mark.parametrize("demand", [math.nan, math.inf])
+    def test_non_finite_demand_rejected(self, demand):
+        with pytest.raises(ConfigError):
+            UserSpec(user_id=1, source=1, target=3, demand=demand)
 
     def test_zero_demand_user_may_lack_paths(self):
         net = build_network([1, 2, 3], [("a", 1, 2, LinearCost(1.0))])

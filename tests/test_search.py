@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooproute.search import argmin_by_derivative, bisect_sign_change
+from cooproute.search import (argmin_by_derivative, bisect_sign_change,
+                              scan_sign_changes)
 
 
 class TestBisectSignChange:
@@ -22,6 +23,38 @@ class TestBisectSignChange:
     def test_recovers_planted_root(self, c):
         root = bisect_sign_change(lambda x: c - x, 0.0, 10.0)
         assert root == pytest.approx(c, abs=1e-9)
+
+
+class TestScanSignChanges:
+    GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_zero_at_grid_point_is_kept_as_is(self):
+        # f vanishes exactly at 0.5; the next interval has no strict change
+        assert scan_sign_changes(lambda x: x - 0.5, self.GRID, 60) == [0.5]
+
+    def test_falling_sign_change_is_bisected(self):
+        roots = scan_sign_changes(lambda x: 1.3 - x, self.GRID, 60)
+        assert roots == [pytest.approx(1.3, abs=1e-12)]
+
+    def test_rising_sign_change_is_bisected(self):
+        roots = scan_sign_changes(lambda x: x * x - 2.0, self.GRID, 60)
+        assert roots == [pytest.approx(math.sqrt(2.0), abs=1e-12)]
+
+    def test_zero_at_upper_end(self):
+        assert scan_sign_changes(lambda x: x - 2.0, self.GRID, 60) == [2.0]
+
+    def test_no_root(self):
+        assert scan_sign_changes(lambda x: x + 1.0, self.GRID, 60) == []
+
+    def test_roots_in_grid_order_and_step_count(self):
+        def f(x):
+            return (x - 0.3) * (x - 1.2)
+
+        roots = scan_sign_changes(f, self.GRID, 60)
+        assert roots == [pytest.approx(0.3, abs=1e-12),
+                         pytest.approx(1.2, abs=1e-12)]
+        # with one step the root is the midpoint of the halved bracket
+        assert scan_sign_changes(f, self.GRID, 1) == [0.375, 1.125]
 
 
 class TestArgminByDerivative:
