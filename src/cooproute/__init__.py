@@ -21,12 +21,11 @@ from .experiments import (Branch, ParadoxReport, ParadoxWitness, Scenario,
                           detect_braess, detect_cooperation_paradox,
                           get_preset, parameter_sweep, preset_names)
 from .mixed import (MixedNumericSet, MixedPoint, MixedScenario,
-                    MixedSolution, MixedSolutionSet, MixedSolverConfig,
-                    mixed_closed_form, mixed_costs, mixed_numeric,
-                    verify_mixed, wardrop_split)
+                    MixedSolution, MixedSolutionSet, mixed_closed_form,
+                    mixed_costs, mixed_numeric, verify_mixed, wardrop_split)
 from .nash import (DynamicsResult, EquilibriumResult, EquilibriumSet,
-                   NashCheck, RoutingGame, SolverConfig, br_dynamics,
-                   make_game, multistart_nash, verify_nash)
+                   NashCheck, RoutingGame, br_dynamics, make_game,
+                   multistart_nash, verify_nash)
 from .netmodel import (FlowProfile, Link, Network, PathSet, UserSpec,
                        assemble_profile, build_network, build_path_set,
                        check_feasibility, enumerate_paths, saturated_links)
@@ -38,14 +37,13 @@ __all__ = [
     "CostReport", "DynamicsResult", "EquilibriumResult", "EquilibriumSet",
     "FlowProfile", "InfeasibleError", "LinearCost", "Link", "MM1Cost",
     "MixedNumericSet", "MixedPoint", "MixedScenario", "MixedSolution",
-    "MixedSolutionSet", "MixedSolverConfig", "NashCheck", "Network",
-    "ParadoxReport", "ParadoxWitness", "PathSet", "RoutingGame", "Scenario",
-    "SolverConfig", "SolverError", "SweepParameter", "SweepRow",
-    "SweepTable", "UserSpec", "alpha_sweep", "assemble_profile",
-    "br_dynamics", "build_network", "build_path_set", "check_feasibility",
-    "cost_report", "detect_braess", "detect_cooperation_paradox",
-    "enumerate_paths", "get_preset", "make_game", "mixed_closed_form",
-    "mixed_costs", "mixed_numeric", "multistart_nash", "parameter_sweep",
-    "path_marginal", "preset_names", "saturated_links", "verify_mixed",
-    "verify_nash", "wardrop_split",
+    "MixedSolutionSet", "NashCheck", "Network", "ParadoxReport",
+    "ParadoxWitness", "PathSet", "RoutingGame", "Scenario", "SolverError",
+    "SweepParameter", "SweepRow", "SweepTable", "UserSpec", "alpha_sweep",
+    "assemble_profile", "br_dynamics", "build_network", "build_path_set",
+    "check_feasibility", "cost_report", "detect_braess",
+    "detect_cooperation_paradox", "enumerate_paths", "get_preset",
+    "make_game", "mixed_closed_form", "mixed_costs", "mixed_numeric",
+    "multistart_nash", "parameter_sweep", "path_marginal", "preset_names",
+    "saturated_links", "verify_mixed", "verify_nash", "wardrop_split",
 ]

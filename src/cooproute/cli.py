@@ -4,9 +4,10 @@ Input documents are strict JSON: unknown keys, duplicate keys, or missing
 required keys abort with a configuration error instead of being guessed
 around.  Results go to stdout (or ``--out``) as CSV with all floats
 rendered through the same 12-significant-digit format, so identical runs
-produce identical bytes.  A run manifest with the resolved configuration,
-any filled-in assumptions, and phase timings goes to stderr (or
-``--manifest``), never to stdout.
+produce identical bytes.  A run manifest with the tool version (which
+fixes every solver setting), the parameters solved, any filled-in
+assumptions, and phase timings goes to stderr (or ``--manifest``), never
+to stdout.
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible instance, 4 the
 solver could not produce an equilibrium.  ``COOPROUTE_THREADS`` caps the
@@ -24,16 +25,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 
 from . import __version__
 from .costs import CooperationProfile, LinearCost, MM1Cost
 from .errors import ConfigError, InfeasibleError, SolverError
 from .experiments import (PRESETS, Scenario, alpha_sweep, get_preset,
                           parameter_sweep)
-from .mixed import (MixedScenario, MixedSolverConfig, mixed_closed_form,
-                    mixed_numeric)
-from .nash import SolverConfig, make_game, multistart_nash, verify_nash
+from .mixed import MixedScenario, mixed_closed_form, mixed_numeric
+from .nash import make_game, multistart_nash, verify_nash
 from .netmodel import Network, UserSpec, assemble_profile, build_network
 
 
@@ -176,26 +176,6 @@ def _game_from_doc(doc):
     return net, users, coop
 
 
-def _solver_config_from(args, cls, manifest):
-    """``--solver-config`` over the defaults of ``cls``, or None; the
-    resolved settings go into the manifest either way."""
-    config = None
-    if args.solver_config is not None:
-        doc = _load_json(args.solver_config, "solver configuration")
-        names = {f.name for f in fields(cls)}
-        _check_keys(doc, set(), names, "solver configuration")
-        kwargs = {}
-        for k, v in doc.items():
-            if k in ("max_sweeps", "grid_density", "scan_density",
-                     "deviation_grid", "starts", "max_iters"):
-                kwargs[k] = _integer(v, k)
-            else:
-                kwargs[k] = _number(v, k)
-        config = cls(**kwargs)
-    manifest["resolved_config"] = asdict(config or cls())
-    return config
-
-
 def _resolve_alphas(given, count):
     if given is None:
         return None
@@ -308,10 +288,9 @@ def _build_game_for_args(args, manifest):
 def _cmd_solve(args, manifest):
     t0 = time.perf_counter()
     game = _build_game_for_args(args, manifest)
-    config = _solver_config_from(args, SolverConfig, manifest)
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
-    eqset = multistart_nash(game, config)
+    eqset = multistart_nash(game)
     manifest["timings"]["solve"] = time.perf_counter() - t1
     manifest["diagnostics"] = dict(eqset.diagnostics)
     user_ids = tuple(u.user_id for u in game.users)
@@ -321,7 +300,6 @@ def _cmd_solve(args, manifest):
 
 def _cmd_sweep(args, manifest):
     t0 = time.perf_counter()
-    config = _solver_config_from(args, SolverConfig, manifest)
     sc = _scenario_for_args(args, manifest)
     if args.parameter:
         if sc.param is None:
@@ -333,14 +311,14 @@ def _cmd_sweep(args, manifest):
         if alphas is not None:
             sc = replace(sc, base_alphas=alphas)
         parameter_name = sc.param.name
-        sweep = functools.partial(parameter_sweep, sc, values, config)
+        sweep = functools.partial(parameter_sweep, sc, values)
     else:
         if not args.alphas:
             raise ConfigError("give --alphas for a cooperation sweep or "
                               "--parameter for a structural one")
         values = _parse_value_list(args.alphas)
         parameter_name = "alpha" if args.vary == "all" else "alpha_first"
-        sweep = functools.partial(alpha_sweep, sc, values, args.vary, config)
+        sweep = functools.partial(alpha_sweep, sc, values, args.vary)
     manifest["parameters"] = {"parameter": parameter_name,
                               "values": list(values), "vary": args.vary}
     manifest["timings"]["parse"] = time.perf_counter() - t0
@@ -389,12 +367,11 @@ def _cmd_mixed(args, manifest):
         scenario = _mixed_from_doc(doc)
         if args.alpha is not None:
             scenario = replace(scenario, alpha=float(args.alpha))
-    config = _solver_config_from(args, MixedSolverConfig, manifest)
     manifest["parameters"] = {"alpha": scenario.alpha}
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
-    closed = mixed_closed_form(scenario, config)
-    numeric = mixed_numeric(scenario, config)
+    closed = mixed_closed_form(scenario)
+    numeric = mixed_numeric(scenario)
     manifest["timings"]["solve"] = time.perf_counter() - t1
     manifest["diagnostics"] = dict(numeric.diagnostics)
     manifest["diagnostics"]["continuum"] = closed.continuum
@@ -421,7 +398,6 @@ def _cmd_mixed(args, manifest):
 def _cmd_verify(args, manifest):
     t0 = time.perf_counter()
     game = _build_game_for_args(args, manifest)
-    config = _solver_config_from(args, SolverConfig, manifest)
     doc = _load_json(args.profile, "flow profile")
     _check_keys(doc, {"path_flows"}, set(), "flow profile")
     raw = doc["path_flows"]
@@ -432,7 +408,7 @@ def _cmd_verify(args, manifest):
     profile = assemble_profile(game.net, game.paths, flows, game.demands)
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
-    check = verify_nash(game, profile, config)
+    check = verify_nash(game, profile)
     manifest["timings"]["solve"] = time.perf_counter() - t1
     result = {"ok": check.ok,
               "max_violation": check.max_violation,
@@ -467,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write results here instead of stdout")
         p.add_argument("--manifest",
                        help="write the run manifest here instead of stderr")
-        p.add_argument("--solver-config",
-                       help="JSON file overriding solver settings")
 
     p = sub.add_parser("solve", help="find the equilibria of one game")
     add_source(p, "JSON game document")
@@ -527,7 +501,6 @@ def main(argv=None) -> int:
     manifest = {"tool": f"cooproute {__version__}",
                 "command": args.command,
                 "preset": getattr(args, "preset", None),
-                "resolved_config": None,
                 "parameters": {},
                 "warnings": [],
                 "diagnostics": {},

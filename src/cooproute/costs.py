@@ -75,6 +75,10 @@ class MM1Cost:
 
 CostSpec = LinearCost | MM1Cost
 
+# Slack the solvers keep below an M/M/1 capacity, so that a split they
+# choose never prices a link at its infinite-cost pole.
+CAPACITY_GUARD = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class CooperationProfile:

@@ -14,15 +14,13 @@ a user's own cost falling as that user's cooperation degree rises.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .costs import LinearCost, MM1Cost
 from .errors import ConfigError
 from .mixed import MixedScenario
-from .nash import (EquilibriumSet, RoutingGame, SolverConfig, make_game,
-                   multistart_nash)
+from .nash import EquilibriumSet, RoutingGame, make_game, multistart_nash
 from .netmodel import UserSpec, build_network
 
 
@@ -319,16 +317,14 @@ def _match_lineage(sets: Sequence[EquilibriumSet]) -> tuple[Branch, ...]:
                  for bi, b in enumerate(raw))
 
 
-def _solve_rows(values, games, config, map) -> tuple[SweepRow, ...]:
+def _solve_rows(values, games, map) -> tuple[SweepRow, ...]:
     # Looked up at call time, so a replaced ``multistart_nash`` is seen.
-    solve = functools.partial(multistart_nash, config=config)
     return tuple(SweepRow(value=v, equilibria=eqs)
-                 for v, eqs in zip(values, map(solve, games)))
+                 for v, eqs in zip(values, map(multistart_nash, games)))
 
 
 def alpha_sweep(scenario: Scenario, values: Sequence[float],
-                vary: str = "all", config: SolverConfig | None = None,
-                map: Callable = map) -> SweepTable:
+                vary: str = "all", map: Callable = map) -> SweepTable:
     """Solve the preset at each cooperation degree in ``values``.
 
     ``vary`` is "all" to move every user's degree together or "first" to
@@ -348,7 +344,7 @@ def alpha_sweep(scenario: Scenario, values: Sequence[float],
         else:
             alphas = (v,) + scenario.base_alphas[1:]
         games.append(scenario.build_game(alphas=alphas))
-    rows = _solve_rows(values, games, config, map)
+    rows = _solve_rows(values, games, map)
     branches = _match_lineage([r.equilibria for r in rows])
     varied = (tuple(range(len(scenario.base_alphas)))
               if vary == "all" else (0,))
@@ -359,7 +355,6 @@ def alpha_sweep(scenario: Scenario, values: Sequence[float],
 
 def parameter_sweep(scenario: Scenario,
                     values: Sequence[float] | None = None,
-                    config: SolverConfig | None = None,
                     map: Callable = map) -> SweepTable:
     """Solve the preset at each value of its structural parameter,
     through ``map`` as in ``alpha_sweep``."""
@@ -370,7 +365,7 @@ def parameter_sweep(scenario: Scenario,
     vals = tuple(float(v) for v in (values if values is not None
                                     else scenario.param.values))
     rows = _solve_rows(vals, [scenario.build_game(param=v) for v in vals],
-                       config, map)
+                       map)
     branches = _match_lineage([r.equilibria for r in rows])
     return SweepTable(scenario=scenario.name, parameter=scenario.param.name,
                       rows=rows, branches=branches, varied_users=())

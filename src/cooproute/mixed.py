@@ -20,13 +20,26 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costs import MM1Cost, CostSpec
+from .costs import CAPACITY_GUARD, MM1Cost, CostSpec
 from .errors import ConfigError, InfeasibleError, SolverError
 from .search import (argmin_by_derivative, bisect_sign_change,
                      scan_sign_changes)
 
 _REGION_TOL = 1e-12
 _DUP_TOL = 1e-9
+
+# Solver settings.  The numeric solver alternates from STARTS group splits
+# for up to MAX_ITERS rounds, until neither split moves by FP_TOL, and
+# merges points within DEDUPE_RADIUS.  Verification accepts a normalized
+# violation up to VERIFY_TOL.  The closed form skips the both-links
+# interior formula while the group weight is within SINGULAR_BAND of
+# balance.
+STARTS = 201
+FP_TOL = 1e-9
+MAX_ITERS = 10_000
+DEDUPE_RADIUS = 1e-5
+VERIFY_TOL = 1e-7
+SINGULAR_BAND = 0.05
 
 
 @dataclass(frozen=True)
@@ -59,28 +72,8 @@ class MixedScenario:
                         "capacity": self.capacity_one + self.capacity_two})
 
 
-@dataclass(frozen=True)
-class MixedSolverConfig:
-    starts: int = 201
-    fp_tol: float = 1e-9
-    max_iters: int = 10_000
-    dedupe_radius: float = 1e-5
-    verify_tol: float = 1e-7
-    singular_band: float = 0.05
-    capacity_guard: float = 1e-9
-
-    def __post_init__(self):
-        if self.starts < 2:
-            raise ConfigError("starts must be at least 2")
-        for name in ("fp_tol", "dedupe_radius", "verify_tol",
-                     "capacity_guard"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-
-
 def wardrop_split(cost_one: CostSpec, cost_two: CostSpec, base_one: float,
-                  base_two: float, mass: float,
-                  guard: float = 1e-9) -> float:
+                  base_two: float, mass: float) -> float:
     """Equal-latency split of ``mass`` over two links with fixed base loads.
 
     Returns the amount sent to the second link.  The latency difference
@@ -90,6 +83,7 @@ def wardrop_split(cost_one: CostSpec, cost_two: CostSpec, base_one: float,
     """
     if mass == 0.0:
         return 0.0
+    guard = CAPACITY_GUARD
     room_one = math.inf
     room_two = math.inf
     if isinstance(cost_one, MM1Cost):
@@ -114,12 +108,11 @@ def wardrop_split(cost_one: CostSpec, cost_two: CostSpec, base_one: float,
     return bisect_sign_change(gap, lo, hi, iters=80)
 
 
-def _group_response(s: MixedScenario, w: float, config: MixedSolverConfig,
-                    iters: int = 80) -> float:
+def _group_response(s: MixedScenario, w: float, iters: int = 80) -> float:
     """Group split on link one minimizing its weighted cost at mass split w."""
     r1, r2, a = s.group_demand, s.mass_demand, s.alpha
     mass_one = r2 - w
-    guard = config.capacity_guard
+    guard = CAPACITY_GUARD
     lo = max(r1 - (s.capacity_two - w) + guard, 0.0)
     hi = min(s.capacity_one - mass_one - guard, r1)
     if lo > hi:
@@ -170,15 +163,14 @@ class MixedCheck:
     saturated: bool
 
 
-def verify_mixed(s: MixedScenario, group_split: float, mass_split: float,
-                 config: MixedSolverConfig | None = None) -> MixedCheck:
+def verify_mixed(s: MixedScenario, group_split: float,
+                 mass_split: float) -> MixedCheck:
     """Re-derive both best responses and measure the distance to them.
 
     The group check accepts either a matching split or a matching cost,
     so flat stretches of the group objective do not flag false
     violations.
     """
-    config = config or MixedSolverConfig()
     r1, r2 = s.group_demand, s.mass_demand
     f1 = group_split + (r2 - mass_split)
     f2 = (r1 - group_split) + mass_split
@@ -189,17 +181,16 @@ def verify_mixed(s: MixedScenario, group_split: float, mass_split: float,
                           wardrop_gap=math.inf, group_gap=math.inf,
                           saturated=True)
     w_star = wardrop_split(MM1Cost(s.capacity_one), MM1Cost(s.capacity_two),
-                           group_split, r1 - group_split, r2,
-                           guard=config.capacity_guard)
+                           group_split, r1 - group_split, r2)
     wardrop_gap = abs(mass_split - w_star) / max(1.0, r2)
-    x_star = _group_response(s, mass_split, config)
+    x_star = _group_response(s, mass_split)
     split_gap = abs(group_split - x_star) / max(1.0, r1)
     _, _, cur = mixed_costs(s, group_split, mass_split)
     _, _, best = mixed_costs(s, x_star, mass_split)
     cost_gap = max(cur - best, 0.0) / max(1.0, abs(best))
     group_gap = min(split_gap, cost_gap)
     violation = max(wardrop_gap, group_gap)
-    return MixedCheck(ok=violation <= config.verify_tol,
+    return MixedCheck(ok=violation <= VERIFY_TOL,
                       violation=violation, wardrop_gap=wardrop_gap,
                       group_gap=group_gap, saturated=False)
 
@@ -246,9 +237,7 @@ class MixedSolutionSet:
         return tuple(sol for sol in self.solutions if sol.verified)
 
 
-def mixed_closed_form(s: MixedScenario,
-                      config: MixedSolverConfig | None = None,
-                      ) -> MixedSolutionSet:
+def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
     """Case analysis of the equilibrium conditions.
 
     The mass either uses both links, only the first, or only the second.
@@ -260,7 +249,6 @@ def mixed_closed_form(s: MixedScenario,
     with equal capacities the whole interval is stationary and is
     reported as a continuum.
     """
-    config = config or MixedSolverConfig()
     c1, c2 = s.capacity_one, s.capacity_two
     r1, r2, a = s.group_demand, s.mass_demand, s.alpha
     scale = max(1.0, c1, c2, r1, r2)
@@ -280,7 +268,7 @@ def mixed_closed_form(s: MixedScenario,
                     and abs(prev.mass_split - w) <= _DUP_TOL * scale):
                 return
         jg, jm, jo = mixed_costs(s, x, w)
-        check = verify_mixed(s, x, w, config)
+        check = verify_mixed(s, x, w)
         candidates.append(MixedSolution(
             case=case, kind=kind, group_split=x, mass_split=w,
             group_cost=jg, mass_cost=jm, operating_cost=jo,
@@ -293,7 +281,7 @@ def mixed_closed_form(s: MixedScenario,
     if lo1 <= hi1 + tol:
         span1 = (lo1, hi1)
         balance = 1.0 - 2.0 * a
-        if abs(balance) <= config.singular_band:
+        if abs(balance) <= SINGULAR_BAND:
             residual = r2 - r1 + 2.0 * offset  # == c1 - c2
             if a == 0.5 and residual == 0.0:
                 continuum = True
@@ -396,8 +384,7 @@ class MixedNumericSet:
     diagnostics: dict
 
 
-def mixed_numeric(s: MixedScenario,
-                  config: MixedSolverConfig | None = None) -> MixedNumericSet:
+def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
     """Independent iterative solver used to cross-check the closed forms.
 
     Alternates the group's exact best response with the mass's
@@ -406,27 +393,25 @@ def mixed_numeric(s: MixedScenario,
     also scanned for sign changes of its displacement and each bracket is
     bisected; points found only that way carry a zero basin count.
     """
-    config = config or MixedSolverConfig()
     r1, r2 = s.group_demand, s.mass_demand
     spec1, spec2 = MM1Cost(s.capacity_one), MM1Cost(s.capacity_two)
 
     def mass_response(x: float) -> float:
-        return wardrop_split(spec1, spec2, x, r1 - x, r2,
-                             guard=config.capacity_guard)
+        return wardrop_split(spec1, spec2, x, r1 - x, r2)
 
     clusters: list[list] = []   # [x, w, basin, scan_found]
 
     def merge(x: float, w: float, weight: int, scan: bool) -> bool:
         for c in clusters:
-            if (abs(c[0] - x) <= config.dedupe_radius
-                    and abs(c[1] - w) <= config.dedupe_radius):
+            if (abs(c[0] - x) <= DEDUPE_RADIUS
+                    and abs(c[1] - w) <= DEDUPE_RADIUS):
                 c[2] += weight
                 return False
         clusters.append([x, w, weight, scan])
         return True
 
     def displacement(x: float) -> float:
-        return _group_response(s, mass_response(x), config) - x
+        return _group_response(s, mass_response(x)) - x
 
     def polish(x: float) -> float:
         # the alternation stops on step size, a bit short of the fixed
@@ -436,16 +421,16 @@ def mixed_numeric(s: MixedScenario,
         return roots[0] if roots else x
 
     non_converged = 0
-    for i in range(config.starts):
-        x = r1 * i / (config.starts - 1)
+    for i in range(STARTS):
+        x = r1 * i / (STARTS - 1)
         w = mass_response(x)
         converged = False
-        for _ in range(config.max_iters):
-            x_new = _group_response(s, w, config)
+        for _ in range(MAX_ITERS):
+            x_new = _group_response(s, w)
             w_new = mass_response(x_new)
             delta = max(abs(x_new - x), abs(w_new - w))
             x, w = x_new, w_new
-            if delta < config.fp_tol:
+            if delta < FP_TOL:
                 converged = True
                 break
         if converged:
@@ -455,7 +440,7 @@ def mixed_numeric(s: MixedScenario,
             non_converged += 1
 
     scan_added = 0
-    xs = [r1 * i / (config.starts - 1) for i in range(config.starts)]
+    xs = [r1 * i / (STARTS - 1) for i in range(STARTS)]
     for x in scan_sign_changes(displacement, xs, 80):
         if merge(x, mass_response(x), 0, True):
             scan_added += 1
@@ -463,12 +448,12 @@ def mixed_numeric(s: MixedScenario,
     if not clusters:
         raise SolverError("no start converged and no fixed point was "
                           "bracketed",
-                          diagnostics={"starts": config.starts,
+                          diagnostics={"starts": STARTS,
                                        "non_converged": non_converged})
     points = []
     for x, w, basin, scan in clusters:
         jg, jm, jo = mixed_costs(s, x, w)
-        check = verify_mixed(s, x, w, config)
+        check = verify_mixed(s, x, w)
         points.append(MixedPoint(
             group_split=x, mass_split=w, group_cost=jg, mass_cost=jm,
             operating_cost=jo, basin_count=basin, scan_found=scan,
@@ -476,6 +461,6 @@ def mixed_numeric(s: MixedScenario,
     points.sort(key=lambda p: (p.group_split, p.mass_split))
     return MixedNumericSet(
         points=tuple(points),
-        diagnostics={"starts": config.starts,
+        diagnostics={"starts": STARTS,
                      "non_converged": non_converged,
                      "scan_added": scan_added})

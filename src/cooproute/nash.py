@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .costs import (INFINITE_COST, CooperationProfile, MM1Cost, cost_report,
-                    path_marginal, path_marginals, user_costs, weighted_cost)
+from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
+                    MM1Cost, cost_report, path_marginal, path_marginals,
+                    user_costs, weighted_cost)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
@@ -35,31 +36,21 @@ from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
 from .search import argmin_by_derivative, scan_sign_changes
 
 
-@dataclass(frozen=True, slots=True)
-class SolverConfig:
-    """Tolerances and effort knobs for the equilibrium search."""
-
-    br_tol: float = 1e-10
-    fp_tol: float = 1e-8
-    max_sweeps: int = 10_000
-    grid_density: int = 21
-    cluster_radius: float = 1e-4
-    verify_tol: float = 1e-6
-    scan_density: int = 801
-    capacity_guard: float = 1e-9
-    deviation_grid: int = 1001
-
-    def __post_init__(self):
-        if self.grid_density < 2 or self.scan_density < 2:
-            raise ConfigError("grid densities must be at least 2")
-        if self.max_sweeps < 1:
-            raise ConfigError("max_sweeps must be at least 1")
-        if self.deviation_grid < 2:
-            raise ConfigError("deviation_grid must be at least 2")
-        for name in ("br_tol", "fp_tol", "cluster_radius", "verify_tol",
-                     "capacity_guard"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+# Solver settings.  The conditional-gradient best response stops at a
+# relative duality gap of BR_TOL.  Dynamics stop when a sweep moves no
+# coordinate by FP_TOL, or after MAX_SWEEPS sweeps.  GRID_DENSITY splits
+# per two-path user seed the multistart, and fixed points within
+# CLUSTER_RADIUS of each other are one equilibrium.  The 2x2 scan samples
+# SCAN_DENSITY points.  Verification sweeps DEVIATION_GRID splits and
+# accepts a normalized violation up to VERIFY_TOL.
+BR_TOL = 1e-10
+FP_TOL = 1e-8
+MAX_SWEEPS = 10_000
+GRID_DENSITY = 21
+CLUSTER_RADIUS = 1e-4
+VERIFY_TOL = 1e-6
+SCAN_DENSITY = 801
+DEVIATION_GRID = 1001
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,8 +96,8 @@ def make_game(net: Network, users: Sequence[UserSpec],
         coop = CooperationProfile.from_alphas(ids, list(coop))
     if coop.user_ids != ids:
         raise ConfigError("cooperation profile user ids do not match users")
-    check_feasibility(net, users)
     paths = build_path_set(net, users)
+    check_feasibility(net, users)
     return RoutingGame(net=net, users=users, paths=paths, coop=coop)
 
 
@@ -143,10 +134,10 @@ def _operating_cost(game: RoutingGame, state, ui: int) -> float:
 
 
 def _two_path_response(game: RoutingGame, ui: int, r: float, others, weighted,
-                       config: SolverConfig, iters: int) -> tuple[float, float]:
+                       iters: int) -> tuple[float, float]:
     only0, only1, both = game.two_path[ui]
     links = game.net.links
-    guard = config.capacity_guard
+    guard = CAPACITY_GUARD
     for li in both:
         c = links[li].cost
         if isinstance(c, MM1Cost) and others[li] + r > c.capacity - guard:
@@ -195,12 +186,11 @@ def _two_path_response(game: RoutingGame, ui: int, r: float, others, weighted,
 
 
 def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
-                            others, weighted, config: SolverConfig,
-                            iters: int) -> tuple[float, ...]:
+                            others, weighted, iters: int) -> tuple[float, ...]:
     idx = game.path_link_idx[ui]
     k = len(idx)
     links = game.net.links
-    guard = config.capacity_guard
+    guard = CAPACITY_GUARD
     bii = game.coop.rows[ui][ui]
     f = [max(0.0, v) for v in state[ui]]
     s = math.fsum(f)
@@ -216,7 +206,7 @@ def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
                 f"user {game.users[ui].user_id} has no unsaturated path")
         gap = math.fsum(f[p] * (margs[p] - margs[best]) for p in range(k)
                         if f[p] > 0)
-        if gap <= config.br_tol * max(1.0, abs(margs[best]) * r):
+        if gap <= BR_TOL * max(1.0, abs(margs[best]) * r):
             break
         d = [-v for v in f]
         d[best] += r
@@ -246,7 +236,7 @@ def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
     return tuple(f)
 
 
-def _best_response(game: RoutingGame, state, ui: int, config: SolverConfig,
+def _best_response(game: RoutingGame, state, ui: int,
                    iters: int) -> tuple[float, ...]:
     r = game.users[ui].demand
     paths = game.path_link_idx[ui]
@@ -258,9 +248,9 @@ def _best_response(game: RoutingGame, state, ui: int, config: SolverConfig,
         return (r,)
     _, others, weighted = _state_loads(game, state, ui)
     if game.two_path[ui] is not None:
-        return _two_path_response(game, ui, r, others, weighted, config, iters)
+        return _two_path_response(game, ui, r, others, weighted, iters)
     return _cond_gradient_response(game, state, ui, r, others, weighted,
-                                   config, iters)
+                                   iters)
 
 
 @dataclass(frozen=True)
@@ -293,8 +283,7 @@ def _set_from_reduced(game: RoutingGame, state, red) -> None:
         state[ui] = [u.demand - s, *coords]
 
 
-def br_dynamics(game: RoutingGame, start, config: SolverConfig | None = None,
-                ) -> DynamicsResult:
+def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
     """Run Gauss-Seidel best response from one starting profile.
 
     Between plain sweeps a guarded Aitken step extrapolates the iterate
@@ -302,13 +291,12 @@ def br_dynamics(game: RoutingGame, start, config: SolverConfig | None = None,
     trial sweep after the jump decides whether to keep it.  Two extra
     high-precision sweeps polish the endpoint.
     """
-    config = config or SolverConfig()
     n = len(game.users)
     state = [list(map(float, s)) for s in start]
 
     def sweep(iters: int) -> None:
         for ui in range(n):
-            state[ui] = list(_best_response(game, state, ui, config, iters))
+            state[ui] = list(_best_response(game, state, ui, iters))
 
     prev: list[float] | None = None
     window: list[list[float]] = []
@@ -316,13 +304,13 @@ def br_dynamics(game: RoutingGame, start, config: SolverConfig | None = None,
     converged = False
     sweeps = 0
     delta = math.inf
-    while sweeps < config.max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweep(30)
         sweeps += 1
         red = _reduced(game, state)
         if prev is not None:
             delta = max((abs(a - b) for a, b in zip(red, prev)), default=0.0)
-            if delta < config.fp_tol:
+            if delta < FP_TOL:
                 converged = True
                 break
         prev = red
@@ -332,7 +320,7 @@ def br_dynamics(game: RoutingGame, start, config: SolverConfig | None = None,
         if cooldown > 0:
             cooldown -= 1
             continue
-        if len(window) == 3 and sweeps + 1 < config.max_sweeps:
+        if len(window) == 3 and sweeps + 1 < MAX_SWEEPS:
             jump = _aitken_target(window, game.demands, game.path_link_idx)
             if jump is None:
                 continue
@@ -346,7 +334,7 @@ def br_dynamics(game: RoutingGame, start, config: SolverConfig | None = None,
                             default=0.0)
             if new_delta < 0.25 * pre_delta:
                 prev = red2
-                if new_delta < config.fp_tol:
+                if new_delta < FP_TOL:
                     converged = True
                     break
             else:
@@ -404,19 +392,17 @@ class NashCheck:
     saturated: tuple[str, ...]
 
 
-def verify_nash(game: RoutingGame, profile: FlowProfile,
-                config: SolverConfig | None = None) -> NashCheck:
+def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
     """Check a profile against three independent optimality conditions.
 
     Per user: every flow-carrying path's marginal operating cost must match
     the minimum over its paths; recomputing the exact best response must
     reproduce the user's flows; and for two-path users a dense sweep of
     alternative splits must not beat the current operating cost.  All
-    violations are normalized before comparing with ``verify_tol``.  NaN
+    violations are normalized before comparing with ``VERIFY_TOL``.  NaN
     compares false both ways, so a NaN cost or marginal counts as an
     infinite violation.
     """
-    config = config or SolverConfig()
     sat = saturated_links(game.net, profile)
     state = [list(f) for f in profile.path_flows]
     lambdas: list[float] = []
@@ -443,7 +429,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile,
                 else:
                     viol = max(viol, (margs[p] - lam) / scale)
         cur = _operating_cost(game, state, ui)
-        br = _best_response(game, state, ui, config, 60)
+        br = _best_response(game, state, ui, 60)
         res = max(abs(a - b) for a, b in zip(br, profile.path_flows[ui]))
         if res > flow_eps:
             # A different split only disqualifies the profile if it is
@@ -459,7 +445,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile,
             viol = max(viol, min(res / max(1.0, r), gap))
         if len(paths) == 2:
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
-            g = config.deviation_grid
+            g = DEVIATION_GRID
             best_alt = math.inf
             for i in range(g):
                 t = r * i / (g - 1)
@@ -471,7 +457,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile,
                 viol = max(viol, (cur - best_alt) / cscale)
             elif cur == INFINITE_COST and best_alt < INFINITE_COST:
                 viol = math.inf
-    ok = not sat and viol <= config.verify_tol
+    ok = not sat and viol <= VERIFY_TOL
     return NashCheck(ok=ok, max_violation=viol,
                      kkt_multipliers=tuple(lambdas), saturated=sat)
 
@@ -497,7 +483,6 @@ class EquilibriumSet:
 
     equilibria: tuple[EquilibriumResult, ...]
     diagnostics: dict
-    config: SolverConfig
 
     def __len__(self):
         return len(self.equilibria)
@@ -512,21 +497,25 @@ def profile_from_state(game: RoutingGame, state) -> FlowProfile:
 
 
 class _Cluster:
-    __slots__ = ("red", "state", "basin", "mins", "maxs", "scan")
+    """Fixed points within ``CLUSTER_RADIUS`` of the first one.  A cluster
+    the scan added keeps the check that admitted it; ``check`` is None for
+    a cluster that dynamics reached."""
 
-    def __init__(self, red, state, weight, scan):
+    __slots__ = ("red", "state", "basin", "mins", "maxs", "check")
+
+    def __init__(self, red, state, weight, check):
         self.red = red
         self.state = state
         self.basin = weight
         self.mins = list(red)
         self.maxs = list(red)
-        self.scan = scan
+        self.check = check
 
 
-def _cluster_merge(clusters: list[_Cluster], red, state, weight, radius,
-                   scan=False) -> bool:
+def _cluster_merge(clusters: list[_Cluster], red, state, weight,
+                   check=None) -> bool:
     for c in clusters:
-        if all(abs(a - b) <= radius for a, b in zip(red, c.red)):
+        if all(abs(a - b) <= CLUSTER_RADIUS for a, b in zip(red, c.red)):
             c.basin += weight
             for i, v in enumerate(red):
                 if v < c.mins[i]:
@@ -534,11 +523,11 @@ def _cluster_merge(clusters: list[_Cluster], red, state, weight, radius,
                 if v > c.maxs[i]:
                     c.maxs[i] = v
             return False
-    clusters.append(_Cluster(red, state, weight, scan))
+    clusters.append(_Cluster(red, state, weight, check))
     return True
 
 
-def _start_options(game: RoutingGame, config: SolverConfig):
+def _start_options(game: RoutingGame):
     options = []
     for ui, u in enumerate(game.users):
         k = len(game.paths.paths[ui])
@@ -548,7 +537,7 @@ def _start_options(game: RoutingGame, config: SolverConfig):
         elif k == 1 or r == 0.0:
             options.append([(r,) + (0.0,) * (k - 1)])
         elif k == 2:
-            g = config.grid_density
+            g = GRID_DENSITY
             options.append([(r - (r * i / (g - 1)), r * i / (g - 1))
                             for i in range(g)])
         else:
@@ -562,19 +551,19 @@ def _start_options(game: RoutingGame, config: SolverConfig):
     return options
 
 
-def _scan_for_fixed_points(game: RoutingGame, config: SolverConfig):
+def _scan_for_fixed_points(game: RoutingGame):
     """Two-user, two-path-each composition scan in both user orders."""
     r1, r2 = game.demands
 
     def br_first(y: float) -> float:
         st = [[r1, 0.0], [r2 - y, y]]
-        return _best_response(game, st, 0, config, 60)[1]
+        return _best_response(game, st, 0, 60)[1]
 
     def br_second(x: float) -> float:
         st = [[r1 - x, x], [r2, 0.0]]
-        return _best_response(game, st, 1, config, 60)[1]
+        return _best_response(game, st, 1, 60)[1]
 
-    d = config.scan_density
+    d = SCAN_DENSITY
     candidates = []
     for x in scan_sign_changes(lambda x: br_first(br_second(x)) - x,
                                [r1 * i / (d - 1) for i in range(d)], 60):
@@ -587,8 +576,7 @@ def _scan_for_fixed_points(game: RoutingGame, config: SolverConfig):
     return candidates
 
 
-def multistart_nash(game: RoutingGame,
-                    config: SolverConfig | None = None) -> EquilibriumSet:
+def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     """Find the game's equilibria from a grid of starts plus a scan pass.
 
     Starting profiles are the product of per-user splits.  Because the
@@ -596,9 +584,8 @@ def multistart_nash(game: RoutingGame,
     trajectories differing only there coincide after one step; they are
     run once and their count is credited to the reached basin.
     """
-    config = config or SolverConfig()
     n = len(game.users)
-    options = _start_options(game, config)
+    options = _start_options(game)
     total_starts = 1
     for opts in options:
         total_starts *= len(opts)
@@ -614,48 +601,45 @@ def multistart_nash(game: RoutingGame,
     trajectories = 0
     for combo in itertools.product(head, *options[1:]):
         trajectories += 1
-        res = br_dynamics(game, combo, config)
+        res = br_dynamics(game, combo)
         if not res.converged:
             non_converged += weight
             continue
         red = _reduced(game, [list(s) for s in res.state])
-        _cluster_merge(clusters, red, res.state, weight,
-                       config.cluster_radius)
+        _cluster_merge(clusters, red, res.state, weight)
     scan_candidates = 0
     scan_added = 0
     if (n == 2 and all(k is not None for k in game.two_path)
             and all(r > 0 for r in game.demands)):
-        for cand in _scan_for_fixed_points(game, config):
+        for cand in _scan_for_fixed_points(game):
             scan_candidates += 1
             try:
                 profile = profile_from_state(game, cand)
             except ConfigError:
                 continue
-            check = verify_nash(game, profile, config)
+            check = verify_nash(game, profile)
             if not check.ok:
                 continue
             red = _reduced(game, [list(s) for s in cand])
-            if _cluster_merge(clusters, red, cand, 0, config.cluster_radius,
-                              scan=True):
+            if _cluster_merge(clusters, red, cand, 0, check):
                 scan_added += 1
     results = []
     for c in clusters:
         state = [list(s) for s in c.state]
-        if not c.scan:
+        if c.check is None:
             for _ in range(3):
                 for ui in range(n):
-                    state[ui] = list(_best_response(game, state, ui,
-                                                    config, 60))
+                    state[ui] = list(_best_response(game, state, ui, 60))
         profile = profile_from_state(game, state)
         report = cost_report(game.net, profile, game.coop)
-        check = verify_nash(game, profile, config)
+        check = c.check or verify_nash(game, profile)
         diameter = max((mx - mn for mn, mx in zip(c.mins, c.maxs)),
                        default=0.0)
         results.append(EquilibriumResult(
             profile=profile, raw_costs=report.raw_costs,
             operating_costs=report.operating_costs,
             kkt_multipliers=check.kkt_multipliers, basin_count=c.basin,
-            cluster_diameter=diameter, scan_found=c.scan,
+            cluster_diameter=diameter, scan_found=c.check is not None,
             verified=check.ok, max_violation=check.max_violation))
     diagnostics = {"total_starts": total_starts,
                    "trajectories": trajectories,
@@ -668,4 +652,4 @@ def multistart_nash(game: RoutingGame,
     results.sort(key=lambda e: (e.operating_costs[0],) + tuple(
         v for flows in e.profile.path_flows for v in flows))
     return EquilibriumSet(equilibria=tuple(results),
-                          diagnostics=diagnostics, config=config)
+                          diagnostics=diagnostics)

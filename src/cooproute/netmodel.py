@@ -193,9 +193,9 @@ def assemble_profile(net: Network, path_set: PathSet,
                      demands: Sequence[float] | None = None) -> FlowProfile:
     """Turn per-path flow amounts into a validated ``FlowProfile``.
 
-    Flows must be nonnegative (up to 1e-12, then clamped) and, when
-    ``demands`` is given, each user's flows must sum to its demand within
-    1e-12 scaled by the demand size.
+    Flows must be finite and nonnegative (up to 1e-12, then clamped) and,
+    when ``demands`` is given, each user's flows must sum to its demand
+    within 1e-12 scaled by the demand size.
     """
     n = len(path_set.user_ids)
     if len(path_flows) != n:
@@ -208,6 +208,8 @@ def assemble_profile(net: Network, path_set: PathSet,
                 f"user {path_set.user_ids[ui]} has {len(path_set.paths[ui])} "
                 f"paths but {len(flows)} flow entries")
         for p, v in enumerate(flows):
+            if not math.isfinite(v):
+                raise ConfigError(f"path flow must be finite, not {v}")
             if v < -_FLOW_TOL:
                 raise ConfigError(f"negative path flow {v}")
             if v < 0:
@@ -258,16 +260,11 @@ def saturated_links(net: Network, profile: FlowProfile) -> tuple[str, ...]:
 def check_feasibility(net: Network, users: Sequence[UserSpec]) -> None:
     """Raise ``InfeasibleError`` when the demand provably cannot be carried.
 
-    Two checks: every user with positive demand needs at least one path,
-    and for each destination whose incoming links all have finite capacity,
+    For each destination whose incoming links all have finite capacity,
     the total demand bound for it must stay below the summed capacity of
-    that cut.
+    that cut.  A user with positive demand and no path at all is caught
+    earlier, by ``build_path_set``.
     """
-    for u in users:
-        if u.demand > 0 and not enumerate_paths(net, u.source, u.target):
-            raise InfeasibleError(
-                f"user {u.user_id} has no path from {u.source} to {u.target}",
-                detail={"user": u.user_id})
     by_target: dict[int, float] = {}
     for u in users:
         by_target[u.target] = by_target.get(u.target, 0.0) + u.demand

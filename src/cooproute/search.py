@@ -4,7 +4,8 @@ All solvers in this package reduce one-dimensional subproblems to either a
 sign change of a monotone function or the minimum of a convex function with
 an available derivative, so plain bisection is enough everywhere and keeps
 the package dependency-free.  ``scan_sign_changes`` finds the fixed points
-that iteration repels, with the same bisection as ``bisect_sign_change``.
+that iteration repels.  It, ``bisect_sign_change`` and
+``argmin_by_derivative`` share one bisection loop.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Callable, Sequence
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float,
             iters: int) -> float:
     """Bisect ``[a, b]``, whose ends have opposite signs; ``fa = f(a)``.
-    Stops early at a midpoint where ``f`` is zero or not a number."""
+    Stops early at a midpoint where ``f`` is zero.  A midpoint where ``f``
+    is not a number becomes the new upper end."""
     sign = 1.0 if fa > 0.0 else -1.0   # read a rising f as falling
     for _ in range(iters):
         mid = 0.5 * (a + b)
@@ -25,7 +27,7 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float,
         fm = sign * f(mid)
         if fm > 0.0:
             a = mid
-        elif fm < 0.0:
+        elif fm < 0.0 or math.isnan(fm):
             b = mid
         else:
             return mid
@@ -80,24 +82,8 @@ def argmin_by_derivative(deriv: Callable[[float], float], lo: float,
     dlo = deriv(lo)
     if dlo >= 0.0:
         return lo
-    dhi = deriv(hi)
-    if dhi <= 0.0:
+    if deriv(hi) <= 0.0:
         return hi
-    a, b = lo, hi
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        dm = deriv(mid)
-        if math.isnan(dm):
-            # Capacity blowups show up as nan only through subtraction of
-            # infinities; step back toward the feasible side.
-            b = mid
-            continue
-        if dm > 0.0:
-            b = mid
-        elif dm < 0.0:
-            a = mid
-        else:
-            return mid
-    return 0.5 * (a + b)
+    # Capacity blowups show up as nan only through subtraction of
+    # infinities; ``_bisect`` steps back toward the feasible side.
+    return _bisect(deriv, lo, hi, dlo, iters)

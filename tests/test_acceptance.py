@@ -3,15 +3,21 @@
 Every test prints one scoreboard line (``criterion N: PASS/FAIL``) before
 asserting, so a full run with ``-s`` (or the captured output of any
 failure) shows the whole picture at a glance.  The heavy sweeps are
-computed once in a module fixture; the determinism check at the end
-recomputes all of them from scratch and compares the rendered CSV bytes.
+computed once in a module fixture.  The determinism check recomputes all
+of them from scratch in a separate Python process, started beside the
+fixture's run, and compares the rendered CSV bytes.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cooproute
 from cooproute import (MixedScenario, alpha_sweep, assemble_profile,
                        detect_braess, detect_cooperation_paradox,
                        get_preset, mixed_closed_form, mixed_numeric,
@@ -131,8 +137,29 @@ def compute_bundle():
     return data
 
 
+# Recomputes the bundle in a fresh interpreter and prints its tables.
+RERUN = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
+         "from test_acceptance import compute_bundle; "
+         "json.dump(compute_bundle()['csv'], sys.stdout)")
+
+
 @pytest.fixture(scope="module")
-def bundle():
+def rerun():
+    """The tables of a second, independent bundle computation, running
+    in its own process while the tests use the first one."""
+    paths = [os.path.dirname(os.path.dirname(cooproute.__file__)),
+             os.path.dirname(os.path.abspath(__file__))]
+    with subprocess.Popen([sys.executable, "-c", RERUN, *paths],
+                          stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            yield proc
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+
+
+@pytest.fixture(scope="module")
+def bundle(rerun):
     return compute_bundle()
 
 
@@ -442,10 +469,12 @@ def test_criterion_10_priced_out_crossing(bundle):
         f"equilibrium at (4.1, 4.1); failing rows c={priced_out}")
 
 
-def test_criterion_11_byte_identical_reruns(bundle):
-    again = compute_bundle()
+def test_criterion_11_byte_identical_reruns(bundle, rerun):
+    out, _ = rerun.communicate(timeout=1800)
+    assert rerun.returncode == 0, "the rerun process failed"
+    again = json.loads(out)
     mismatched = [k for k in bundle["csv"]
-                  if bundle["csv"][k] != again["csv"][k]]
+                  if bundle["csv"][k] != again.get(k)]
     ok = not mismatched
     report(11, ok, f"{len(bundle['csv'])} rendered tables compared")
     assert not mismatched, mismatched

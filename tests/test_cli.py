@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -97,14 +99,6 @@ class TestSolveCommand:
         manifest = json.loads(err)
         assert manifest["command"] == "solve"
 
-    def test_solver_config_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid_density": 5}))
-        rc, out, err = run(capsys, "solve", "--preset", "exp2",
-                           "--alpha", "0", "--solver-config", str(cfg))
-        assert rc == 0
-        assert json.loads(err)["resolved_config"]["grid_density"] == 5
-
 
 class TestErrorPaths:
     def test_unknown_preset(self, capsys):
@@ -172,8 +166,21 @@ class TestErrorPaths:
         assert rc == 3
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"users": [{"id": 1, "source": 2, "target": 1, "demand": 1.0}],
+          "alphas": [0.0]}, "user 1 has no path from 2 to 1"),
+        ({"links": [{"id": "l1", "source": 1, "target": 2,
+                     "cost": {"kind": "queue", "capacity": 1.5}}]},
+         "demand 2.0 into node 2 meets or exceeds the total capacity 1.5"),
+    ])
+    def test_infeasible_document(self, capsys, tmp_path, edit, message):
+        rc, out, err = run(capsys, "solve", "--config",
+                           write_doc(tmp_path, {**GAME_DOC, **edit}))
+        assert rc == 3
+        assert message in err
+
     def test_solver_failure_maps_to_four(self, capsys, monkeypatch):
-        def boom(game, config=None):
+        def boom(game):
             raise SolverError("no fixed point", diagnostics={"starts": 0})
 
         monkeypatch.setattr(cli, "multistart_nash", boom)
@@ -310,3 +317,17 @@ class TestVerifyCommand:
         rc, out, err = run(capsys, "verify", "--preset", "exp1",
                            "--alpha", "0", "--profile", str(prof))
         assert rc == 2
+
+
+def readme_command_lines():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines()
+            if line.startswith("cooproute ")]
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_commands_parse(line):
+    # a flag that is gone from the parser must not stay documented
+    cli.build_parser().parse_args(shlex.split(line)[1:])

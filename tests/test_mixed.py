@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, InfeasibleError, MixedScenario,
-                       MixedSolverConfig, MM1Cost, mixed_closed_form,
-                       mixed_costs, mixed_numeric, verify_mixed,
-                       wardrop_split)
+                       MM1Cost, mixed_closed_form, mixed_costs,
+                       mixed_numeric, verify_mixed, wardrop_split)
 
 
 def reference(alpha):
@@ -47,12 +46,6 @@ class TestScenario:
         args[field] = v
         with pytest.raises(ConfigError):
             MixedScenario(*args)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            MixedSolverConfig(starts=1)
-        with pytest.raises(ConfigError):
-            MixedSolverConfig(fp_tol=0.0)
 
 
 class TestWardropSplit:

@@ -12,15 +12,16 @@ so a selfish user 2 always answers y = 0.125 + 0.5 x, and when only user
 x = 0.75 (1 - 2a) / (3 - 4a) for a < 0.5.
 """
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cooproute import (ConfigError, LinearCost, MM1Cost, SolverConfig,
-                       assemble_profile, br_dynamics, cost_report, make_game,
-                       multistart_nash, verify_nash)
+from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
+                       cost_report, get_preset, make_game, multistart_nash,
+                       nash, netmodel, verify_nash)
 from cooproute.nash import _best_response, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
 
@@ -60,20 +61,34 @@ class TestBestResponse:
         game = linear_two_origin((0.0, 0.0))
         for x in (0.0, 0.2, 0.5, 0.8, 1.0):
             state = [[1.0 - x, x], [1.0, 0.0]]
-            br = _best_response(game, state, 1, SolverConfig(), 60)
+            br = _best_response(game, state, 1, 60)
             assert br[1] == pytest.approx(0.125 + 0.5 * x, abs=1e-9)
 
     def test_response_respects_capacity(self):
         game = parallel_game([MM1Cost(0.6), MM1Cost(4.0)], [1.0], [0.0])
         state = [[0.5, 0.5]]
-        br = _best_response(game, state, 0, SolverConfig(), 60)
+        br = _best_response(game, state, 0, 60)
         assert br[0] < 0.6
         assert sum(br) == pytest.approx(1.0)
 
     def test_unusable_path_gets_nothing(self):
         game = parallel_game([MM1Cost(4.0), MM1Cost(0.0)], [1.0], [0.0])
-        br = _best_response(game, [[0.5, 0.5]], 0, SolverConfig(), 60)
+        br = _best_response(game, [[0.5, 0.5]], 0, 60)
         assert br == (1.0, 0.0)
+
+
+class TestMakeGame:
+    def test_paths_are_enumerated_once(self, monkeypatch):
+        calls = []
+        original = netmodel.enumerate_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(netmodel, "enumerate_paths", counted)
+        get_preset("exp1").build_game()
+        assert len(calls) == 2
 
 
 class TestDynamics:
@@ -85,10 +100,11 @@ class TestDynamics:
         assert prof.path_flows[0][1] == pytest.approx(0.25, abs=1e-7)
         assert prof.path_flows[1][1] == pytest.approx(0.25, abs=1e-7)
 
-    def test_reports_nonconvergence(self):
+    def test_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(nash, "MAX_SWEEPS", 1)
+        monkeypatch.setattr(nash, "FP_TOL", 1e-14)
         game = linear_two_origin((0.0, 0.0))
-        res = br_dynamics(game, [[1.0, 0.0], [1.0, 0.0]],
-                          SolverConfig(max_sweeps=1, fp_tol=1e-14))
+        res = br_dynamics(game, [[1.0, 0.0], [1.0, 0.0]])
         assert not res.converged
         assert res.sweeps == 1
 
@@ -138,6 +154,21 @@ class TestMultistartLinear:
         eqs = multistart_nash(linear_two_origin((0.7, 0.7)))
         assert find_near(eqs, 0.0, 0.0) is not None
         assert find_near(eqs, 1.0, 1.0) is not None
+
+    def test_scan_clusters_are_verified_once(self, monkeypatch):
+        # every scan candidate is verified on admission, and only the
+        # clusters dynamics reached are verified again after polishing
+        calls = []
+
+        def counted(game, profile):
+            calls.append(profile)
+            return verify_nash(game, profile)
+
+        monkeypatch.setattr(nash, "verify_nash", counted)
+        eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
+        reached = sum(1 for eq in eqs if not eq.scan_found)
+        assert eqs.diagnostics["scan_added"] == 1
+        assert len(calls) == eqs.diagnostics["scan_candidates"] + reached
 
     def test_results_are_reproducible(self):
         a = multistart_nash(linear_two_origin((0.95, 0.0)))
@@ -201,11 +232,16 @@ class TestVerification:
         assert "l1" in check.saturated
 
     def test_nan_profile_fails(self):
-        # NaN flows pass the profile's sum check, since NaN compares false
+        # assemble_profile refuses NaN flows, so build the profile directly
         game = linear_two_origin((0.3, 0.0))
-        prof = assemble_profile(game.net, game.paths,
-                                [[math.nan, math.nan], [0.5, 0.5]],
-                                game.demands)
+        ok = assemble_profile(game.net, game.paths, [[0.5, 0.5], [0.5, 0.5]],
+                              game.demands)
+        row = tuple(math.nan if v else 0.0 for v in ok.user_link_flows[0])
+        prof = dataclasses.replace(
+            ok, path_flows=((math.nan, math.nan), ok.path_flows[1]),
+            user_link_flows=(row, ok.user_link_flows[1]),
+            total_link_flows=tuple(a + b for a, b in
+                                   zip(row, ok.user_link_flows[1])))
         check = verify_nash(game, prof)
         assert not check.ok
         assert check.max_violation == math.inf
@@ -250,21 +286,6 @@ class TestSaturatedStarts:
         raw = cost_report(game.net, prof, game.coop).raw_costs
         assert all(c < math.inf for c in raw)
         assert verify_nash(game, prof).ok
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"br_tol": 0.0},
-        {"fp_tol": -1.0},
-        {"max_sweeps": 0},
-        {"grid_density": 1},
-        {"cluster_radius": 0.0},
-        {"scan_density": 1},
-        {"deviation_grid": 1},
-    ])
-    def test_bad_settings_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            SolverConfig(**kwargs)
 
 
 @settings(max_examples=15, deadline=None)

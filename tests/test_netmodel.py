@@ -102,6 +102,15 @@ class TestPathSetAndProfiles:
             assemble_profile(net, pset, [[1.0, 0.5], [1.0, 0.0]],
                              demands=(2.0, 1.0))
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    def test_assemble_rejects_non_finite_flows(self, v):
+        # no demands given, so only the finiteness check can refuse these
+        net = two_origin_net()
+        users = [UserSpec(1, 1, 3, 2.0), UserSpec(2, 2, 3, 1.0)]
+        pset = build_path_set(net, users)
+        with pytest.raises(ConfigError, match="finite"):
+            assemble_profile(net, pset, [[v, 0.5], [1.0, 0.0]])
+
     def test_assemble_accumulates_link_flows(self):
         net = two_origin_net()
         users = [UserSpec(1, 1, 3, 2.0), UserSpec(2, 2, 3, 1.0)]
