@@ -15,7 +15,7 @@ remainder ``1 - alpha`` stays on the user's own cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError
@@ -47,6 +47,9 @@ class LinearCost:
     def derivative(self, flow: float) -> float:
         return self.slope
 
+    def curvature(self, flow: float) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True, slots=True)
 class MM1Cost:
@@ -71,6 +74,12 @@ class MM1Cost:
         if slack <= 0.0:
             return INFINITE_COST
         return 1.0 / (slack * slack)
+
+    def curvature(self, flow: float) -> float:
+        slack = self.capacity - flow
+        if slack <= 0.0:
+            return INFINITE_COST
+        return 2.0 / (slack * slack * slack)
 
 
 CostSpec = LinearCost | MM1Cost
@@ -211,6 +220,172 @@ def path_marginals(links: Sequence["Link"], paths, own_weight: float,
                     + (base_weighted[li] + own_weight * own[li]) * dt)
         out.append(acc)
     return out
+
+
+@dataclass(frozen=True, slots=True)
+class SplitCost:
+    """A two-path user's operating cost as a function of its flow ``t`` on
+    the second path, with ``r - t`` on the first and everyone else fixed.
+
+    Only the links on exactly one of the paths move with ``t``: ``specs``
+    holds their latencies, the ``n1`` second-path links first.  Callers
+    pass the other users' loads on them (``others``) and those loads
+    weighed by the user's cooperation row (``weighted``) in the same
+    order.  With self-weight ``b``, a link with own load ``x`` at total
+    ``o + x`` adds ``b T + (w + b x) T'`` to the derivative in ``t`` on
+    the second path and subtracts it on the first; either way it adds
+    ``2 b T' + (w + b x) T''`` to the derivative's slope.  On affine
+    links the derivative is the line ``C + S t``.
+    """
+
+    specs: tuple[CostSpec, ...]
+    n1: int
+    own_weight: float
+    demand: float
+    _line: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
+
+    def __post_init__(self):
+        if not all(isinstance(s, LinearCost) for s in self.specs):
+            return
+        b, r = self.own_weight, self.demand
+        const = slope = 0.0
+        coefs = []
+        for i, s in enumerate(self.specs):
+            # second path: b (a (o + t) + g) + (w + b t) a;
+            # first path: minus the same with r - t for t
+            if i < self.n1:
+                const += b * s.intercept
+                coefs.append((b * s.slope, s.slope))
+            else:
+                const -= b * (s.intercept + 2.0 * s.slope * r)
+                coefs.append((-b * s.slope, -s.slope))
+            slope += 2.0 * b * s.slope
+        object.__setattr__(self, "_line", (const, slope, tuple(coefs)))
+
+    @property
+    def affine(self) -> bool:
+        return self._line is not None
+
+    def line(self, others, weighted) -> tuple[float, float]:
+        """``(C, S)`` of the derivative ``C + S t``; affine links only."""
+        c, slope, coefs = self._line
+        for (co, cw), o, w in zip(coefs, others, weighted):
+            c += co * o + cw * w
+        return c, slope
+
+    def derivative(self, t: float, others, weighted) -> tuple[float, float]:
+        """The derivative at ``t`` and its slope."""
+        b, n1 = self.own_weight, self.n1
+        g = slope = 0.0
+        for i, spec in enumerate(self.specs):
+            if i < n1:
+                own, sgn = t, 1.0
+            else:
+                own, sgn = self.demand - t, -1.0
+            f = others[i] + own
+            dt = spec.derivative(f)
+            c = weighted[i] + b * own
+            g += sgn * (b * spec.value(f) + c * dt)
+            slope += 2.0 * b * dt + c * spec.curvature(f)
+        return g, slope
+
+
+def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
+                   ui: int):
+    """User ``ui``'s operating cost as a function of its own path flows,
+    everyone else's fixed.
+
+    ``paths[k]`` lists user ``k``'s paths as link indices and ``state[k]``
+    its path flows.  The function returned maps a list of flow vectors
+    for ``ui`` to their costs, each exactly
+    ``weighted_cost(row, user_costs(...))`` at the loads summed path by
+    path in user order, with the same rules: zero flow on a full link
+    costs nothing, a user of weight zero is skipped, and an infinite raw
+    cost makes the operating cost infinite.  Only the links on ``ui``'s
+    paths are recomputed; every other link's latency and cost shares are
+    summed here, once.
+    """
+    mine = paths[ui]
+    moving = sorted({li for p in mine for li in p})
+    slot = {li: j for j, li in enumerate(moving)}
+    m = len(links)
+    before = [0.0] * len(moving)   # totals of the users ahead of ui
+    after = [[] for _ in moving]   # later users' flows, added one by one
+    loads = []
+    totals = [0.0] * m
+    for k, (kpaths, flows) in enumerate(zip(paths, state)):
+        own = [0.0] * m
+        loads.append(own)
+        if k == ui:
+            continue
+        for links_p, v in zip(kpaths, flows):
+            if v == 0.0:
+                continue
+            for li in links_p:
+                own[li] += v
+                totals[li] += v
+                j = slot.get(li)
+                if j is not None:
+                    if k < ui:
+                        before[j] += v
+                    else:
+                        after[j].append(v)
+    # Adding a zero flow changes no sum, so ui's flows go in unskipped.
+    movers = tuple((links[li].cost, before[j],
+                    tuple(p for p, lp in enumerate(mine) if li in lp),
+                    tuple(after[j]))
+                   for j, li in enumerate(moving))
+    # A raw cost sums f * T over links in link order.  Terms on fixed
+    # links are constants: ``(j, v)`` is load ``v`` on moving link ``j``
+    # and ``(-1, c)`` a constant.  ``None`` stands for ui's own terms.
+    plans = []
+    for k, own in enumerate(loads):
+        if not row[k]:
+            continue
+        terms = None
+        if k != ui:
+            terms = []
+            for li, v in enumerate(own):
+                if v:
+                    j = slot.get(li)
+                    terms.append((j, v) if j is not None else
+                                 (-1, v * links[li].cost.value(totals[li])))
+        plans.append((row[k], terms))
+
+    # Each step below runs over all points at once, in the order a
+    # single evaluation would take.
+    def costs(points) -> list[float]:
+        n = len(points)
+        owns, lats = [], []
+        for spec, base, cover, tail in movers:
+            own, tot = [0.0] * n, [base] * n
+            for p in cover:
+                col = [f[p] for f in points]
+                own = [o + v for o, v in zip(own, col)]
+                tot = [x + v for x, v in zip(tot, col)]
+            for v in tail:
+                tot = [x + v for x in tot]
+            owns.append(own)
+            lats.append(list(map(spec.value, tot)))
+        acc, full = [0.0] * n, [False] * n
+        for w, terms in plans:
+            raw = [0.0] * n
+            if terms is None:
+                for own, lat in zip(owns, lats):
+                    raw = [x + o * t if o else x
+                           for x, o, t in zip(raw, own, lat)]
+            else:
+                for j, v in terms:
+                    if j < 0:
+                        raw = [x + v for x in raw]
+                    else:
+                        raw = [x + v * t for x, t in zip(raw, lats[j])]
+            full = [h or x == INFINITE_COST for h, x in zip(full, raw)]
+            acc = [a + w * x for a, x in zip(acc, raw)]
+        return [INFINITE_COST if h else a for a, h in zip(acc, full)]
+
+    return costs
 
 
 def path_marginal(net: "Network", profile: "FlowProfile",

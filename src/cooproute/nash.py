@@ -2,10 +2,12 @@
 
 The workhorse is plain Gauss-Seidel best response: sweep the users in id
 order, each one exactly minimizing its operating cost against the current
-flows of the others.  Two-path users are solved by derivative bisection
-inside a capacity-guarded bracket; users with more paths fall back to a
-conditional-gradient loop.  A multistart driver clusters the fixed points
-reached from a grid of starting splits and counts basin sizes.
+flows of the others.  A two-path user's derivative along its split is a
+line on affine links, whose zero is the best response in closed form;
+on other links a safeguarded Newton search finds it inside a
+capacity-guarded bracket.  Users with more paths fall back to a
+conditional-gradient loop.  A multistart driver clusters the fixed
+points reached from a grid of starting splits and counts basin sizes.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
@@ -14,9 +16,11 @@ composition for sign changes and refines each bracket by bisection
 (``search.scan_sign_changes``), which recovers the repelling equilibria
 with a basin count of zero.
 
-Costs and path marginals come from the link-load kernel in ``costs``;
+Costs, path marginals and the two-path derivative come from ``costs``;
 this module only sums its per-path state into link loads, in a fixed
-order, and hands them over.
+order, and hands them over.  The verifier's deviation sweep prices each
+split with ``costs.deviation_cost``, which recomputes only the deviating
+user's links and matches the full-state cost exactly.
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
-                    MM1Cost, cost_report, path_marginal, path_marginals,
-                    user_costs, weighted_cost)
+                    MM1Cost, SplitCost, cost_report, deviation_cost,
+                    path_marginal, path_marginals, user_costs)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
                        saturated_links)
-from .search import argmin_by_derivative, scan_sign_changes
+from .search import argmin_by_derivative, newton_argmin, scan_sign_changes
 
 
 # Solver settings.  The conditional-gradient best response stops at a
@@ -54,6 +58,27 @@ DEVIATION_GRID = 1001
 
 
 @dataclass(frozen=True, slots=True)
+class _TwoPath:
+    """A two-path user's links, fixed when the game is built.
+
+    ``links`` lists the links on the second path only (``n1`` of them),
+    then those on the first path only (``n0``), then the shared ones.
+    ``feeds[i]`` names the other users' path flows that load ``links[i]``
+    as ``(user, path, weight in this user's cooperation row)``, in the
+    order ``_state_loads`` sums them.  ``caps`` holds ``(i, capacity)``
+    for every M/M/1 link among them, and ``split`` the cost along the
+    split.
+    """
+
+    links: tuple[int, ...]
+    n1: int
+    n0: int
+    feeds: tuple
+    caps: tuple
+    split: SplitCost
+
+
+@dataclass(frozen=True, slots=True)
 class RoutingGame:
     """A network, its users, their path sets, and the cooperation weights."""
 
@@ -70,16 +95,28 @@ class RoutingGame:
             pli.append(tuple(tuple(self.net.link_index(l) for l in p)
                              for p in user_paths))
         object.__setattr__(self, "path_link_idx", tuple(pli))
-        kernels = []
-        for idx in pli:
-            if len(idx) == 2:
-                s0, s1 = set(idx[0]), set(idx[1])
-                kernels.append((tuple(l for l in idx[0] if l not in s1),
-                                tuple(l for l in idx[1] if l not in s0),
-                                tuple(l for l in idx[0] if l in s1)))
-            else:
-                kernels.append(None)
-        object.__setattr__(self, "two_path", tuple(kernels))
+        object.__setattr__(self, "two_path", tuple(
+            self._two_path_user(ui) if len(idx) == 2 else None
+            for ui, idx in enumerate(pli)))
+
+    def _two_path_user(self, ui: int) -> _TwoPath:
+        p0, p1 = self.path_link_idx[ui]
+        only1 = [l for l in p1 if l not in p0]
+        only0 = [l for l in p0 if l not in p1]
+        links = tuple(only1 + only0 + [l for l in p0 if l in p1])
+        row = self.coop.rows[ui]
+        feeds = tuple(
+            tuple((k, p, row[k]) for k, paths in enumerate(self.path_link_idx)
+                  if k != ui for p, lp in enumerate(paths) if li in lp)
+            for li in links)
+        specs = [self.net.links[li].cost for li in links]
+        caps = tuple((i, c.capacity) for i, c in enumerate(specs)
+                     if isinstance(c, MM1Cost))
+        split = SplitCost(specs=tuple(specs[:len(only1) + len(only0)]),
+                          n1=len(only1), own_weight=row[ui],
+                          demand=self.users[ui].demand)
+        return _TwoPath(links=links, n1=len(only1), n0=len(only0),
+                        feeds=feeds, caps=caps, split=split)
 
     @property
     def demands(self) -> tuple[float, ...]:
@@ -101,60 +138,59 @@ def make_game(net: Network, users: Sequence[UserSpec],
     return RoutingGame(net=net, users=users, paths=paths, coop=coop)
 
 
-def _state_loads(game: RoutingGame, state, ui: int | None = None):
-    """Each user's link loads, the link totals of every user but ``ui``
-    and those users' loads weighted by ``ui``'s cooperation row (zero for
-    ``ui=None``), all summed path by path in user order."""
+def _state_loads(game: RoutingGame, state, ui: int):
+    """Link totals of every user but ``ui`` and those users' loads weighted
+    by ``ui``'s cooperation row, summed path by path in user order."""
     m = len(game.net.links)
-    row = game.coop.rows[ui] if ui is not None else None
-    loads = []
+    row = game.coop.rows[ui]
     totals = [0.0] * m
     weighted = [0.0] * m
     for k, paths in enumerate(game.path_link_idx):
-        own = [0.0] * m
-        other = k != ui
-        wk = row[k] if other and row is not None else 0.0
+        if k == ui:
+            continue
+        wk = row[k]
         for links_p, v in zip(paths, state[k]):
             if v == 0.0:
                 continue
             for li in links_p:
-                own[li] += v
-                if other:
-                    totals[li] += v
-                    if wk:
-                        weighted[li] += wk * v
-        loads.append(own)
-    return loads, totals, weighted
+                totals[li] += v
+                if wk:
+                    weighted[li] += wk * v
+    return totals, weighted
 
 
-def _operating_cost(game: RoutingGame, state, ui: int) -> float:
-    loads, totals, _ = _state_loads(game, state)
-    return weighted_cost(game.coop.rows[ui],
-                         user_costs(game.net.links, loads, totals))
-
-
-def _two_path_response(game: RoutingGame, ui: int, r: float, others, weighted,
+def _two_path_response(game: RoutingGame, ui: int, r: float, state,
                        iters: int) -> tuple[float, float]:
-    only0, only1, both = game.two_path[ui]
-    links = game.net.links
-    guard = CAPACITY_GUARD
-    for li in both:
-        c = links[li].cost
-        if isinstance(c, MM1Cost) and others[li] + r > c.capacity - guard:
-            raise SolverError(
-                f"user {game.users[ui].user_id} saturates link "
-                f"{links[li].link_id!r} on every path")
+    tp = game.two_path[ui]
+    # The other users' loads on this user's links, summed as in
+    # ``_state_loads``.
+    others = []
+    weighted = []
+    for feed in tp.feeds:
+        o = w = 0.0
+        for k, p, wk in feed:
+            v = state[k][p]
+            if v != 0.0:
+                o += v
+                if wk:
+                    w += wk * v
+        others.append(o)
+        weighted.append(w)
     # Capacity bounds on the second-path share t: links used only by the
     # second path cap it from above, first-path links from below.
+    guard = CAPACITY_GUARD
     lo_cap, hi_cap = 0.0, r
-    for li in only1:
-        c = links[li].cost
-        if isinstance(c, MM1Cost):
-            hi_cap = min(hi_cap, c.capacity - others[li] - guard)
-    for li in only0:
-        c = links[li].cost
-        if isinstance(c, MM1Cost):
-            lo_cap = max(lo_cap, r - (c.capacity - others[li] - guard))
+    n1, n01 = tp.n1, tp.n1 + tp.n0
+    for i, cap in tp.caps:
+        room = cap - others[i] - guard
+        if i < n1:
+            hi_cap = min(hi_cap, room)
+        elif i < n01:
+            lo_cap = max(lo_cap, r - room)
+        elif others[i] + r > cap - guard:
+            raise SolverError(
+                f"user {game.users[ui].user_id} saturates link "
+                f"{game.net.links[tp.links[i]].link_id!r} on every path")
     lo = max(lo_cap, 0.0)
     hi = min(hi_cap, r)
     if lo > hi:
@@ -167,21 +203,20 @@ def _two_path_response(game: RoutingGame, ui: int, r: float, others, weighted,
         raise SolverError(
             f"user {game.users[ui].user_id} has no feasible split "
             f"between its two paths")
-    bii = game.coop.rows[ui][ui]
-    terms = [(links[li].cost, others[li], weighted[li], 1.0, True)
-             for li in only1]
-    terms += [(links[li].cost, others[li], weighted[li], -1.0, False)
-              for li in only0]
-
-    def deriv(t: float) -> float:
-        acc = 0.0
-        for spec, o, w, sgn, own_is_t in terms:
-            own = t if own_is_t else r - t
-            f = o + own
-            acc += sgn * (bii * spec.value(f) + (w + bii * own) * spec.derivative(f))
-        return acc
-
-    t = argmin_by_derivative(deriv, lo, hi, iters)
+    split = tp.split
+    if split.affine:
+        # The derivative is the line c + s t: the end tests of
+        # ``argmin_by_derivative``, then its zero.
+        c, slope = split.line(others, weighted)
+        if hi <= lo or c + slope * lo >= 0.0:
+            t = lo
+        elif c + slope * hi <= 0.0:
+            t = hi
+        else:
+            t = min(max(-c / slope, lo), hi)
+    else:
+        t = newton_argmin(lambda t: split.derivative(t, others, weighted),
+                          lo, hi, iters)
     return (r - t, t)
 
 
@@ -246,9 +281,9 @@ def _best_response(game: RoutingGame, state, ui: int,
         return (0.0,) * len(paths)
     if len(paths) == 1:
         return (r,)
-    _, others, weighted = _state_loads(game, state, ui)
     if game.two_path[ui] is not None:
-        return _two_path_response(game, ui, r, others, weighted, iters)
+        return _two_path_response(game, ui, r, state, iters)
+    others, weighted = _state_loads(game, state, ui)
     return _cond_gradient_response(game, state, ui, r, others, weighted,
                                    iters)
 
@@ -428,16 +463,16 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
                     viol = math.inf
                 else:
                     viol = max(viol, (margs[p] - lam) / scale)
-        cur = _operating_cost(game, state, ui)
+        cost = deviation_cost(game.net.links, game.path_link_idx, state,
+                              game.coop.rows[ui], ui)
+        cur = cost([state[ui]])[0]
         br = _best_response(game, state, ui, 60)
         res = max(abs(a - b) for a, b in zip(br, profile.path_flows[ui]))
         if res > flow_eps:
             # A different split only disqualifies the profile if it is
             # actually cheaper; with a flat objective any split is a best
             # response and the recomputed one is arbitrary.
-            trial = [list(s) for s in state]
-            trial[ui] = list(br)
-            at_br = _operating_cost(game, trial, ui)
+            at_br = cost([br])[0]
             if cur == INFINITE_COST:
                 gap = 0.0 if at_br == INFINITE_COST else math.inf
             else:
@@ -447,12 +482,10 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
             g = DEVIATION_GRID
             best_alt = math.inf
-            for i in range(g):
-                t = r * i / (g - 1)
-                trial = [list(s) for s in state]
-                trial[ui] = [r - t, t]
-                best_alt = min(best_alt,
-                               _operating_cost(game, trial, ui))
+            # Blocks of splits keep the evaluator's lists short.
+            for lo in range(0, g, 128):
+                ts = [r * i / (g - 1) for i in range(lo, min(lo + 128, g))]
+                best_alt = min(best_alt, *cost([(r - t, t) for t in ts]))
             if cur != INFINITE_COST and best_alt < cur:
                 viol = max(viol, (cur - best_alt) / cscale)
             elif cur == INFINITE_COST and best_alt < INFINITE_COST:
@@ -609,8 +642,9 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
         _cluster_merge(clusters, red, res.state, weight)
     scan_candidates = 0
     scan_added = 0
-    if (n == 2 and all(k is not None for k in game.two_path)
-            and all(r > 0 for r in game.demands)):
+    scanned = (n == 2 and all(k is not None for k in game.two_path)
+               and all(r > 0 for r in game.demands))
+    if scanned:
         for cand in _scan_for_fixed_points(game):
             scan_candidates += 1
             try:
@@ -645,7 +679,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                    "trajectories": trajectories,
                    "non_converged": non_converged,
                    "scan_candidates": scan_candidates,
-                   "scan_added": scan_added}
+                   "scan_added": scan_added,
+                   "scan_coverage": "2x2" if scanned else "none"}
     if not results:
         raise SolverError("no starting point converged to an equilibrium",
                           diagnostics=diagnostics)

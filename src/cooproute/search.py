@@ -2,10 +2,13 @@
 
 All solvers in this package reduce one-dimensional subproblems to either a
 sign change of a monotone function or the minimum of a convex function with
-an available derivative, so plain bisection is enough everywhere and keeps
-the package dependency-free.  ``scan_sign_changes`` finds the fixed points
-that iteration repels.  It, ``bisect_sign_change`` and
-``argmin_by_derivative`` share one bisection loop.
+an available derivative, so bracketing searches are enough everywhere and
+keep the package dependency-free.  ``scan_sign_changes`` finds the fixed
+points that iteration repels.  It, ``bisect_sign_change`` and
+``argmin_by_derivative`` share one bisection loop.  ``newton_argmin`` is
+the same minimization for a derivative whose own slope is at hand:
+Newton steps, kept inside the sign-change bracket by bisection, reach
+float resolution in a handful of evaluations.
 """
 
 from __future__ import annotations
@@ -87,3 +90,45 @@ def argmin_by_derivative(deriv: Callable[[float], float], lo: float,
     # Capacity blowups show up as nan only through subtraction of
     # infinities; ``_bisect`` steps back toward the feasible side.
     return _bisect(deriv, lo, hi, dlo, iters)
+
+
+def newton_argmin(deriv: Callable[[float], tuple[float, float]], lo: float,
+                  hi: float, iters: int = 60) -> float:
+    """Minimizer of a convex function on [lo, hi] given its derivative and
+    the derivative's slope, ``deriv(x) -> (d, d')``.
+
+    The end tests are ``argmin_by_derivative``'s.  Inside, Newton steps
+    from the midpoint toward the derivative's zero, keeping the bracket
+    where its sign changes: a step that leaves the bracket, a NaN
+    derivative (which moves the upper end, as in ``_bisect``) or a slope
+    that is not positive and finite bisects instead.  Stops when a step
+    no longer moves the point, when no float is left inside the
+    bracket, or after ``iters`` steps.
+    """
+    if hi <= lo:
+        return lo
+    if deriv(lo)[0] >= 0.0:
+        return lo
+    if deriv(hi)[0] <= 0.0:
+        return hi
+    a, b = lo, hi
+    x = 0.5 * (a + b)
+    for _ in range(iters):
+        d, slope = deriv(x)
+        if d < 0.0:
+            a = x
+        elif d > 0.0 or math.isnan(d):
+            b = x
+        else:
+            return x
+        nx = 0.5 * (a + b)
+        if 0.0 < slope < math.inf and not math.isnan(d):
+            step = x - d / slope
+            if step == x:
+                return x
+            if a < step < b:
+                nx = step
+        if nx == a or nx == b:
+            return x
+        x = nx
+    return x

@@ -29,6 +29,9 @@ GAME_DOC = {
     "alphas": [0.0, 0.0],
 }
 
+# both users share one link: no user has two paths, so nothing is scanned
+ONE_LINK_DOC = {**GAME_DOC, "links": GAME_DOC["links"][:1]}
+
 MIXED_DOC = {"capacity_one": 4.0, "capacity_two": 3.0,
              "group_demand": 1.2, "mass_demand": 1.0, "alpha": 0.9}
 
@@ -91,6 +94,15 @@ class TestSolveCommand:
         assert manifest["preset"] == "exp1"
         assert any(w.startswith("assumed:") for w in manifest["warnings"])
         assert "solve" in manifest["timings"]
+
+    def test_manifest_reports_scan_coverage(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "solve", "--preset", "exp1")
+        assert rc == 0
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == "2x2"
+        rc, _, err = run(capsys, "solve", "--config",
+                         write_doc(tmp_path, ONE_LINK_DOC))
+        assert rc == 0
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == "none"
 
     def test_manifest_lands_on_stderr_by_default(self, capsys):
         rc, out, err = run(capsys, "solve", "--preset", "exp2",
@@ -240,6 +252,17 @@ class TestSweepCommand:
                                  "--alphas", "0,0.2")
         assert rc == rc2 == 0
         assert doc_out == preset_out
+
+    def test_manifest_counts_rows_without_scan(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "sweep", "--config",
+                         write_doc(tmp_path, ONE_LINK_DOC),
+                         "--alphas", "0,0.5")
+        assert rc == 0
+        assert json.loads(err)["diagnostics"]["rows_without_scan"] == 2
+        rc, _, err = run(capsys, "sweep", "--preset", "exp2",
+                         "--alphas", "0,0.2")
+        assert rc == 0
+        assert json.loads(err)["diagnostics"]["rows_without_scan"] == 0
 
     def test_structural_sweep_alpha_matches_solve(self, capsys):
         rc, out, _ = run(capsys, "sweep", "--preset", "exp5", "--parameter",

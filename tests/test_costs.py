@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cooproute import (ConfigError, CooperationProfile, LinearCost, MM1Cost,
                        assemble_profile, build_network, build_path_set,
                        cost_report, path_marginal)
+from cooproute.costs import SplitCost, path_marginals
 from cooproute.netmodel import UserSpec
 
 
@@ -83,6 +84,64 @@ class TestLinkCosts:
     def test_queue_derivative_is_squared_slack(self, f, cap):
         c = MM1Cost(cap)
         assert c.derivative(f) == pytest.approx(1.0 / (cap - f) ** 2)
+
+
+    def test_curvature(self):
+        assert LinearCost(2.0, 1.0).curvature(3.0) == 0.0
+        q = MM1Cost(4.0)
+        assert q.curvature(2.0) == pytest.approx(0.25, rel=1e-15)
+        assert q.curvature(4.0) == math.inf
+        assert q.curvature(5.0) == math.inf
+
+
+class TestSplitCost:
+    """One user with paths (l1) and (l2, l3): t on the second path."""
+
+    PATHS = [[0], [1, 2]]
+
+    def marginal_gap(self, latencies, others, weighted, b, r, t):
+        m = path_marginals(latencies, self.PATHS, b, others, weighted,
+                           [r - t, t])
+        return m[1] - m[0]
+
+    def split(self, specs, b, r):
+        # second-path links first
+        return SplitCost(specs=(specs[1], specs[2], specs[0]), n1=2,
+                         own_weight=b, demand=r)
+
+    @settings(max_examples=40)
+    @given(st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6),
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_affine_line_is_the_marginal_gap(self, ab, others, b, share):
+        specs = [LinearCost(ab[2 * i], ab[2 * i + 1]) for i in range(3)]
+        links = parallel_net(specs).links
+        weighted = [0.5 * o for o in others]
+        split = self.split(specs, b, 1.5)
+        assert split.affine
+        mine = (others[1], others[2], others[0])
+        c, slope = split.line(mine, (weighted[1], weighted[2], weighted[0]))
+        for t in (0.0, 1.5 * share, 1.5):
+            want = self.marginal_gap(links, others, weighted, b, 1.5, t)
+            assert c + slope * t == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40)
+    @given(st.floats(0.0, 1.0), st.floats(0.05, 0.95))
+    def test_queue_derivative_and_slope(self, b, share):
+        specs = [MM1Cost(3.0), MM1Cost(2.5), LinearCost(1.0, 0.2)]
+        links = parallel_net(specs).links
+        others, weighted = [0.7, 0.4, 0.1], [0.3, 0.2, 0.05]
+        split = self.split(specs, b, 1.5)
+        assert not split.affine
+        mine = (others[1], others[2], others[0])
+        mine_w = (weighted[1], weighted[2], weighted[0])
+        t, h = 1.5 * share, 1e-6
+        g, slope = split.derivative(t, mine, mine_w)
+        assert g == pytest.approx(
+            self.marginal_gap(links, others, weighted, b, 1.5, t), rel=1e-12)
+        fd = (split.derivative(t + h, mine, mine_w)[0]
+              - split.derivative(t - h, mine, mine_w)[0]) / (2 * h)
+        assert slope == pytest.approx(fd, rel=1e-5)
 
 
 class TestCooperationProfile:

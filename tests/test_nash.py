@@ -16,25 +16,35 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
                        cost_report, get_preset, make_game, multistart_nash,
                        nash, netmodel, verify_nash)
-from cooproute.nash import _best_response, profile_from_state
+from cooproute.costs import (CAPACITY_GUARD, deviation_cost, path_marginals,
+                             user_costs, weighted_cost)
+from cooproute.nash import _best_response, _state_loads, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
+from cooproute.search import argmin_by_derivative
+
+
+def load_balancing_game(latencies, demands, alphas):
+    # users 1 and 2 go from nodes 1 and 2 to node 3, directly or across
+    net = build_network([1, 2, 3], [
+        ("l1", 1, 3, latencies[0]),
+        ("l2", 2, 3, latencies[1]),
+        ("l3", 1, 2, latencies[2]),
+        ("l4", 2, 1, latencies[3]),
+    ])
+    users = [UserSpec(1, 1, 3, demands[0]), UserSpec(2, 2, 3, demands[1])]
+    return make_game(net, users, alphas)
 
 
 def linear_two_origin(alphas):
-    net = build_network([1, 2, 3], [
-        ("l1", 1, 3, LinearCost(1.0)),
-        ("l2", 2, 3, LinearCost(1.0)),
-        ("l3", 1, 2, LinearCost(0.0, 0.5)),
-        ("l4", 2, 1, LinearCost(0.0, 0.5)),
-    ])
-    users = [UserSpec(1, 1, 3, 1.0), UserSpec(2, 2, 3, 1.0)]
-    return make_game(net, users, alphas)
+    return load_balancing_game(
+        [LinearCost(1.0), LinearCost(1.0), LinearCost(0.0, 0.5),
+         LinearCost(0.0, 0.5)], [1.0, 1.0], alphas)
 
 
 def parallel_game(costs, demands, alphas):
@@ -75,6 +85,171 @@ class TestBestResponse:
         game = parallel_game([MM1Cost(4.0), MM1Cost(0.0)], [1.0], [0.0])
         br = _best_response(game, [[0.5, 0.5]], 0, 60)
         assert br == (1.0, 0.0)
+
+
+@st.composite
+def best_response_cases(draw):
+    """A two-user load-balancing game, a responding user, and a split of
+    the other user.  M/M/1 capacities sit just above the demand that
+    flows through the link, so the guard bracket binds."""
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
+    if draw(st.booleans()):
+        latencies = [LinearCost(draw(st.floats(0.0, 3.0)),
+                                draw(st.floats(0.0, 2.0)))
+                     for _ in range(4)]
+    else:
+        over = draw(st.lists(st.floats(1e-3, 1.5), min_size=4, max_size=4))
+        latencies = [MM1Cost(demands[i % 2] + e) for i, e in enumerate(over)]
+    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    ui = draw(st.integers(0, 1))
+    share = draw(st.floats(0.0, 1.0))
+    game = load_balancing_game(latencies, demands, alphas)
+    r_other = demands[1 - ui]
+    state = [None, None]
+    state[ui] = [demands[ui], 0.0]
+    state[1 - ui] = [r_other - share * r_other, share * r_other]
+    return game, ui, state
+
+
+def guard_bracket(game, ui, others):
+    # second-path share t: M/M/1 links on one path only leave room
+    # CAPACITY_GUARD short of their capacity
+    p0, p1 = game.path_link_idx[ui]
+    r = game.demands[ui]
+    lo, hi = 0.0, r
+    for li in p1:
+        c = game.net.links[li].cost
+        if li not in p0 and isinstance(c, MM1Cost):
+            hi = min(hi, c.capacity - others[li] - CAPACITY_GUARD)
+    for li in p0:
+        c = game.net.links[li].cost
+        if li not in p1 and isinstance(c, MM1Cost):
+            lo = max(lo, r - (c.capacity - others[li] - CAPACITY_GUARD))
+    return lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(best_response_cases())
+def test_exact_response_matches_bisection(case):
+    game, ui, state = case
+    r = game.demands[ui]
+    paths = game.path_link_idx[ui]
+    own_weight = game.coop.rows[ui][ui]
+    others, weighted = _state_loads(game, state, ui)
+
+    def deriv(t):
+        m = path_marginals(game.net.links, paths, own_weight, others,
+                           weighted, [r - t, t])
+        return m[1] - m[0]
+
+    lo, hi = guard_bracket(game, ui, others)
+    # an empty bracket sends everything down the open path, which
+    # test_unusable_path_gets_nothing covers
+    assume(lo <= hi)
+    t_ref = argmin_by_derivative(deriv, lo, hi, 60)
+    br = _best_response(game, state, ui, 60)
+    assert sum(br) == pytest.approx(r, abs=1e-12)
+    assert abs(br[1] - t_ref) <= 1e-9 * max(1.0, r)
+
+    def cost(flows):
+        trial = [list(s) for s in state]
+        trial[ui] = list(flows)
+        prof = assemble_profile(game.net, game.paths, trial, game.demands)
+        return cost_report(game.net, prof, game.coop).operating_costs[ui]
+
+    at_br = cost(br)
+    grid_min = min(cost((r - r * i / 1000, r * i / 1000))
+                   for i in range(1001))
+    assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
+
+
+def full_state_cost(game, state, ui):
+    """Operating cost of user ``ui`` from every user's link loads, summed
+    path by path in user order."""
+    m = len(game.net.links)
+    loads, totals = [], [0.0] * m
+    for paths, flows in zip(game.path_link_idx, state):
+        own = [0.0] * m
+        for links_p, v in zip(paths, flows):
+            if v == 0.0:
+                continue
+            for li in links_p:
+                own[li] += v
+                totals[li] += v
+        loads.append(own)
+    return weighted_cost(game.coop.rows[ui],
+                         user_costs(game.net.links, loads, totals))
+
+
+DEVIATION_GAMES = {
+    "asym-cross-0": lambda: get_preset("braess-lb-asym").build_game(param=0.0),
+    "asym-cross-0.5": lambda: get_preset("braess-lb-asym").build_game(
+        param=0.5),
+    "asym-cross-10": lambda: get_preset("braess-lb-asym").build_game(
+        param=10.0),
+    "sym-cross-10": lambda: get_preset("braess-lb-sym").build_game(
+        param=10.0),
+    "exp1": lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)),
+    # user 1 puts weight 0 on user 2, whose flow fills l1: 0 * inf = 0
+    "weight-0-on-full-link": lambda: parallel_game(
+        [MM1Cost(1.0), LinearCost(1.0, 0.2)], [1.0, 1.0], [0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", list(DEVIATION_GAMES))
+def test_deviation_cost_equals_full_state_cost(name):
+    # the verifier's sweep recomputes only the deviating user's links;
+    # it must price every split exactly as the full state does
+    game = DEVIATION_GAMES[name]()
+    g = nash.DEVIATION_GRID
+    seen_inf = False
+    for ui, r in enumerate(game.demands):
+        r_other = game.demands[1 - ui]
+        for share in (0.0, 0.3, 1.0):
+            state = [None, None]
+            state[ui] = [r, 0.0]
+            state[1 - ui] = [r_other - share * r_other, share * r_other]
+            splits = [(r - r * i / (g - 1), r * i / (g - 1))
+                      for i in range(g)]
+            cost = deviation_cost(game.net.links, game.path_link_idx, state,
+                                  game.coop.rows[ui], ui)
+            for flows, got in zip(splits, cost(splits)):
+                trial = [list(s) for s in state]
+                trial[ui] = list(flows)
+                assert got == full_state_cost(game, trial, ui)
+                seen_inf |= got == math.inf
+    if name in ("asym-cross-0", "weight-0-on-full-link"):
+        assert seen_inf
+
+
+# Cost-method calls one solve made when the exact best response came in
+# (exp1 at (0.95, 0) and braess-lb-sym at capacity 10).  With 60-step
+# bisection the same solves made 284,759 value and 220,575 derivative
+# calls, and 318,896 and 254,712.
+SOLVE_WORK = {
+    "exp1": {"value": 48_208, "derivative": 48, "curvature": 0},
+    "braess-lb-sym": {"value": 96_480, "derivative": 48_318,
+                      "curvature": 48_270},
+}
+
+
+@pytest.mark.parametrize("preset", list(SOLVE_WORK))
+def test_solve_work_stays_bounded(preset, monkeypatch):
+    # wall time is too noisy to catch a slow fallback; call counts are not
+    if preset == "exp1":
+        game = get_preset(preset).build_game(alphas=(0.95, 0.0))
+    else:
+        game = get_preset(preset).build_game(param=10.0)
+    calls = dict.fromkeys(SOLVE_WORK[preset], 0)
+    for cls in (LinearCost, MM1Cost):
+        for meth in calls:
+            def counted(self, flow, _orig=getattr(cls, meth), _meth=meth):
+                calls[_meth] += 1
+                return _orig(self, flow)
+            monkeypatch.setattr(cls, meth, counted)
+    multistart_nash(game)
+    for meth, measured in SOLVE_WORK[preset].items():
+        assert calls[meth] <= 2 * measured, meth
 
 
 class TestMakeGame:
@@ -169,6 +344,14 @@ class TestMultistartLinear:
         reached = sum(1 for eq in eqs if not eq.scan_found)
         assert eqs.diagnostics["scan_added"] == 1
         assert len(calls) == eqs.diagnostics["scan_candidates"] + reached
+
+    def test_scan_coverage(self):
+        eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
+        assert eqs.diagnostics["scan_coverage"] == "2x2"
+        eqs = multistart_nash(parallel_game([LinearCost(1.0, 0.5)],
+                                            [1.0, 1.0], [0.5, 0.0]))
+        assert eqs.diagnostics["scan_coverage"] == "none"
+        assert eqs.diagnostics["scan_candidates"] == 0
 
     def test_results_are_reproducible(self):
         a = multistart_nash(linear_two_origin((0.95, 0.0)))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cooproute.search import (argmin_by_derivative, bisect_sign_change,
-                              scan_sign_changes)
+                              newton_argmin, scan_sign_changes)
 
 
 class TestBisectSignChange:
@@ -85,3 +85,61 @@ class TestArgminByDerivative:
     def test_matches_clamped_vertex(self, c, a):
         x = argmin_by_derivative(lambda t: 2.0 * a * (t - c), 0.0, 3.0)
         assert x == pytest.approx(min(max(c, 0.0), 3.0), abs=1e-9)
+
+
+class TestNewtonArgmin:
+    @staticmethod
+    def pole(t):
+        # derivative of a convex cost whose latency blows up at t = 2
+        if t >= 2.0:
+            return math.nan, math.nan
+        return 1.0 / (2.0 - t) ** 2 - 4.0, 2.0 / (2.0 - t) ** 3
+
+    def test_interior_quadratic_minimum(self):
+        x = newton_argmin(lambda t: (2.0 * (t - 1.25), 2.0), 0.0, 3.0)
+        assert x == 1.25
+
+    def test_corners_match_argmin_by_derivative(self):
+        assert newton_argmin(lambda t: (2.0 * (t + 1.0), 2.0), 0.0, 3.0) == 0.0
+        assert newton_argmin(lambda t: (2.0 * (t - 5.0), 2.0), 0.0, 3.0) == 3.0
+        assert newton_argmin(lambda t: (0.0, 0.0), 0.0, 3.0) == 0.0
+        assert newton_argmin(lambda t: (1.0, 0.0), 2.0, 1.0) == 2.0
+
+    def test_nan_region_is_stepped_around(self):
+        evals = []
+
+        def deriv(t):
+            evals.append(t)
+            return self.pole(t)
+
+        x = newton_argmin(deriv, 0.0, 3.0)
+        assert x == pytest.approx(1.5, abs=1e-15)
+        assert x == pytest.approx(
+            argmin_by_derivative(lambda t: self.pole(t)[0], 0.0, 3.0),
+            abs=1e-12)
+        assert len(evals) <= 12
+
+    def test_flat_slope_bisects(self):
+        # a slope of zero or infinity gives no Newton step
+        def deriv(t):
+            return t - 0.7, (0.0 if t < 0.5 else math.inf)
+
+        assert newton_argmin(deriv, 0.0, 1.0) == pytest.approx(0.7, abs=1e-15)
+
+    def test_step_cap(self):
+        # one step evaluates the midpoint and takes the Newton step from it
+        x = newton_argmin(lambda t: (t * t * t - 0.001, 3.0 * t * t),
+                          0.0, 1.0, iters=1)
+        assert x == pytest.approx(0.5 - (0.125 - 0.001) / 0.75, abs=1e-15)
+
+    @settings(max_examples=60)
+    @given(st.floats(-1.0, 4.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0))
+    def test_matches_bisection(self, c, a, k):
+        # convex cost a (t - c)^2 + k (t - c)^4 / 4 on [0, 3]
+        def deriv(t):
+            return 2 * a * (t - c) + k * (t - c) ** 3, 2 * a + 3 * k * (t - c) ** 2
+
+        x = newton_argmin(deriv, 0.0, 3.0)
+        assert x == pytest.approx(min(max(c, 0.0), 3.0), abs=1e-12)
+        assert x == pytest.approx(
+            argmin_by_derivative(lambda t: deriv(t)[0], 0.0, 3.0), abs=1e-12)
