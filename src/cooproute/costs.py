@@ -236,6 +236,11 @@ class SplitCost:
     the second path and subtracts it on the first; either way it adds
     ``2 b T' + (w + b x) T''`` to the derivative's slope.  On affine
     links the derivative is the line ``C + S t``.
+
+    With every link on the second path (``n1 == len(specs)``) the
+    derivative is the user's marginal cost along that one path at own
+    flow ``t``, and ``demand`` plays no part: that is how a user whose
+    paths share no link prices each of them.
     """
 
     specs: tuple[CostSpec, ...]

@@ -5,7 +5,10 @@ order, each one exactly minimizing its operating cost against the current
 flows of the others.  A two-path user's derivative along its split is a
 line on affine links, whose zero is the best response in closed form;
 on other links a safeguarded Newton search finds it inside a
-capacity-guarded bracket.  Users with more paths fall back to a
+capacity-guarded bracket.  A user with three or more link-disjoint
+paths, such as parallel links, water-fills: safeguarded Newton on the
+marginal-cost level, with each path's flow at that level found by the
+same Newton search.  Other users with three or more paths fall back to a
 conditional-gradient loop.  A multistart driver clusters the fixed
 points reached from a grid of starting splits and counts basin sizes.
 
@@ -16,11 +19,12 @@ composition for sign changes and refines each bracket by bisection
 (``search.scan_sign_changes``), which recovers the repelling equilibria
 with a basin count of zero.
 
-Costs, path marginals and the two-path derivative come from ``costs``;
-this module only sums its per-path state into link loads, in a fixed
-order, and hands them over.  The verifier's deviation sweep prices each
-split with ``costs.deviation_cost``, which recomputes only the deviating
-user's links and matches the full-state cost exactly.
+Costs, path marginals and the two-path derivative, which also prices
+one path alone, come from ``costs``; this module only sums its per-path
+state into link loads, in a fixed order, and hands them over.  The
+verifier's deviation sweep prices each split with
+``costs.deviation_cost``, which recomputes only the deviating user's
+links and matches the full-state cost exactly.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ class RoutingGame:
     coop: CooperationProfile
     path_link_idx: tuple = field(default=(), repr=False, compare=False)
     two_path: tuple = field(default=(), repr=False, compare=False)
+    disjoint: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         pli = []
@@ -98,6 +103,19 @@ class RoutingGame:
         object.__setattr__(self, "two_path", tuple(
             self._two_path_user(ui) if len(idx) == 2 else None
             for ui, idx in enumerate(pli)))
+        # Three or more paths, none sharing a link with another: each
+        # path is priced alone, by a one-path ``SplitCost``.
+        object.__setattr__(self, "disjoint", tuple(
+            self._disjoint_user(ui) if len(idx) > 2 and len(
+                {l for p in idx for l in p}) == sum(map(len, idx)) else None
+            for ui, idx in enumerate(pli)))
+
+    def _disjoint_user(self, ui: int) -> tuple[SplitCost, ...]:
+        b, r = self.coop.rows[ui][ui], self.users[ui].demand
+        return tuple(
+            SplitCost(specs=tuple(self.net.links[li].cost for li in p),
+                      n1=len(p), own_weight=b, demand=r)
+            for p in self.path_link_idx[ui])
 
     def _two_path_user(self, ui: int) -> _TwoPath:
         p0, p1 = self.path_link_idx[ui]
@@ -220,6 +238,131 @@ def _two_path_response(game: RoutingGame, ui: int, r: float, state,
     return (r - t, t)
 
 
+def _settle(x, lo, hi, r: float, order=None) -> tuple[float, ...]:
+    """Move the flows ``x`` inside ``[lo, hi]``, one path at a time in
+    ``order`` (path order by default), until they sum to ``r``."""
+    x = list(x)
+    d = r - math.fsum(x)
+    for p in range(len(x)) if order is None else order:
+        if d == 0.0:
+            break
+        nv = min(max(x[p] + d, lo[p]), hi[p])
+        d -= nv - x[p]
+        x[p] = nv
+    return tuple(x)
+
+
+def _disjoint_response(game: RoutingGame, ui: int, r: float, state,
+                       iters: int) -> tuple[float, ...]:
+    """Water-filling on link-disjoint paths.
+
+    Path ``p``'s marginal ``m_p`` rises with its own flow, so at a level
+    ``lam`` the path carries the root of ``m_p(x) = lam`` in
+    ``[0, top_p]``, where ``top_p`` keeps ``CAPACITY_GUARD`` below every
+    M/M/1 capacity on the path.  The total supply rises with ``lam``;
+    safeguarded Newton on ``lam`` (its slope is the sum of ``1 / m_p'``
+    over the paths strictly inside) finds the level where it meets
+    ``r``.  A flat marginal makes the supply jump; its paths are filled
+    in path order at the final level.
+    """
+    margins = game.disjoint[ui]
+    totals, weighted = _state_loads(game, state, ui)
+    loads = [([totals[li] for li in p], [weighted[li] for li in p])
+             for p in game.path_link_idx[ui]]
+
+    def marginal(p: int, x: float) -> tuple[float, float]:
+        # Path p's marginal and its slope at own flow x.
+        return margins[p].derivative(x, *loads[p])
+
+    k = len(margins)
+    tops = [r] * k
+    for p, (split, (others, _)) in enumerate(zip(margins, loads)):
+        for spec, o in zip(split.specs, others):
+            if isinstance(spec, MM1Cost):
+                tops[p] = min(tops[p], spec.capacity - o - CAPACITY_GUARD)
+    tops = [max(t, 0.0) for t in tops]
+    if math.fsum(tops) < r:
+        raise SolverError(
+            f"user {game.users[ui].user_id} cannot route its demand below "
+            f"the capacities of its paths")
+    live = [p for p in range(k) if tops[p] > 0.0]
+    zeros = [0.0] * k
+    # m_p(0), m_p'(0) and m_p(top_p) do not move with the level.
+    ends = {}
+    for p in live:
+        m0, s0 = marginal(p, 0.0)
+        ends[p] = (m0, s0, marginal(p, tops[p])[0])
+
+    def supply(lam: float):
+        # The least and the greatest flows at level lam, and each path's
+        # gain 1 / m_p' just above lam: the supply's slope is their sum.
+        lower, upper, gains = list(zeros), list(zeros), list(zeros)
+        for p in live:
+            m0, s0, mt = ends[p]
+            if m0 >= lam:
+                if mt <= lam:
+                    upper[p] = tops[p]
+                elif m0 == lam and s0 > 0.0:
+                    gains[p] = 1.0 / s0
+                continue
+            if mt <= lam:
+                lower[p] = upper[p] = tops[p]
+                continue
+            seen = [math.nan, 0.0]
+
+            def excess(x: float, p: int = p) -> tuple[float, float]:
+                m, s = marginal(p, x)
+                seen[0], seen[1] = x, s
+                return m - lam, s
+
+            x = newton_argmin(excess, 0.0, tops[p], iters)
+            s = seen[1] if seen[0] == x else excess(x)[1]
+            lower[p] = upper[p] = x
+            if s > 0.0:
+                gains[p] = 1.0 / s
+        return lower, upper, gains
+
+    # Probe the highest m_p(top_p), where every path is full unless flat
+    # there, and the lowest m_p(0), where every path is empty.  Then
+    # probe the levels of flat marginals, the only places the supply
+    # jumps, so that Newton runs where the supply is continuous.
+    probes = [max(mt for _, _, mt in ends.values()),
+              min(m0 for m0, _, _ in ends.values()),
+              *sorted({m0 for m0, _, mt in ends.values() if m0 == mt})]
+    a, b, below, above = -math.inf, math.inf, zeros, tops
+    for n in itertools.count():
+        lam = probes.pop(0) if probes else lam
+        lower, upper, gains = supply(lam)
+        low_sum, high_sum = math.fsum(lower), math.fsum(upper)
+        if low_sum <= r <= high_sum:
+            return _settle(lower, lower, upper, r)
+        if high_sum < r:
+            a, below, gap = lam, upper, high_sum - r
+        else:
+            b, above, gap = lam, lower, low_sum - r
+        probes = [v for v in probes if a < v < b]
+        if probes:
+            continue
+        nxt = 0.5 * (a + b)
+        slope = sum(gains)
+        # Newton for the first ``iters`` steps, then plain bisection.
+        if n < iters and 0.0 < slope < math.inf:
+            step = lam - gap / slope
+            if step == lam:
+                # The level is exact to float resolution.  The rest goes
+                # to the paths that move with it, flattest marginal
+                # first, so that it moves their marginals least.
+                return _settle(lower, zeros, tops, r, sorted(
+                    (p for p in range(k) if gains[p] > 0.0),
+                    key=lambda p: -gains[p]))
+            if a < step < b:
+                nxt = step
+        if not a < nxt < b:
+            # No float left between the ends: fill from below toward above.
+            return _settle(below, below, above, r)
+        lam = nxt
+
+
 def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
                             others, weighted, iters: int) -> tuple[float, ...]:
     idx = game.path_link_idx[ui]
@@ -283,6 +426,8 @@ def _best_response(game: RoutingGame, state, ui: int,
         return (r,)
     if game.two_path[ui] is not None:
         return _two_path_response(game, ui, r, state, iters)
+    if game.disjoint[ui] is not None:
+        return _disjoint_response(game, ui, r, state, iters)
     others, weighted = _state_loads(game, state, ui)
     return _cond_gradient_response(game, state, ui, r, others, weighted,
                                    iters)
@@ -612,8 +757,9 @@ def _scan_for_fixed_points(game: RoutingGame):
 def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     """Find the game's equilibria from a grid of starts plus a scan pass.
 
-    Starting profiles are the product of per-user splits.  Because the
-    first user's exact best response does not depend on its own start,
+    Starting profiles are the product of per-user splits.  When the
+    first user's best response is exact (two paths or fewer, or
+    link-disjoint paths) it does not depend on its own start, so
     trajectories differing only there coincide after one step; they are
     run once and their count is credited to the reached basin.
     """
@@ -622,7 +768,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     total_starts = 1
     for opts in options:
         total_starts *= len(opts)
-    collapse = len(game.paths.paths[0]) <= 2 if n else False
+    collapse = n > 0 and (len(game.paths.paths[0]) <= 2
+                          or game.disjoint[0] is not None)
     if collapse and len(options[0]) > 1:
         weight = len(options[0])
         head = [options[0][0]]

@@ -143,6 +143,25 @@ class TestSplitCost:
               - split.derivative(t - h, mine, mine_w)[0]) / (2 * h)
         assert slope == pytest.approx(fd, rel=1e-5)
 
+    @settings(max_examples=40)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 0.95))
+    def test_one_path_derivative_is_the_path_marginal(self, b, share):
+        # every link on the second path: the marginal along (l2, l3)
+        specs = [MM1Cost(3.0), MM1Cost(2.5), LinearCost(1.0, 0.2)]
+        links = parallel_net(specs).links
+        others, weighted = [0.7, 0.4, 0.1], [0.3, 0.2, 0.05]
+        path = SplitCost(specs=(specs[1], specs[2]), n1=2, own_weight=b,
+                         demand=1.5)
+        t, h = 1.5 * share, 1e-6
+        m, slope = path.derivative(t, others[1:], weighted[1:])
+        assert m == path_marginals(links, self.PATHS, b, others, weighted,
+                                   [0.0, t])[1]
+        if t > h:
+            fd = (path.derivative(t + h, others[1:], weighted[1:])[0]
+                  - path.derivative(t - h, others[1:], weighted[1:])[0]
+                  ) / (2 * h)
+            assert slope == pytest.approx(fd, rel=1e-5)
+
 
 class TestCooperationProfile:
     def test_from_alphas_splits_weight_evenly(self):

@@ -16,7 +16,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
@@ -24,6 +24,7 @@ from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
                        nash, netmodel, verify_nash)
 from cooproute.costs import (CAPACITY_GUARD, deviation_cost, path_marginals,
                              user_costs, weighted_cost)
+from cooproute.errors import InfeasibleError, SolverError
 from cooproute.nash import _best_response, _state_loads, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
 from cooproute.search import argmin_by_derivative
@@ -163,6 +164,101 @@ def test_exact_response_matches_bisection(case):
     assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
 
 
+def simplex_grid(r, rooms, steps=100):
+    """Every split of ``r`` over ``len(rooms)`` paths in multiples of
+    ``r / steps`` that keeps each path's flow below its room."""
+    ticks = [r * i / steps for i in range(steps + 1)]
+
+    def splits(p, left):
+        if p == len(rooms) - 1:
+            return [(ticks[left],)] if ticks[left] < rooms[p] else []
+        return [(ticks[i],) + rest for i in range(left + 1)
+                if ticks[i] < rooms[p] for rest in splits(p + 1, left - i)]
+    return splits(0, steps)
+
+
+@st.composite
+def disjoint_response_cases(draw):
+    """One responding user on 3 or 4 parallel links beside one or two
+    users of fixed random splits.  Links are affine or M/M/1; an M/M/1
+    capacity sits just above the other users' load on it, so the guard
+    bracket binds.  Some cases put alpha = 1 on affine links of one
+    slope, where every path's marginal is flat."""
+    k = draw(st.integers(3, 4))
+    n = draw(st.integers(2, 3))
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n))
+    shares = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    state = [[demands[0]] + [0.0] * (k - 1)]
+    for r in demands[1:]:
+        w = draw(st.lists(shares, min_size=k, max_size=k))
+        assume(sum(w) > 0)
+        state.append([r * v / sum(w) for v in w])
+    loads = [sum(s[l] for s in state[1:]) for l in range(k)]
+    if draw(st.booleans()):
+        slope = draw(st.floats(0.0, 3.0))
+        latencies = [LinearCost(slope, draw(st.floats(0.0, 2.0)))
+                     for _ in range(k)]
+        alpha = 1.0
+    else:
+        latencies = [MM1Cost(loads[l] + draw(st.floats(1e-3, 1.5)))
+                     if draw(st.booleans()) else
+                     LinearCost(draw(st.floats(0.0, 3.0)),
+                                draw(st.floats(0.0, 2.0)))
+                     for l in range(k)]
+        alpha = draw(st.floats(0.0, 1.0))
+    try:
+        game = parallel_game(latencies, demands, [alpha] * n)
+    except InfeasibleError:  # the capacities cannot hold all the demand
+        reject()
+    return game, state
+
+
+@settings(max_examples=20, deadline=None)
+@given(disjoint_response_cases())
+def test_water_filling_response_is_optimal(case):
+    game, state = case
+    r = game.demands[0]
+    paths = game.path_link_idx[0]
+    own_weight = game.coop.rows[0][0]
+    others, weighted = _state_loads(game, state, 0)
+    # a path's flow stays CAPACITY_GUARD below the room its M/M/1 link has
+    rooms = [math.inf] * len(paths)
+    for p, (li,) in enumerate(paths):
+        c = game.net.links[li].cost
+        if isinstance(c, MM1Cost):
+            rooms[p] = c.capacity - others[li]
+    tops = [min(r, room - CAPACITY_GUARD) for room in rooms]
+    total_room = math.fsum(max(t, 0.0) for t in tops)
+    assume(abs(total_room - r) > 1e-9)
+    if total_room < r:
+        with pytest.raises(SolverError):
+            _best_response(game, state, 0, 60)
+        return
+    br = _best_response(game, state, 0, 60)
+    assert math.fsum(br) == pytest.approx(r, abs=1e-12)
+    assert all(0.0 <= x <= max(t, 0.0) for x, t in zip(br, tops))
+    # No path with flow has a marginal above a path with room left, to the
+    # flows' float resolution: near a capacity the marginal can move by
+    # more than 1e-9 between neighbouring floats, so a path's flow is
+    # nudged one float toward the side it is compared on.
+    def marginals(flows):
+        return path_marginals(game.net.links, paths, own_weight, others,
+                              weighted, flows)
+
+    up = marginals([math.nextafter(x, math.inf) for x in br])
+    down = marginals([math.nextafter(x, 0.0) for x in br])
+    lam = min(m for x, m, t in zip(br, up, tops) if x < t)
+    for x, m in zip(br, down):
+        if x > 0.0:
+            assert m - lam <= 1e-9 * max(1.0, abs(lam))
+    cost = deviation_cost(game.net.links, game.path_link_idx, state,
+                          game.coop.rows[0], 0)
+    at_br = cost([br])[0]
+    # splits that fill an M/M/1 link cost infinity; leave them out
+    grid_min = min(cost(simplex_grid(r, rooms)), default=math.inf)
+    assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
+
+
 def full_state_cost(game, state, ui):
     """Operating cost of user ``ui`` from every user's link loads, summed
     path by path in user order."""
@@ -222,24 +318,38 @@ def test_deviation_cost_equals_full_state_cost(name):
         assert seen_inf
 
 
+def three_link_game(alpha):
+    # three users of demand 1 on l1 (M/M/1, capacity 3), l2 (f + 0.2)
+    # and l3 (M/M/1, capacity 2.5), all at cooperation degree alpha
+    return parallel_game([MM1Cost(3.0), LinearCost(1.0, 0.2), MM1Cost(2.5)],
+                         [1.0, 1.0, 1.0], [alpha] * 3)
+
+
 # Cost-method calls one solve made when the exact best response came in
 # (exp1 at (0.95, 0) and braess-lb-sym at capacity 10).  With 60-step
 # bisection the same solves made 284,759 value and 220,575 derivative
-# calls, and 318,896 and 254,712.
+# calls, and 318,896 and 254,712.  The three-link game at alpha 0.3 made
+# 11,990,442 value and 11,990,424 derivative calls over 64 trajectories
+# with the conditional-gradient best response, before water-filling.
 SOLVE_WORK = {
     "exp1": {"value": 48_208, "derivative": 48, "curvature": 0},
     "braess-lb-sym": {"value": 96_480, "derivative": 48_318,
                       "curvature": 48_270},
+    "parallel-3x3": {"value": 219_787, "derivative": 219_769,
+                     "curvature": 219_760},
+}
+SOLVE_GAMES = {
+    "exp1": lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)),
+    "braess-lb-sym": lambda: get_preset("braess-lb-sym").build_game(
+        param=10.0),
+    "parallel-3x3": lambda: three_link_game(0.3),
 }
 
 
 @pytest.mark.parametrize("preset", list(SOLVE_WORK))
 def test_solve_work_stays_bounded(preset, monkeypatch):
     # wall time is too noisy to catch a slow fallback; call counts are not
-    if preset == "exp1":
-        game = get_preset(preset).build_game(alphas=(0.95, 0.0))
-    else:
-        game = get_preset(preset).build_game(param=10.0)
+    game = SOLVE_GAMES[preset]()
     calls = dict.fromkeys(SOLVE_WORK[preset], 0)
     for cls in (LinearCost, MM1Cost):
         for meth in calls:
@@ -247,9 +357,14 @@ def test_solve_work_stays_bounded(preset, monkeypatch):
                 calls[_meth] += 1
                 return _orig(self, flow)
             monkeypatch.setattr(cls, meth, counted)
-    multistart_nash(game)
+    eqs = multistart_nash(game)
     for meth, measured in SOLVE_WORK[preset].items():
         assert calls[meth] <= 2 * measured, meth
+    if preset == "parallel-3x3":
+        # the first user's water-filling response ignores its own start,
+        # so its 4 starts run as one trajectory each
+        assert eqs.diagnostics["trajectories"] == 16
+        assert sum(eq.basin_count for eq in eqs) == 64
 
 
 class TestMakeGame:
@@ -469,6 +584,106 @@ class TestSaturatedStarts:
         raw = cost_report(game.net, prof, game.coop).raw_costs
         assert all(c < math.inf for c in raw)
         assert verify_nash(game, prof).ok
+
+
+def bisect_increasing(f, lo, hi):
+    """The point in [lo, hi] where the increasing ``f`` crosses zero."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def symmetric_water_level(alpha):
+    """Per-user link flows of the three-link game's symmetric equilibrium.
+
+    With every user on split ``x``, link ``l`` carries ``3 x_l`` and each
+    user weighs the others' load there by ``alpha / 2``, so the marginal
+    of one user on ``l`` is ``(1 - alpha) T(3 x) + x T'(3 x)``.  The
+    split fills the links to the level where the flows sum to 1.
+    """
+    links = [  # (T, T') of l1, l2, l3
+        (lambda f: 1 / (3.0 - f), lambda f: 1 / (3.0 - f) ** 2),
+        (lambda f: f + 0.2, lambda f: 1.0),
+        (lambda f: 1 / (2.5 - f), lambda f: 1 / (2.5 - f) ** 2)]
+    caps = [1.0, 1.0, 2.5 / 3]
+
+    def marginal(l, x):
+        t, dt = links[l]
+        return (1 - alpha) * t(3 * x) + x * dt(3 * x)
+
+    def split(lam):
+        return [0.0 if marginal(l, 0.0) >= lam else
+                bisect_increasing(lambda x: marginal(l, x) - lam, 0.0,
+                                  min(caps[l] * (1 - 1e-12), 1.0))
+                for l in range(3)]
+
+    lam = bisect_increasing(lambda lam: sum(split(lam)) - 1.0, 0.0, 100.0)
+    return split(lam)
+
+
+class TestThreeParallelLinks:
+    """The three-link game of ``three_link_game``: every user has three
+    link-disjoint paths, so its best response is water-filling."""
+
+    @pytest.mark.parametrize("start", [(1 / 3, 1 / 3, 1 / 3),
+                                       (0.0, 1.0, 0.0)])
+    def test_converged_dynamics_verify(self, start):
+        # converged must mean verified: a best response that is not exact
+        # lets the sweep deltas fall below FP_TOL away from any equilibrium
+        game = three_link_game(0.9)
+        res = br_dynamics(game, [start] * 3)
+        assert res.converged
+        assert res.sweeps <= 10
+        assert verify_nash(game, profile_from_state(game, res.state)).ok
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_unique_symmetric_equilibrium(self, alpha):
+        eqs = multistart_nash(three_link_game(alpha))
+        assert len(eqs) == 1
+        eq = eqs.equilibria[0]
+        assert eq.verified
+        assert eq.basin_count == 64
+        want = symmetric_water_level(alpha)
+        for flows in eq.profile.path_flows:
+            assert flows == pytest.approx(want, abs=1e-7)
+
+    def test_several_equilibria_under_cooperation(self):
+        eqs = multistart_nash(three_link_game(0.9))
+        assert len(eqs) >= 2
+        assert all(eq.verified for eq in eqs)
+        assert sum(eq.basin_count for eq in eqs) == 64
+
+
+def test_overlapping_paths_keep_conditional_gradient():
+    # one user through Braess's network: s-a-b-t shares a link with each
+    # of s-a-t and s-b-t, so the best response is the conditional-gradient
+    # loop.  Links sa, ab and bt cost f, and sb and at cost f + 1; equal
+    # path marginals put 1/4 across ab and 3/8 on each side, at level 3.
+    net = build_network(["s", "a", "b", "t"], [
+        ("sa", "s", "a", LinearCost(1.0)),
+        ("sb", "s", "b", LinearCost(1.0, 1.0)),
+        ("ab", "a", "b", LinearCost(1.0)),
+        ("at", "a", "t", LinearCost(1.0, 1.0)),
+        ("bt", "b", "t", LinearCost(1.0))])
+    game = make_game(net, [UserSpec(1, "s", "t", 1.0)], [0.0])
+    assert game.paths.paths[0] == (("sa", "ab", "bt"), ("sa", "at"),
+                                   ("sb", "bt"))
+    assert game.two_path[0] is None and game.disjoint[0] is None
+    res = br_dynamics(game, [(1.0, 0.0, 0.0)])
+    assert res.converged
+    assert res.state[0] == pytest.approx((0.25, 0.375, 0.375), abs=1e-6)
+    check = verify_nash(game, profile_from_state(game, res.state))
+    assert check.ok
+    assert check.kkt_multipliers[0] == pytest.approx(3.0, abs=1e-6)
+    cost = deviation_cost(game.net.links, game.path_link_idx,
+                          [list(res.state[0])], game.coop.rows[0], 0)
+    at_br = cost([res.state[0]])[0]
+    grid_min = min(cost(simplex_grid(1.0, [math.inf] * 3)))
+    assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
 
 
 @settings(max_examples=15, deadline=None)
