@@ -343,7 +343,9 @@ def _cmd_sweep(args, manifest):
                              for s in eqsets),
         "clusters": sum(len(s.equilibria) for s in eqsets),
         "rows_without_scan": sum(s.diagnostics["scan_coverage"] == "none"
-                                 for s in eqsets)}
+                                 for s in eqsets),
+        "rows_certified_unique": sum(
+            s.diagnostics["scan_coverage"] == "unique" for s in eqsets)}
     # Header metadata comes from one cheap rebuild, not from re-solving.
     game0 = sc.build_game()
     user_ids = tuple(u.user_id for u in game0.users)

@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .costs import CAPACITY_GUARD, MM1Cost, CostSpec
+from .costs import CAPACITY_GUARD, MM1Cost
 from .errors import ConfigError, InfeasibleError, SolverError
-from .search import (argmin_by_derivative, bisect_sign_change,
-                     scan_sign_changes)
+from .search import argmin_by_derivative, scan_sign_changes
 
 _REGION_TOL = 1e-12
 _DUP_TOL = 1e-9
@@ -72,26 +71,24 @@ class MixedScenario:
                         "capacity": self.capacity_one + self.capacity_two})
 
 
-def wardrop_split(cost_one: CostSpec, cost_two: CostSpec, base_one: float,
+def wardrop_split(cost_one: MM1Cost, cost_two: MM1Cost, base_one: float,
                   base_two: float, mass: float) -> float:
-    """Equal-latency split of ``mass`` over two links with fixed base loads.
+    """Equal-latency split of ``mass`` over two M/M/1 links with fixed
+    base loads.
 
-    Returns the amount sent to the second link.  The latency difference
-    is strictly decreasing in that amount, so the split is the bisected
-    sign change, with the corners decided by the difference's sign at the
-    bracket ends.
+    Returns the amount sent to the second link.  Equal latency on two
+    M/M/1 links means equal slack, so the split is half of
+    ``room_two - room_one + mass``, clamped to the capacity-guarded
+    bracket.  When the bracket is empty, the mass goes whole to a link
+    with room for it.
     """
     if mass == 0.0:
         return 0.0
     guard = CAPACITY_GUARD
-    room_one = math.inf
-    room_two = math.inf
-    if isinstance(cost_one, MM1Cost):
-        room_one = cost_one.capacity - base_one
-    if isinstance(cost_two, MM1Cost):
-        room_two = cost_two.capacity - base_two
-    lo = max(mass - room_one + guard, 0.0) if room_one < math.inf else 0.0
-    hi = min(room_two - guard, mass) if room_two < math.inf else mass
+    room_one = cost_one.capacity - base_one
+    room_two = cost_two.capacity - base_two
+    lo = max(mass - room_one + guard, 0.0)
+    hi = min(room_two - guard, mass)
     if lo > hi:
         if lo > mass and room_two - guard >= mass:
             return mass
@@ -100,12 +97,7 @@ def wardrop_split(cost_one: CostSpec, cost_two: CostSpec, base_one: float,
         raise InfeasibleError(
             "background traffic does not fit on the two links",
             detail={"mass": mass, "room_one": room_one, "room_two": room_two})
-
-    def gap(w: float) -> float:
-        return (cost_one.value(base_one + mass - w)
-                - cost_two.value(base_two + w))
-
-    return bisect_sign_change(gap, lo, hi, iters=80)
+    return min(max(0.5 * (room_two - room_one + mass), lo), hi)
 
 
 def _group_response(s: MixedScenario, w: float, iters: int = 80) -> float:

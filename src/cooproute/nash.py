@@ -17,7 +17,12 @@ interior equilibria of these games are often repelling.  For two users
 with two paths each the driver therefore also scans the best-response
 composition for sign changes and refines each bracket by bisection
 (``search.scan_sign_changes``), which recovers the repelling equilibria
-with a basin count of zero.
+with a basin count of zero.  Only a scan candidate that opens a new
+cluster is verified.  On affine links the game can be certified, in
+exact arithmetic, to have a single equilibrium (Rosen's diagonal strict
+convexity with unit weights); when the dynamics reach one verified
+equilibrium of a certified game, there is nothing left for the scan to
+find and it is skipped.
 
 Costs, path marginals and the two-path derivative, which also prices
 one path alone, come from ``costs``; this module only sums its per-path
@@ -32,11 +37,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
-                    MM1Cost, SplitCost, cost_report, deviation_cost,
-                    path_marginal, path_marginals, user_costs)
+                    LinearCost, MM1Cost, SplitCost, cost_report,
+                    deviation_cost, path_marginal, path_marginals,
+                    user_costs)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
@@ -677,9 +684,9 @@ def profile_from_state(game: RoutingGame, state) -> FlowProfile:
 class _Cluster:
     """Fixed points within ``CLUSTER_RADIUS`` of the first one.  A cluster
     the scan added keeps the check that admitted it; ``check`` is None for
-    a cluster that dynamics reached."""
+    a cluster that dynamics reached.  ``done`` caches ``_finish``."""
 
-    __slots__ = ("red", "state", "basin", "mins", "maxs", "check")
+    __slots__ = ("red", "state", "basin", "mins", "maxs", "check", "done")
 
     def __init__(self, red, state, weight, check):
         self.red = red
@@ -688,20 +695,84 @@ class _Cluster:
         self.mins = list(red)
         self.maxs = list(red)
         self.check = check
+        self.done = None
 
 
-def _cluster_merge(clusters: list[_Cluster], red, state, weight,
-                   check=None) -> bool:
+def _cluster_of(clusters: list[_Cluster], red) -> _Cluster | None:
+    """The first cluster within ``CLUSTER_RADIUS`` of ``red``, if any."""
     for c in clusters:
         if all(abs(a - b) <= CLUSTER_RADIUS for a, b in zip(red, c.red)):
-            c.basin += weight
-            for i, v in enumerate(red):
-                if v < c.mins[i]:
-                    c.mins[i] = v
-                if v > c.maxs[i]:
-                    c.maxs[i] = v
+            return c
+    return None
+
+
+def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
+    c = _cluster_of(clusters, red)
+    if c is None:
+        clusters.append(_Cluster(red, state, weight, None))
+        return
+    c.basin += weight
+    for i, v in enumerate(red):
+        if v < c.mins[i]:
+            c.mins[i] = v
+        if v > c.maxs[i]:
+            c.maxs[i] = v
+
+
+def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
+    """A cluster's profile and its check, computed on the first call and
+    cached.  A cluster that dynamics reached is polished by three sweeps
+    and verified here; a scan cluster keeps the check that admitted it."""
+    if c.done is None:
+        state = [list(s) for s in c.state]
+        if c.check is None:
+            for _ in range(3):
+                for ui in range(len(game.users)):
+                    state[ui] = list(_best_response(game, state, ui, 60))
+        profile = profile_from_state(game, state)
+        c.done = (profile, c.check or verify_nash(game, profile))
+    return c.done
+
+
+def _certified_unique(game: RoutingGame) -> bool:
+    """Whether Rosen's test proves that the game has one equilibrium.
+
+    It applies when every user has two paths and every link is affine.
+    User ``i``'s derivative along its second-path flow is then affine in
+    all users' second-path flows, with the constant Jacobian
+
+        J_ii = 2 w_ii sum_l a_l e_il^2,
+        J_ij = (w_ii + w_ij) sum_l a_l e_il e_jl,
+
+    where ``a_l`` is link ``l``'s slope, ``w`` the cooperation rows, and
+    ``e_il`` is +1 on links of ``i``'s second path only, -1 on links of
+    its first path only and 0 elsewhere.  If the symmetric part of ``J``
+    is positive definite, the users' derivatives are strictly monotone
+    and the equilibrium is unique (diagonal strict convexity with unit
+    weights).  Sylvester's criterion decides that exactly: every pivot
+    of Gaussian elimination, in rational arithmetic, must be positive.
+    """
+    if any(tp is None for tp in game.two_path) or not all(
+            isinstance(lk.cost, LinearCost) for lk in game.net.links):
+        return False
+    links = game.net.links
+    signs = [{li: (1 if i < tp.n1 else -1)
+              for i, li in enumerate(tp.links[:tp.n1 + tp.n0])}
+             for tp in game.two_path]
+    w = [[Fraction(v) for v in row] for row in game.coop.rows]
+    n = len(signs)
+    jac = [[(2 * w[i][i] if i == j else w[i][i] + w[i][j]) * sum(
+        (Fraction(links[li].cost.slope) * e * signs[j][li]
+         for li, e in signs[i].items() if li in signs[j]), Fraction(0))
+        for j in range(n)] for i in range(n)]
+    sym = [[(jac[i][j] + jac[j][i]) / 2 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if sym[k][k] <= 0:
             return False
-    clusters.append(_Cluster(red, state, weight, check))
+        for i in range(k + 1, n):
+            f = sym[i][k] / sym[k][k]
+            for j in range(k + 1, n):
+                sym[i][j] -= f * sym[k][j]
     return True
 
 
@@ -762,6 +833,14 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     link-disjoint paths) it does not depend on its own start, so
     trajectories differing only there coincide after one step; they are
     run once and their count is credited to the reached basin.
+
+    For two two-path users the scan then looks for the fixed points that
+    the dynamics repel.  A candidate within ``CLUSTER_RADIUS`` of a known
+    cluster is dropped unverified; any other is verified and, if it
+    passes, opens a cluster with basin 0.  The scan is skipped, and
+    ``diagnostics["scan_coverage"]`` reads ``"unique"``, when the game is
+    certified to have one equilibrium (``_certified_unique``), every
+    trajectory converged, and the one cluster they reached verifies.
     """
     n = len(game.users)
     options = _start_options(game)
@@ -791,29 +870,28 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     scan_added = 0
     scanned = (n == 2 and all(k is not None for k in game.two_path)
                and all(r > 0 for r in game.demands))
-    if scanned:
+    # A certified game has one equilibrium: once the dynamics all reach
+    # it and it verifies, the scan has nothing left to find.
+    unique = (scanned and non_converged == 0 and len(clusters) == 1
+              and _certified_unique(game) and _finish(game, clusters[0])[1].ok)
+    if scanned and not unique:
         for cand in _scan_for_fixed_points(game):
             scan_candidates += 1
+            red = _reduced(game, [list(s) for s in cand])
+            if _cluster_of(clusters, red) is not None:
+                continue
             try:
                 profile = profile_from_state(game, cand)
             except ConfigError:
                 continue
             check = verify_nash(game, profile)
-            if not check.ok:
-                continue
-            red = _reduced(game, [list(s) for s in cand])
-            if _cluster_merge(clusters, red, cand, 0, check):
+            if check.ok:
+                clusters.append(_Cluster(red, cand, 0, check))
                 scan_added += 1
     results = []
     for c in clusters:
-        state = [list(s) for s in c.state]
-        if c.check is None:
-            for _ in range(3):
-                for ui in range(n):
-                    state[ui] = list(_best_response(game, state, ui, 60))
-        profile = profile_from_state(game, state)
+        profile, check = _finish(game, c)
         report = cost_report(game.net, profile, game.coop)
-        check = c.check or verify_nash(game, profile)
         diameter = max((mx - mn for mn, mx in zip(c.mins, c.maxs)),
                        default=0.0)
         results.append(EquilibriumResult(
@@ -827,7 +905,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                    "non_converged": non_converged,
                    "scan_candidates": scan_candidates,
                    "scan_added": scan_added,
-                   "scan_coverage": "2x2" if scanned else "none"}
+                   "scan_coverage": ("unique" if unique else
+                                     "2x2" if scanned else "none")}
     if not results:
         raise SolverError("no starting point converged to an equilibrium",
                           diagnostics=diagnostics)

@@ -96,7 +96,13 @@ class TestSolveCommand:
         assert "solve" in manifest["timings"]
 
     def test_manifest_reports_scan_coverage(self, capsys, tmp_path):
+        # selfish exp1 is certified to have one equilibrium; at (0.95, 0)
+        # it has three and the scan runs
         rc, _, err = run(capsys, "solve", "--preset", "exp1")
+        assert rc == 0
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == "unique"
+        rc, _, err = run(capsys, "solve", "--preset", "exp1",
+                         "--alpha", "0.95", "0")
         assert rc == 0
         assert json.loads(err)["diagnostics"]["scan_coverage"] == "2x2"
         rc, _, err = run(capsys, "solve", "--config",
@@ -263,6 +269,14 @@ class TestSweepCommand:
                          "--alphas", "0,0.2")
         assert rc == 0
         assert json.loads(err)["diagnostics"]["rows_without_scan"] == 0
+
+    def test_manifest_counts_rows_certified_unique(self, capsys):
+        rc, _, err = run(capsys, "sweep", "--preset", "exp1",
+                         "--alphas", "0,0.5,0.95", "--vary", "first")
+        assert rc == 0
+        diagnostics = json.loads(err)["diagnostics"]
+        assert diagnostics["rows_certified_unique"] == 2
+        assert diagnostics["rows_without_scan"] == 0
 
     def test_structural_sweep_alpha_matches_solve(self, capsys):
         rc, out, _ = run(capsys, "sweep", "--preset", "exp5", "--parameter",

@@ -12,12 +12,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, InfeasibleError, MixedScenario,
                        MM1Cost, mixed_closed_form, mixed_costs,
                        mixed_numeric, verify_mixed, wardrop_split)
+from cooproute.costs import CAPACITY_GUARD
+from cooproute.search import bisect_sign_change
 
 
 def reference(alpha):
@@ -67,6 +69,22 @@ class TestWardropSplit:
             assert t1 <= t2 + 1e-6
         else:
             assert t2 <= t1 + 1e-6
+
+    @settings(max_examples=200)
+    @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.0, 0.99),
+           st.floats(0.0, 0.99), st.floats(0.0, 20.0))
+    def test_closed_form_matches_bisection(self, c1, c2, b1, b2, mass):
+        # equal slack on two M/M/1 links against the bisected latency gap
+        one, two = MM1Cost(c1), MM1Cost(c2)
+        base_one, base_two = b1 * c1, b2 * c2
+        lo = max(mass - (c1 - base_one) + CAPACITY_GUARD, 0.0)
+        hi = min(c2 - base_two - CAPACITY_GUARD, mass)
+        assume(0.0 < mass and lo <= hi)
+        w = wardrop_split(one, two, base_one, base_two, mass)
+        ref = bisect_sign_change(
+            lambda v: one.value(base_one + mass - v) - two.value(base_two + v),
+            lo, hi, iters=80)
+        assert abs(w - ref) <= 1e-12 * max(1.0, mass)
 
     def test_all_mass_avoids_full_link(self):
         w = wardrop_split(MM1Cost(1.0), MM1Cost(5.0), 0.9, 0.3, 0.5)

@@ -14,6 +14,8 @@ x = 0.75 (1 - 2a) / (3 - 4a) for a < 0.5.
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -25,9 +27,14 @@ from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
 from cooproute.costs import (CAPACITY_GUARD, deviation_cost, path_marginals,
                              user_costs, weighted_cost)
 from cooproute.errors import InfeasibleError, SolverError
+from cooproute.experiments import alpha_sweep
 from cooproute.nash import _best_response, _state_loads, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
 from cooproute.search import argmin_by_derivative
+
+# The benchmark's exact oracles, which import nothing from cooproute.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
 
 
 def load_balancing_game(latencies, demands, alphas):
@@ -367,6 +374,27 @@ def test_solve_work_stays_bounded(preset, monkeypatch):
         assert sum(eq.basin_count for eq in eqs) == 64
 
 
+# verify_nash and _scan_for_fixed_points calls of
+# alpha_sweep(exp1, 0..1 step 0.05, vary="first"): 76 and 21 when every
+# scan candidate was verified and every row scanned; 27 and 6 with
+# merge-before-verify and the scan skipped on the 15 certified rows.
+SWEEP_WORK = {"verify_nash": 27, "_scan_for_fixed_points": 6}
+
+
+def test_sweep_work_stays_bounded(monkeypatch):
+    calls = dict.fromkeys(SWEEP_WORK, 0)
+    for name in calls:
+        def counted(*args, _orig=getattr(nash, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(nash, name, counted)
+    table = alpha_sweep(get_preset("exp1"), [i / 20 for i in range(21)],
+                        "first")
+    assert [len(row.equilibria) for row in table.rows] == [1] * 18 + [2, 3, 3]
+    for name, measured in SWEEP_WORK.items():
+        assert calls[name] <= measured, name
+
+
 class TestMakeGame:
     def test_paths_are_enumerated_once(self, monkeypatch):
         calls = []
@@ -446,8 +474,8 @@ class TestMultistartLinear:
         assert find_near(eqs, 1.0, 1.0) is not None
 
     def test_scan_clusters_are_verified_once(self, monkeypatch):
-        # every scan candidate is verified on admission, and only the
-        # clusters dynamics reached are verified again after polishing
+        # only a scan candidate that opens a cluster is verified, and
+        # only the clusters dynamics reached are verified after polishing
         calls = []
 
         def counted(game, profile):
@@ -458,7 +486,8 @@ class TestMultistartLinear:
         eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
         reached = sum(1 for eq in eqs if not eq.scan_found)
         assert eqs.diagnostics["scan_added"] == 1
-        assert len(calls) == eqs.diagnostics["scan_candidates"] + reached
+        assert eqs.diagnostics["scan_candidates"] == 6
+        assert len(calls) == eqs.diagnostics["scan_added"] + reached == 3
 
     def test_scan_coverage(self):
         eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
@@ -704,3 +733,72 @@ def test_random_parallel_games_solve_clean(slopes, icepts, demands, alphas):
         assert eq.max_violation <= 1e-6
         for ui, r in enumerate(game.demands):
             assert sum(eq.profile.path_flows[ui]) == pytest.approx(r)
+
+
+# ------------------------------------------------ uniqueness certificate
+
+class TestUniquenessCertificate:
+    @pytest.mark.parametrize("a, certified", [(0.74, True), (0.75, False)])
+    def test_exp1_threshold(self, a, certified):
+        # the Jacobian's symmetric part [[4 (1 - a), -2], [-2, 4]] is
+        # positive definite exactly for a < 0.75
+        game = get_preset("exp1").build_game(alphas=(a, 0.0))
+        assert nash._certified_unique(game) is certified
+        eqs = multistart_nash(game)
+        assert len(eqs) == 1
+        assert eqs.diagnostics["scan_coverage"] == (
+            "unique" if certified else "2x2")
+        assert eqs.diagnostics["scan_candidates"] == (0 if certified else 2)
+
+    @pytest.mark.parametrize("build, coverage", [
+        (lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)), "2x2"),
+        (lambda: get_preset("exp3").build_game(alphas=(0.0, 0.0)), "2x2"),
+        (lambda: parallel_game([LinearCost(1.0), LinearCost(2.0, 0.1),
+                                LinearCost(0.5, 0.3)], [1.0, 1.0],
+                               [0.0, 0.0]), "none"),
+    ], ids=["exp1-0.95", "exp3-mm1", "three-paths"])
+    def test_uncertified_games_keep_their_coverage(self, build, coverage):
+        game = build()
+        assert not nash._certified_unique(game)
+        assert multistart_nash(game).diagnostics["scan_coverage"] == coverage
+
+
+@st.composite
+def affine_two_user_games(draw):
+    """A two-user load-balancing or parallel game on affine links, some
+    of them flat, as a cooproute game and as the oracle's input.  Slopes
+    are 0 or at least 1e-6: below about 1e-300, slope times flow
+    underflows to 0 and the float objectives go flat, although the exact
+    game still has one equilibrium."""
+    slope = st.one_of(st.just(0.0), st.floats(1e-6, 3.0))
+    parallel = draw(st.booleans())
+    k = 2 if parallel else 4
+    specs = [(draw(slope), draw(st.floats(0.0, 2.0))) for _ in range(k)]
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
+    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    latencies = [LinearCost(a, g) for a, g in specs]
+    if parallel:
+        game = parallel_game(latencies, demands, alphas)
+    else:
+        game = load_balancing_game(latencies, demands, alphas)
+    links = {lk.link_id: ab for lk, ab in zip(game.net.links, specs)}
+    users = [(r, list(p[0]), list(p[1]))
+             for r, p in zip(game.demands, game.paths.paths)]
+    return game, links, users, alphas
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_two_user_games())
+def test_certified_games_have_one_equilibrium(case):
+    game, links, users, alphas = case
+    assume(nash._certified_unique(game))
+    points, segments = checks.affine_equilibria(links, users, alphas)
+    assert len(points) == 1 and not segments
+    eqs = multistart_nash(game)
+    assert len(eqs) == 1
+    eq = eqs.equilibria[0]
+    assert eq.verified
+    assert eqs.diagnostics["scan_coverage"] == "unique"
+    flows = [eq.profile.path_flows[ui][1] for ui in range(2)]
+    assert max(abs(f - float(t)) for f, t in zip(flows, points[0])) \
+        <= checks.FLOW_TOL
