@@ -15,6 +15,7 @@ remainder ``1 - alpha`` stays on the user's own cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -40,6 +41,10 @@ class LinearCost:
             raise ConfigError("linear cost needs finite slope and intercept")
         if self.slope < 0 or self.intercept < 0:
             raise ConfigError("linear cost needs slope >= 0 and intercept >= 0")
+        if 0.0 < self.slope < sys.float_info.min:
+            # slope * flow would lose its precision or round to zero, and
+            # the solvers could verify a split that is no equilibrium
+            raise ConfigError(f"linear cost slope {self.slope!r} is subnormal")
 
     def value(self, flow: float) -> float:
         return self.slope * flow + self.intercept

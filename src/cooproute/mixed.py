@@ -9,20 +9,23 @@ weighted cost against the frozen mass split, and the mass split equalizes
 the latencies it sees (or piles onto the cheaper link).
 
 Both a closed-form case analysis and an independent iterative solver are
-provided; each solution is re-verified from the definition, and candidates
-that fail verification are kept in the output with a flag rather than
-silently dropped, so disagreements between the two solvers stay visible.
+provided; the latter prices the group as a two-path user with the shared
+``costs.SplitCost`` and finds its best response by Newton's method.  Each
+solution is re-verified from the definition, and candidates that fail
+verification are kept in the output with a flag rather than silently
+dropped, so disagreements between the two solvers stay visible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .costs import CAPACITY_GUARD, MM1Cost
+from .costs import (CAPACITY_GUARD, MM1Cost, SplitCost, user_costs,
+                    weighted_cost)
 from .errors import ConfigError, InfeasibleError, SolverError
-from .search import argmin_by_derivative, scan_sign_changes
+from .netmodel import Link
+from .search import newton_argmin, scan_sign_changes
 
 _REGION_TOL = 1e-12
 _DUP_TOL = 1e-9
@@ -100,7 +103,13 @@ def wardrop_split(cost_one: MM1Cost, cost_two: MM1Cost, base_one: float,
     return min(max(0.5 * (room_two - room_one + mass), lo), hi)
 
 
-def _group_response(s: MixedScenario, w: float, iters: int = 80) -> float:
+def _group_split(s: MixedScenario) -> SplitCost:
+    """The group as a two-path user with cooperation row (1 - alpha, alpha)."""
+    return SplitCost(specs=(MM1Cost(s.capacity_one), MM1Cost(s.capacity_two)),
+                     n1=1, own_weight=1.0 - s.alpha, demand=s.group_demand)
+
+
+def _group_response(s: MixedScenario, split: SplitCost, w: float) -> float:
     """Group split on link one minimizing its weighted cost at mass split w."""
     r1, r2, a = s.group_demand, s.mass_demand, s.alpha
     mass_one = r2 - w
@@ -115,35 +124,21 @@ def _group_response(s: MixedScenario, w: float, iters: int = 80) -> float:
         raise InfeasibleError(
             "group demand does not fit beside the background mass",
             detail={"group": r1, "mass_split": w})
-
-    def deriv(x: float) -> float:
-        u = s.capacity_one - (x + mass_one)
-        v = s.capacity_two - (r1 - x + w)
-        d1 = 1.0 / (u * u)
-        d2 = 1.0 / (v * v)
-        own = (1.0 / u + x * d1) - (1.0 / v + (r1 - x) * d2)
-        return (1.0 - a) * own + a * (mass_one * d1 - w * d2)
-
-    return argmin_by_derivative(deriv, lo, hi, iters)
+    others, weighted = (mass_one, w), (a * mass_one, a * w)
+    return newton_argmin(lambda t: split.derivative(t, others, weighted),
+                         lo, hi)
 
 
 def mixed_costs(s: MixedScenario, group_split: float,
                 mass_split: float) -> tuple[float, float, float]:
     """Group cost, mass cost, and the group's weighted objective."""
-    f1 = group_split + (s.mass_demand - mass_split)
-    f2 = (s.group_demand - group_split) + mass_split
-    t1 = MM1Cost(s.capacity_one).value(f1)
-    t2 = MM1Cost(s.capacity_two).value(f2)
-
-    def times(flow: float, lat: float) -> float:
-        return 0.0 if flow == 0.0 else flow * lat
-
-    j_group = (times(group_split, t1)
-               + times(s.group_demand - group_split, t2))
-    j_mass = (times(s.mass_demand - mass_split, t1)
-              + times(mass_split, t2))
-    j_op = (1.0 - s.alpha) * j_group + s.alpha * j_mass
-    return j_group, j_mass, j_op
+    loads = ((group_split, s.group_demand - group_split),
+             (s.mass_demand - mass_split, mass_split))
+    totals = (group_split + loads[1][0], loads[0][1] + mass_split)
+    links = (Link("1", 1, 2, MM1Cost(s.capacity_one)),
+             Link("2", 1, 2, MM1Cost(s.capacity_two)))
+    raws = user_costs(links, loads, totals)
+    return (*raws, weighted_cost((1.0 - s.alpha, s.alpha), raws))
 
 
 @dataclass(frozen=True)
@@ -172,10 +167,10 @@ def verify_mixed(s: MixedScenario, group_split: float,
         return MixedCheck(ok=False, violation=math.inf,
                           wardrop_gap=math.inf, group_gap=math.inf,
                           saturated=True)
-    w_star = wardrop_split(MM1Cost(s.capacity_one), MM1Cost(s.capacity_two),
-                           group_split, r1 - group_split, r2)
+    split = _group_split(s)
+    w_star = wardrop_split(*split.specs, group_split, r1 - group_split, r2)
     wardrop_gap = abs(mass_split - w_star) / max(1.0, r2)
-    x_star = _group_response(s, mass_split)
+    x_star = _group_response(s, split, mass_split)
     split_gap = abs(group_split - x_star) / max(1.0, r1)
     _, _, cur = mixed_costs(s, group_split, mass_split)
     _, _, best = mixed_costs(s, x_star, mass_split)
@@ -224,9 +219,6 @@ class MixedSolutionSet:
     continuum: bool
     continuum_span: tuple[float, float] | None
     notes: tuple[str, ...]
-
-    def verified_solutions(self) -> tuple[MixedSolution, ...]:
-        return tuple(sol for sol in self.solutions if sol.verified)
 
 
 def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
@@ -379,17 +371,24 @@ class MixedNumericSet:
 def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
     """Independent iterative solver used to cross-check the closed forms.
 
-    Alternates the group's exact best response with the mass's
-    equal-latency split from a grid of starting group splits.  The
-    alternation repels some interior equilibria, so the composed update is
-    also scanned for sign changes of its displacement and each bracket is
-    bisected; points found only that way carry a zero basin count.
+    Alternates the group's best response, Newton's method on the shared
+    ``SplitCost``, with the mass's equal-latency split from a grid of
+    starting group splits.  The alternation repels some interior
+    equilibria, so the composed update is also scanned for sign changes
+    of its displacement and each bracket is bisected; points found only
+    that way carry a zero basin count.
     """
     r1, r2 = s.group_demand, s.mass_demand
-    spec1, spec2 = MM1Cost(s.capacity_one), MM1Cost(s.capacity_two)
+    split = _group_split(s)
+    responses = 0
 
     def mass_response(x: float) -> float:
-        return wardrop_split(spec1, spec2, x, r1 - x, r2)
+        return wardrop_split(*split.specs, x, r1 - x, r2)
+
+    def group_response(w: float) -> float:
+        nonlocal responses
+        responses += 1
+        return _group_response(s, split, w)
 
     clusters: list[list] = []   # [x, w, basin, scan_found]
 
@@ -403,7 +402,7 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
         return True
 
     def displacement(x: float) -> float:
-        return _group_response(s, mass_response(x)) - x
+        return group_response(mass_response(x)) - x
 
     def polish(x: float) -> float:
         # the alternation stops on step size, a bit short of the fixed
@@ -412,13 +411,13 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
             displacement, (max(0.0, x - 1e-6), min(r1, x + 1e-6)), 80)
         return roots[0] if roots else x
 
+    xs = [r1 * i / (STARTS - 1) for i in range(STARTS)]
     non_converged = 0
-    for i in range(STARTS):
-        x = r1 * i / (STARTS - 1)
+    for x in xs:
         w = mass_response(x)
         converged = False
         for _ in range(MAX_ITERS):
-            x_new = _group_response(s, w)
+            x_new = group_response(w)
             w_new = mass_response(x_new)
             delta = max(abs(x_new - x), abs(w_new - w))
             x, w = x_new, w_new
@@ -432,7 +431,6 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
             non_converged += 1
 
     scan_added = 0
-    xs = [r1 * i / (STARTS - 1) for i in range(STARTS)]
     for x in scan_sign_changes(displacement, xs, 80):
         if merge(x, mass_response(x), 0, True):
             scan_added += 1
@@ -455,4 +453,5 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
         points=tuple(points),
         diagnostics={"starts": STARTS,
                      "non_converged": non_converged,
-                     "scan_added": scan_added})
+                     "scan_added": scan_added,
+                     "group_responses": responses})

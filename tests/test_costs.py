@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,14 @@ class TestLinkCosts:
     def test_linear_rejects_negative_slope(self):
         with pytest.raises(ConfigError):
             LinearCost(slope=-1.0)
+
+    @pytest.mark.parametrize("slope", [5e-324, sys.float_info.min / 2])
+    def test_linear_rejects_subnormal_slope(self, slope):
+        # slope * flow loses its precision or underflows to zero, so a
+        # game on such a link could verify a split that is no equilibrium
+        with pytest.raises(ConfigError, match="subnormal"):
+            LinearCost(slope=slope)
+        assert LinearCost(slope=sys.float_info.min).slope > 0.0
 
     def test_queue_value_and_slope(self):
         c = MM1Cost(capacity=4.0)
@@ -110,7 +119,8 @@ class TestSplitCost:
                          own_weight=b, demand=r)
 
     @settings(max_examples=40)
-    @given(st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6),
+    @given(st.lists(st.floats(0.0, 3.0, allow_subnormal=False),
+                    min_size=6, max_size=6),
            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
            st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_affine_line_is_the_marginal_gap(self, ab, others, b, share):

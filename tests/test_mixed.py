@@ -16,15 +16,33 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, InfeasibleError, MixedScenario,
-                       MM1Cost, mixed_closed_form, mixed_costs,
-                       mixed_numeric, verify_mixed, wardrop_split)
-from cooproute.costs import CAPACITY_GUARD
-from cooproute.search import bisect_sign_change
+                       MM1Cost, get_preset, mixed, mixed_closed_form,
+                       mixed_costs, mixed_numeric, verify_mixed,
+                       wardrop_split)
+from cooproute.costs import CAPACITY_GUARD, SplitCost
+from cooproute.search import argmin_by_derivative, bisect_sign_change
 
 
 def reference(alpha):
     return MixedScenario(capacity_one=4.0, capacity_two=3.0,
                          group_demand=1.2, mass_demand=1.0, alpha=alpha)
+
+
+def hand_costs(s, x, w):
+    # group, mass and weighted cost written out: a full link's latency is
+    # infinite, and zero flow on it costs nothing
+    def latency(capacity, flow):
+        return math.inf if capacity - flow <= 0.0 else 1.0 / (capacity - flow)
+
+    t1 = latency(s.capacity_one, x + (s.mass_demand - w))
+    t2 = latency(s.capacity_two, (s.group_demand - x) + w)
+
+    def times(flow, lat):
+        return 0.0 if flow == 0.0 else flow * lat
+
+    jg = times(x, t1) + times(s.group_demand - x, t2)
+    jm = times(s.mass_demand - w, t1) + times(w, t2)
+    return jg, jm, (1.0 - s.alpha) * jg + s.alpha * jm
 
 
 def verified_splits(result):
@@ -198,6 +216,7 @@ class TestNumericAgreement:
         s = reference(0.9)
         jg, jm, jw = mixed_costs(s, 1.1625, 0.5625)
         assert jw == pytest.approx((1 - 0.9) * jg + 0.9 * jm)
+        assert (jg, jm, jw) == hand_costs(s, 1.1625, 0.5625)
 
     def test_scan_recovers_repelled_interior(self):
         pts = mixed_numeric(reference(0.9)).points
@@ -217,3 +236,98 @@ def test_saturating_split_reports_infinite_cost():
     assert jg == math.inf
     jg2, jm2, jw2 = mixed_costs(s, 0.0, 0.0)
     assert jg2 < math.inf
+    for corner in ((1.2, 0.0), (0.0, 0.0)):
+        assert mixed_costs(s, *corner) == hand_costs(s, *corner)
+
+
+def hand_group_response(s, w):
+    # the group's derivative written out by hand, bisected 80 times
+    r1, r2, a = s.group_demand, s.mass_demand, s.alpha
+    mass_one = r2 - w
+    lo = max(r1 - (s.capacity_two - w) + CAPACITY_GUARD, 0.0)
+    hi = min(s.capacity_one - mass_one - CAPACITY_GUARD, r1)
+
+    def deriv(x):
+        u = s.capacity_one - (x + mass_one)
+        v = s.capacity_two - (r1 - x + w)
+        d1 = 1.0 / (u * u)
+        d2 = 1.0 / (v * v)
+        own = (1.0 / u + x * d1) - (1.0 / v + (r1 - x) * d2)
+        return (1.0 - a) * own + a * (mass_one * d1 - w * d2)
+
+    return lo, hi, argmin_by_derivative(deriv, lo, hi, 80)
+
+
+@st.composite
+def group_cases(draw):
+    """A scenario and a mass split, wider than the acceptance suite draws
+    them: weights inside the singular band around 1/2, nearly equal
+    capacities, and mass splits that put one end of the group's guard
+    bracket against a capacity."""
+    alpha = draw(st.one_of(st.floats(0.45, 0.55), st.floats(0.0, 1.0)))
+    c1 = draw(st.floats(1.0, 6.0))
+    c2 = draw(st.one_of(st.floats(1.0, 6.0),
+                        st.floats(-1e-3, 1e-3).map(lambda e: c1 * (1 + e))))
+    total = (c1 + c2) * draw(st.floats(0.05, 0.999))
+    r1 = total * draw(st.floats(0.05, 0.95))
+    r2 = total - r1
+    s = MixedScenario(c1, c2, r1, r2, alpha)
+    # the mass's own extremes, and the mass splits at which an end of the
+    # group's bracket [lo, hi] leaves 0 or r1 for a link's capacity guard
+    ends = [c2 - r1 - CAPACITY_GUARD, r1 + r2 + CAPACITY_GUARD - c1]
+    w = draw(st.one_of(st.sampled_from([0.0, r2]),
+                       st.sampled_from(ends).flatmap(
+                           lambda e: st.floats(-1e-6, 1e-6).map(
+                               lambda d: e + d)),
+                       st.floats(0.0, 1.0).map(lambda f: f * r2)))
+    assume(0.0 <= w <= r2)
+    return s, w
+
+
+@settings(max_examples=300)
+@given(group_cases())
+def test_group_response_matches_bisection(case):
+    s, w = case
+    lo, hi, ref = hand_group_response(s, w)
+    assume(lo <= hi)
+    x = mixed._group_response(s, mixed._group_split(s), w)
+    assert lo <= x <= hi
+    r1 = s.group_demand
+    if abs(x - ref) <= 1e-12 * max(1.0, r1):
+        return
+    cost = mixed_costs(s, x, w)[2]
+    assert cost <= mixed_costs(s, ref, w)[2] + 1e-12 * max(1.0, abs(cost))
+
+
+# SplitCost.derivative calls of mixed_numeric on mixed-fig7 with the Newton
+# group best response: 13,921 for 1,452 responses and 1 verification.  An
+# 80-step bisection of the same derivative makes 82 calls per response.
+FIG7_DERIVATIVES = 13_921
+
+
+def test_numeric_work_stays_bounded(monkeypatch):
+    calls = {"response": 0, "in_verify": 0, "derivative": 0}
+    respond, verify = mixed._group_response, mixed.verify_mixed
+    derivative = SplitCost.derivative
+
+    def counted_respond(*args):
+        calls["response"] += 1
+        return respond(*args)
+
+    def counted_verify(*args):
+        before = calls["response"]
+        out = verify(*args)
+        calls["in_verify"] += calls["response"] - before
+        return out
+
+    def counted_derivative(self, *args):
+        calls["derivative"] += 1
+        return derivative(self, *args)
+
+    monkeypatch.setattr(mixed, "_group_response", counted_respond)
+    monkeypatch.setattr(mixed, "verify_mixed", counted_verify)
+    monkeypatch.setattr(SplitCost, "derivative", counted_derivative)
+    result = mixed_numeric(get_preset("mixed-fig7").build_mixed())
+    assert result.diagnostics["group_responses"] == (
+        calls["response"] - calls["in_verify"])
+    assert calls["derivative"] <= 2 * FIG7_DERIVATIVES

@@ -102,7 +102,8 @@ def best_response_cases(draw):
     flows through the link, so the guard bracket binds."""
     demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
     if draw(st.booleans()):
-        latencies = [LinearCost(draw(st.floats(0.0, 3.0)),
+        latencies = [LinearCost(draw(st.floats(0.0, 3.0,
+                                               allow_subnormal=False)),
                                 draw(st.floats(0.0, 2.0)))
                      for _ in range(4)]
     else:
@@ -202,14 +203,15 @@ def disjoint_response_cases(draw):
         state.append([r * v / sum(w) for v in w])
     loads = [sum(s[l] for s in state[1:]) for l in range(k)]
     if draw(st.booleans()):
-        slope = draw(st.floats(0.0, 3.0))
+        slope = draw(st.floats(0.0, 3.0, allow_subnormal=False))
         latencies = [LinearCost(slope, draw(st.floats(0.0, 2.0)))
                      for _ in range(k)]
         alpha = 1.0
     else:
         latencies = [MM1Cost(loads[l] + draw(st.floats(1e-3, 1.5)))
                      if draw(st.booleans()) else
-                     LinearCost(draw(st.floats(0.0, 3.0)),
+                     LinearCost(draw(st.floats(0.0, 3.0,
+                                               allow_subnormal=False)),
                                 draw(st.floats(0.0, 2.0)))
                      for l in range(k)]
         alpha = draw(st.floats(0.0, 1.0))
