@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError
+from .search import newton_argmin
 
 if TYPE_CHECKING:  # pragma: no cover
     from .netmodel import FlowProfile, Link, Network
@@ -246,6 +247,14 @@ class SplitCost:
     derivative is the user's marginal cost along that one path at own
     flow ``t``, and ``demand`` plays no part: that is how a user whose
     paths share no link prices each of them.
+
+    On an M/M/1 link, with ``u = C - o`` the room the other users leave
+    and ``h = b u + w``, that term is ``h / (u - x)^2``.  With one M/M/1
+    link on each path (``s`` on the second, ``f`` on the first) the
+    derivative is ``h_s / (u_s - t)^2 - h_f / (u_f - r + t)^2``, whose
+    zero is ``t* = (sqrt(h_f) u_s - sqrt(h_s) (u_f - r)) /
+    (sqrt(h_s) + sqrt(h_f))``: the square-root split of Orda, Rom and
+    Shimkin for parallel M/M/1 links.
     """
 
     specs: tuple[CostSpec, ...]
@@ -254,8 +263,15 @@ class SplitCost:
     demand: float
     _line: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    _pair: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
+        if (self.n1 == 1 and len(self.specs) == 2
+                and all(isinstance(s, MM1Cost) for s in self.specs)):
+            object.__setattr__(self, "_pair", tuple(
+                s.capacity for s in self.specs))
+            return
         if not all(isinstance(s, LinearCost) for s in self.specs):
             return
         b, r = self.own_weight, self.demand
@@ -299,6 +315,49 @@ class SplitCost:
             g += sgn * (b * spec.value(f) + c * dt)
             slope += 2.0 * b * dt + c * spec.curvature(f)
         return g, slope
+
+    def argmin(self, lo: float, hi: float, others, weighted,
+               iters: int = 60) -> float:
+        """The split ``t`` in ``[lo, hi]`` of least cost.
+
+        ``newton_argmin``'s end tests come first: ``lo`` when ``hi <= lo``
+        or the derivative is nonnegative there, ``hi`` when it is
+        nonpositive there.  Inside, affine links give the line's zero and
+        one M/M/1 link on each path gives ``t*``, both clamped; other
+        links run ``newton_argmin`` for at most ``iters`` steps.  The
+        bracket stays within ``[0, demand]`` and short of every capacity,
+        as the solvers' guard brackets do.
+        """
+        if self._line is not None:
+            c, slope = self.line(others, weighted)
+            if hi <= lo or c + slope * lo >= 0.0:
+                return lo
+            if c + slope * hi <= 0.0:
+                return hi
+            return min(max(-c / slope, lo), hi)
+        if self._pair is None:
+            return newton_argmin(
+                lambda t: self.derivative(t, others, weighted), lo, hi, iters)
+        if hi <= lo:
+            return lo
+        b = self.own_weight
+        us = self._pair[0] - others[0]
+        uf = self._pair[1] - others[1]
+        hs = b * us + weighted[0]
+        hf = b * uf + weighted[1]
+        vf = uf - self.demand   # the first link's slack is vf + t
+        s, f = us - lo, vf + lo
+        if hs / (s * s) - hf / (f * f) >= 0.0:
+            return lo
+        s, f = us - hi, vf + hi
+        if hs / (s * s) - hf / (f * f) <= 0.0:
+            return hi
+        # Past the end tests h_s and h_f are positive.  t* is written as
+        # the even split of the two slacks plus a shift that vanishes
+        # when h_s == h_f, so a symmetric pair splits exactly.
+        rs, rf = math.sqrt(hs), math.sqrt(hf)
+        t = 0.5 * (us - vf) + 0.5 * (us + vf) * (rf - rs) / (rs + rf)
+        return min(max(t, lo), hi)
 
 
 def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],

@@ -10,7 +10,8 @@ the latencies it sees (or piles onto the cheaper link).
 
 Both a closed-form case analysis and an independent iterative solver are
 provided; the latter prices the group as a two-path user with the shared
-``costs.SplitCost`` and finds its best response by Newton's method.  Each
+``costs.SplitCost``, whose ``argmin`` gives its best response in closed
+form: the square-root split of two M/M/1 links.  Each
 solution is re-verified from the definition, and candidates that fail
 verification are kept in the output with a flag rather than silently
 dropped, so disagreements between the two solvers stay visible.
@@ -25,7 +26,7 @@ from .costs import (CAPACITY_GUARD, MM1Cost, SplitCost, user_costs,
                     weighted_cost)
 from .errors import ConfigError, InfeasibleError, SolverError
 from .netmodel import Link
-from .search import newton_argmin, scan_sign_changes
+from .search import scan_sign_changes
 
 _REGION_TOL = 1e-12
 _DUP_TOL = 1e-9
@@ -124,9 +125,7 @@ def _group_response(s: MixedScenario, split: SplitCost, w: float) -> float:
         raise InfeasibleError(
             "group demand does not fit beside the background mass",
             detail={"group": r1, "mass_split": w})
-    others, weighted = (mass_one, w), (a * mass_one, a * w)
-    return newton_argmin(lambda t: split.derivative(t, others, weighted),
-                         lo, hi)
+    return split.argmin(lo, hi, (mass_one, w), (a * mass_one, a * w))
 
 
 def mixed_costs(s: MixedScenario, group_split: float,
@@ -371,9 +370,9 @@ class MixedNumericSet:
 def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
     """Independent iterative solver used to cross-check the closed forms.
 
-    Alternates the group's best response, Newton's method on the shared
-    ``SplitCost``, with the mass's equal-latency split from a grid of
-    starting group splits.  The alternation repels some interior
+    Alternates the group's best response, the closed-form root of the
+    shared ``SplitCost.argmin``, with the mass's equal-latency split from
+    a grid of starting group splits.  The alternation repels some interior
     equilibria, so the composed update is also scanned for sign changes
     of its displacement and each bracket is bisected; points found only
     that way carry a zero basin count.

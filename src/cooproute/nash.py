@@ -2,15 +2,17 @@
 
 The workhorse is plain Gauss-Seidel best response: sweep the users in id
 order, each one exactly minimizing its operating cost against the current
-flows of the others.  A two-path user's derivative along its split is a
-line on affine links, whose zero is the best response in closed form;
-on other links a safeguarded Newton search finds it inside a
-capacity-guarded bracket.  A user with three or more link-disjoint
-paths, such as parallel links, water-fills: safeguarded Newton on the
-marginal-cost level, with each path's flow at that level found by the
-same Newton search.  Other users with three or more paths fall back to a
-conditional-gradient loop.  A multistart driver clusters the fixed
-points reached from a grid of starting splits and counts basin sizes.
+flows of the others.  A two-path user's best response is
+``costs.SplitCost.argmin`` inside a capacity-guarded bracket: in closed
+form on affine links (the zero of a line) and with one M/M/1 link on
+each path (the square-root split of parallel queues), and by a
+safeguarded Newton search otherwise.  A user with three or more
+link-disjoint paths, such as parallel links, water-fills: safeguarded
+Newton on the marginal-cost level, with each path's flow at that level
+found by the same Newton search.  Other users with three or more paths
+fall back to a conditional-gradient loop.  A multistart driver clusters
+the fixed points reached from a grid of starting splits and counts basin
+sizes.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
@@ -228,20 +230,7 @@ def _two_path_response(game: RoutingGame, ui: int, r: float, state,
         raise SolverError(
             f"user {game.users[ui].user_id} has no feasible split "
             f"between its two paths")
-    split = tp.split
-    if split.affine:
-        # The derivative is the line c + s t: the end tests of
-        # ``argmin_by_derivative``, then its zero.
-        c, slope = split.line(others, weighted)
-        if hi <= lo or c + slope * lo >= 0.0:
-            t = lo
-        elif c + slope * hi <= 0.0:
-            t = hi
-        else:
-            t = min(max(-c / slope, lo), hi)
-    else:
-        t = newton_argmin(lambda t: split.derivative(t, others, weighted),
-                          lo, hi, iters)
+    t = tp.split.argmin(lo, hi, others, weighted, iters)
     return (r - t, t)
 
 
@@ -910,7 +899,9 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     if not results:
         raise SolverError("no starting point converged to an equilibrium",
                           diagnostics=diagnostics)
-    results.sort(key=lambda e: (e.operating_costs[0],) + tuple(
-        v for flows in e.profile.path_flows for v in flows))
+    # Costs compare at the CSV's 12 digits, so equilibria whose costs tie
+    # in exact arithmetic (mirror images) come out in flow order.
+    results.sort(key=lambda e: (float(format(e.operating_costs[0], ".12g")),)
+                 + tuple(v for flows in e.profile.path_flows for v in flows))
     return EquilibriumSet(equilibria=tuple(results),
                           diagnostics=diagnostics)

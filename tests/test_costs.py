@@ -2,13 +2,14 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, CooperationProfile, LinearCost, MM1Cost,
                        assemble_profile, build_network, build_path_set,
                        cost_report, path_marginal)
-from cooproute.costs import SplitCost, path_marginals
+from cooproute.costs import CAPACITY_GUARD, SplitCost, path_marginals
+from cooproute.search import newton_argmin
 from cooproute.netmodel import UserSpec
 
 
@@ -171,6 +172,107 @@ class TestSplitCost:
                   - path.derivative(t - h, others[1:], weighted[1:])[0]
                   ) / (2 * h)
             assert slope == pytest.approx(fd, rel=1e-5)
+
+
+def split_objective(split, t, others, weighted):
+    """The user's operating cost at split ``t``, up to the terms that do
+    not move: ``(b x + w) T(o + x)`` summed over the moving links."""
+    b, acc = split.own_weight, 0.0
+    for i, spec in enumerate(split.specs):
+        own = t if i < split.n1 else split.demand - t
+        acc += (b * own + weighted[i]) * spec.value(others[i] + own)
+    return acc
+
+
+@st.composite
+def brackets(draw, r):
+    """The whole of [0, r], a corner, an empty bracket or an inner one."""
+    kind = draw(st.sampled_from(["whole", "corner", "empty", "inner"]))
+    if kind == "whole":
+        return 0.0, r
+    if kind == "corner":
+        end = draw(st.sampled_from([0.0, r]))
+        return end, end
+    a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                max_size=2)))
+    return (r * b, r * a) if kind == "empty" else (r * a, r * b)
+
+
+@st.composite
+def queue_pairs(draw):
+    """One M/M/1 link on each path: the user's demand ``r`` fits on either
+    link beside the other users, with slack down to ``CAPACITY_GUARD``."""
+    share = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    r = draw(st.floats(0.01, 3.0))
+    b = draw(share)
+    cs = draw(st.floats(r + 2 * CAPACITY_GUARD, 8.0))
+    cf = draw(st.floats(r + 2 * CAPACITY_GUARD, 8.0)
+              | st.floats(-1e-3, 1e-3).map(lambda e: cs * (1 + e)))
+    assume(cf >= r + 2 * CAPACITY_GUARD)
+    others, weighted = [], []
+    for c in (cs, cf):
+        o = (c - r - CAPACITY_GUARD) * draw(share)
+        others.append(o)
+        weighted.append(o * draw(share))
+    split = SplitCost(specs=(MM1Cost(cs), MM1Cost(cf)), n1=1, own_weight=b,
+                      demand=r)
+    return split, tuple(others), tuple(weighted), draw(brackets(r))
+
+
+class TestSplitArgmin:
+    @settings(max_examples=300)
+    @given(queue_pairs())
+    def test_queue_pair_root_matches_newton(self, case):
+        split, others, weighted, (lo, hi) = case
+        t = split.argmin(lo, hi, others, weighted)
+        ref = newton_argmin(lambda t: split.derivative(t, others, weighted),
+                            lo, hi)
+        if hi <= lo:
+            assert t == lo
+            return
+        assert lo <= t <= hi
+        r = split.demand
+        if abs(t - ref) <= 1e-12 * max(1.0, r):
+            return
+        cost = split_objective(split, t, others, weighted)
+        assert cost <= (split_objective(split, ref, others, weighted)
+                        + 1e-12 * max(1.0, abs(cost)))
+
+    def test_flat_pair_returns_lo(self):
+        # b = 0 and nobody else weighed: h_s = h_f = 0, every split costs 0
+        split = SplitCost(specs=(MM1Cost(3.0), MM1Cost(2.0)), n1=1,
+                          own_weight=0.0, demand=1.0)
+        for lo, hi in ((0.0, 1.0), (0.25, 0.75), (1.0, 1.0)):
+            assert split.argmin(lo, hi, (0.5, 0.3), (0.0, 0.0)) == lo
+
+    def test_pair_root_is_the_square_root_split(self):
+        # equal capacities and loads, b = 1: the split is r / 2
+        split = SplitCost(specs=(MM1Cost(4.0), MM1Cost(4.0)), n1=1,
+                          own_weight=1.0, demand=1.0)
+        assert split.argmin(0.0, 1.0, (1.0, 1.0), (0.0, 0.0)) == 0.5
+
+    @settings(max_examples=200)
+    @given(st.lists(st.floats(0.0, 3.0, allow_subnormal=False),
+                    min_size=6, max_size=6),
+           st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+           st.floats(0.0, 1.0), st.floats(0.01, 2.0), brackets(1.0))
+    def test_affine_argmin_is_the_line_zero(self, ab, loads, b, r, bracket):
+        split = SplitCost(specs=tuple(LinearCost(ab[2 * i], ab[2 * i + 1])
+                                      for i in range(3)),
+                          n1=2, own_weight=b, demand=r)
+        others, weighted = loads[:3], [o * f for o, f in zip(loads[:3],
+                                                             loads[3:])]
+        lo, hi = r * bracket[0], r * bracket[1]
+        # the line's zero as the two-path best response took it before
+        # the argmin moved into SplitCost
+        c, slope = split.line(others, weighted)
+        if hi <= lo or c + slope * lo >= 0.0:
+            want = lo
+        elif c + slope * hi <= 0.0:
+            want = hi
+        else:
+            want = min(max(-c / slope, lo), hi)
+        assert split.argmin(lo, hi, others, weighted) == want
 
 
 class TestCooperationProfile:

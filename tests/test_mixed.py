@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, InfeasibleError, MixedScenario,
-                       MM1Cost, get_preset, mixed, mixed_closed_form,
+                       MM1Cost, costs, get_preset, mixed, mixed_closed_form,
                        mixed_costs, mixed_numeric, verify_mixed,
                        wardrop_split)
 from cooproute.costs import CAPACITY_GUARD, SplitCost
@@ -299,16 +299,19 @@ def test_group_response_matches_bisection(case):
     assert cost <= mixed_costs(s, ref, w)[2] + 1e-12 * max(1.0, abs(cost))
 
 
-# SplitCost.derivative calls of mixed_numeric on mixed-fig7 with the Newton
-# group best response: 13,921 for 1,452 responses and 1 verification.  An
-# 80-step bisection of the same derivative makes 82 calls per response.
-FIG7_DERIVATIVES = 13_921
+# SplitCost.derivative calls of mixed_numeric on mixed-fig7: 13,921 for
+# 1,452 responses and 1 verification with the Newton group best response;
+# an 80-step bisection makes about 82 per response.  The closed-form root
+# of SplitCost.argmin evaluates its end tests in closed form and makes
+# none.
+FIG7_DERIVATIVES = 0
 
 
 def test_numeric_work_stays_bounded(monkeypatch):
-    calls = {"response": 0, "in_verify": 0, "derivative": 0}
+    calls = {"response": 0, "in_verify": 0, "derivative": 0, "newton": 0}
     respond, verify = mixed._group_response, mixed.verify_mixed
     derivative = SplitCost.derivative
+    newton = costs.newton_argmin
 
     def counted_respond(*args):
         calls["response"] += 1
@@ -324,10 +327,35 @@ def test_numeric_work_stays_bounded(monkeypatch):
         calls["derivative"] += 1
         return derivative(self, *args)
 
+    def counted_newton(*args):
+        calls["newton"] += 1
+        return newton(*args)
+
     monkeypatch.setattr(mixed, "_group_response", counted_respond)
     monkeypatch.setattr(mixed, "verify_mixed", counted_verify)
     monkeypatch.setattr(SplitCost, "derivative", counted_derivative)
+    monkeypatch.setattr(costs, "newton_argmin", counted_newton)
     result = mixed_numeric(get_preset("mixed-fig7").build_mixed())
     assert result.diagnostics["group_responses"] == (
         calls["response"] - calls["in_verify"])
+    assert calls["newton"] == 0
     assert calls["derivative"] <= 2 * FIG7_DERIVATIVES
+
+
+@pytest.mark.parametrize("scenario", [
+    MixedScenario(4.0, 4.0, 1.0, 1.0, 0.5),
+    MixedScenario(3.0, 3.0, 1.2, 1.0, 0.5)])
+def test_continuum_points_lie_on_the_continuum(scenario):
+    # balanced weight and equal capacities: the group objective is flat
+    # along the continuum, so which of its points the solver lists is
+    # arbitrary; each must still be an equilibrium on it
+    closed = mixed_closed_form(scenario)
+    assert closed.continuum
+    lo, hi = closed.continuum_span
+    offset = closed.solutions[0].equal_cost_offset
+    points = mixed_numeric(scenario).points
+    assert points
+    for p in points:
+        assert p.verified
+        assert abs((p.group_split - p.mass_split) - offset) <= 1e-9
+        assert lo - 1e-9 <= p.group_split <= hi + 1e-9

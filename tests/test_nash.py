@@ -22,8 +22,8 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
-                       cost_report, get_preset, make_game, multistart_nash,
-                       nash, netmodel, verify_nash)
+                       cost_report, costs, get_preset, make_game,
+                       multistart_nash, nash, netmodel, verify_nash)
 from cooproute.costs import (CAPACITY_GUARD, deviation_cost, path_marginals,
                              user_costs, weighted_cost)
 from cooproute.errors import InfeasibleError, SolverError
@@ -395,6 +395,41 @@ def test_sweep_work_stays_bounded(monkeypatch):
     assert [len(row.equilibria) for row in table.rows] == [1] * 18 + [2, 3, 3]
     for name, measured in SWEEP_WORK.items():
         assert calls[name] <= measured, name
+
+
+@pytest.mark.parametrize("preset,build,newton", [
+    ("exp4-feasible", {"alphas": (0.0, 0.0)}, False),
+    ("exp4-feasible", {"alphas": (0.7, 0.35)}, False),
+    ("braess-lb-sym", {"param": 10.0}, True)])
+def test_queue_pairs_skip_newton(preset, build, newton, monkeypatch):
+    # two users on two parallel M/M/1 links split by the closed-form
+    # root; braess-lb-sym's crossing paths have two links and keep Newton
+    calls = []
+    real = costs.newton_argmin
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(costs, "newton_argmin", counted)
+    eqs = multistart_nash(get_preset(preset).build_game(**build))
+    assert all(eq.verified for eq in eqs)
+    assert bool(calls) == newton
+
+
+@pytest.mark.parametrize("capacity,alphas", [
+    (1.05, (0.7, 0.35)), (1.05, (0.3, 0.9)), (4.1, (0.3, 0.9))])
+def test_tied_equilibria_come_in_flow_order(capacity, alphas):
+    # mirror images: two asymmetric equilibria cost user 1 the same in
+    # exact arithmetic, and only the last bits tell their floats apart
+    game = parallel_game([MM1Cost(capacity), MM1Cost(capacity)], [1.0, 1.0],
+                         alphas)
+    eqs = multistart_nash(game).equilibria
+    assert len(eqs) == 3
+    first, second = eqs[0], eqs[1]
+    assert (format(first.operating_costs[0], ".12g")
+            == format(second.operating_costs[0], ".12g"))
+    assert first.profile.path_flows[0][0] < second.profile.path_flows[0][0]
 
 
 class TestMakeGame:
