@@ -198,6 +198,8 @@ def _parse_value_list(text: str):
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"bad value range {text!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"value range {text!r} must be finite")
         if step <= 0 or stop < start:
             raise ConfigError("value ranges need step > 0 and stop >= start")
         n = int((stop - start) / step + 1 + 1e-9)

@@ -316,17 +316,16 @@ class SplitCost:
             slope += 2.0 * b * dt + c * spec.curvature(f)
         return g, slope
 
-    def argmin(self, lo: float, hi: float, others, weighted,
-               iters: int = 60) -> float:
+    def argmin(self, lo: float, hi: float, others, weighted) -> float:
         """The split ``t`` in ``[lo, hi]`` of least cost.
 
         ``newton_argmin``'s end tests come first: ``lo`` when ``hi <= lo``
         or the derivative is nonnegative there, ``hi`` when it is
         nonpositive there.  Inside, affine links give the line's zero and
         one M/M/1 link on each path gives ``t*``, both clamped; other
-        links run ``newton_argmin`` for at most ``iters`` steps.  The
-        bracket stays within ``[0, demand]`` and short of every capacity,
-        as the solvers' guard brackets do.
+        links run ``newton_argmin``.  The bracket stays within
+        ``[0, demand]`` and short of every capacity, as the solvers' guard
+        brackets do.
         """
         if self._line is not None:
             c, slope = self.line(others, weighted)
@@ -337,7 +336,7 @@ class SplitCost:
             return min(max(-c / slope, lo), hi)
         if self._pair is None:
             return newton_argmin(
-                lambda t: self.derivative(t, others, weighted), lo, hi, iters)
+                lambda t: self.derivative(t, others, weighted), lo, hi)
         if hi <= lo:
             return lo
         b = self.own_weight

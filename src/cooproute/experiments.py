@@ -266,9 +266,6 @@ class SweepTable:
     def values(self) -> tuple[float, ...]:
         return tuple(r.value for r in self.rows)
 
-    def equilibrium(self, row: int, idx: int):
-        return self.rows[row].equilibria.equilibria[idx]
-
 
 def _flow_vector(eq) -> tuple[float, ...]:
     return tuple(v for flows in eq.profile.path_flows for v in flows)

@@ -9,10 +9,13 @@ each path (the square-root split of parallel queues), and by a
 safeguarded Newton search otherwise.  A user with three or more
 link-disjoint paths, such as parallel links, water-fills: safeguarded
 Newton on the marginal-cost level, with each path's flow at that level
-found by the same Newton search.  Other users with three or more paths
-fall back to a conditional-gradient loop.  A multistart driver clusters
-the fixed points reached from a grid of starting splits and counts basin
-sizes.
+found by the same Newton search.  A user whose three or more paths share
+links equilibrates them pairwise (Dafermos and Sparrow): it moves flow
+between its cheapest path and its dearest used path by the same guarded
+two-path solve, with its flow elsewhere held as fixed load, until their
+marginals agree to float noise.  Every best response is thus exact.  A
+multistart driver clusters the fixed points reached from a grid of
+starting splits and counts basin sizes.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
@@ -50,17 +53,19 @@ from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
                        saturated_links)
-from .search import argmin_by_derivative, newton_argmin, scan_sign_changes
+from .search import NEWTON_STEPS, newton_argmin, scan_sign_changes
 
 
-# Solver settings.  The conditional-gradient best response stops at a
-# relative duality gap of BR_TOL.  Dynamics stop when a sweep moves no
+# Solver settings.  The pairwise exchange stops when no used path's
+# marginal exceeds the cheapest by EXCHANGE_TOL relative, or, as a safety
+# net, after EXCHANGE_STEPS steps.  Dynamics stop when a sweep moves no
 # coordinate by FP_TOL, or after MAX_SWEEPS sweeps.  GRID_DENSITY splits
 # per two-path user seed the multistart, and fixed points within
 # CLUSTER_RADIUS of each other are one equilibrium.  The 2x2 scan samples
 # SCAN_DENSITY points.  Verification sweeps DEVIATION_GRID splits and
 # accepts a normalized violation up to VERIFY_TOL.
-BR_TOL = 1e-10
+EXCHANGE_TOL = 1e-14
+EXCHANGE_STEPS = 1_000
 FP_TOL = 1e-8
 MAX_SWEEPS = 10_000
 GRID_DENSITY = 21
@@ -72,21 +77,17 @@ DEVIATION_GRID = 1001
 
 @dataclass(frozen=True, slots=True)
 class _TwoPath:
-    """A two-path user's links, fixed when the game is built.
+    """Two of a user's paths and the demand split between them.
 
     ``links`` lists the links on the second path only (``n1`` of them),
     then those on the first path only (``n0``), then the shared ones.
-    ``feeds[i]`` names the other users' path flows that load ``links[i]``
-    as ``(user, path, weight in this user's cooperation row)``, in the
-    order ``_state_loads`` sums them.  ``caps`` holds ``(i, capacity)``
-    for every M/M/1 link among them, and ``split`` the cost along the
-    split.
+    ``caps`` holds ``(i, capacity)`` for every M/M/1 link among them, and
+    ``split`` the cost along the split.
     """
 
     links: tuple[int, ...]
     n1: int
     n0: int
-    feeds: tuple
     caps: tuple
     split: SplitCost
 
@@ -101,6 +102,7 @@ class RoutingGame:
     coop: CooperationProfile
     path_link_idx: tuple = field(default=(), repr=False, compare=False)
     two_path: tuple = field(default=(), repr=False, compare=False)
+    feeds: tuple = field(default=(), repr=False, compare=False)
     disjoint: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,8 +112,11 @@ class RoutingGame:
                              for p in user_paths))
         object.__setattr__(self, "path_link_idx", tuple(pli))
         object.__setattr__(self, "two_path", tuple(
-            self._two_path_user(ui) if len(idx) == 2 else None
-            for ui, idx in enumerate(pli)))
+            self._two_path_user(ui, 0, 1, self.users[ui].demand)
+            if len(idx) == 2 else None for ui, idx in enumerate(pli)))
+        object.__setattr__(self, "feeds", tuple(
+            None if tp is None else self._feeds(ui, tp.links)
+            for ui, tp in enumerate(self.two_path)))
         # Three or more paths, none sharing a link with another: each
         # path is priced alone, by a one-path ``SplitCost``.
         object.__setattr__(self, "disjoint", tuple(
@@ -126,24 +131,32 @@ class RoutingGame:
                       n1=len(p), own_weight=b, demand=r)
             for p in self.path_link_idx[ui])
 
-    def _two_path_user(self, ui: int) -> _TwoPath:
-        p0, p1 = self.path_link_idx[ui]
+    def _two_path_user(self, ui: int, first: int, second: int,
+                       demand: float) -> _TwoPath:
+        """User ``ui``'s paths ``first`` and ``second`` sharing ``demand``."""
+        p0 = self.path_link_idx[ui][first]
+        p1 = self.path_link_idx[ui][second]
         only1 = [l for l in p1 if l not in p0]
         only0 = [l for l in p0 if l not in p1]
         links = tuple(only1 + only0 + [l for l in p0 if l in p1])
         row = self.coop.rows[ui]
-        feeds = tuple(
-            tuple((k, p, row[k]) for k, paths in enumerate(self.path_link_idx)
-                  if k != ui for p, lp in enumerate(paths) if li in lp)
-            for li in links)
         specs = [self.net.links[li].cost for li in links]
         caps = tuple((i, c.capacity) for i, c in enumerate(specs)
                      if isinstance(c, MM1Cost))
         split = SplitCost(specs=tuple(specs[:len(only1) + len(only0)]),
-                          n1=len(only1), own_weight=row[ui],
-                          demand=self.users[ui].demand)
+                          n1=len(only1), own_weight=row[ui], demand=demand)
         return _TwoPath(links=links, n1=len(only1), n0=len(only0),
-                        feeds=feeds, caps=caps, split=split)
+                        caps=caps, split=split)
+
+    def _feeds(self, ui: int, links) -> tuple:
+        """For each of ``links``, the other users' path flows that load it
+        as ``(user, path, weight in user ui's cooperation row)``, in the
+        order ``_state_loads`` sums them."""
+        row = self.coop.rows[ui]
+        return tuple(
+            tuple((k, p, row[k]) for k, paths in enumerate(self.path_link_idx)
+                  if k != ui for p, lp in enumerate(paths) if li in lp)
+            for li in links)
 
     @property
     def demands(self) -> tuple[float, ...]:
@@ -186,14 +199,14 @@ def _state_loads(game: RoutingGame, state, ui: int):
     return totals, weighted
 
 
-def _two_path_response(game: RoutingGame, ui: int, r: float, state,
-                       iters: int) -> tuple[float, float]:
+def _two_path_response(game: RoutingGame, ui: int,
+                       state) -> tuple[float, float]:
     tp = game.two_path[ui]
     # The other users' loads on this user's links, summed as in
     # ``_state_loads``.
     others = []
     weighted = []
-    for feed in tp.feeds:
+    for feed in game.feeds[ui]:
         o = w = 0.0
         for k, p, wk in feed:
             v = state[k][p]
@@ -203,6 +216,14 @@ def _two_path_response(game: RoutingGame, ui: int, r: float, state,
                     w += wk * v
         others.append(o)
         weighted.append(w)
+    return _guarded_split(game, ui, tp, others, weighted)
+
+
+def _guarded_split(game: RoutingGame, ui: int, tp: _TwoPath, others,
+                   weighted) -> tuple[float, float]:
+    """The least-cost split ``(first, second)`` of ``tp``'s demand, with
+    the fixed loads ``others`` and ``weighted`` on ``tp.links``."""
+    r = tp.split.demand
     # Capacity bounds on the second-path share t: links used only by the
     # second path cap it from above, first-path links from below.
     guard = CAPACITY_GUARD
@@ -221,16 +242,18 @@ def _two_path_response(game: RoutingGame, ui: int, r: float, state,
     lo = max(lo_cap, 0.0)
     hi = min(hi_cap, r)
     if lo > hi:
-        # One path cannot carry any flow; sending zero along it is still
-        # fine, so fall to the corner if the other path has room.
-        if hi_cap < 0.0 and lo_cap <= 0.0:
-            return (r, 0.0)
-        if lo_cap > r and hi_cap >= r:
-            return (0.0, r)
-        raise SolverError(
-            f"user {game.users[ui].user_id} has no feasible split "
-            f"between its two paths")
-    t = tp.split.argmin(lo, hi, others, weighted, iters)
+        # The two paths cannot carry r within their guards.  Fill the
+        # second path to its guard and leave the rest on the first: the
+        # corner when one path has no room at all, where sending zero
+        # along it is still fine.  Otherwise the first path stays over
+        # its capacity, which only a third path can relieve.
+        t = max(hi, 0.0)
+        if t < r and lo_cap > t and len(game.path_link_idx[ui]) == 2:
+            raise SolverError(
+                f"user {game.users[ui].user_id} has no feasible split "
+                f"between its two paths")
+        return (r - t, t)
+    t = tp.split.argmin(lo, hi, others, weighted)
     return (r - t, t)
 
 
@@ -248,8 +271,8 @@ def _settle(x, lo, hi, r: float, order=None) -> tuple[float, ...]:
     return tuple(x)
 
 
-def _disjoint_response(game: RoutingGame, ui: int, r: float, state,
-                       iters: int) -> tuple[float, ...]:
+def _disjoint_response(game: RoutingGame, ui: int, r: float,
+                       state) -> tuple[float, ...]:
     """Water-filling on link-disjoint paths.
 
     Path ``p``'s marginal ``m_p`` rises with its own flow, so at a level
@@ -311,7 +334,7 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float, state,
                 seen[0], seen[1] = x, s
                 return m - lam, s
 
-            x = newton_argmin(excess, 0.0, tops[p], iters)
+            x = newton_argmin(excess, 0.0, tops[p])
             s = seen[1] if seen[0] == x else excess(x)[1]
             lower[p] = upper[p] = x
             if s > 0.0:
@@ -341,8 +364,8 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float, state,
             continue
         nxt = 0.5 * (a + b)
         slope = sum(gains)
-        # Newton for the first ``iters`` steps, then plain bisection.
-        if n < iters and 0.0 < slope < math.inf:
+        # Newton for the first NEWTON_STEPS steps, then plain bisection.
+        if n < NEWTON_STEPS and 0.0 < slope < math.inf:
             step = lam - gap / slope
             if step == lam:
                 # The level is exact to float resolution.  The rest goes
@@ -359,59 +382,55 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float, state,
         lam = nxt
 
 
-def _cond_gradient_response(game: RoutingGame, state, ui: int, r: float,
-                            others, weighted, iters: int) -> tuple[float, ...]:
+def _exchange_response(game: RoutingGame, ui: int, r: float,
+                       state) -> tuple[float, ...]:
+    """Pairwise exchange for three or more paths that share links.
+
+    From the user's flows scaled to ``r``, each step moves flow between
+    the cheapest path and the dearest path that carries flow: their
+    split is a two-path best response (``_guarded_split``) in which the
+    user's flow on its other paths is fixed load, weighed by its
+    self-weight.  The steps stop when the two marginals agree to
+    ``EXCHANGE_TOL`` or a step moves nothing.
+    """
     idx = game.path_link_idx[ui]
     k = len(idx)
     links = game.net.links
-    guard = CAPACITY_GUARD
-    bii = game.coop.rows[ui][ui]
+    b = game.coop.rows[ui][ui]
+    totals, weighted = _state_loads(game, state, ui)
     f = [max(0.0, v) for v in state[ui]]
     s = math.fsum(f)
     if s > 0:
         f = [v * (r / s) for v in f]
     else:
         f = [r] + [0.0] * (k - 1)
-    for _ in range(300):
-        margs = path_marginals(links, idx, bii, others, weighted, f)
-        best = min(range(k), key=lambda p: (margs[p], p))
-        if margs[best] == INFINITE_COST:
+    for _ in range(EXCHANGE_STEPS):
+        margs = path_marginals(links, idx, b, totals, weighted, f)
+        cheap = min(range(k), key=lambda p: (margs[p], p))
+        low = margs[cheap]
+        if low == INFINITE_COST:
             raise SolverError(
                 f"user {game.users[ui].user_id} has no unsaturated path")
-        gap = math.fsum(f[p] * (margs[p] - margs[best]) for p in range(k)
-                        if f[p] > 0)
-        if gap <= BR_TOL * max(1.0, abs(margs[best]) * r):
+        dear = max((p for p in range(k) if f[p] > 0.0),
+                   key=lambda p: (margs[p], -p))
+        if margs[dear] - low <= EXCHANGE_TOL * max(1.0, abs(low)):
             break
-        d = [-v for v in f]
-        d[best] += r
-        # Largest feasible step along d under the capacity guards.
-        gmax = 1.0
-        ddir = [0.0] * len(links)
         own = [0.0] * len(links)
         for p, links_p in enumerate(idx):
-            for li in links_p:
-                ddir[li] += d[p]
-                own[li] += f[p]
-        for li, lk in enumerate(links):
-            c = lk.cost
-            if isinstance(c, MM1Cost) and ddir[li] > 0:
-                room = c.capacity - guard - others[li] - own[li]
-                gmax = min(gmax, max(room, 0.0) / ddir[li])
-
-        def dphi(g: float) -> float:
-            margs_g = path_marginals(links, idx, bii, others, weighted,
-                                     [f[p] + g * d[p] for p in range(k)])
-            return math.fsum(d[p] * margs_g[p] for p in range(k) if d[p])
-
-        g = argmin_by_derivative(dphi, 0.0, gmax, min(iters, 40))
-        if g <= 0:
+            if f[p] and p != dear and p != cheap:
+                for li in links_p:
+                    own[li] += f[p]
+        tp = game._two_path_user(ui, dear, cheap, f[dear] + f[cheap])
+        pair = _guarded_split(
+            game, ui, tp, [totals[li] + own[li] for li in tp.links],
+            [weighted[li] + b * own[li] for li in tp.links])
+        if pair == (f[dear], f[cheap]):
             break
-        f = [max(0.0, f[p] + g * d[p]) for p in range(k)]
+        f[dear], f[cheap] = pair
     return tuple(f)
 
 
-def _best_response(game: RoutingGame, state, ui: int,
-                   iters: int) -> tuple[float, ...]:
+def _best_response(game: RoutingGame, state, ui: int) -> tuple[float, ...]:
     r = game.users[ui].demand
     paths = game.path_link_idx[ui]
     if not paths:
@@ -421,12 +440,10 @@ def _best_response(game: RoutingGame, state, ui: int,
     if len(paths) == 1:
         return (r,)
     if game.two_path[ui] is not None:
-        return _two_path_response(game, ui, r, state, iters)
+        return _two_path_response(game, ui, state)
     if game.disjoint[ui] is not None:
-        return _disjoint_response(game, ui, r, state, iters)
-    others, weighted = _state_loads(game, state, ui)
-    return _cond_gradient_response(game, state, ui, r, others, weighted,
-                                   iters)
+        return _disjoint_response(game, ui, r, state)
+    return _exchange_response(game, ui, r, state)
 
 
 @dataclass(frozen=True)
@@ -434,7 +451,6 @@ class DynamicsResult:
     state: tuple[tuple[float, ...], ...]
     converged: bool
     sweeps: int
-    final_delta: float
 
 
 def _reduced(game: RoutingGame, state) -> list[float]:
@@ -464,24 +480,22 @@ def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
 
     Between plain sweeps a guarded Aitken step extrapolates the iterate
     sequence when the per-coordinate contraction ratios look stable; a
-    trial sweep after the jump decides whether to keep it.  Two extra
-    high-precision sweeps polish the endpoint.
+    trial sweep after the jump decides whether to keep it.
     """
     n = len(game.users)
     state = [list(map(float, s)) for s in start]
 
-    def sweep(iters: int) -> None:
+    def sweep() -> None:
         for ui in range(n):
-            state[ui] = list(_best_response(game, state, ui, iters))
+            state[ui] = list(_best_response(game, state, ui))
 
     prev: list[float] | None = None
     window: list[list[float]] = []
     cooldown = 0
     converged = False
     sweeps = 0
-    delta = math.inf
     while sweeps < MAX_SWEEPS:
-        sweep(30)
+        sweep()
         sweeps += 1
         red = _reduced(game, state)
         if prev is not None:
@@ -503,7 +517,7 @@ def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
             target, pre_delta = jump
             saved = [list(s) for s in state]
             _set_from_reduced(game, state, target)
-            sweep(30)
+            sweep()
             sweeps += 1
             red2 = _reduced(game, state)
             new_delta = max((abs(a - b) for a, b in zip(red2, target)),
@@ -517,17 +531,8 @@ def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
                 state = saved
                 cooldown = 10
             window = []
-    # Polish with tighter bisection; report the residual it leaves.
-    final_delta = delta
-    for _ in range(2):
-        before = _reduced(game, state)
-        sweep(60)
-        after = _reduced(game, state)
-        final_delta = max((abs(a - b) for a, b in zip(after, before)),
-                          default=0.0)
     return DynamicsResult(state=tuple(tuple(s) for s in state),
-                          converged=converged, sweeps=sweeps,
-                          final_delta=final_delta)
+                          converged=converged, sweeps=sweeps)
 
 
 def _aitken_target(window, demands, path_link_idx):
@@ -607,7 +612,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
         cost = deviation_cost(game.net.links, game.path_link_idx, state,
                               game.coop.rows[ui], ui)
         cur = cost([state[ui]])[0]
-        br = _best_response(game, state, ui, 60)
+        br = _best_response(game, state, ui)
         res = max(abs(a - b) for a, b in zip(br, profile.path_flows[ui]))
         if res > flow_eps:
             # A different split only disqualifies the profile if it is
@@ -710,14 +715,14 @@ def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
 
 def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
     """A cluster's profile and its check, computed on the first call and
-    cached.  A cluster that dynamics reached is polished by three sweeps
+    cached.  A cluster that dynamics reached is polished by five sweeps
     and verified here; a scan cluster keeps the check that admitted it."""
     if c.done is None:
         state = [list(s) for s in c.state]
         if c.check is None:
-            for _ in range(3):
+            for _ in range(5):
                 for ui in range(len(game.users)):
-                    state[ui] = list(_best_response(game, state, ui, 60))
+                    state[ui] = list(_best_response(game, state, ui))
         profile = profile_from_state(game, state)
         c.done = (profile, c.check or verify_nash(game, profile))
     return c.done
@@ -795,11 +800,11 @@ def _scan_for_fixed_points(game: RoutingGame):
 
     def br_first(y: float) -> float:
         st = [[r1, 0.0], [r2 - y, y]]
-        return _best_response(game, st, 0, 60)[1]
+        return _best_response(game, st, 0)[1]
 
     def br_second(x: float) -> float:
         st = [[r1 - x, x], [r2, 0.0]]
-        return _best_response(game, st, 1, 60)[1]
+        return _best_response(game, st, 1)[1]
 
     d = SCAN_DENSITY
     candidates = []

@@ -16,6 +16,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+# The most Newton steps a minimization takes before it settles for the
+# point it has; shared by ``newton_argmin`` and nash's water-filling.
+NEWTON_STEPS = 60
+
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float,
             iters: int) -> float:
@@ -93,7 +97,7 @@ def argmin_by_derivative(deriv: Callable[[float], float], lo: float,
 
 
 def newton_argmin(deriv: Callable[[float], tuple[float, float]], lo: float,
-                  hi: float, iters: int = 60) -> float:
+                  hi: float) -> float:
     """Minimizer of a convex function on [lo, hi] given its derivative and
     the derivative's slope, ``deriv(x) -> (d, d')``.
 
@@ -103,7 +107,7 @@ def newton_argmin(deriv: Callable[[float], tuple[float, float]], lo: float,
     derivative (which moves the upper end, as in ``_bisect``) or a slope
     that is not positive and finite bisects instead.  Stops when a step
     no longer moves the point, when no float is left inside the
-    bracket, or after ``iters`` steps.
+    bracket, or after ``NEWTON_STEPS`` steps.
     """
     if hi <= lo:
         return lo
@@ -113,7 +117,7 @@ def newton_argmin(deriv: Callable[[float], tuple[float, float]], lo: float,
         return hi
     a, b = lo, hi
     x = 0.5 * (a + b)
-    for _ in range(iters):
+    for _ in range(NEWTON_STEPS):
         d, slope = deriv(x)
         if d < 0.0:
             a = x

@@ -173,6 +173,17 @@ class TestErrorPaths:
         assert rc == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "exp1", "--alphas", "0:1:nan"),
+        ("--preset", "exp1", "--alphas", "0:inf:1"),
+        ("--preset", "braess-lb-sym", "--parameter", "--values", "nan:1:0.5"),
+    ])
+    def test_non_finite_ranges_rejected(self, capsys, argv):
+        rc, out, err = run(capsys, "sweep", *argv)
+        assert rc == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_mixed_document_needs_mixed_command(self, capsys, tmp_path):
         rc, out, err = run(capsys, "solve", "--config",
                            write_doc(tmp_path, MIXED_DOC))

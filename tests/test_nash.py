@@ -18,14 +18,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
                        cost_report, costs, get_preset, make_game,
                        multistart_nash, nash, netmodel, verify_nash)
-from cooproute.costs import (CAPACITY_GUARD, deviation_cost, path_marginals,
-                             user_costs, weighted_cost)
+from cooproute.costs import (CAPACITY_GUARD, CooperationProfile,
+                             deviation_cost, path_marginals, user_costs,
+                             weighted_cost)
 from cooproute.errors import InfeasibleError, SolverError
 from cooproute.experiments import alpha_sweep
 from cooproute.nash import _best_response, _state_loads, profile_from_state
@@ -62,6 +63,26 @@ def parallel_game(costs, demands, alphas):
     return make_game(net, users, alphas)
 
 
+BRAESS_LINKS = ("sa", "sb", "ab", "at", "bt")
+
+
+def braess_game(latencies, demands, alphas):
+    # every user goes from s to t on s-a-b-t, s-a-t or s-b-t; the first
+    # shares sa with the second and bt with the third
+    net = build_network(["s", "a", "b", "t"], [
+        (lid, lid[0], lid[1], c) for lid, c in zip(BRAESS_LINKS, latencies)])
+    users = [UserSpec(i + 1, "s", "t", r) for i, r in enumerate(demands)]
+    return make_game(net, users, alphas)
+
+
+def edge_braess_game():
+    # sa and bt cost f, sb and at 1, ab 0.1: the optimum leaves s-a-b-t
+    # empty (its marginal is 2.1 against 2.0 at (0, 0.5, 0.5))
+    return braess_game([LinearCost(1.0), LinearCost(0.0, 1.0),
+                        LinearCost(0.0, 0.1), LinearCost(0.0, 1.0),
+                        LinearCost(1.0)], [1.0], [0.0])
+
+
 def transfer_flows(eq):
     return eq.profile.path_flows[0][1], eq.profile.path_flows[1][1]
 
@@ -79,19 +100,19 @@ class TestBestResponse:
         game = linear_two_origin((0.0, 0.0))
         for x in (0.0, 0.2, 0.5, 0.8, 1.0):
             state = [[1.0 - x, x], [1.0, 0.0]]
-            br = _best_response(game, state, 1, 60)
+            br = _best_response(game, state, 1)
             assert br[1] == pytest.approx(0.125 + 0.5 * x, abs=1e-9)
 
     def test_response_respects_capacity(self):
         game = parallel_game([MM1Cost(0.6), MM1Cost(4.0)], [1.0], [0.0])
         state = [[0.5, 0.5]]
-        br = _best_response(game, state, 0, 60)
+        br = _best_response(game, state, 0)
         assert br[0] < 0.6
         assert sum(br) == pytest.approx(1.0)
 
     def test_unusable_path_gets_nothing(self):
         game = parallel_game([MM1Cost(4.0), MM1Cost(0.0)], [1.0], [0.0])
-        br = _best_response(game, [[0.5, 0.5]], 0, 60)
+        br = _best_response(game, [[0.5, 0.5]], 0)
         assert br == (1.0, 0.0)
 
 
@@ -156,7 +177,7 @@ def test_exact_response_matches_bisection(case):
     # test_unusable_path_gets_nothing covers
     assume(lo <= hi)
     t_ref = argmin_by_derivative(deriv, lo, hi, 60)
-    br = _best_response(game, state, ui, 60)
+    br = _best_response(game, state, ui)
     assert sum(br) == pytest.approx(r, abs=1e-12)
     assert abs(br[1] - t_ref) <= 1e-9 * max(1.0, r)
 
@@ -241,9 +262,9 @@ def test_water_filling_response_is_optimal(case):
     assume(abs(total_room - r) > 1e-9)
     if total_room < r:
         with pytest.raises(SolverError):
-            _best_response(game, state, 0, 60)
+            _best_response(game, state, 0)
         return
-    br = _best_response(game, state, 0, 60)
+    br = _best_response(game, state, 0)
     assert math.fsum(br) == pytest.approx(r, abs=1e-12)
     assert all(0.0 <= x <= max(t, 0.0) for x, t in zip(br, tops))
     # No path with flow has a marginal above a path with room left, to the
@@ -339,19 +360,23 @@ def three_link_game(alpha):
 # bisection the same solves made 284,759 value and 220,575 derivative
 # calls, and 318,896 and 254,712.  The three-link game at alpha 0.3 made
 # 11,990,442 value and 11,990,424 derivative calls over 64 trajectories
-# with the conditional-gradient best response, before water-filling.
+# with the conditional-gradient best response, before water-filling.  The
+# one-user Braess game of ``edge_braess_game`` took that loop 960 sweeps
+# (58 s) on one trajectory; the pairwise exchange takes 2.
 SOLVE_WORK = {
     "exp1": {"value": 48_208, "derivative": 48, "curvature": 0},
     "braess-lb-sym": {"value": 96_480, "derivative": 48_318,
                       "curvature": 48_270},
     "parallel-3x3": {"value": 219_787, "derivative": 219_769,
                      "curvature": 219_760},
+    "braess-edge": {"value": 181, "derivative": 161, "curvature": 0},
 }
 SOLVE_GAMES = {
     "exp1": lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)),
     "braess-lb-sym": lambda: get_preset("braess-lb-sym").build_game(
         param=10.0),
     "parallel-3x3": lambda: three_link_game(0.3),
+    "braess-edge": edge_braess_game,
 }
 
 
@@ -724,18 +749,14 @@ class TestThreeParallelLinks:
         assert sum(eq.basin_count for eq in eqs) == 64
 
 
-def test_overlapping_paths_keep_conditional_gradient():
+def test_overlapping_paths_use_pairwise_exchange():
     # one user through Braess's network: s-a-b-t shares a link with each
-    # of s-a-t and s-b-t, so the best response is the conditional-gradient
-    # loop.  Links sa, ab and bt cost f, and sb and at cost f + 1; equal
-    # path marginals put 1/4 across ab and 3/8 on each side, at level 3.
-    net = build_network(["s", "a", "b", "t"], [
-        ("sa", "s", "a", LinearCost(1.0)),
-        ("sb", "s", "b", LinearCost(1.0, 1.0)),
-        ("ab", "a", "b", LinearCost(1.0)),
-        ("at", "a", "t", LinearCost(1.0, 1.0)),
-        ("bt", "b", "t", LinearCost(1.0))])
-    game = make_game(net, [UserSpec(1, "s", "t", 1.0)], [0.0])
+    # of s-a-t and s-b-t, so the best response is the pairwise exchange.
+    # Links sa, ab and bt cost f, and sb and at cost f + 1; equal path
+    # marginals put 1/4 across ab and 3/8 on each side, at level 3.
+    game = braess_game([LinearCost(1.0), LinearCost(1.0, 1.0),
+                        LinearCost(1.0), LinearCost(1.0, 1.0),
+                        LinearCost(1.0)], [1.0], [0.0])
     assert game.paths.paths[0] == (("sa", "ab", "bt"), ("sa", "at"),
                                    ("sb", "bt"))
     assert game.two_path[0] is None and game.disjoint[0] is None
@@ -750,6 +771,127 @@ def test_overlapping_paths_keep_conditional_gradient():
     at_br = cost([res.state[0]])[0]
     grid_min = min(cost(simplex_grid(1.0, [math.inf] * 3)))
     assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
+
+
+def test_exchange_empties_a_dear_path():
+    # the optimum lies on the simplex's edge: a response that only
+    # approaches it leaves flow on s-a-b-t, at a marginal 0.1 too high,
+    # and fails verification
+    game = edge_braess_game()
+    res = br_dynamics(game, [(1.0, 0.0, 0.0)])
+    assert res.converged
+    assert res.state[0] == pytest.approx((0.0, 0.5, 0.5), abs=1e-9)
+    assert verify_nash(game, profile_from_state(game, res.state)).ok
+
+
+@st.composite
+def braess_games(draw):
+    """One or two users through Braess's network on affine and M/M/1
+    links.  Every capacity exceeds the total demand by at least 1e-3, so
+    no start fills a link and the guard brackets can bind."""
+    n = draw(st.integers(1, 2))
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n))
+    latencies = [MM1Cost(sum(demands) + draw(st.floats(1e-3, 2.0)))
+                 if draw(st.booleans()) else
+                 LinearCost(draw(st.sampled_from([0.0, 1.0]) |
+                                 st.floats(0.0, 3.0, allow_subnormal=False)),
+                            draw(st.floats(0.0, 2.0)))
+                 for _ in BRAESS_LINKS]
+    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return braess_game(latencies, demands, alphas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(braess_games())
+@example(braess_game(  # alphas 0.5 -+ 3.3e-4: no start converges
+    [LinearCost(0.0, 1.8994809003040491), LinearCost(0.0, 1.6121398347751912),
+     MM1Cost(3.4826599070078323), LinearCost(0.0, 1.0998206379061009),
+     MM1Cost(3.0633278250125127)], [0.8477503348591087] * 2,
+    CooperationProfile((1, 2), ((0.5003305808277427, 0.4996694191722573),
+                                (0.4996694191722573, 0.5003305808277427)))))
+def test_exchange_dynamics_verify(game):
+    # converged must mean verified, and each exchange must stop on its
+    # own test, well before the step cap
+    steps, runs = [0], []
+    split, exchange, dynamics = (nash._guarded_split, nash._exchange_response,
+                                 nash.br_dynamics)
+
+    def counted_split(*args):
+        steps[0] += 1
+        return split(*args)
+
+    def capped_exchange(*args):
+        steps[0] = 0
+        out = exchange(*args)
+        assert steps[0] < nash.EXCHANGE_STEPS
+        return out
+
+    def recorded(*args):
+        runs.append(dynamics(*args))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash, "_guarded_split", counted_split)
+        mp.setattr(nash, "_exchange_response", capped_exchange)
+        mp.setattr(nash, "br_dynamics", recorded)
+        # Two users at nearly equal alphas near 1/2 on flat links creep
+        # along a near-continuum of equilibria for thousands of sweeps;
+        # a shorter cap keeps such a game to a few seconds.
+        mp.setattr(nash, "MAX_SWEEPS", 500)
+        try:
+            eqs = multistart_nash(game)
+        except SolverError:
+            # only "no starting point converged" may end the solve
+            assert not any(res.converged for res in runs)
+            eqs = ()
+    assert runs
+    for res in runs:
+        if res.converged:
+            assert verify_nash(game, profile_from_state(game, res.state)).ok
+    assert all(eq.verified for eq in eqs)
+
+
+class TestSaturatedBraessStarts:
+    """Two users of demand 1 through Braess's network on M/M/1 links at
+    alpha 0.3, sa and bt of capacity 1.8 and the rest 3.
+
+    Both users on s-a-t overload sa, and both on s-b-t overload bt, which
+    leaves each user one open path; best response must leave both starts.
+    """
+
+    @pytest.mark.parametrize("start", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_dynamics_leave_a_full_link(self, start):
+        game = braess_game([MM1Cost(1.8), MM1Cost(3.0), MM1Cost(3.0),
+                            MM1Cost(3.0), MM1Cost(1.8)], [1.0, 1.0],
+                           [0.3, 0.3])
+        prof = profile_from_state(game, [start] * 2)
+        assert math.inf in cost_report(game.net, prof, game.coop).raw_costs
+        res = br_dynamics(game, [start] * 2)
+        assert res.converged
+        prof = profile_from_state(game, res.state)
+        raw = cost_report(game.net, prof, game.coop).raw_costs
+        assert all(c < math.inf for c in raw)
+        assert verify_nash(game, prof).ok
+
+
+def test_exchange_overflow_moves_to_a_third_path():
+    # one user of demand 1 at alpha 0, all on s-a-b-t, overloads ab
+    # (capacity 0.2).  The cheapest path, s-a-t, has room for only 0.5 at
+    # at, so no split of the pair fits; the exchange fills s-a-t to its
+    # guard and a later step moves the rest to s-b-t.
+    game = braess_game([LinearCost(1.0), LinearCost(0.0, 5.0), MM1Cost(0.2),
+                        MM1Cost(0.5), LinearCost(0.0, 5.0)], [1.0], [0.0])
+    start = [(1.0, 0.0, 0.0)]
+    assert math.inf in cost_report(
+        game.net, profile_from_state(game, start), game.coop).raw_costs
+    br = _best_response(game, start, 0)
+    assert br[0] == 0.0 and sum(br) == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 < br[1] < 0.5
+    res = br_dynamics(game, start)
+    assert res.converged
+    assert verify_nash(game, profile_from_state(game, res.state)).ok
+    eqs = multistart_nash(game)
+    assert len(eqs) == 1 and all(eq.verified for eq in eqs)
 
 
 @settings(max_examples=15, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cooproute import search
 from cooproute.search import (argmin_by_derivative, bisect_sign_change,
                               newton_argmin, scan_sign_changes)
 
@@ -126,10 +127,11 @@ class TestNewtonArgmin:
 
         assert newton_argmin(deriv, 0.0, 1.0) == pytest.approx(0.7, abs=1e-15)
 
-    def test_step_cap(self):
+    def test_step_cap(self, monkeypatch):
         # one step evaluates the midpoint and takes the Newton step from it
+        monkeypatch.setattr(search, "NEWTON_STEPS", 1)
         x = newton_argmin(lambda t: (t * t * t - 0.001, 3.0 * t * t),
-                          0.0, 1.0, iters=1)
+                          0.0, 1.0)
         assert x == pytest.approx(0.5 - (0.125 - 0.001) / 0.75, abs=1e-15)
 
     @settings(max_examples=60)
