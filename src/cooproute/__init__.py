@@ -13,7 +13,7 @@ cross-check.
 """
 
 from .costs import (CooperationProfile, CostReport, LinearCost, MM1Cost,
-                    cost_report, path_marginal)
+                    cost_report)
 from .errors import (ConfigError, CoopRouteError, InfeasibleError,
                      SolverError)
 from .experiments import (Branch, ParadoxReport, ParadoxWitness, Scenario,
@@ -44,6 +44,6 @@ __all__ = [
     "check_feasibility", "cost_report", "detect_braess",
     "detect_cooperation_paradox", "enumerate_paths", "get_preset",
     "make_game", "mixed_closed_form", "mixed_costs", "mixed_numeric",
-    "multistart_nash", "parameter_sweep", "path_marginal", "preset_names",
+    "multistart_nash", "parameter_sweep", "preset_names",
     "saturated_links", "verify_mixed", "verify_nash", "wardrop_split",
 ]

@@ -343,6 +343,8 @@ def _cmd_sweep(args, manifest):
         "rows": len(eqsets),
         "non_converged": sum(s.diagnostics["non_converged"]
                              for s in eqsets),
+        "failed_starts": sum(s.diagnostics["failed_starts"]
+                             for s in eqsets),
         "clusters": sum(len(s.equilibria) for s in eqsets),
         "rows_without_scan": sum(s.diagnostics["scan_coverage"] == "none"
                                  for s in eqsets),

@@ -10,6 +10,10 @@ A user weighs the costs of all users through a row-stochastic weight
 matrix.  The scalar shorthand ``alpha`` is the total weight a user puts on
 everyone else: 0 is fully self-interested, 1 is fully altruistic, and the
 remainder ``1 - alpha`` stays on the user's own cost.
+
+``SplitCost`` prices every split over two paths, of an atomic user or of
+the mixed model's group, and owns the M/M/1 capacity guard: its
+``bracket``, and ``guard_fill`` for when the bracket is empty.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError
 from .search import newton_argmin
@@ -93,6 +97,15 @@ CostSpec = LinearCost | MM1Cost
 # Slack the solvers keep below an M/M/1 capacity, so that a split they
 # choose never prices a link at its infinite-cost pole.
 CAPACITY_GUARD = 1e-9
+
+
+def guard_fill(lo: float, hi: float, demand: float) -> tuple[float, bool]:
+    """Second-path share ``t`` of ``demand`` for an empty guard bracket
+    ``[lo, hi]``: the second path filled to its guard, or left empty,
+    and the rest on the first.  ``fits`` is False when that leaves flow
+    on the first path beyond its guard."""
+    t = max(hi, 0.0)
+    return t, t >= demand or t >= lo
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,14 +276,15 @@ class SplitCost:
     demand: float
     _line: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
-    _pair: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    _pair: bool = field(default=False, init=False, repr=False, compare=False)
+    _caps: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.n1 == 1 and len(self.specs) == 2
-                and all(isinstance(s, MM1Cost) for s in self.specs)):
-            object.__setattr__(self, "_pair", tuple(
-                s.capacity for s in self.specs))
+        caps = tuple((i, s.capacity) for i, s in enumerate(self.specs)
+                     if isinstance(s, MM1Cost))
+        object.__setattr__(self, "_caps", caps)
+        if self.n1 == 1 and len(self.specs) == len(caps) == 2:
+            object.__setattr__(self, "_pair", True)
             return
         if not all(isinstance(s, LinearCost) for s in self.specs):
             return
@@ -288,6 +302,27 @@ class SplitCost:
                 coefs.append((-b * s.slope, -s.slope))
             slope += 2.0 * b * s.slope
         object.__setattr__(self, "_line", (const, slope, tuple(coefs)))
+
+    def bracket(self, others) -> tuple[float, float]:
+        """``[lo, hi]`` of splits that keep each M/M/1 link of ``specs``
+        ``CAPACITY_GUARD`` below capacity beside ``others``, within
+        ``[0, demand]``; empty when the paths cannot carry the demand."""
+        lo, hi = 0.0, self.demand
+        for i, cap in self._caps:
+            room = cap - others[i]
+            if i < self.n1:
+                hi = min(hi, room - CAPACITY_GUARD)
+            else:
+                lo = max(lo, self.demand - room + CAPACITY_GUARD)
+        return lo, hi
+
+    def guarded_argmin(self, others, weighted) -> tuple[float, bool]:
+        """``argmin`` within ``bracket(others)`` and True, or
+        ``guard_fill``'s ``(t, fits)`` when the bracket is empty."""
+        lo, hi = self.bracket(others)
+        if lo > hi:
+            return guard_fill(lo, hi, self.demand)
+        return self.argmin(lo, hi, others, weighted), True
 
     @property
     def affine(self) -> bool:
@@ -324,8 +359,8 @@ class SplitCost:
         nonpositive there.  Inside, affine links give the line's zero and
         one M/M/1 link on each path gives ``t*``, both clamped; other
         links run ``newton_argmin``.  The bracket stays within
-        ``[0, demand]`` and short of every capacity, as the solvers' guard
-        brackets do.
+        ``[0, demand]`` and short of every capacity, as ``bracket``'s
+        does.
         """
         if self._line is not None:
             c, slope = self.line(others, weighted)
@@ -334,14 +369,14 @@ class SplitCost:
             if c + slope * hi <= 0.0:
                 return hi
             return min(max(-c / slope, lo), hi)
-        if self._pair is None:
+        if not self._pair:
             return newton_argmin(
                 lambda t: self.derivative(t, others, weighted), lo, hi)
         if hi <= lo:
             return lo
         b = self.own_weight
-        us = self._pair[0] - others[0]
-        uf = self._pair[1] - others[1]
+        us = self._caps[0][1] - others[0]
+        uf = self._caps[1][1] - others[1]
         hs = b * us + weighted[0]
         hf = b * uf + weighted[1]
         vf = uf - self.demand   # the first link's slack is vf + t
@@ -454,23 +489,6 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
         return [INFINITE_COST if h else a for a, h in zip(acc, full)]
 
     return costs
-
-
-def path_marginal(net: "Network", profile: "FlowProfile",
-                  coop: CooperationProfile, user_id: int,
-                  path: Iterable[str]) -> float:
-    """Marginal operating cost of routing one more unit along a path."""
-    ui = profile.user_index(user_id)
-    row = coop.rows[ui]
-    weighted = [0.0] * len(net.links)
-    for k, own in enumerate(profile.user_link_flows):
-        if row[k]:
-            for li, v in enumerate(own):
-                weighted[li] += row[k] * v
-    # A profile's loads already hold the user's flow: no flow goes on top.
-    idx = [net.link_index(link_id) for link_id in path]
-    return path_marginals(net.links, [idx], row[ui],
-                          profile.total_link_flows, weighted, [0.0])[0]
 
 
 @dataclass(frozen=True)

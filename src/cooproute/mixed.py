@@ -10,8 +10,10 @@ the latencies it sees (or piles onto the cheaper link).
 
 Both a closed-form case analysis and an independent iterative solver are
 provided; the latter prices the group as a two-path user with the shared
-``costs.SplitCost``, whose ``argmin`` gives its best response in closed
-form: the square-root split of two M/M/1 links.  Each
+``costs.SplitCost``, whose ``guarded_argmin`` gives its best response in
+closed form: the square-root split of two M/M/1 links inside the
+capacity-guard bracket.  When the mass's own bracket is empty, the mass
+takes the same fill rule, ``costs.guard_fill``.  Each
 solution is re-verified from the definition, and candidates that fail
 verification are kept in the output with a flag rather than silently
 dropped, so disagreements between the two solvers stay visible.
@@ -22,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costs import (CAPACITY_GUARD, MM1Cost, SplitCost, user_costs,
-                    weighted_cost)
+from .costs import (CAPACITY_GUARD, MM1Cost, SplitCost, guard_fill,
+                    user_costs, weighted_cost)
 from .errors import ConfigError, InfeasibleError, SolverError
 from .netmodel import Link
 from .search import scan_sign_changes
@@ -31,12 +33,12 @@ from .search import scan_sign_changes
 _REGION_TOL = 1e-12
 _DUP_TOL = 1e-9
 
-# Solver settings.  The numeric solver alternates from STARTS group splits
-# for up to MAX_ITERS rounds, until neither split moves by FP_TOL, and
-# merges points within DEDUPE_RADIUS.  Verification accepts a normalized
-# violation up to VERIFY_TOL.  The closed form skips the both-links
-# interior formula while the group weight is within SINGULAR_BAND of
-# balance.
+# Solver settings.  The numeric solver scans STARTS group splits, then
+# alternates from each for up to MAX_ITERS rounds, until neither split
+# moves by FP_TOL, and merges points within DEDUPE_RADIUS.  Verification
+# accepts a normalized violation up to VERIFY_TOL.  The closed form skips
+# the both-links interior formula while the group weight is within
+# SINGULAR_BAND of balance.
 STARTS = 201
 FP_TOL = 1e-9
 MAX_ITERS = 10_000
@@ -83,8 +85,8 @@ def wardrop_split(cost_one: MM1Cost, cost_two: MM1Cost, base_one: float,
     Returns the amount sent to the second link.  Equal latency on two
     M/M/1 links means equal slack, so the split is half of
     ``room_two - room_one + mass``, clamped to the capacity-guarded
-    bracket.  When the bracket is empty, the mass goes whole to a link
-    with room for it.
+    bracket.  When the bracket is empty, ``costs.guard_fill`` decides,
+    which sends the mass whole to a link with room for it.
     """
     if mass == 0.0:
         return 0.0
@@ -94,13 +96,12 @@ def wardrop_split(cost_one: MM1Cost, cost_two: MM1Cost, base_one: float,
     lo = max(mass - room_one + guard, 0.0)
     hi = min(room_two - guard, mass)
     if lo > hi:
-        if lo > mass and room_two - guard >= mass:
-            return mass
-        if hi < 0.0 and room_one - guard >= mass:
-            return 0.0
-        raise InfeasibleError(
-            "background traffic does not fit on the two links",
-            detail={"mass": mass, "room_one": room_one, "room_two": room_two})
+        t, fits = guard_fill(lo, hi, mass)
+        if not fits:
+            raise InfeasibleError(
+                "background traffic does not fit on the two links",
+                detail=dict(mass=mass, room_one=room_one, room_two=room_two))
+        return t
     return min(max(0.5 * (room_two - room_one + mass), lo), hi)
 
 
@@ -112,20 +113,14 @@ def _group_split(s: MixedScenario) -> SplitCost:
 
 def _group_response(s: MixedScenario, split: SplitCost, w: float) -> float:
     """Group split on link one minimizing its weighted cost at mass split w."""
-    r1, r2, a = s.group_demand, s.mass_demand, s.alpha
-    mass_one = r2 - w
-    guard = CAPACITY_GUARD
-    lo = max(r1 - (s.capacity_two - w) + guard, 0.0)
-    hi = min(s.capacity_one - mass_one - guard, r1)
-    if lo > hi:
-        if hi < 0.0 and r1 + w <= s.capacity_two - guard:
-            return 0.0
-        if lo > r1 and r1 + mass_one <= s.capacity_one - guard:
-            return r1
+    mass_one = s.mass_demand - w
+    x, fits = split.guarded_argmin((mass_one, w),
+                                   (s.alpha * mass_one, s.alpha * w))
+    if not fits:
         raise InfeasibleError(
             "group demand does not fit beside the background mass",
-            detail={"group": r1, "mass_split": w})
-    return split.argmin(lo, hi, (mass_one, w), (a * mass_one, a * w))
+            detail={"group": s.group_demand, "mass_split": w})
+    return x
 
 
 def mixed_costs(s: MixedScenario, group_split: float,
@@ -370,12 +365,13 @@ class MixedNumericSet:
 def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
     """Independent iterative solver used to cross-check the closed forms.
 
-    Alternates the group's best response, the closed-form root of the
-    shared ``SplitCost.argmin``, with the mass's equal-latency split from
-    a grid of starting group splits.  The alternation repels some interior
-    equilibria, so the composed update is also scanned for sign changes
-    of its displacement and each bracket is bisected; points found only
-    that way carry a zero basin count.
+    A grid of group splits is scanned for sign changes of the composed
+    update's displacement (the group's best response, the closed form of
+    ``SplitCost.guarded_argmin``, to the mass's equal-latency split), and
+    each root opens a cluster.  Then the two responses alternate from
+    each grid split, and each limit is credited to the cluster within
+    ``DEDUPE_RADIUS``, or opens its own.  Clusters the alternation never
+    reaches, the equilibria it repels, keep a zero basin count.
     """
     r1, r2 = s.group_demand, s.mass_demand
     split = _group_split(s)
@@ -389,50 +385,33 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
         responses += 1
         return _group_response(s, split, w)
 
-    clusters: list[list] = []   # [x, w, basin, scan_found]
+    clusters: list[list] = []   # [x, w, basin]
 
-    def merge(x: float, w: float, weight: int, scan: bool) -> bool:
+    def merge(x: float, w: float, weight: int) -> None:
         for c in clusters:
             if (abs(c[0] - x) <= DEDUPE_RADIUS
                     and abs(c[1] - w) <= DEDUPE_RADIUS):
                 c[2] += weight
-                return False
-        clusters.append([x, w, weight, scan])
-        return True
-
-    def displacement(x: float) -> float:
-        return group_response(mass_response(x)) - x
-
-    def polish(x: float) -> float:
-        # the alternation stops on step size, a bit short of the fixed
-        # point; re-bracket the displacement and bisect it down
-        roots = scan_sign_changes(
-            displacement, (max(0.0, x - 1e-6), min(r1, x + 1e-6)), 80)
-        return roots[0] if roots else x
+                return
+        clusters.append([x, w, weight])
 
     xs = [r1 * i / (STARTS - 1) for i in range(STARTS)]
+    for x in scan_sign_changes(
+            lambda x: group_response(mass_response(x)) - x, xs, 80):
+        merge(x, mass_response(x), 0)
     non_converged = 0
     for x in xs:
         w = mass_response(x)
-        converged = False
         for _ in range(MAX_ITERS):
             x_new = group_response(w)
             w_new = mass_response(x_new)
             delta = max(abs(x_new - x), abs(w_new - w))
             x, w = x_new, w_new
             if delta < FP_TOL:
-                converged = True
+                merge(x, w, 1)
                 break
-        if converged:
-            x = polish(x)
-            merge(x, mass_response(x), 1, False)
         else:
             non_converged += 1
-
-    scan_added = 0
-    for x in scan_sign_changes(displacement, xs, 80):
-        if merge(x, mass_response(x), 0, True):
-            scan_added += 1
 
     if not clusters:
         raise SolverError("no start converged and no fixed point was "
@@ -440,17 +419,17 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
                           diagnostics={"starts": STARTS,
                                        "non_converged": non_converged})
     points = []
-    for x, w, basin, scan in clusters:
+    for x, w, basin in clusters:
         jg, jm, jo = mixed_costs(s, x, w)
         check = verify_mixed(s, x, w)
         points.append(MixedPoint(
             group_split=x, mass_split=w, group_cost=jg, mass_cost=jm,
-            operating_cost=jo, basin_count=basin, scan_found=scan,
+            operating_cost=jo, basin_count=basin, scan_found=basin == 0,
             verified=check.ok, violation=check.violation))
     points.sort(key=lambda p: (p.group_split, p.mass_split))
     return MixedNumericSet(
         points=tuple(points),
         diagnostics={"starts": STARTS,
                      "non_converged": non_converged,
-                     "scan_added": scan_added,
+                     "scan_added": sum(c[2] == 0 for c in clusters),
                      "group_responses": responses})

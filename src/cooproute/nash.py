@@ -3,10 +3,10 @@
 The workhorse is plain Gauss-Seidel best response: sweep the users in id
 order, each one exactly minimizing its operating cost against the current
 flows of the others.  A two-path user's best response is
-``costs.SplitCost.argmin`` inside a capacity-guarded bracket: in closed
-form on affine links (the zero of a line) and with one M/M/1 link on
-each path (the square-root split of parallel queues), and by a
-safeguarded Newton search otherwise.  A user with three or more
+``costs.SplitCost.guarded_argmin``, inside the split's capacity-guard
+bracket: in closed form on affine links (the zero of a line) and with
+one M/M/1 link on each path (the square-root split of parallel queues),
+and by a safeguarded Newton search otherwise.  A user with three or more
 link-disjoint paths, such as parallel links, water-fills: safeguarded
 Newton on the marginal-cost level, with each path's flow at that level
 found by the same Newton search.  A user whose three or more paths share
@@ -15,7 +15,7 @@ between its cheapest path and its dearest used path by the same guarded
 two-path solve, with its flow elsewhere held as fixed load, until their
 marginals agree to float noise.  Every best response is thus exact.  A
 multistart driver clusters the fixed points reached from a grid of
-starting splits and counts basin sizes.
+starting splits and counts basin sizes and failed starts.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
@@ -47,8 +47,7 @@ from typing import Sequence
 
 from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
                     LinearCost, MM1Cost, SplitCost, cost_report,
-                    deviation_cost, path_marginal, path_marginals,
-                    user_costs)
+                    deviation_cost, path_marginals, user_costs)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
@@ -79,15 +78,13 @@ DEVIATION_GRID = 1001
 class _TwoPath:
     """Two of a user's paths and the demand split between them.
 
-    ``links`` lists the links on the second path only (``n1`` of them),
-    then those on the first path only (``n0``), then the shared ones.
-    ``caps`` holds ``(i, capacity)`` for every M/M/1 link among them, and
+    ``links`` lists the links on the second path only, then those on the
+    first path only (``split.specs`` covers both), then the shared ones.
+    ``caps`` holds ``(i, capacity)`` for every shared M/M/1 link, and
     ``split`` the cost along the split.
     """
 
     links: tuple[int, ...]
-    n1: int
-    n0: int
     caps: tuple
     split: SplitCost
 
@@ -141,12 +138,12 @@ class RoutingGame:
         links = tuple(only1 + only0 + [l for l in p0 if l in p1])
         row = self.coop.rows[ui]
         specs = [self.net.links[li].cost for li in links]
+        moving = len(only1) + len(only0)
         caps = tuple((i, c.capacity) for i, c in enumerate(specs)
-                     if isinstance(c, MM1Cost))
-        split = SplitCost(specs=tuple(specs[:len(only1) + len(only0)]),
-                          n1=len(only1), own_weight=row[ui], demand=demand)
-        return _TwoPath(links=links, n1=len(only1), n0=len(only0),
-                        caps=caps, split=split)
+                     if i >= moving and isinstance(c, MM1Cost))
+        split = SplitCost(specs=tuple(specs[:moving]), n1=len(only1),
+                          own_weight=row[ui], demand=demand)
+        return _TwoPath(links=links, caps=caps, split=split)
 
     def _feeds(self, ui: int, links) -> tuple:
         """For each of ``links``, the other users' path flows that load it
@@ -222,38 +219,19 @@ def _two_path_response(game: RoutingGame, ui: int,
 def _guarded_split(game: RoutingGame, ui: int, tp: _TwoPath, others,
                    weighted) -> tuple[float, float]:
     """The least-cost split ``(first, second)`` of ``tp``'s demand, with
-    the fixed loads ``others`` and ``weighted`` on ``tp.links``."""
+    the fixed loads ``others`` and ``weighted`` on ``tp.links``; a split
+    that does not fit is kept only when a third path can relieve it."""
     r = tp.split.demand
-    # Capacity bounds on the second-path share t: links used only by the
-    # second path cap it from above, first-path links from below.
-    guard = CAPACITY_GUARD
-    lo_cap, hi_cap = 0.0, r
-    n1, n01 = tp.n1, tp.n1 + tp.n0
     for i, cap in tp.caps:
-        room = cap - others[i] - guard
-        if i < n1:
-            hi_cap = min(hi_cap, room)
-        elif i < n01:
-            lo_cap = max(lo_cap, r - room)
-        elif others[i] + r > cap - guard:
+        if others[i] + r > cap - CAPACITY_GUARD:
             raise SolverError(
                 f"user {game.users[ui].user_id} saturates link "
                 f"{game.net.links[tp.links[i]].link_id!r} on every path")
-    lo = max(lo_cap, 0.0)
-    hi = min(hi_cap, r)
-    if lo > hi:
-        # The two paths cannot carry r within their guards.  Fill the
-        # second path to its guard and leave the rest on the first: the
-        # corner when one path has no room at all, where sending zero
-        # along it is still fine.  Otherwise the first path stays over
-        # its capacity, which only a third path can relieve.
-        t = max(hi, 0.0)
-        if t < r and lo_cap > t and len(game.path_link_idx[ui]) == 2:
-            raise SolverError(
-                f"user {game.users[ui].user_id} has no feasible split "
-                f"between its two paths")
-        return (r - t, t)
-    t = tp.split.argmin(lo, hi, others, weighted)
+    t, fits = tp.split.guarded_argmin(others, weighted)
+    if not fits and len(game.path_link_idx[ui]) == 2:
+        raise SolverError(
+            f"user {game.users[ui].user_id} has no feasible split "
+            f"between its two paths")
     return (r - t, t)
 
 
@@ -277,8 +255,8 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
 
     Path ``p``'s marginal ``m_p`` rises with its own flow, so at a level
     ``lam`` the path carries the root of ``m_p(x) = lam`` in
-    ``[0, top_p]``, where ``top_p`` keeps ``CAPACITY_GUARD`` below every
-    M/M/1 capacity on the path.  The total supply rises with ``lam``;
+    ``[0, top_p]``, the guard bracket of the path's one-path
+    ``SplitCost``.  The total supply rises with ``lam``;
     safeguarded Newton on ``lam`` (its slope is the sum of ``1 / m_p'``
     over the paths strictly inside) finds the level where it meets
     ``r``.  A flat marginal makes the supply jump; its paths are filled
@@ -294,12 +272,8 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
         return margins[p].derivative(x, *loads[p])
 
     k = len(margins)
-    tops = [r] * k
-    for p, (split, (others, _)) in enumerate(zip(margins, loads)):
-        for spec, o in zip(split.specs, others):
-            if isinstance(spec, MM1Cost):
-                tops[p] = min(tops[p], spec.capacity - o - CAPACITY_GUARD)
-    tops = [max(t, 0.0) for t in tops]
+    tops = [max(split.bracket(others)[1], 0.0)
+            for split, (others, _) in zip(margins, loads)]
     if math.fsum(tops) < r:
         raise SolverError(
             f"user {game.users[ui].user_id} cannot route its demand below "
@@ -587,17 +561,24 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
     sat = saturated_links(game.net, profile)
     state = [list(f) for f in profile.path_flows]
     lambdas: list[float] = []
-    raws = user_costs(game.net.links, profile.user_link_flows,
-                      profile.total_link_flows)
+    links = game.net.links
+    raws = user_costs(links, profile.user_link_flows, profile.total_link_flows)
     viol = math.inf if any(math.isnan(j) for j in raws) else 0.0
-    for ui, uid in enumerate(profile.user_ids):
+    for ui in range(len(profile.user_ids)):
         r = game.users[ui].demand
         paths = profile.paths[ui]
         if r == 0.0 or len(paths) <= 1:
             lambdas.append(0.0)
             continue
-        margs = [path_marginal(game.net, profile, game.coop, uid, p)
-                 for p in paths]
+        # The profile's loads hold the user's own flow: none goes on top.
+        row = game.coop.rows[ui]
+        weighted = [0.0] * len(links)
+        for wk, own in zip(row, profile.user_link_flows):
+            if wk:
+                weighted = [w + wk * v for w, v in zip(weighted, own)]
+        margs = path_marginals(links, game.path_link_idx[ui], row[ui],
+                               profile.total_link_flows, weighted,
+                               [0.0] * len(paths))
         finite = [v for v in margs if v != INFINITE_COST]
         lam = min(finite) if finite else INFINITE_COST
         lambdas.append(lam)
@@ -715,14 +696,22 @@ def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
 
 def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
     """A cluster's profile and its check, computed on the first call and
-    cached.  A cluster that dynamics reached is polished by five sweeps
+    cached.  A cluster that dynamics reached is polished, until a sweep
+    leaves it bit-identical or moves it no less than the sweep before,
     and verified here; a scan cluster keeps the check that admitted it."""
     if c.done is None:
         state = [list(s) for s in c.state]
         if c.check is None:
-            for _ in range(5):
+            last = math.inf
+            for _ in range(MAX_SWEEPS):
+                before = [v for s in state for v in s]
                 for ui in range(len(game.users)):
                     state[ui] = list(_best_response(game, state, ui))
+                move = max((abs(a - b) for a, b in zip(
+                    before, (v for s in state for v in s))), default=0.0)
+                if move == 0.0 or not move < last:
+                    break
+                last = move
         profile = profile_from_state(game, state)
         c.done = (profile, c.check or verify_nash(game, profile))
     return c.done
@@ -750,8 +739,8 @@ def _certified_unique(game: RoutingGame) -> bool:
             isinstance(lk.cost, LinearCost) for lk in game.net.links):
         return False
     links = game.net.links
-    signs = [{li: (1 if i < tp.n1 else -1)
-              for i, li in enumerate(tp.links[:tp.n1 + tp.n0])}
+    signs = [{li: (1 if i < tp.split.n1 else -1)
+              for i, li in enumerate(tp.links[:len(tp.split.specs)])}
              for tp in game.two_path]
     w = [[Fraction(v) for v in row] for row in game.coop.rows]
     n = len(signs)
@@ -812,6 +801,10 @@ def _scan_for_fixed_points(game: RoutingGame):
                                [r1 * i / (d - 1) for i in range(d)], 60):
         y = br_second(x)
         candidates.append(((r1 - x, x), (r2 - y, y)))
+    # Both orders are needed: a user at alpha 1 can answer from corner to
+    # corner, so when it answers second the forward candidate
+    # y = br_second(x) lands on a corner and fails verification; only the
+    # reverse scan, on that user's own coordinate, finds the point.
     for y in scan_sign_changes(lambda y: br_second(br_first(y)) - y,
                                [r2 * i / (d - 1) for i in range(d)], 60):
         x = br_first(y)
@@ -826,7 +819,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     first user's best response is exact (two paths or fewer, or
     link-disjoint paths) it does not depend on its own start, so
     trajectories differing only there coincide after one step; they are
-    run once and their count is credited to the reached basin.
+    run once and their count is credited to the reached basin.  A start
+    whose dynamics raise ``SolverError`` counts in ``failed_starts``.
 
     For two two-path users the scan then looks for the fixed points that
     the dynamics repel.  A candidate within ``CLUSTER_RADIUS`` of a known
@@ -851,10 +845,15 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
         head = options[0]
     clusters: list[_Cluster] = []
     non_converged = 0
+    failed_starts = 0
     trajectories = 0
     for combo in itertools.product(head, *options[1:]):
         trajectories += 1
-        res = br_dynamics(game, combo)
+        try:
+            res = br_dynamics(game, combo)
+        except SolverError:
+            failed_starts += weight
+            continue
         if not res.converged:
             non_converged += weight
             continue
@@ -897,6 +896,7 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     diagnostics = {"total_starts": total_starts,
                    "trajectories": trajectories,
                    "non_converged": non_converged,
+                   "failed_starts": failed_starts,
                    "scan_candidates": scan_candidates,
                    "scan_added": scan_added,
                    "scan_coverage": ("unique" if unique else

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cooproute import (ConfigError, CooperationProfile, LinearCost, MM1Cost,
+from cooproute import (ConfigError, CooperationProfile, InfeasibleError,
+                       LinearCost, MM1Cost, MixedScenario, SolverError,
                        assemble_profile, build_network, build_path_set,
-                       cost_report, path_marginal)
-from cooproute.costs import CAPACITY_GUARD, SplitCost, path_marginals
+                       cost_report, make_game, mixed, nash, wardrop_split)
+from cooproute.costs import (CAPACITY_GUARD, SplitCost, guard_fill,
+                             path_marginals)
 from cooproute.search import newton_argmin
 from cooproute.netmodel import UserSpec
 
@@ -27,6 +29,20 @@ def parallel_profile(net, rows, demands=None):
 
 def selfish(n):
     return CooperationProfile.from_alphas(tuple(range(1, n + 1)), [0.0] * n)
+
+
+def marginal(net, prof, coop, uid, link_id):
+    """User ``uid``'s marginal operating cost along the one-link path
+    ``link_id`` at the profile, whose loads already hold its own flow."""
+    ui = prof.user_index(uid)
+    row = coop.rows[ui]
+    weighted = [0.0] * len(net.links)
+    for w, own in zip(row, prof.user_link_flows):
+        if w:
+            for li, v in enumerate(own):
+                weighted[li] += w * v
+    return path_marginals(net.links, [[net.link_index(link_id)]], row[ui],
+                          prof.total_link_flows, weighted, [0.0])[0]
 
 
 class TestLinkCosts:
@@ -275,6 +291,138 @@ class TestSplitArgmin:
         assert split.argmin(lo, hi, others, weighted) == want
 
 
+class TestSplitGuard:
+    """``SplitCost.bracket`` and ``guarded_argmin``: ``t`` on the second
+    path, ``r - t`` on the first, each M/M/1 link kept ``CAPACITY_GUARD``
+    below its capacity."""
+
+    g = CAPACITY_GUARD
+
+    def test_second_path_queue_caps_from_above(self):
+        split = SplitCost(specs=(MM1Cost(2.0), LinearCost(1.0),
+                                 LinearCost(0.5, 1.0)),
+                          n1=2, own_weight=0.7, demand=1.5)
+        assert split.bracket((0.8, 0.1, 0.3)) == (0.0, 2.0 - 0.8 - self.g)
+        # room for the whole demand: the bracket is [0, r]
+        assert split.bracket((0.2, 0.1, 0.3)) == (0.0, 1.5)
+
+    def test_first_path_queue_caps_from_below(self):
+        split = SplitCost(specs=(LinearCost(1.0), MM1Cost(2.0),
+                                 LinearCost(0.5)),
+                          n1=1, own_weight=0.7, demand=1.5)
+        assert split.bracket((0.3, 1.0, 0.2)) == (
+            1.5 - (2.0 - 1.0) + self.g, 1.5)
+
+    def test_queues_on_both_paths_take_the_tightest(self):
+        split = SplitCost(specs=(MM1Cost(3.0), MM1Cost(2.5), MM1Cost(2.0),
+                                 MM1Cost(4.0)),
+                          n1=2, own_weight=1.0, demand=1.5)
+        lo, hi = split.bracket((2.0, 1.2, 1.0, 3.2))
+        assert hi == min(3.0 - 2.0 - self.g, 2.5 - 1.2 - self.g)
+        assert lo == max(1.5 - (2.0 - 1.0) + self.g,
+                         1.5 - (4.0 - 3.2) + self.g)
+
+    def test_shared_queue_is_left_to_the_caller(self):
+        # paths (l1, l3) and (l2, l3) share the queue l3: the split's
+        # bracket covers l1 and l2 only, and the two-path user saturates
+        # l3 whatever the split
+        net = build_network([1, 2, 3], [
+            ("l1", 1, 2, MM1Cost(2.0)), ("l2", 1, 2, MM1Cost(3.0)),
+            ("l3", 2, 3, MM1Cost(1.5))])
+        game = make_game(net, [UserSpec(1, 1, 3, 1.0)], [0.0])
+        tp = game.two_path[0]
+        assert tp.caps == ((2, 1.5),)
+        assert tp.split.bracket((2.5, 1.5, 0.0)) == (
+            1.0 - (2.0 - 1.5) + self.g, 3.0 - 2.5 - self.g)
+        assert tp.split.bracket((2.5, 1.5, 9.0)) == \
+            tp.split.bracket((2.5, 1.5, 0.0))
+        pair = nash._guarded_split(game, 0, tp, (0.5, 0.4, 0.0),
+                                   (0.0, 0.0, 0.0))
+        assert sum(pair) == pytest.approx(1.0)
+        with pytest.raises(SolverError, match="saturates link 'l3'"):
+            nash._guarded_split(game, 0, tp, (0.5, 0.4, 0.6),
+                                (0.0, 0.0, 0.0))
+
+    def pair(self, r=1.0):
+        return SplitCost(specs=(MM1Cost(3.0), MM1Cost(2.0)), n1=1,
+                         own_weight=0.6, demand=r)
+
+    def test_open_bracket_takes_the_argmin(self):
+        split = self.pair()
+        others, weighted = (1.0, 0.5), (0.2, 0.1)
+        lo, hi = split.bracket(others)
+        assert lo < hi
+        assert split.guarded_argmin(others, weighted) == (
+            split.argmin(lo, hi, others, weighted), True)
+
+    def test_full_second_path_sends_nothing_along_it(self):
+        assert self.pair().guarded_argmin((3.0, 0.5), (0.0, 0.0)) == (
+            0.0, True)
+
+    def test_full_first_path_sends_everything_along_the_second(self):
+        assert self.pair().guarded_argmin((1.0, 2.5), (0.0, 0.0)) == (
+            1.0, True)
+
+    def test_neither_path_fits(self):
+        # rooms 0.5 and 0.4 cannot carry 1: the second path is filled to
+        # its guard and the first stays over its own
+        t, fits = self.pair().guarded_argmin((2.5, 1.6), (0.0, 0.0))
+        assert not fits
+        assert t == 3.0 - 2.5 - self.g
+        assert guard_fill(1.0 - (2.0 - 1.6) + self.g, t, 1.0) == (t, False)
+
+
+class TestGuardCorners:
+    """The mixed model's group and mass, on an empty bracket, land where
+    an atomic two-path user on the same two queues lands."""
+
+    @staticmethod
+    def atomic(caps, loads, demand):
+        """The second-path flow of a selfish user of ``demand`` on
+        parallel queues l1 and l2 (the second path) beside ``loads``, or
+        None when it has no feasible split."""
+        game = make_game(parallel_net([MM1Cost(c) for c in caps]),
+                         [UserSpec(1, 1, 2, demand)], [0.0])
+        tp = game.two_path[0]
+        assert tp.links == (1, 0)
+        try:
+            return nash._guarded_split(game, 0, tp, (loads[1], loads[0]),
+                                       (0.0, 0.0))[1]
+        except SolverError:
+            return None
+
+    @pytest.mark.parametrize("scenario, w, want", [
+        (MixedScenario(2.0, 3.0, 1.0, 2.5, 0.3), 0.0, 0.0),
+        (MixedScenario(3.0, 2.0, 1.0, 2.5, 0.3), 2.2, 1.0)],
+        ids=["link-one-full", "link-two-full"])
+    def test_group(self, scenario, w, want):
+        # the group's split goes on link one, its SplitCost's second path
+        split = mixed._group_split(scenario)
+        mass_one = scenario.mass_demand - w
+        lo, hi = split.bracket((mass_one, w))
+        assert lo > hi
+        x = mixed._group_response(scenario, split, w)
+        assert x == want
+        assert x == self.atomic(
+            (scenario.capacity_two, scenario.capacity_one), (w, mass_one),
+            scenario.group_demand)
+
+    @pytest.mark.parametrize("caps, bases, want", [
+        ((1.0, 5.0), (1.2, 0.3), 0.5),
+        ((5.0, 1.0), (0.3, 1.2), 0.0),
+        ((2.0, 2.0), (1.5, 1.5), None)],
+        ids=["link-one-full", "link-two-full", "neither"])
+    def test_mass(self, caps, bases, want):
+        mass = 0.5 if want is not None else 1.0
+        try:
+            w = wardrop_split(MM1Cost(caps[0]), MM1Cost(caps[1]), *bases,
+                              mass)
+        except InfeasibleError:
+            w = None
+        assert w == want
+        assert w == self.atomic(caps, bases, mass)
+
+
 class TestCooperationProfile:
     def test_from_alphas_splits_weight_evenly(self):
         prof = CooperationProfile.from_alphas((1, 2, 3), [0.6, 0.0, 1.0])
@@ -343,8 +491,8 @@ class TestUserCosts:
         assert report.operating_costs == (math.inf, math.inf)
         report = cost_report(net, prof, selfish(2))
         assert report.operating_costs[1] == pytest.approx(2.0 / 8.0)
-        assert path_marginal(net, prof, selfish(2), 2, ("l1",)) == math.inf
-        assert path_marginal(net, prof, selfish(2), 2, ("l2",)) < math.inf
+        assert marginal(net, prof, selfish(2), 2, "l1") == math.inf
+        assert marginal(net, prof, selfish(2), 2, "l2") < math.inf
 
     def test_selfish_operating_cost_equals_raw(self):
         net = parallel_net([LinearCost(2.0), MM1Cost(5.0)])
@@ -369,10 +517,10 @@ class TestUserCosts:
         coop = CooperationProfile.from_alphas((1, 2), [0.3, 0.0])
         f1 = 1.4
         want = 0.7 / (8.0 - f1) + (0.7 * 0.4 + 0.3 * 1.0) / (8.0 - f1) ** 2
-        assert path_marginal(net, prof, coop, 1, ("l1",)) == \
+        assert marginal(net, prof, coop, 1, "l1") == \
             pytest.approx(want, rel=1e-12)
         want = 1.5 * 0.9 + 0.2 + 1.0 * 0.3 * 1.5
-        assert path_marginal(net, prof, coop, 2, ("l2",)) == \
+        assert marginal(net, prof, coop, 2, "l2") == \
             pytest.approx(want, rel=1e-12)
 
     @settings(max_examples=40)
@@ -397,7 +545,7 @@ class TestUserCosts:
                 base = rows[uid - 1][li]
                 fd = (objective(uid, li, base + h)
                       - objective(uid, li, base - h)) / (2 * h)
-                assert path_marginal(net, prof, coop, uid, (lid,)) == \
+                assert marginal(net, prof, coop, uid, lid) == \
                     pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 

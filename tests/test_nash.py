@@ -551,6 +551,32 @@ class TestMultistartLinear:
         assert eqs.diagnostics["scan_candidates"] == 6
         assert len(calls) == eqs.diagnostics["scan_added"] + reached == 3
 
+    def test_reverse_scan_finds_what_the_forward_one_cannot(self):
+        # user 2 at alpha 1 answers from corner to corner, so the forward
+        # scan pairs the interior fixed point's x with a corner y, which
+        # fails verification; only the reverse scan recovers the point
+        game = parallel_game([LinearCost(2.0502, 0.5027),
+                              LinearCost(1.9063, 0.9537)],
+                             [0.7622, 0.9072], [0.128, 1.0])
+        eqs = multistart_nash(game)
+        assert len(eqs) == 3 and all(eq.verified for eq in eqs)
+        interior = [eq for eq in eqs if 0.0 < eq.profile.path_flows[1][1]
+                    < game.demands[1]]
+        assert len(interior) == 1
+        eq = interior[0]
+        assert eq.scan_found and eq.basin_count == 0
+        flows = eq.profile.path_flows
+        assert flows[0] == pytest.approx((0.36724, 0.39496), abs=1e-5)
+        assert flows[1] == pytest.approx((0.53650, 0.37070), abs=1e-5)
+        near = [cand for cand in nash._scan_for_fixed_points(game)
+                if abs(cand[0][1] - flows[0][1]) <= 1e-9]
+        verdicts = [verify_nash(game, profile_from_state(game, cand))
+                    for cand in near]
+        # forward then reverse
+        assert [v.ok for v in verdicts] == [False, True]
+        assert near[0][1][1] == game.demands[1]
+        assert verdicts[0].max_violation == pytest.approx(1.21, abs=0.01)
+
     def test_scan_coverage(self):
         eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
         assert eqs.diagnostics["scan_coverage"] == "2x2"
@@ -591,6 +617,14 @@ class TestMultistartQueueing:
         eqs = multistart_nash(game)
         f = eqs.equilibria[0].profile.path_flows[0]
         assert f[0] > f[1]
+
+    def test_polish_reaches_the_symmetric_split(self):
+        # equal queues, alphas (0.75, 0): a fixed number of polishing
+        # sweeps stopped about 7e-8 short of the even split
+        game = get_preset("exp4-feasible").build_game(alphas=(0.75, 0.0))
+        for eq in multistart_nash(game):
+            for flows in eq.profile.path_flows:
+                assert flows == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 class TestVerification:
@@ -648,12 +682,15 @@ class TestVerification:
         assert check.max_violation == math.inf
 
     def test_multiplier_matches_used_path_marginal(self):
-        from cooproute import path_marginal
         game = linear_two_origin((0.0, 0.0))
         eq = multistart_nash(game).equilibria[0]
         check = verify_nash(game, eq.profile)
         lam = check.kkt_multipliers[0]
-        direct = path_marginal(game.net, eq.profile, game.coop, 1, ("l1",))
+        # user 1 is selfish: its weighted loads are its own, at weight 1
+        prof = eq.profile
+        direct = path_marginals(game.net.links, [[game.net.link_index("l1")]],
+                                1.0, prof.total_link_flows,
+                                prof.user_link_flows[0], [0.0])[0]
         assert lam == pytest.approx(direct, abs=1e-7)
 
 
@@ -859,11 +896,15 @@ class TestSaturatedBraessStarts:
     leaves each user one open path; best response must leave both starts.
     """
 
-    @pytest.mark.parametrize("start", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    def test_dynamics_leave_a_full_link(self, start):
-        game = braess_game([MM1Cost(1.8), MM1Cost(3.0), MM1Cost(3.0),
+    @staticmethod
+    def game():
+        return braess_game([MM1Cost(1.8), MM1Cost(3.0), MM1Cost(3.0),
                             MM1Cost(3.0), MM1Cost(1.8)], [1.0, 1.0],
                            [0.3, 0.3])
+
+    @pytest.mark.parametrize("start", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_dynamics_leave_a_full_link(self, start):
+        game = self.game()
         prof = profile_from_state(game, [start] * 2)
         assert math.inf in cost_report(game.net, prof, game.coop).raw_costs
         res = br_dynamics(game, [start] * 2)
@@ -872,6 +913,36 @@ class TestSaturatedBraessStarts:
         raw = cost_report(game.net, prof, game.coop).raw_costs
         assert all(c < math.inf for c in raw)
         assert verify_nash(game, prof).ok
+
+    def test_failed_start_does_not_end_the_solve(self):
+        # the start with both users on s-a-b-t fills sa and bt, so user
+        # 1's three paths all price at infinity and its dynamics raise;
+        # every other start reaches the even split over s-a-t and s-b-t
+        game = self.game()
+        start = [(1.0, 0.0, 0.0)] * 2
+        with pytest.raises(SolverError, match="no unsaturated path"):
+            br_dynamics(game, start)
+        eqs = multistart_nash(game)
+        diag = eqs.diagnostics
+        assert diag["failed_starts"] == 1
+        assert diag["non_converged"] == 0
+        assert len(eqs) == 1
+        eq = eqs.equilibria[0]
+        assert eq.verified
+        assert eq.basin_count == diag["total_starts"] - 1
+        for flows in eq.profile.path_flows:
+            assert flows == pytest.approx((0.0, 0.5, 0.5), abs=1e-9)
+
+    def test_solve_fails_when_every_start_fails(self, monkeypatch):
+        game = self.game()
+
+        def failing(game, start):
+            raise SolverError("no unsaturated path")
+
+        monkeypatch.setattr(nash, "br_dynamics", failing)
+        with pytest.raises(SolverError, match="no starting point") as info:
+            multistart_nash(game)
+        assert info.value.diagnostics["failed_starts"] == 16
 
 
 def test_exchange_overflow_moves_to_a_third_path():
