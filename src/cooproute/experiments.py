@@ -368,6 +368,11 @@ def parameter_sweep(scenario: Scenario,
                       rows=rows, branches=branches, varied_users=())
 
 
+# A cost counts as risen or fallen only when it moves by more than
+# PARADOX_MARGIN, so solver noise on a flat stretch is no witness.
+PARADOX_MARGIN = 1e-6
+
+
 @dataclass(frozen=True)
 class ParadoxWitness:
     """One comparison pair where the paradox shows."""
@@ -408,15 +413,15 @@ def _branch_pairs(sets: Sequence[EquilibriumSet]):
                 yield k1, i1, k2, i2, b.index, True
 
 
-def detect_braess(table: SweepTable, resource_direction: str = "increasing",
-                  margin: float = 1e-6) -> ParadoxReport:
+def detect_braess(table: SweepTable,
+                  resource_direction: str = "increasing") -> ParadoxReport:
     """Look for added resources making every user worse off.
 
     The rows are walked in the direction of growing resources (set
     ``resource_direction`` to "decreasing" when smaller parameter values
     mean more resources, as for a link price).  A witness is a branch
     step, or a branch birth compared against its parent, where every
-    user's cost strictly rises.
+    user's cost rises by more than ``PARADOX_MARGIN``.
     """
     if resource_direction not in ("increasing", "decreasing"):
         raise ConfigError('resource_direction must be "increasing" or '
@@ -429,7 +434,7 @@ def detect_braess(table: SweepTable, resource_direction: str = "increasing",
     for k1, i1, k2, i2, branch, birth in _branch_pairs(sets):
         before = sets[k1].equilibria[i1].raw_costs
         after = sets[k2].equilibria[i2].raw_costs
-        if all(b + margin < a for b, a in zip(before, after)):
+        if all(b + PARADOX_MARGIN < a for b, a in zip(before, after)):
             witnesses.append(ParadoxWitness(
                 parameter_from=rows[k1].value, parameter_to=rows[k2].value,
                 branch=branch, birth=birth, user_costs_from=before,
@@ -439,9 +444,10 @@ def detect_braess(table: SweepTable, resource_direction: str = "increasing",
 
 
 def detect_cooperation_paradox(table: SweepTable,
-                               users: Sequence[int] | None = None,
-                               margin: float = 1e-6) -> ParadoxReport:
-    """Look for a user's own cost falling as its cooperation degree rises.
+                               users: Sequence[int] | None = None
+                               ) -> ParadoxReport:
+    """Look for a user's own cost falling, by more than ``PARADOX_MARGIN``,
+    as its cooperation degree rises.
 
     Checks the users whose degree the sweep varied (or ``users``), along
     branch steps and births.  When a witness lies on rows that each hold
@@ -459,7 +465,7 @@ def detect_cooperation_paradox(table: SweepTable,
         before = sets[k1].equilibria[i1].raw_costs
         after = sets[k2].equilibria[i2].raw_costs
         for ui in checked:
-            if after[ui] + margin < before[ui]:
+            if after[ui] + PARADOX_MARGIN < before[ui]:
                 witnesses.append(ParadoxWitness(
                     parameter_from=table.rows[k1].value,
                     parameter_to=table.rows[k2].value,

@@ -28,7 +28,7 @@ from .costs import (CAPACITY_GUARD, MM1Cost, SplitCost, guard_fill,
                     user_costs, weighted_cost)
 from .errors import ConfigError, InfeasibleError, SolverError
 from .netmodel import Link
-from .search import scan_sign_changes
+from .search import grid, scan_sign_changes
 
 _REGION_TOL = 1e-12
 _DUP_TOL = 1e-9
@@ -365,11 +365,12 @@ class MixedNumericSet:
 def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
     """Independent iterative solver used to cross-check the closed forms.
 
-    A grid of group splits is scanned for sign changes of the composed
-    update's displacement (the group's best response, the closed form of
-    ``SplitCost.guarded_argmin``, to the mass's equal-latency split), and
-    each root opens a cluster.  Then the two responses alternate from
-    each grid split, and each limit is credited to the cluster within
+    A grid of group splits ending exactly at the group demand is scanned
+    for sign changes of the composed update's displacement (the group's
+    best response, the closed form of ``SplitCost.guarded_argmin``, to
+    the mass's equal-latency split), and each root, corners included,
+    opens a cluster.  Then the two responses alternate from each grid
+    split, and each limit is credited to the cluster within
     ``DEDUPE_RADIUS``, or opens its own.  Clusters the alternation never
     reaches, the equilibria it repels, keep a zero basin count.
     """
@@ -395,9 +396,9 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
                 return
         clusters.append([x, w, weight])
 
-    xs = [r1 * i / (STARTS - 1) for i in range(STARTS)]
+    xs = grid(r1, STARTS)
     for x in scan_sign_changes(
-            lambda x: group_response(mass_response(x)) - x, xs, 80):
+            lambda x: group_response(mass_response(x)) - x, xs):
         merge(x, mass_response(x), 0)
     non_converged = 0
     for x in xs:

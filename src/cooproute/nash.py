@@ -15,7 +15,8 @@ between its cheapest path and its dearest used path by the same guarded
 two-path solve, with its flow elsewhere held as fixed load, until their
 marginals agree to float noise.  Every best response is thus exact.  A
 multistart driver clusters the fixed points reached from a grid of
-starting splits and counts basin sizes and failed starts.
+starting splits (``search.grid``, whose last split is exactly the
+demand) and counts basin sizes and failed starts.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
@@ -30,8 +31,9 @@ equilibrium of a certified game, there is nothing left for the scan to
 find and it is skipped.
 
 Costs, path marginals and the two-path derivative, which also prices
-one path alone, come from ``costs``; this module only sums its per-path
-state into link loads, in a fixed order, and hands them over.  The
+one path alone, come from ``costs``; this module only sums the other
+users' path flows into link loads, through the game's precomputed
+``feeds`` in one fixed order (``_state_loads``), and hands them over.  The
 verifier's deviation sweep prices each split with
 ``costs.deviation_cost``, which recomputes only the deviating user's
 links and matches the full-state cost exactly.
@@ -52,7 +54,7 @@ from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
                        saturated_links)
-from .search import NEWTON_STEPS, newton_argmin, scan_sign_changes
+from .search import SEARCH_STEPS, grid, newton_argmin, scan_sign_changes
 
 
 # Solver settings.  The pairwise exchange stops when no used path's
@@ -111,8 +113,11 @@ class RoutingGame:
         object.__setattr__(self, "two_path", tuple(
             self._two_path_user(ui, 0, 1, self.users[ui].demand)
             if len(idx) == 2 else None for ui, idx in enumerate(pli)))
+        # A two-path user reads the loads on its own links; any other
+        # user reads them on every link.
+        m = len(self.net.links)
         object.__setattr__(self, "feeds", tuple(
-            None if tp is None else self._feeds(ui, tp.links)
+            self._feeds(ui, range(m) if tp is None else tp.links)
             for ui, tp in enumerate(self.two_path)))
         # Three or more paths, none sharing a link with another: each
         # path is priced alone, by a one-path ``SplitCost``.
@@ -147,8 +152,8 @@ class RoutingGame:
 
     def _feeds(self, ui: int, links) -> tuple:
         """For each of ``links``, the other users' path flows that load it
-        as ``(user, path, weight in user ui's cooperation row)``, in the
-        order ``_state_loads`` sums them."""
+        as ``(user, path, weight in user ui's cooperation row)``, in user
+        order and then path order."""
         row = self.coop.rows[ui]
         return tuple(
             tuple((k, p, row[k]) for k, paths in enumerate(self.path_link_idx)
@@ -176,32 +181,10 @@ def make_game(net: Network, users: Sequence[UserSpec],
 
 
 def _state_loads(game: RoutingGame, state, ui: int):
-    """Link totals of every user but ``ui`` and those users' loads weighted
-    by ``ui``'s cooperation row, summed path by path in user order."""
-    m = len(game.net.links)
-    row = game.coop.rows[ui]
-    totals = [0.0] * m
-    weighted = [0.0] * m
-    for k, paths in enumerate(game.path_link_idx):
-        if k == ui:
-            continue
-        wk = row[k]
-        for links_p, v in zip(paths, state[k]):
-            if v == 0.0:
-                continue
-            for li in links_p:
-                totals[li] += v
-                if wk:
-                    weighted[li] += wk * v
-    return totals, weighted
-
-
-def _two_path_response(game: RoutingGame, ui: int,
-                       state) -> tuple[float, float]:
-    tp = game.two_path[ui]
-    # The other users' loads on this user's links, summed as in
-    # ``_state_loads``.
-    others = []
+    """On each link of ``game.feeds[ui]``, the total flow of every user
+    but ``ui`` and those users' flows weighted by ``ui``'s cooperation
+    row, summed in the feed's order."""
+    totals = []
     weighted = []
     for feed in game.feeds[ui]:
         o = w = 0.0
@@ -211,9 +194,9 @@ def _two_path_response(game: RoutingGame, ui: int,
                 o += v
                 if wk:
                     w += wk * v
-        others.append(o)
+        totals.append(o)
         weighted.append(w)
-    return _guarded_split(game, ui, tp, others, weighted)
+    return totals, weighted
 
 
 def _guarded_split(game: RoutingGame, ui: int, tp: _TwoPath, others,
@@ -338,8 +321,8 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
             continue
         nxt = 0.5 * (a + b)
         slope = sum(gains)
-        # Newton for the first NEWTON_STEPS steps, then plain bisection.
-        if n < NEWTON_STEPS and 0.0 < slope < math.inf:
+        # Newton for the first SEARCH_STEPS steps, then plain bisection.
+        if n < SEARCH_STEPS and 0.0 < slope < math.inf:
             step = lam - gap / slope
             if step == lam:
                 # The level is exact to float resolution.  The rest goes
@@ -413,8 +396,9 @@ def _best_response(game: RoutingGame, state, ui: int) -> tuple[float, ...]:
         return (0.0,) * len(paths)
     if len(paths) == 1:
         return (r,)
-    if game.two_path[ui] is not None:
-        return _two_path_response(game, ui, state)
+    tp = game.two_path[ui]
+    if tp is not None:
+        return _guarded_split(game, ui, tp, *_state_loads(game, state, ui))
     if game.disjoint[ui] is not None:
         return _disjoint_response(game, ui, r, state)
     return _exchange_response(game, ui, r, state)
@@ -449,6 +433,13 @@ def _set_from_reduced(game: RoutingGame, state, red) -> None:
         state[ui] = [u.demand - s, *coords]
 
 
+def _sweep(game: RoutingGame, state) -> None:
+    """One Gauss-Seidel sweep: each user in turn takes its best response
+    against the current flows."""
+    for ui in range(len(game.users)):
+        state[ui] = list(_best_response(game, state, ui))
+
+
 def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
     """Run Gauss-Seidel best response from one starting profile.
 
@@ -456,20 +447,14 @@ def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
     sequence when the per-coordinate contraction ratios look stable; a
     trial sweep after the jump decides whether to keep it.
     """
-    n = len(game.users)
     state = [list(map(float, s)) for s in start]
-
-    def sweep() -> None:
-        for ui in range(n):
-            state[ui] = list(_best_response(game, state, ui))
-
     prev: list[float] | None = None
     window: list[list[float]] = []
     cooldown = 0
     converged = False
     sweeps = 0
     while sweeps < MAX_SWEEPS:
-        sweep()
+        _sweep(game, state)
         sweeps += 1
         red = _reduced(game, state)
         if prev is not None:
@@ -485,13 +470,13 @@ def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
             cooldown -= 1
             continue
         if len(window) == 3 and sweeps + 1 < MAX_SWEEPS:
-            jump = _aitken_target(window, game.demands, game.path_link_idx)
+            jump = _aitken_target(window)
             if jump is None:
                 continue
             target, pre_delta = jump
             saved = [list(s) for s in state]
             _set_from_reduced(game, state, target)
-            sweep()
+            _sweep(game, state)
             sweeps += 1
             red2 = _reduced(game, state)
             new_delta = max((abs(a - b) for a, b in zip(red2, target)),
@@ -509,7 +494,7 @@ def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
                           converged=converged, sweeps=sweeps)
 
 
-def _aitken_target(window, demands, path_link_idx):
+def _aitken_target(window):
     x0, x1, x2 = window
     d1 = [b - a for a, b in zip(x0, x1)]
     d2 = [b - a for a, b in zip(x1, x2)]
@@ -607,12 +592,12 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
             viol = max(viol, min(res / max(1.0, r), gap))
         if len(paths) == 2:
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
-            g = DEVIATION_GRID
+            ts = grid(r, DEVIATION_GRID)
             best_alt = math.inf
             # Blocks of splits keep the evaluator's lists short.
-            for lo in range(0, g, 128):
-                ts = [r * i / (g - 1) for i in range(lo, min(lo + 128, g))]
-                best_alt = min(best_alt, *cost([(r - t, t) for t in ts]))
+            for lo in range(0, len(ts), 128):
+                best_alt = min(best_alt, *cost([(r - t, t)
+                                                for t in ts[lo:lo + 128]]))
             if cur != INFINITE_COST and best_alt < cur:
                 viol = max(viol, (cur - best_alt) / cscale)
             elif cur == INFINITE_COST and best_alt < INFINITE_COST:
@@ -705,8 +690,7 @@ def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
             last = math.inf
             for _ in range(MAX_SWEEPS):
                 before = [v for s in state for v in s]
-                for ui in range(len(game.users)):
-                    state[ui] = list(_best_response(game, state, ui))
+                _sweep(game, state)
                 move = max((abs(a - b) for a, b in zip(
                     before, (v for s in state for v in s))), default=0.0)
                 if move == 0.0 or not move < last:
@@ -769,9 +753,7 @@ def _start_options(game: RoutingGame):
         elif k == 1 or r == 0.0:
             options.append([(r,) + (0.0,) * (k - 1)])
         elif k == 2:
-            g = GRID_DENSITY
-            options.append([(r - (r * i / (g - 1)), r * i / (g - 1))
-                            for i in range(g)])
+            options.append([(r - t, t) for t in grid(r, GRID_DENSITY)])
         else:
             verts = []
             for p in range(k):
@@ -795,10 +777,9 @@ def _scan_for_fixed_points(game: RoutingGame):
         st = [[r1 - x, x], [r2, 0.0]]
         return _best_response(game, st, 1)[1]
 
-    d = SCAN_DENSITY
     candidates = []
     for x in scan_sign_changes(lambda x: br_first(br_second(x)) - x,
-                               [r1 * i / (d - 1) for i in range(d)], 60):
+                               grid(r1, SCAN_DENSITY)):
         y = br_second(x)
         candidates.append(((r1 - x, x), (r2 - y, y)))
     # Both orders are needed: a user at alpha 1 can answer from corner to
@@ -806,7 +787,7 @@ def _scan_for_fixed_points(game: RoutingGame):
     # y = br_second(x) lands on a corner and fails verification; only the
     # reverse scan, on that user's own coordinate, finds the point.
     for y in scan_sign_changes(lambda y: br_second(br_first(y)) - y,
-                               [r2 * i / (d - 1) for i in range(d)], 60):
+                               grid(r2, SCAN_DENSITY)):
         x = br_first(y)
         candidates.append(((r1 - x, x), (r2 - y, y)))
     return candidates

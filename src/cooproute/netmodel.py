@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .costs import CostSpec, MM1Cost
 from .errors import ConfigError, InfeasibleError
 
+# The most simple paths a user may have; a network with more is refused.
 MAX_PATHS = 64
 
 _FLOW_TOL = 1e-12
@@ -105,9 +106,10 @@ class UserSpec:
             raise ConfigError("user source and target must differ")
 
 
-def enumerate_paths(net: Network, source: int, target: int,
-                    max_paths: int = MAX_PATHS) -> tuple[tuple[str, ...], ...]:
-    """All simple paths from source to target as tuples of link ids.
+def enumerate_paths(net: Network, source: int,
+                    target: int) -> tuple[tuple[str, ...], ...]:
+    """All simple paths from source to target as tuples of link ids; more
+    than ``MAX_PATHS`` of them raise ``ConfigError``.
 
     Paths come out in lexicographic link-id order because the network's
     links are sorted and the search extends smallest id first.
@@ -122,9 +124,9 @@ def enumerate_paths(net: Network, source: int, target: int,
     def walk(node: int):
         if node == target:
             found.append(tuple(stack))
-            if len(found) > max_paths:
+            if len(found) > MAX_PATHS:
                 raise ConfigError(
-                    f"more than {max_paths} paths from {source} to {target}")
+                    f"more than {MAX_PATHS} paths from {source} to {target}")
             return
         for lk in by_source.get(node, ()):
             if lk.target in visited:
@@ -150,14 +152,13 @@ class PathSet:
         return self.paths[self.user_ids.index(user_id)]
 
 
-def build_path_set(net: Network, users: Sequence[UserSpec],
-                   max_paths: int = MAX_PATHS) -> PathSet:
+def build_path_set(net: Network, users: Sequence[UserSpec]) -> PathSet:
     ids = tuple(u.user_id for u in users)
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate user ids")
     all_paths = []
     for u in users:
-        paths = enumerate_paths(net, u.source, u.target, max_paths=max_paths)
+        paths = enumerate_paths(net, u.source, u.target)
         if not paths and u.demand > 0:
             raise InfeasibleError(
                 f"user {u.user_id} has no path from {u.source} to {u.target}",

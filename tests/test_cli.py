@@ -36,6 +36,17 @@ MIXED_DOC = {"capacity_one": 4.0, "capacity_two": 3.0,
              "group_demand": 1.2, "mass_demand": 1.0, "alpha": 0.9}
 
 
+# seven pairs of parallel links in series: 128 paths, over the cap of 64
+LADDER_DOC = {
+    "nodes": list(range(8)),
+    "links": [{"id": f"{side}{i}", "source": i, "target": i + 1,
+               "cost": {"kind": "linear", "slope": 1.0}}
+              for i in range(7) for side in "uv"],
+    "users": [{"id": 1, "source": 0, "target": 7, "demand": 1.0}],
+    "alphas": [0.0],
+}
+
+
 def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -131,6 +142,13 @@ class TestErrorPaths:
                            write_doc(tmp_path, doc))
         assert rc == 2
         assert "extra" in err
+
+    def test_too_many_paths(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "solve", "--config",
+                           write_doc(tmp_path, LADDER_DOC))
+        assert rc == 2
+        assert "error:" in err
+        assert "more than 64 paths" in err
 
     def test_duplicate_json_key(self, capsys, tmp_path):
         path = tmp_path / "dup.json"

@@ -101,7 +101,7 @@ class TestWardropSplit:
         w = wardrop_split(one, two, base_one, base_two, mass)
         ref = bisect_sign_change(
             lambda v: one.value(base_one + mass - v) - two.value(base_two + v),
-            lo, hi, iters=80)
+            lo, hi)
         assert abs(w - ref) <= 1e-12 * max(1.0, mass)
 
     def test_all_mass_avoids_full_link(self):
@@ -218,6 +218,35 @@ class TestNumericAgreement:
         assert jw == pytest.approx((1 - 0.9) * jg + 0.9 * jm)
         assert (jg, jm, jw) == hand_costs(s, 1.1625, 0.5625)
 
+    # Audit scenarios random-24 and random-35, whose group demands the
+    # hand-built grid r * i / (n - 1) missed by an ulp at its last point.
+    @pytest.mark.parametrize("scenario, basin", [
+        (MixedScenario(1.8095165549790508, 1.539723716549714,
+                       0.7362098140890853, 0.7232922364609202,
+                       0.6609580177032867), 25),
+        (MixedScenario(5.52803947450978, 4.558632290150358,
+                       3.3235601882742034, 2.159449588170212,
+                       0.9835054029211315), 71)])
+    def test_scan_returns_the_full_group_corner(self, monkeypatch, scenario,
+                                                basin):
+        roots = []
+        scan = mixed.scan_sign_changes
+
+        def spy(*args):
+            found = scan(*args)
+            roots.extend(found)
+            return found
+
+        monkeypatch.setattr(mixed, "scan_sign_changes", spy)
+        r1 = scenario.group_demand
+        pts = mixed_numeric(scenario).points
+        assert r1 in roots
+        corner = [p for p in pts if p.group_split == r1]
+        assert len(corner) == 1
+        assert corner[0].basin_count == basin
+        assert not corner[0].scan_found
+        assert corner[0].verified
+
     def test_scan_recovers_repelled_interior(self):
         pts = mixed_numeric(reference(0.9)).points
         interior = [p for p in pts
@@ -255,7 +284,7 @@ def hand_group_response(s, w):
         own = (1.0 / u + x * d1) - (1.0 / v + (r1 - x) * d2)
         return (1.0 - a) * own + a * (mass_one * d1 - w * d2)
 
-    return lo, hi, argmin_by_derivative(deriv, lo, hi, 80)
+    return lo, hi, argmin_by_derivative(deriv, lo, hi)
 
 
 @st.composite

@@ -83,6 +83,27 @@ def edge_braess_game():
                         LinearCost(1.0)], [1.0], [0.0])
 
 
+def walked_loads(game, state, ui):
+    """Link totals of every user but ``ui`` and those users' flows weighted
+    by ``ui``'s cooperation row, summed path by path in user order: the
+    reference for ``_state_loads``."""
+    m = len(game.net.links)
+    row = game.coop.rows[ui]
+    totals = [0.0] * m
+    weighted = [0.0] * m
+    for k, paths in enumerate(game.path_link_idx):
+        if k == ui:
+            continue
+        for links_p, v in zip(paths, state[k]):
+            if v == 0.0:
+                continue
+            for li in links_p:
+                totals[li] += v
+                if row[k]:
+                    weighted[li] += row[k] * v
+    return totals, weighted
+
+
 def transfer_flows(eq):
     return eq.profile.path_flows[0][1], eq.profile.path_flows[1][1]
 
@@ -165,7 +186,7 @@ def test_exact_response_matches_bisection(case):
     r = game.demands[ui]
     paths = game.path_link_idx[ui]
     own_weight = game.coop.rows[ui][ui]
-    others, weighted = _state_loads(game, state, ui)
+    others, weighted = walked_loads(game, state, ui)
 
     def deriv(t):
         m = path_marginals(game.net.links, paths, own_weight, others,
@@ -176,7 +197,7 @@ def test_exact_response_matches_bisection(case):
     # an empty bracket sends everything down the open path, which
     # test_unusable_path_gets_nothing covers
     assume(lo <= hi)
-    t_ref = argmin_by_derivative(deriv, lo, hi, 60)
+    t_ref = argmin_by_derivative(deriv, lo, hi)
     br = _best_response(game, state, ui)
     assert sum(br) == pytest.approx(r, abs=1e-12)
     assert abs(br[1] - t_ref) <= 1e-9 * max(1.0, r)
@@ -250,7 +271,7 @@ def test_water_filling_response_is_optimal(case):
     r = game.demands[0]
     paths = game.path_link_idx[0]
     own_weight = game.coop.rows[0][0]
-    others, weighted = _state_loads(game, state, 0)
+    others, weighted = walked_loads(game, state, 0)
     # a path's flow stays CAPACITY_GUARD below the room its M/M/1 link has
     rooms = [math.inf] * len(paths)
     for p, (li,) in enumerate(paths):
@@ -287,6 +308,51 @@ def test_water_filling_response_is_optimal(case):
     # splits that fill an M/M/1 link cost infinity; leave them out
     grid_min = min(cost(simplex_grid(r, rooms)), default=math.inf)
     assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
+
+
+@st.composite
+def load_cases(draw):
+    """A two- or three-user game and a random state of it: two-path users
+    on the load-balancing network, two-path or water-filling users on 2
+    to 4 parallel links, or Braess users beside two-path users from s to
+    b and from a to t."""
+    n = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["load-balancing", "parallel", "braess"]))
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=n, max_size=n))
+    demands = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    if kind == "load-balancing":
+        n = 2
+        game = load_balancing_game([LinearCost(1.0)] * 4, demands[:2],
+                                   alphas[:2])
+    elif kind == "parallel":
+        k = draw(st.integers(2, 4))
+        game = parallel_game([LinearCost(1.0)] * k, demands, alphas)
+    else:
+        ends = draw(st.lists(st.sampled_from([("s", "t"), ("s", "b"),
+                                              ("a", "t")]),
+                             min_size=n, max_size=n))
+        net = build_network(["s", "a", "b", "t"], [
+            (lid, lid[0], lid[1], LinearCost(1.0)) for lid in BRAESS_LINKS])
+        game = make_game(net, [UserSpec(i + 1, s, t, r) for i, ((s, t), r)
+                               in enumerate(zip(ends, demands))], alphas)
+    state = [draw(st.lists(st.sampled_from([0.0]) | st.floats(0.0, 3.0),
+                           min_size=len(paths), max_size=len(paths)))
+             for paths in game.path_link_idx]
+    return game, state
+
+
+@settings(max_examples=60, deadline=None)
+@given(load_cases())
+def test_state_loads_match_the_path_walk(case):
+    # bit for bit: a two-path user reads its own links, any other user
+    # every link
+    game, state = case
+    for ui, tp in enumerate(game.two_path):
+        totals, weighted = walked_loads(game, state, ui)
+        links = range(len(game.net.links)) if tp is None else tp.links
+        assert _state_loads(game, state, ui) == (
+            [totals[li] for li in links], [weighted[li] for li in links])
 
 
 def full_state_cost(game, state, ui):

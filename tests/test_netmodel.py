@@ -6,8 +6,19 @@ from hypothesis import strategies as st
 
 from cooproute import (ConfigError, InfeasibleError, LinearCost, MM1Cost,
                        assemble_profile, build_network, build_path_set,
-                       check_feasibility, enumerate_paths, saturated_links)
-from cooproute.netmodel import UserSpec
+                       check_feasibility, enumerate_paths, make_game,
+                       saturated_links)
+from cooproute.netmodel import MAX_PATHS, UserSpec
+
+
+def ladder(rungs):
+    """``rungs`` pairs of parallel links in series: ``2 ** rungs`` simple
+    paths from node 0 to node ``rungs``."""
+    links = []
+    for i in range(rungs):
+        links.append((f"u{i}", i, i + 1, LinearCost(1.0)))
+        links.append((f"v{i}", i, i + 1, LinearCost(2.0)))
+    return build_network(list(range(rungs + 1)), links)
 
 
 def two_origin_net(direct=4.1, cross=5.0):
@@ -66,14 +77,16 @@ class TestEnumeratePaths:
         assert enumerate_paths(net, 1, 3) == (("a", "c"),)
 
     def test_path_explosion_capped(self):
-        nodes = list(range(12))
-        links = []
-        for i in range(11):
-            links.append((f"u{i}", i, i + 1, LinearCost(1.0)))
-            links.append((f"v{i}", i, i + 1, LinearCost(2.0)))
-        net = build_network(nodes, links)
         with pytest.raises(ConfigError):
-            enumerate_paths(net, 0, 11)
+            enumerate_paths(ladder(11), 0, 11)
+
+    def test_path_cap_admits_exactly_max_paths(self):
+        game = make_game(ladder(6), [UserSpec(1, 0, 6, 1.0)], [0.0])
+        assert len(game.paths.paths[0]) == MAX_PATHS == 64
+
+    def test_path_cap_refuses_one_path_more(self):
+        with pytest.raises(ConfigError, match="more than 64 paths"):
+            make_game(ladder(7), [UserSpec(1, 0, 7, 1.0)], [0.0])
 
 
 class TestPathSetAndProfiles:

@@ -6,7 +6,24 @@ from hypothesis import strategies as st
 
 from cooproute import search
 from cooproute.search import (argmin_by_derivative, bisect_sign_change,
-                              newton_argmin, scan_sign_changes)
+                              grid, newton_argmin, scan_sign_changes)
+
+
+class TestGrid:
+    def test_last_point_is_exactly_the_end(self):
+        # r * 200 / 200 rounds to 0.7362098140890851, an ulp short of r
+        r = 0.7362098140890853
+        assert r * 200 / 200 != r
+        assert grid(r, 201)[-1] == r
+
+    @settings(max_examples=100)
+    @given(st.floats(0.0, 1e6), st.integers(2, 1001))
+    def test_starts_at_zero_and_never_decreases(self, r, n):
+        xs = grid(r, n)
+        assert len(xs) == n
+        assert xs[0] == 0.0
+        assert xs[-1] == r
+        assert all(a <= b for a, b in zip(xs, xs[1:]))
 
 
 class TestBisectSignChange:
@@ -31,31 +48,32 @@ class TestScanSignChanges:
 
     def test_zero_at_grid_point_is_kept_as_is(self):
         # f vanishes exactly at 0.5; the next interval has no strict change
-        assert scan_sign_changes(lambda x: x - 0.5, self.GRID, 60) == [0.5]
+        assert scan_sign_changes(lambda x: x - 0.5, self.GRID) == [0.5]
 
     def test_falling_sign_change_is_bisected(self):
-        roots = scan_sign_changes(lambda x: 1.3 - x, self.GRID, 60)
+        roots = scan_sign_changes(lambda x: 1.3 - x, self.GRID)
         assert roots == [pytest.approx(1.3, abs=1e-12)]
 
     def test_rising_sign_change_is_bisected(self):
-        roots = scan_sign_changes(lambda x: x * x - 2.0, self.GRID, 60)
+        roots = scan_sign_changes(lambda x: x * x - 2.0, self.GRID)
         assert roots == [pytest.approx(math.sqrt(2.0), abs=1e-12)]
 
     def test_zero_at_upper_end(self):
-        assert scan_sign_changes(lambda x: x - 2.0, self.GRID, 60) == [2.0]
+        assert scan_sign_changes(lambda x: x - 2.0, self.GRID) == [2.0]
 
     def test_no_root(self):
-        assert scan_sign_changes(lambda x: x + 1.0, self.GRID, 60) == []
+        assert scan_sign_changes(lambda x: x + 1.0, self.GRID) == []
 
-    def test_roots_in_grid_order_and_step_count(self):
+    def test_roots_in_grid_order_and_step_count(self, monkeypatch):
         def f(x):
             return (x - 0.3) * (x - 1.2)
 
-        roots = scan_sign_changes(f, self.GRID, 60)
+        roots = scan_sign_changes(f, self.GRID)
         assert roots == [pytest.approx(0.3, abs=1e-12),
                          pytest.approx(1.2, abs=1e-12)]
         # with one step the root is the midpoint of the halved bracket
-        assert scan_sign_changes(f, self.GRID, 1) == [0.375, 1.125]
+        monkeypatch.setattr(search, "SEARCH_STEPS", 1)
+        assert scan_sign_changes(f, self.GRID) == [0.375, 1.125]
 
 
 class TestArgminByDerivative:
@@ -129,7 +147,7 @@ class TestNewtonArgmin:
 
     def test_step_cap(self, monkeypatch):
         # one step evaluates the midpoint and takes the Newton step from it
-        monkeypatch.setattr(search, "NEWTON_STEPS", 1)
+        monkeypatch.setattr(search, "SEARCH_STEPS", 1)
         x = newton_argmin(lambda t: (t * t * t - 0.001, 3.0 * t * t),
                           0.0, 1.0)
         assert x == pytest.approx(0.5 - (0.125 - 0.001) / 0.75, abs=1e-15)
