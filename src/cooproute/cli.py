@@ -18,6 +18,7 @@ the output does not depend on scheduling.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import functools
 import json
@@ -349,7 +350,9 @@ def _cmd_sweep(args, manifest):
         "rows_without_scan": sum(s.diagnostics["scan_coverage"] == "none"
                                  for s in eqsets),
         "rows_certified_unique": sum(
-            s.diagnostics["scan_coverage"] == "unique" for s in eqsets)}
+            s.diagnostics["scan_coverage"] == "unique" for s in eqsets),
+        "scan_coverage": dict(collections.Counter(
+            s.diagnostics["scan_coverage"] for s in eqsets))}
     # Header metadata comes from one cheap rebuild, not from re-solving.
     game0 = sc.build_game()
     user_ids = tuple(u.user_id for u in game0.users)

@@ -351,6 +351,32 @@ class SplitCost:
             slope += 2.0 * b * dt + c * spec.curvature(f)
         return g, slope
 
+    def cross(self, t: float, others, weighted, shift, weight: float
+              ) -> float:
+        """The derivative's slope in another user's flow, at ``t``.
+
+        One more unit of that user's flow moves ``others[i]`` by
+        ``shift[i]`` (1, -1 or 0) and ``weighted[i]`` by ``weight *
+        shift[i]``; a link then adds ``(b + weight) T' + (w + b x) T''``,
+        times its path's sign and ``shift[i]``.  Affine links read the
+        line's coefficients and call no cost method."""
+        if self._line is not None:
+            return sum((co + cw * weight) * e
+                       for (co, cw), e in zip(self._line[2], shift) if e)
+        b, n1 = self.own_weight, self.n1
+        acc = 0.0
+        for i, (spec, e) in enumerate(zip(self.specs, shift)):
+            if not e:
+                continue
+            if i < n1:
+                own, sgn = t, e
+            else:
+                own, sgn = self.demand - t, -e
+            f = others[i] + own
+            acc += sgn * ((b + weight) * spec.derivative(f)
+                          + (weighted[i] + b * own) * spec.curvature(f))
+        return acc
+
     def argmin(self, lo: float, hi: float, others, weighted) -> float:
         """The split ``t`` in ``[lo, hi]`` of least cost.
 

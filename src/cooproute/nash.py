@@ -20,15 +20,23 @@ demand) and counts basin sizes and failed starts.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
-with two paths each the driver therefore also scans the best-response
-composition for sign changes and refines each bracket by bisection
-(``search.scan_sign_changes``), which recovers the repelling equilibria
-with a basin count of zero.  Only a scan candidate that opens a new
-cluster is verified.  On affine links the game can be certified, in
-exact arithmetic, to have a single equilibrium (Rosen's diagonal strict
-convexity with unit weights); when the dynamics reach one verified
-equilibrium of a certified game, there is nothing left for the scan to
-find and it is skipped.
+with two paths each the driver therefore also enumerates supports
+(``_support_roots``): each user on its first path, its second or both,
+with "the derivative along the split is zero" solved for the users on
+both.  One such user takes its exact best response; two solve a linear
+system on affine links, and otherwise follow each user's best-response
+curve and solve each sign change of the other's derivative by Newton's
+method with its analytic slope (``SplitCost.cross``).  A root no
+known cluster holds is verified and, if it passes, opens a cluster with
+a basin count of zero.  The pass checks itself by the index sum of the
+verified equilibria (``_index_sum``), which is 1 for a complete set of
+regular equilibria; when it is not 1, or a point is degenerate, the
+best-response composition is also scanned for sign changes, each
+bracket refined by bisection (``search.scan_sign_changes``).  On affine
+links the game can be certified, in exact arithmetic, to have a single
+equilibrium (Rosen's diagonal strict convexity with unit weights); when
+the dynamics reach one verified equilibrium of a certified game, there
+is nothing left to find and neither runs.
 
 Costs, path marginals and the two-path derivative, which also prices
 one path alone, come from ``costs``; this module only sums the other
@@ -62,7 +70,10 @@ from .search import SEARCH_STEPS, grid, newton_argmin, scan_sign_changes
 # net, after EXCHANGE_STEPS steps.  Dynamics stop when a sweep moves no
 # coordinate by FP_TOL, or after MAX_SWEEPS sweeps.  GRID_DENSITY splits
 # per two-path user seed the multistart, and fixed points within
-# CLUSTER_RADIUS of each other are one equilibrium.  The 2x2 scan samples
+# CLUSTER_RADIUS of each other are one equilibrium.  The support pass
+# samples each best-response curve at CURVE_GRID flows; a reduced
+# Jacobian's determinant, or an unused path's slack, at or below
+# DEGENERATE_TOL relative makes a point degenerate.  The 2x2 scan samples
 # SCAN_DENSITY points.  Verification sweeps DEVIATION_GRID splits and
 # accepts a normalized violation up to VERIFY_TOL.
 EXCHANGE_TOL = 1e-14
@@ -71,6 +82,8 @@ FP_TOL = 1e-8
 MAX_SWEEPS = 10_000
 GRID_DENSITY = 21
 CLUSTER_RADIUS = 1e-4
+CURVE_GRID = 21
+DEGENERATE_TOL = 1e-9
 VERIFY_TOL = 1e-6
 SCAN_DENSITY = 801
 DEVIATION_GRID = 1001
@@ -643,10 +656,13 @@ def profile_from_state(game: RoutingGame, state) -> FlowProfile:
 
 class _Cluster:
     """Fixed points within ``CLUSTER_RADIUS`` of the first one.  A cluster
-    the scan added keeps the check that admitted it; ``check`` is None for
-    a cluster that dynamics reached.  ``done`` caches ``_finish``."""
+    the support pass or the scan added keeps the check that admitted it;
+    ``check`` is None for a cluster that dynamics reached.  ``supports``
+    holds the supports whose pass roots fell in it, and ``done`` caches
+    ``_finish``."""
 
-    __slots__ = ("red", "state", "basin", "mins", "maxs", "check", "done")
+    __slots__ = ("red", "state", "basin", "mins", "maxs", "check",
+                 "supports", "done")
 
     def __init__(self, red, state, weight, check):
         self.red = red
@@ -655,6 +671,7 @@ class _Cluster:
         self.mins = list(red)
         self.maxs = list(red)
         self.check = check
+        self.supports = set()
         self.done = None
 
 
@@ -683,7 +700,8 @@ def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
     """A cluster's profile and its check, computed on the first call and
     cached.  A cluster that dynamics reached is polished, until a sweep
     leaves it bit-identical or moves it no less than the sweep before,
-    and verified here; a scan cluster keeps the check that admitted it."""
+    and verified here; a cluster the pass or the scan added keeps the
+    check that admitted it."""
     if c.done is None:
         state = [list(s) for s in c.state]
         if c.check is None:
@@ -699,6 +717,14 @@ def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
         profile = profile_from_state(game, state)
         c.done = (profile, c.check or verify_nash(game, profile))
     return c.done
+
+
+def _signs(tp: _TwoPath) -> dict[int, int]:
+    """+1 on each link of ``tp``'s second path only, -1 on each link of
+    its first path only: how one more unit of ``t`` moves their loads."""
+    n1 = tp.split.n1
+    return {li: (1 if i < n1 else -1)
+            for i, li in enumerate(tp.links[:len(tp.split.specs)])}
 
 
 def _certified_unique(game: RoutingGame) -> bool:
@@ -723,9 +749,7 @@ def _certified_unique(game: RoutingGame) -> bool:
             isinstance(lk.cost, LinearCost) for lk in game.net.links):
         return False
     links = game.net.links
-    signs = [{li: (1 if i < tp.split.n1 else -1)
-              for i, li in enumerate(tp.links[:len(tp.split.specs)])}
-             for tp in game.two_path]
+    signs = [_signs(tp) for tp in game.two_path]
     w = [[Fraction(v) for v in row] for row in game.coop.rows]
     n = len(signs)
     jac = [[(2 * w[i][i] if i == j else w[i][i] + w[i][j]) * sum(
@@ -765,8 +789,232 @@ def _start_options(game: RoutingGame):
     return options
 
 
+def _pair_state(game: RoutingGame, t) -> tuple:
+    """Two two-path users' path flows at second-path flows ``t``."""
+    r = game.demands
+    return ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
+
+
+def _split_rows(game: RoutingGame):
+    """For two two-path users: a function from their second-path flows
+    ``t`` to each user's ``(derivative, slope, cross)`` along its split,
+    where ``cross`` is the derivative's slope in the other user's flow.
+    It returns None when a user's demand does not fit on a shared M/M/1
+    link, or its split leaves the guard bracket on a path it uses."""
+    tps = game.two_path
+    r = game.demands
+    shifts = []
+    for i, tp in enumerate(tps):
+        moves = _signs(tps[1 - i])
+        shifts.append(tuple(moves.get(li, 0)
+                            for li in tp.links[:len(tp.split.specs)]))
+    weights = [game.coop.rows[i][1 - i] for i in range(2)]
+
+    def rows(t):
+        state = _pair_state(game, t)
+        out = []
+        for i, tp in enumerate(tps):
+            others, weighted = _state_loads(game, state, i)
+            if any(others[k] + r[i] > cap - CAPACITY_GUARD
+                   for k, cap in tp.caps):
+                return None
+            split = tp.split
+            lo, hi = split.bracket(others)
+            if not ((t[i] == r[i] or lo <= t[i])
+                    and (t[i] == 0.0 or t[i] <= hi)):
+                return None
+            if split.affine:
+                c, slope = split.line(others, weighted)
+                g = c + slope * t[i]
+            else:
+                g, slope = split.derivative(t[i], others, weighted)
+            out.append((g, slope, split.cross(t[i], others, weighted,
+                                              shifts[i], weights[i])))
+        return out
+    return rows
+
+
+def _on_curve(game: RoutingGame, rows, i: int, x: float):
+    """User ``i`` at second-path flow ``x`` and the other user at its
+    exact best response, as ``(t, rows(t), inside)``: ``inside`` tells
+    whether that response lies strictly inside its guard bracket.  None
+    when the split leaves a guard bracket or a shared link."""
+    r = game.demands
+    j = 1 - i
+    tp = game.two_path[j]
+    t = [0.0, 0.0]
+    t[i] = x
+    others, weighted = _state_loads(game, _pair_state(game, t), j)
+    lo, hi = tp.split.bracket(others)
+    if lo > hi or any(others[k] + r[j] > cap - CAPACITY_GUARD
+                      for k, cap in tp.caps):
+        return None
+    t[j] = tp.split.argmin(lo, hi, others, weighted)
+    at = rows(t)
+    return None if at is None else (t, at, lo < t[j] < hi)
+
+
+def _curve_roots(game: RoutingGame, rows, i: int) -> list:
+    """Points where both users sit strictly inside their guard brackets
+    with a zero derivative, found along the other user's best-response
+    curve (``_on_curve``) as zeros of user ``i``'s derivative ``phi``
+    over user ``i``'s flow.
+
+    ``phi`` is sampled at ``CURVE_GRID`` flows.  Where the curve leaves
+    the guard brackets between two of them, the last flow inside, found
+    by bisection, is sampled too: a root can sit in a sliver next to a
+    capacity.  Each sign change is solved by ``newton_argmin`` with
+    ``phi``'s analytic slope ``s_i - c_i c_j / s_j`` in ``rows``' terms:
+    the best response moves by ``-c_j / s_j``, or not at all where it
+    sits at an end of its bracket.
+    """
+    j = 1 - i
+    xs = grid(game.demands[i], CURVE_GRID)
+    marks = [(x, _on_curve(game, rows, i, x)) for x in xs]
+    for (a, pa), (b, pb) in zip(marks[:len(xs)], marks[1:len(xs)]):
+        if (pa is None) == (pb is None):
+            continue
+        if pa is None:
+            a, b, pa = b, a, pb
+        for _ in range(SEARCH_STEPS):
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break
+            pm = _on_curve(game, rows, i, mid)
+            if pm is None:
+                b = mid
+            else:
+                a, pa = mid, pm
+        marks.append((a, pa))
+    marks = sorted((x, p[1][i][0]) for x, p in marks if p is not None)
+    roots = []
+    for (a, ga), (b, gb) in zip(marks, marks[1:]):
+        if not (ga <= 0.0 <= gb or gb <= 0.0 <= ga):
+            continue
+        sign = 1.0 if ga <= gb else -1.0
+
+        def phi(x: float) -> tuple[float, float]:
+            p = _on_curve(game, rows, i, x)
+            if p is None:
+                return math.nan, math.nan
+            (g, s, c), (_, sj, cj) = p[1][i], p[1][j]
+            if not p[2]:
+                return sign * g, sign * s
+            return sign * g, sign * (s - c * cj / sj) if sj else math.nan
+
+        p = _on_curve(game, rows, i, newton_argmin(phi, a, b))
+        if p is not None and p[2] and 0.0 < p[0][i] < game.demands[i]:
+            roots.append(p[0])
+    return roots
+
+
+def _solve_support(game: RoutingGame, rows, support) -> list:
+    """The second-path flows where the users that ``support`` puts on
+    both paths (2) have a zero derivative, the others sitting on their
+    first (0) or second (1) path, strictly inside the box and the guard
+    brackets.
+
+    One such user takes its exact best response (``_on_curve``).  Two
+    solve a linear system on affine links, from ``rows`` at the
+    centroid; on other links they take ``_curve_roots`` along both
+    users' best-response curves, since such a support can hold several
+    roots, and a root within ``CLUSTER_RADIUS`` of an earlier one is
+    dropped.
+    """
+    r = game.demands
+    t = [(0.0, r[i], 0.5 * r[i])[s] for i, s in enumerate(support)]
+    free = [i for i, s in enumerate(support) if s == 2]
+    if not free:
+        return [t]
+    if len(free) == 1:
+        j = 1 - free[0]
+        p = _on_curve(game, rows, j, t[j])
+        return [p[0]] if p is not None and p[2] else []
+    if not all(tp.split.affine for tp in game.two_path):
+        roots = []
+        for root in _curve_roots(game, rows, 0) + _curve_roots(game, rows, 1):
+            if not any(all(abs(a - b) <= CLUSTER_RADIUS
+                           for a, b in zip(root, seen)) for seen in roots):
+                roots.append(root)
+        return roots
+    # On affine links the derivatives are linear in t: one Newton step
+    # from the centroid lands on the root.
+    (g0, s0, x0), (g1, s1, x1) = rows(t)
+    det = s0 * s1 - x0 * x1
+    if not det:
+        return []
+    t = [t[0] + (x0 * g1 - s1 * g0) / det, t[1] + (x1 * g0 - s0 * g1) / det]
+    return [t] if all(0.0 < v < ri for v, ri in zip(t, r)) else []
+
+
+def _support_roots(game: RoutingGame, rows) -> list:
+    """For two two-path users, the roots of each support, as ``(support,
+    state)``: each user on its first path (0), its second (1) or both
+    (2).  A root is kept only if no user's unused path is cheaper.  The
+    solves test the guard brackets and shared links first, so a support
+    whose splits do not fit yields no root instead of raising."""
+    out = []
+    for support in itertools.product((0, 1, 2), repeat=2):
+        for t in _solve_support(game, rows, support):
+            at = rows(t)
+            if at is None or any(s == 0 and g < 0.0 or s == 1 and g > 0.0
+                                 for s, (g, _, _) in zip(support, at)):
+                continue
+            out.append((support, _pair_state(game, t)))
+    return out
+
+
+def _index_sum(game: RoutingGame, rows,
+               clusters) -> tuple[int | None, int]:
+    """The index sum of the verified clusters of two two-path users, or
+    None if one is degenerate, and the number of degenerate ones.
+
+    A point's support puts each user on its first path, its second or
+    both, and its index is the sign of the determinant of the Jacobian of
+    the derivatives, reduced to the users on both paths (+1 when there is
+    none).  The indices of a game's regular equilibria sum to 1 (Simsek,
+    Ozdaglar and Acemoglu 2007).  A point is degenerate when that
+    determinant is near zero against its rows' norms, when an unused
+    path's slack is near zero against the user's multiplier, or when pass
+    roots of two supports fell in its cluster.
+    """
+    r = game.demands
+    total = degenerate = 0
+    for c in clusters:
+        profile, check = _finish(game, c)
+        if not check.ok:
+            continue
+        t = [profile.path_flows[i][1] for i in range(2)]
+        support = tuple(0 if v == 0.0 else 1 if v == r[i] else 2
+                        for i, v in enumerate(t))
+        at = rows(t)
+        free = [i for i, s in enumerate(support) if s == 2]
+        if at is None or len(c.supports | {support}) > 1 or any(
+                abs(at[i][0]) <= DEGENERATE_TOL * max(
+                    1.0, abs(check.kkt_multipliers[i]))
+                for i in range(2) if i not in free):
+            degenerate += 1
+            continue
+        if len(free) == 2:
+            (_, s0, x0), (_, s1, x1) = at
+            det = s0 * s1 - x0 * x1
+            size = math.hypot(s0, x0) * math.hypot(x1, s1)
+        elif free:
+            _, det, x = at[free[0]]
+            size = math.hypot(det, x)
+        else:
+            det = size = 1.0
+        if abs(det) <= DEGENERATE_TOL * size:
+            degenerate += 1
+        else:
+            total += 1 if det > 0.0 else -1
+    return (None if degenerate else total), degenerate
+
+
 def _scan_for_fixed_points(game: RoutingGame):
-    """Two-user, two-path-each composition scan in both user orders."""
+    """Two-user, two-path-each composition scan in both user orders.  A
+    grid point or bisection step whose best response raises
+    ``SolverError`` reads as no sign change."""
     r1, r2 = game.demands
 
     def br_first(y: float) -> float:
@@ -777,24 +1025,34 @@ def _scan_for_fixed_points(game: RoutingGame):
         st = [[r1 - x, x], [r2, 0.0]]
         return _best_response(game, st, 1)[1]
 
+    def gap(outer, inner):
+        def f(x: float) -> float:
+            try:
+                return outer(inner(x)) - x
+            except SolverError:
+                return math.nan
+        return f
+
     candidates = []
-    for x in scan_sign_changes(lambda x: br_first(br_second(x)) - x,
-                               grid(r1, SCAN_DENSITY)):
-        y = br_second(x)
-        candidates.append(((r1 - x, x), (r2 - y, y)))
     # Both orders are needed: a user at alpha 1 can answer from corner to
     # corner, so when it answers second the forward candidate
     # y = br_second(x) lands on a corner and fails verification; only the
     # reverse scan, on that user's own coordinate, finds the point.
-    for y in scan_sign_changes(lambda y: br_second(br_first(y)) - y,
-                               grid(r2, SCAN_DENSITY)):
-        x = br_first(y)
-        candidates.append(((r1 - x, x), (r2 - y, y)))
+    for outer, inner, r, flip in ((br_first, br_second, r1, False),
+                                  (br_second, br_first, r2, True)):
+        for x in scan_sign_changes(gap(outer, inner), grid(r, SCAN_DENSITY)):
+            try:
+                y = inner(x)
+            except SolverError:
+                continue
+            if flip:
+                x, y = y, x
+            candidates.append(((r1 - x, x), (r2 - y, y)))
     return candidates
 
 
 def multistart_nash(game: RoutingGame) -> EquilibriumSet:
-    """Find the game's equilibria from a grid of starts plus a scan pass.
+    """Find the game's equilibria from a grid of starts plus a support pass.
 
     Starting profiles are the product of per-user splits.  When the
     first user's best response is exact (two paths or fewer, or
@@ -803,13 +1061,21 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     run once and their count is credited to the reached basin.  A start
     whose dynamics raise ``SolverError`` counts in ``failed_starts``.
 
-    For two two-path users the scan then looks for the fixed points that
-    the dynamics repel.  A candidate within ``CLUSTER_RADIUS`` of a known
+    For two two-path users with positive demands the support pass then
+    looks for the fixed points that the dynamics repel
+    (``_support_roots``).  A root within ``CLUSTER_RADIUS`` of a known
     cluster is dropped unverified; any other is verified and, if it
-    passes, opens a cluster with basin 0.  The scan is skipped, and
-    ``diagnostics["scan_coverage"]`` reads ``"unique"``, when the game is
-    certified to have one equilibrium (``_certified_unique``), every
-    trajectory converged, and the one cluster they reached verifies.
+    passes, opens a cluster with basin 0.  ``diagnostics["scan_coverage"]``
+    reads ``"support"`` when the verified clusters' index sum
+    (``_index_sum``) is 1 with no degenerate point.  Otherwise the 2x2
+    scan's candidates (``_scan_for_fixed_points``) go through the same
+    test, and it reads ``"2x2"``.  Neither runs, and it reads
+    ``"unique"``, when the game is certified to have one equilibrium
+    (``_certified_unique``), every trajectory converged, and the one
+    cluster they reached verifies.  ``scan_candidates`` counts the
+    pass's roots and the scan's candidates, ``scan_added`` the clusters
+    they opened, and ``index_sum`` and ``degenerate`` describe the final
+    set (``index_sum`` is None without two two-path users).
     """
     n = len(game.users)
     options = _start_options(game)
@@ -842,26 +1108,48 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
         _cluster_merge(clusters, red, res.state, weight)
     scan_candidates = 0
     scan_added = 0
-    scanned = (n == 2 and all(k is not None for k in game.two_path)
-               and all(r > 0 for r in game.demands))
+    index_sum, degenerate = None, 0
+    paired = (n == 2 and all(k is not None for k in game.two_path)
+              and all(r > 0 for r in game.demands))
     # A certified game has one equilibrium: once the dynamics all reach
-    # it and it verifies, the scan has nothing left to find.
-    unique = (scanned and non_converged == 0 and len(clusters) == 1
+    # it and it verifies, there is nothing left to find.
+    unique = (paired and non_converged == 0 and len(clusters) == 1
               and _certified_unique(game) and _finish(game, clusters[0])[1].ok)
-    if scanned and not unique:
-        for cand in _scan_for_fixed_points(game):
+
+    def admit(candidates):
+        # Open a basin-0 cluster for each verified candidate that no
+        # known cluster holds; a candidate's support, if any, is noted
+        # on the cluster it falls in.
+        nonlocal scan_candidates, scan_added
+        for support, cand in candidates:
             scan_candidates += 1
             red = _reduced(game, [list(s) for s in cand])
-            if _cluster_of(clusters, red) is not None:
-                continue
-            try:
-                profile = profile_from_state(game, cand)
-            except ConfigError:
-                continue
-            check = verify_nash(game, profile)
-            if check.ok:
-                clusters.append(_Cluster(red, cand, 0, check))
+            c = _cluster_of(clusters, red)
+            if c is None:
+                try:
+                    profile = profile_from_state(game, cand)
+                except ConfigError:
+                    continue
+                check = verify_nash(game, profile)
+                if not check.ok:
+                    continue
+                c = _Cluster(red, cand, 0, check)
+                clusters.append(c)
                 scan_added += 1
+            if support is not None:
+                c.supports.add(support)
+
+    coverage = "none"
+    if paired:
+        rows = _split_rows(game)
+        coverage = "unique" if unique else "support"
+        if not unique:
+            admit(_support_roots(game, rows))
+        index_sum, degenerate = _index_sum(game, rows, clusters)
+        if not unique and index_sum != 1:
+            admit((None, cand) for cand in _scan_for_fixed_points(game))
+            coverage = "2x2"
+            index_sum, degenerate = _index_sum(game, rows, clusters)
     results = []
     for c in clusters:
         profile, check = _finish(game, c)
@@ -880,8 +1168,9 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                    "failed_starts": failed_starts,
                    "scan_candidates": scan_candidates,
                    "scan_added": scan_added,
-                   "scan_coverage": ("unique" if unique else
-                                     "2x2" if scanned else "none")}
+                   "scan_coverage": coverage,
+                   "index_sum": index_sum,
+                   "degenerate": degenerate}
     if not results:
         raise SolverError("no starting point converged to an equilibrium",
                           diagnostics=diagnostics)

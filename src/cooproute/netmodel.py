@@ -258,26 +258,83 @@ def saturated_links(net: Network, profile: FlowProfile) -> tuple[str, ...]:
     return tuple(bad)
 
 
+def _min_cut(net: Network, sources, target) -> list[Link] | None:
+    """The links of a minimum cut between ``sources`` and ``target``,
+    found by an exact max-flow (Edmonds and Karp) from a super source
+    with unbounded edges to each of ``sources``.  An M/M/1 link carries
+    its capacity and a linear link is unbounded; an unbounded path to
+    the target has no finite cut and returns None."""
+    # Residual graph as an edge list; edge e's reverse is e ^ 1.
+    heads, room, out = [], [], {}
+    super_source = object()
+
+    def add(u, v, cap):
+        for a, b, c in ((u, v, cap), (v, u, 0.0)):
+            out.setdefault(a, []).append(len(heads))
+            heads.append(b)
+            room.append(c)
+
+    for s in sources:
+        add(super_source, s, math.inf)
+    for lk in net.links:
+        add(lk.source, lk.target, lk.cost.capacity
+            if isinstance(lk.cost, MM1Cost) else math.inf)
+    while True:
+        via = {super_source: None}
+        queue = [super_source]
+        for u in queue:
+            for e in out.get(u, ()):
+                if room[e] > 0.0 and heads[e] not in via:
+                    via[heads[e]] = e
+                    queue.append(heads[e])
+        if target not in via:
+            break
+        path, v = [], target
+        while via[v] is not None:
+            path.append(via[v])
+            v = heads[via[v] ^ 1]
+        push = min(room[e] for e in path)
+        if push == math.inf:
+            return None
+        for e in path:
+            room[e] -= push
+            room[e ^ 1] += push
+    return [lk for lk in net.links
+            if lk.source in via and lk.target not in via]
+
+
 def check_feasibility(net: Network, users: Sequence[UserSpec]) -> None:
     """Raise ``InfeasibleError`` when the demand provably cannot be carried.
 
-    For each destination whose incoming links all have finite capacity,
-    the total demand bound for it must stay below the summed capacity of
-    that cut.  A user with positive demand and no path at all is caught
-    earlier, by ``build_path_set``.
+    For each destination, the total demand bound for it must stay below
+    the capacity of a minimum cut between those users' sources and the
+    destination (``_min_cut``): its incoming links, or a bottleneck
+    further upstream.  A user with positive demand and no path at all is
+    caught earlier, by ``build_path_set``.
     """
     by_target: dict[int, float] = {}
+    sources: dict[int, dict] = {}
     for u in users:
         by_target[u.target] = by_target.get(u.target, 0.0) + u.demand
+        sources.setdefault(u.target, {})[u.source] = None
     for target, demand in by_target.items():
         if demand <= 0:
             continue
-        incoming = [lk for lk in net.links if lk.target == target]
-        if any(not isinstance(lk.cost, MM1Cost) for lk in incoming):
+        cut = _min_cut(net, sources[target], target)
+        if cut is None:
             continue
-        cap = math.fsum(lk.cost.capacity for lk in incoming)
-        if demand >= cap:
+        cap = math.fsum(lk.cost.capacity for lk in cut)
+        if demand < cap:
+            continue
+        if {lk.link_id for lk in cut} == {
+                lk.link_id for lk in net.links if lk.target == target}:
             raise InfeasibleError(
                 f"demand {demand} into node {target} meets or exceeds the "
                 f"total capacity {cap} of its incoming links",
                 detail={"node": target, "demand": demand, "capacity": cap})
+        raise InfeasibleError(
+            f"demand {demand} into node {target} meets or exceeds the "
+            f"capacity {cap} of the cut through links "
+            f"{', '.join(lk.link_id for lk in cut)}",
+            detail={"node": target, "demand": demand, "capacity": cap,
+                    "links": [lk.link_id for lk in cut]})

@@ -108,14 +108,25 @@ class TestSolveCommand:
 
     def test_manifest_reports_scan_coverage(self, capsys, tmp_path):
         # selfish exp1 is certified to have one equilibrium; at (0.95, 0)
-        # it has three and the scan runs
+        # it has three, which the support pass finds with index sum 1; at
+        # (0.9, 0) an equilibrium has an unused path at zero slack, so
+        # the scan runs
         rc, _, err = run(capsys, "solve", "--preset", "exp1")
         assert rc == 0
         assert json.loads(err)["diagnostics"]["scan_coverage"] == "unique"
         rc, _, err = run(capsys, "solve", "--preset", "exp1",
                          "--alpha", "0.95", "0")
         assert rc == 0
-        assert json.loads(err)["diagnostics"]["scan_coverage"] == "2x2"
+        diagnostics = json.loads(err)["diagnostics"]
+        assert diagnostics["scan_coverage"] == "support"
+        assert diagnostics["index_sum"] == 1
+        rc, _, err = run(capsys, "solve", "--preset", "exp1",
+                         "--alpha", "0.9", "0")
+        assert rc == 0
+        diagnostics = json.loads(err)["diagnostics"]
+        assert diagnostics["scan_coverage"] == "2x2"
+        assert diagnostics["index_sum"] is None
+        assert diagnostics["degenerate"] == 1
         rc, _, err = run(capsys, "solve", "--config",
                          write_doc(tmp_path, ONE_LINK_DOC))
         assert rc == 0
@@ -226,6 +237,22 @@ class TestErrorPaths:
         assert rc == 3
         assert message in err
 
+    def test_upstream_bottleneck_exits_three(self, capsys, tmp_path):
+        # every path crosses a (capacity 1) before the two wide links
+        doc = {"nodes": [1, 2, 3],
+               "links": [{"id": "a", "source": 1, "target": 2,
+                          "cost": {"kind": "queue", "capacity": 1.0}}] + [
+                   {"id": lid, "source": 2, "target": 3,
+                    "cost": {"kind": "queue", "capacity": 10.0}}
+                   for lid in ("b", "c")],
+               "users": [{"id": k, "source": 1, "target": 3,
+                          "demand": 0.75} for k in (1, 2)],
+               "alphas": [0.0, 0.0]}
+        rc, out, err = run(capsys, "solve", "--config",
+                           write_doc(tmp_path, doc))
+        assert rc == 3
+        assert "capacity 1.0 of the cut through links a" in err
+
     def test_solver_failure_maps_to_four(self, capsys, monkeypatch):
         def boom(game):
             raise SolverError("no fixed point", diagnostics={"starts": 0})
@@ -306,6 +333,16 @@ class TestSweepCommand:
         diagnostics = json.loads(err)["diagnostics"]
         assert diagnostics["rows_certified_unique"] == 2
         assert diagnostics["rows_without_scan"] == 0
+        assert diagnostics["scan_coverage"] == {"unique": 2, "support": 1}
+
+    def test_manifest_counts_rows_by_scan_coverage(self, capsys):
+        # at 0.9 an unused path has zero slack, so that row falls back to
+        # the 2x2 scan
+        rc, _, err = run(capsys, "sweep", "--preset", "exp1",
+                         "--alphas", "0.5,0.9,0.95", "--vary", "first")
+        assert rc == 0
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == {
+            "unique": 1, "2x2": 1, "support": 1}
 
     def test_structural_sweep_alpha_matches_solve(self, capsys):
         rc, out, _ = run(capsys, "sweep", "--preset", "exp5", "--parameter",

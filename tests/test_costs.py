@@ -171,6 +171,30 @@ class TestSplitCost:
         assert slope == pytest.approx(fd, rel=1e-5)
 
     @settings(max_examples=40)
+    @given(st.floats(0.0, 1.0), st.floats(0.05, 0.95), st.floats(0.0, 1.0),
+           st.sampled_from([(1, 0, -1), (0, -1, 1), (-1, 1, 0)]),
+           st.booleans())
+    def test_cross_slope_is_the_shifted_derivative(self, b, share, weight,
+                                                   shift, affine):
+        # another user's flow moving others by shift and weighted by
+        # weight * shift: the derivative's slope in that flow
+        specs = ([LinearCost(2.0, 0.1), LinearCost(0.5, 0.3),
+                  LinearCost(1.0, 0.2)] if affine else
+                 [MM1Cost(3.0), MM1Cost(2.5), LinearCost(1.0, 0.2)])
+        split = self.split(specs, b, 1.5)
+        others, weighted = [0.4, 0.1, 0.7], [0.2, 0.05, 0.3]
+        t, h = 1.5 * share, 1e-6
+
+        def moved(step):
+            return split.derivative(
+                t, [o + step * e for o, e in zip(others, shift)],
+                [w + step * weight * e for w, e in zip(weighted, shift)])[0]
+
+        fd = (moved(h) - moved(-h)) / (2 * h)
+        assert split.cross(t, others, weighted, shift, weight) == \
+            pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    @settings(max_examples=40)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 0.95))
     def test_one_path_derivative_is_the_path_marginal(self, b, share):
         # every link on the second path: the marginal along (l2, l3)

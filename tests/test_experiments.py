@@ -91,6 +91,17 @@ class TestParameterSweep:
         with pytest.raises(ConfigError):
             parameter_sweep(get_preset("exp1"))
 
+    @pytest.mark.parametrize("preset", ["braess-lb-sym", "braess-lb-asym"])
+    def test_braess_rows_need_no_scan(self, preset):
+        # the support pass's index sum is 1 on every row, with no
+        # degenerate point, so the 2x2 scan never runs
+        table = parameter_sweep(get_preset(preset))
+        assert len(table.rows) == 21
+        for row in table.rows:
+            diag = row.equilibria.diagnostics
+            assert (diag["scan_coverage"], diag["index_sum"],
+                    diag["degenerate"]) == ("support", 1, 0), row.value
+
 
 class TestDetectBraess:
     def test_capacity_growth_witness(self):

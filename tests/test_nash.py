@@ -470,8 +470,10 @@ def test_solve_work_stays_bounded(preset, monkeypatch):
 # verify_nash and _scan_for_fixed_points calls of
 # alpha_sweep(exp1, 0..1 step 0.05, vary="first"): 76 and 21 when every
 # scan candidate was verified and every row scanned; 27 and 6 with
-# merge-before-verify and the scan skipped on the 15 certified rows.
-SWEEP_WORK = {"verify_nash": 27, "_scan_for_fixed_points": 6}
+# merge-before-verify and the scan skipped on the 15 certified rows; 26
+# and 1 with the support pass, whose index sum sends only the row at 0.9
+# (an unused path at zero slack) to the fallback scan.
+SWEEP_WORK = {"verify_nash": 26, "_scan_for_fixed_points": 1}
 
 
 def test_sweep_work_stays_bounded(monkeypatch):
@@ -602,7 +604,7 @@ class TestMultistartLinear:
         assert find_near(eqs, 1.0, 1.0) is not None
 
     def test_scan_clusters_are_verified_once(self, monkeypatch):
-        # only a scan candidate that opens a cluster is verified, and
+        # only a support-pass root that opens a cluster is verified, and
         # only the clusters dynamics reached are verified after polishing
         calls = []
 
@@ -613,8 +615,10 @@ class TestMultistartLinear:
         monkeypatch.setattr(nash, "verify_nash", counted)
         eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
         reached = sum(1 for eq in eqs if not eq.scan_found)
+        assert eqs.diagnostics["scan_coverage"] == "support"
         assert eqs.diagnostics["scan_added"] == 1
-        assert eqs.diagnostics["scan_candidates"] == 6
+        # one root for each of the three equilibria's supports
+        assert eqs.diagnostics["scan_candidates"] == 3
         assert len(calls) == eqs.diagnostics["scan_added"] + reached == 3
 
     def test_reverse_scan_finds_what_the_forward_one_cannot(self):
@@ -624,8 +628,12 @@ class TestMultistartLinear:
         game = parallel_game([LinearCost(2.0502, 0.5027),
                               LinearCost(1.9063, 0.9537)],
                              [0.7622, 0.9072], [0.128, 1.0])
+        # The support pass solves the both-paths support directly, so
+        # the scan does not run: the index sum of the three points is 1.
         eqs = multistart_nash(game)
         assert len(eqs) == 3 and all(eq.verified for eq in eqs)
+        assert eqs.diagnostics["scan_coverage"] == "support"
+        assert eqs.diagnostics["index_sum"] == 1
         interior = [eq for eq in eqs if 0.0 < eq.profile.path_flows[1][1]
                     < game.demands[1]]
         assert len(interior) == 1
@@ -645,7 +653,11 @@ class TestMultistartLinear:
 
     def test_scan_coverage(self):
         eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
+        assert eqs.diagnostics["scan_coverage"] == "support"
+        # at 0.9 the corner (0, 1) of user 1 has zero slack
+        eqs = multistart_nash(linear_two_origin((0.9, 0.0)))
         assert eqs.diagnostics["scan_coverage"] == "2x2"
+        assert eqs.diagnostics["degenerate"] == 1
         eqs = multistart_nash(parallel_game([LinearCost(1.0, 0.5)],
                                             [1.0, 1.0], [0.5, 0.0]))
         assert eqs.diagnostics["scan_coverage"] == "none"
@@ -1031,6 +1043,29 @@ def test_exchange_overflow_moves_to_a_third_path():
     assert len(eqs) == 1 and all(eq.verified for eq in eqs)
 
 
+def test_raising_best_response_does_not_abort_a_converged_solve():
+    # user 2 crosses L (capacity 1.5) on both of its paths with demand 1,
+    # so user 1 can put at most 0.5 on its path F-L.  Past that, user 2's
+    # best response raises.  Every start converges, and the scan's grid
+    # reaches user 1's corner, where that raise must not end the solve.
+    net = build_network([1, 2, 3, 5], [
+        ("F", 5, 1, LinearCost(0.1)), ("L", 1, 2, MM1Cost(1.5)),
+        ("D", 5, 2, LinearCost(1.0, 0.5)), ("M1", 2, 3, LinearCost(1.0)),
+        ("M2", 2, 3, LinearCost(1.0, 0.2))])
+    game = make_game(net, [UserSpec(1, 5, 2, 1.0), UserSpec(2, 1, 3, 1.0)],
+                     [0.0, 0.0])
+    eqs = multistart_nash(game)
+    diag = eqs.diagnostics
+    assert diag["failed_starts"] == diag["non_converged"] == 0
+    assert diag["scan_coverage"] == "support"
+    assert len(eqs) == 1 and eqs.equilibria[0].verified
+    # the fallback scan reads the raising grid points as no sign change
+    cands = nash._scan_for_fixed_points(game)
+    assert cands
+    for cand in cands:
+        assert verify_nash(game, profile_from_state(game, cand)).ok
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(st.floats(0.5, 3.0), min_size=2, max_size=2),
@@ -1063,12 +1098,17 @@ class TestUniquenessCertificate:
         eqs = multistart_nash(game)
         assert len(eqs) == 1
         assert eqs.diagnostics["scan_coverage"] == (
-            "unique" if certified else "2x2")
-        assert eqs.diagnostics["scan_candidates"] == (0 if certified else 2)
+            "unique" if certified else "support")
+        # the pass's one root is the equilibrium the dynamics reached
+        assert eqs.diagnostics["scan_candidates"] == (0 if certified else 1)
+        assert eqs.diagnostics["scan_added"] == 0
+        assert eqs.diagnostics["index_sum"] == 1
 
     @pytest.mark.parametrize("build, coverage", [
-        (lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)), "2x2"),
-        (lambda: get_preset("exp3").build_game(alphas=(0.0, 0.0)), "2x2"),
+        (lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)),
+         "support"),
+        (lambda: get_preset("exp3").build_game(alphas=(0.0, 0.0)),
+         "support"),
         (lambda: parallel_game([LinearCost(1.0), LinearCost(2.0, 0.1),
                                 LinearCost(0.5, 0.3)], [1.0, 1.0],
                                [0.0, 0.0]), "none"),
@@ -1091,7 +1131,8 @@ def affine_two_user_games(draw):
     k = 2 if parallel else 4
     specs = [(draw(slope), draw(st.floats(0.0, 2.0))) for _ in range(k)]
     demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
-    alphas = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=2, max_size=2))
     latencies = [LinearCost(a, g) for a, g in specs]
     if parallel:
         game = parallel_game(latencies, demands, alphas)
@@ -1118,3 +1159,104 @@ def test_certified_games_have_one_equilibrium(case):
     flows = [eq.profile.path_flows[ui][1] for ui in range(2)]
     assert max(abs(f - float(t)) for f, t in zip(flows, points[0])) \
         <= checks.FLOW_TOL
+
+
+def oracle_holds(flows, points, segments):
+    return (any(max(abs(f - float(v)) for f, v in zip(flows, p))
+                <= checks.FLOW_TOL for p in points)
+            or any(checks.distance_to_segment(flows, seg) <= checks.FLOW_TOL
+                   for seg in segments))
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_two_user_games())
+def test_affine_games_match_the_oracle(case):
+    # certified or not: every verified point is an equilibrium of the
+    # exact oracle, and without a continuum every oracle point is emitted
+    game, links, users, alphas = case
+    # An intercept below float resolution beside the others (7.8e-175
+    # beside 1) makes path costs that the exact oracle tells apart equal
+    # in float, so a float-verified point need not be exact; as with
+    # slopes, intercepts are 0 or at least 1e-6.
+    assume(all(g == 0.0 or g >= 1e-6 for _, g in links.values()))
+    try:
+        points, segments = checks.affine_equilibria(links, users, alphas)
+    except ValueError:  # a two-dimensional continuum, which it cannot list
+        reject()
+    eqs = multistart_nash(game)
+    emitted = [tuple(eq.profile.path_flows[ui][1] for ui in range(2))
+               for eq in eqs if eq.verified]
+    for flows in emitted:
+        assert oracle_holds(flows, points, segments), flows
+    if not segments:
+        for p in points:
+            assert any(max(abs(f - float(v)) for f, v in zip(flows, p))
+                       <= checks.FLOW_TOL for flows in emitted), p
+
+
+def test_exp1_at_full_cooperation_lists_the_oracles_three_points():
+    # each user at alpha 1 weighs only the other's cost, so its own
+    # objective is linear in its split; the point (0.5, 0.5) of each user
+    # repels best response, and the 2x2 scan's composition steps over it
+    eqs = multistart_nash(get_preset("exp1").build_game(alphas=(1.0, 1.0)))
+    points, segments = checks.affine_equilibria(
+        {"l1": (1.0, 0.0), "l2": (1.0, 0.0), "l3": (0.0, 0.5),
+         "l4": (0.0, 0.5)},
+        [(1.0, ["l1"], ["l3", "l2"]), (1.0, ["l2"], ["l4", "l1"])],
+        (1.0, 1.0))
+    assert len(points) == 3 and not segments
+    assert len(eqs) == 3 and all(eq.verified for eq in eqs)
+    emitted = sorted(transfer_flows(eq) for eq in eqs)
+    for flows, p in zip(emitted, sorted(points)):
+        assert flows == pytest.approx([float(v) for v in p], abs=1e-12)
+    assert find_near(eqs, 0.5, 0.5).basin_count == 0
+    assert eqs.diagnostics["scan_coverage"] == "support"
+    assert eqs.diagnostics["index_sum"] == 1
+
+
+@st.composite
+def queue_two_user_games(draw):
+    """A two-user load-balancing or parallel game on M/M/1 and affine
+    links.  An M/M/1 capacity is drawn around the demand that can cross
+    the link, so that guard brackets bind and several equilibria
+    appear."""
+    parallel = draw(st.booleans())
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
+    latencies = []
+    for i in range(2 if parallel else 4):
+        through = sum(demands) if parallel else demands[i % 2]
+        if draw(st.booleans()):
+            latencies.append(MM1Cost(through * draw(st.floats(0.6, 1.5))
+                                     + draw(st.floats(1e-3, 1.0))))
+        else:
+            latencies.append(LinearCost(
+                draw(st.floats(0.0, 3.0, allow_subnormal=False)),
+                draw(st.floats(0.0, 2.0))))
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=2, max_size=2))
+    try:
+        if parallel:
+            return parallel_game(latencies, demands, alphas)
+        return load_balancing_game(latencies, demands, alphas)
+    except InfeasibleError:
+        reject()
+
+
+@settings(max_examples=30, deadline=None)
+@given(queue_two_user_games())
+def test_support_pass_finds_what_the_scan_finds(game):
+    # the completeness check on M/M/1 links, where no exact oracle
+    # exists: every verified candidate of the 2x2 composition scan is
+    # emitted, also when the support pass's index sum spared the scan
+    try:
+        eqs = multistart_nash(game)
+    except SolverError:
+        reject()
+    emitted = [tuple(eq.profile.path_flows[ui][1] for ui in range(2))
+               for eq in eqs if eq.verified]
+    for cand in nash._scan_for_fixed_points(game):
+        if not verify_nash(game, profile_from_state(game, cand)).ok:
+            continue
+        t = (cand[0][1], cand[1][1])
+        assert any(max(abs(a - b) for a, b in zip(t, flows))
+                   <= nash.CLUSTER_RADIUS for flows in emitted), t

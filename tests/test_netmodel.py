@@ -185,3 +185,51 @@ class TestSaturationAndFeasibility:
         net = two_origin_net()
         users = [UserSpec(1, 1, 3, 2.0), UserSpec(2, 2, 3, 1.0)]
         check_feasibility(net, users)
+
+    @staticmethod
+    def bottleneck_net(bypass=None):
+        # a (capacity 1) feeds b and c (capacity 10 each) into node 3
+        links = [("a", 1, 2, MM1Cost(1.0)), ("b", 2, 3, MM1Cost(10.0)),
+                 ("c", 2, 3, MM1Cost(10.0))]
+        if bypass is not None:
+            links.append(("d", 1, 2, bypass))
+        return build_network([1, 2, 3], links)
+
+    def test_upstream_bottleneck_is_infeasible(self):
+        # the cut into node 3 holds 20, but everything crosses a first
+        users = [UserSpec(1, 1, 3, 0.75), UserSpec(2, 1, 3, 0.75)]
+        with pytest.raises(InfeasibleError, match="cut through links a") \
+                as exc:
+            check_feasibility(self.bottleneck_net(), users)
+        assert exc.value.detail == {"node": 3, "demand": 1.5,
+                                    "capacity": 1.0, "links": ["a"]}
+
+    @pytest.mark.parametrize("bypass, feasible", [
+        (LinearCost(1.0), True), (MM1Cost(0.6), True), (MM1Cost(0.5), False)])
+    def test_parallel_bypass_adds_to_the_cut(self, bypass, feasible):
+        users = [UserSpec(1, 1, 3, 0.75), UserSpec(2, 1, 3, 0.75)]
+        net = self.bottleneck_net(bypass)
+        if feasible:
+            check_feasibility(net, users)
+        else:
+            with pytest.raises(InfeasibleError, match="links a, d"):
+                check_feasibility(net, users)
+
+    def test_other_users_sources_add_no_capacity(self):
+        # user 2 starts at node 2, user 1's destination, but user 1's own
+        # demand must still cross a (capacity 1)
+        net = build_network([1, 2, 3], [("a", 1, 2, MM1Cost(1.0)),
+                                        ("b", 2, 3, LinearCost(1.0))])
+        with pytest.raises(InfeasibleError, match="incoming links"):
+            check_feasibility(net, [UserSpec(1, 1, 2, 1.5),
+                                    UserSpec(2, 2, 3, 1.0)])
+
+    def test_transfer_links_carry_flow_both_ways(self):
+        # l1 alone cannot carry user 1's 4.5, but l3 then l2 can carry
+        # the rest; the sink's incoming links hold 8.2 against 8.0
+        net = two_origin_net(direct=4.1, cross=5.0)
+        check_feasibility(net, [UserSpec(1, 1, 3, 4.5),
+                                UserSpec(2, 2, 3, 3.5)])
+        with pytest.raises(InfeasibleError, match="incoming links"):
+            check_feasibility(net, [UserSpec(1, 1, 3, 4.5),
+                                    UserSpec(2, 2, 3, 3.7)])
