@@ -259,7 +259,7 @@ class SplitCost:
     With every link on the second path (``n1 == len(specs)``) the
     derivative is the user's marginal cost along that one path at own
     flow ``t``, and ``demand`` plays no part: that is how a user whose
-    paths share no link prices each of them.
+    paths share no link prices each of them, and ``level`` inverts it.
 
     On an M/M/1 link, with ``u = C - o`` the room the other users leave
     and ``h = b u + w``, that term is ``h / (u - x)^2``.  With one M/M/1
@@ -418,6 +418,34 @@ class SplitCost:
         rs, rf = math.sqrt(hs), math.sqrt(hf)
         t = 0.5 * (us - vf) + 0.5 * (us + vf) * (rf - rs) / (rs + rf)
         return min(max(t, lo), hi)
+
+    def level(self, lam: float, others, weighted, top: float
+              ) -> tuple[float, float]:
+        """One-path mode: the own flow ``x`` in ``[0, top]`` at which the
+        path's marginal meets ``lam``, and the marginal's slope there.
+
+        ``lam`` lies above the marginal at 0, and ``top`` is at most
+        ``bracket(others)[1]``.  Affine links invert the line ``C + S x``;
+        one M/M/1 link inverts ``h / (u - x)^2`` to ``x = u - sqrt(h /
+        lam)``, with slope ``2 h / (u - x)^3``.  Other paths run
+        ``newton_argmin`` on the marginal minus ``lam``.
+        """
+        if self._line is not None and self._line[1] > 0.0:
+            c, slope = self.line(others, weighted)
+            return min(max((lam - c) / slope, 0.0), top), slope
+        if len(self.specs) == len(self._caps) == 1:
+            u = self._caps[0][1] - others[0]
+            h = self.own_weight * u + weighted[0]
+            x = min(max(u - math.sqrt(h / lam), 0.0), top)
+            s = u - x
+            return x, 2.0 * h / (s * s * s)
+
+        def excess(x: float) -> tuple[float, float]:
+            m, slope = self.derivative(x, others, weighted)
+            return m - lam, slope
+
+        x = newton_argmin(excess, 0.0, top)
+        return x, self.derivative(x, others, weighted)[1]
 
 
 def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],

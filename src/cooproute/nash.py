@@ -9,14 +9,16 @@ one M/M/1 link on each path (the square-root split of parallel queues),
 and by a safeguarded Newton search otherwise.  A user with three or more
 link-disjoint paths, such as parallel links, water-fills: safeguarded
 Newton on the marginal-cost level, with each path's flow at that level
-found by the same Newton search.  A user whose three or more paths share
-links equilibrates them pairwise (Dafermos and Sparrow): it moves flow
-between its cheapest path and its dearest used path by the same guarded
-two-path solve, with its flow elsewhere held as fixed load, until their
-marginals agree to float noise.  Every best response is thus exact.  A
-multistart driver clusters the fixed points reached from a grid of
-starting splits (``search.grid``, whose last split is exactly the
-demand) and counts basin sizes and failed starts.
+the inverse of its marginal, in closed form on one M/M/1 link or on
+affine links and by the same Newton search otherwise.  A user whose
+three or more paths share links equilibrates them pairwise (Dafermos
+and Sparrow): it moves flow between its cheapest path and its dearest
+used path by the same guarded two-path solve, with its flow elsewhere
+held as fixed load, until their marginals agree to float noise.  Every
+best response is thus exact.  A multistart driver clusters the fixed
+points reached from a grid of starting splits (``search.grid``, whose
+last split is exactly the demand) and counts basin sizes and failed
+starts.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
@@ -252,7 +254,9 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
     Path ``p``'s marginal ``m_p`` rises with its own flow, so at a level
     ``lam`` the path carries the root of ``m_p(x) = lam`` in
     ``[0, top_p]``, the guard bracket of the path's one-path
-    ``SplitCost``.  The total supply rises with ``lam``;
+    ``SplitCost``.  ``SplitCost.level`` inverts the marginal: in closed
+    form on one M/M/1 link (a square root) and on affine links (a line),
+    by Newton's method otherwise.  The total supply rises with ``lam``;
     safeguarded Newton on ``lam`` (its slope is the sum of ``1 / m_p'``
     over the paths strictly inside) finds the level where it meets
     ``r``.  A flat marginal makes the supply jump; its paths are filled
@@ -262,11 +266,6 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
     totals, weighted = _state_loads(game, state, ui)
     loads = [([totals[li] for li in p], [weighted[li] for li in p])
              for p in game.path_link_idx[ui]]
-
-    def marginal(p: int, x: float) -> tuple[float, float]:
-        # Path p's marginal and its slope at own flow x.
-        return margins[p].derivative(x, *loads[p])
-
     k = len(margins)
     tops = [max(split.bracket(others)[1], 0.0)
             for split, (others, _) in zip(margins, loads)]
@@ -279,8 +278,8 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
     # m_p(0), m_p'(0) and m_p(top_p) do not move with the level.
     ends = {}
     for p in live:
-        m0, s0 = marginal(p, 0.0)
-        ends[p] = (m0, s0, marginal(p, tops[p])[0])
+        m0, s0 = margins[p].derivative(0.0, *loads[p])
+        ends[p] = (m0, s0, margins[p].derivative(tops[p], *loads[p])[0])
 
     def supply(lam: float):
         # The least and the greatest flows at level lam, and each path's
@@ -297,15 +296,7 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
             if mt <= lam:
                 lower[p] = upper[p] = tops[p]
                 continue
-            seen = [math.nan, 0.0]
-
-            def excess(x: float, p: int = p) -> tuple[float, float]:
-                m, s = marginal(p, x)
-                seen[0], seen[1] = x, s
-                return m - lam, s
-
-            x = newton_argmin(excess, 0.0, tops[p])
-            s = seen[1] if seen[0] == x else excess(x)[1]
+            x, s = margins[p].level(lam, *loads[p], tops[p])
             lower[p] = upper[p] = x
             if s > 0.0:
                 gains[p] = 1.0 / s
@@ -356,7 +347,8 @@ def _exchange_response(game: RoutingGame, ui: int, r: float,
                        state) -> tuple[float, ...]:
     """Pairwise exchange for three or more paths that share links.
 
-    From the user's flows scaled to ``r``, each step moves flow between
+    From the user's flows scaled to ``r``, or from the even split when
+    those price every path at infinity, each step moves flow between
     the cheapest path and the dearest path that carries flow: their
     split is a two-path best response (``_guarded_split``) in which the
     user's flow on its other paths is fixed load, weighed by its
@@ -379,8 +371,13 @@ def _exchange_response(game: RoutingGame, ui: int, r: float,
         cheap = min(range(k), key=lambda p: (margs[p], p))
         low = margs[cheap]
         if low == INFINITE_COST:
-            raise SolverError(
-                f"user {game.users[ui].user_id} has no unsaturated path")
+            # The scaled start fills every path; the even split may not.
+            even = [r / k] * k
+            if f == even:
+                raise SolverError(
+                    f"user {game.users[ui].user_id} has no unsaturated path")
+            f = even
+            continue
         dear = max((p for p in range(k) if f[p] > 0.0),
                    key=lambda p: (margs[p], -p))
         if margs[dear] - low <= EXCHANGE_TOL * max(1.0, abs(low)):

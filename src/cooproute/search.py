@@ -18,7 +18,9 @@ import math
 from typing import Callable, Sequence
 
 # The most Newton steps or halvings a search takes before it settles for
-# the point it has; shared by every search here and nash's water-filling.
+# the point it has; shared by every search here and by the level search
+# of nash's water-filling, whose per-path flows at a level are closed
+# forms (``costs.SplitCost.level``) or ``newton_argmin``.
 SEARCH_STEPS = 60
 
 

@@ -9,6 +9,7 @@ from cooproute import (ConfigError, CooperationProfile, InfeasibleError,
                        LinearCost, MM1Cost, MixedScenario, SolverError,
                        assemble_profile, build_network, build_path_set,
                        cost_report, make_game, mixed, nash, wardrop_split)
+from cooproute import costs
 from cooproute.costs import (CAPACITY_GUARD, SplitCost, guard_fill,
                              path_marginals)
 from cooproute.search import newton_argmin
@@ -313,6 +314,110 @@ class TestSplitArgmin:
         else:
             want = min(max(-c / slope, lo), hi)
         assert split.argmin(lo, hi, others, weighted) == want
+
+
+# Cooperation weights and shares of a load: the ends, or at least 5 %, so
+# that no marginal is subnormal.
+WEIGHTS = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 1.0)
+
+
+@st.composite
+def one_link_levels(draw):
+    """A one-path ``SplitCost`` on one M/M/1 link or one affine link with
+    ``a b > 0``, the other users' loads on it, its top and a level
+    ``lam`` strictly between its marginals at 0 and at the top.
+
+    Near an M/M/1 pole one float step of the load moves the marginal by
+    about ``2 eps C / slack`` relative, so the level's root keeps at
+    least 1 % of the capacity free: the link runs up to 99 % full."""
+    r = draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        b = draw(WEIGHTS)
+        cap = draw(st.floats(0.5, 8.0))
+        o = cap * draw(st.floats(0.0, 0.9))
+        w = o * draw(WEIGHTS)
+        u = cap - o
+        h = b * u + w
+        assume(h > 1e-3)
+        # the root's slack: from the whole room down to a tenth of it
+        lam = h / (u * draw(st.floats(0.1, 1.0))) ** 2
+        spec = MM1Cost(cap)
+    else:
+        b = draw(st.just(1.0) | st.floats(0.05, 1.0))
+        spec = LinearCost(draw(st.floats(0.05, 3.0)), draw(st.floats(0.0, 2.0)))
+        o = draw(st.floats(0.0, 1.0))
+        w = o * draw(WEIGHTS)
+        lam = None
+    path = SplitCost(specs=(spec,), n1=1, own_weight=b, demand=r)
+    others, weighted = (o,), (w,)
+    top = max(path.bracket(others)[1], 0.0)
+    m0 = path.derivative(0.0, others, weighted)[0]
+    mt = path.derivative(top, others, weighted)[0]
+    if lam is None:
+        lam = m0 + draw(st.floats(0.0, 1.0)) * (mt - m0)
+    assume(m0 < lam < mt)
+    return path, others, weighted, top, lam
+
+
+def bisect_level(path, lam, others, weighted, top):
+    """The flow in ``[0, top]`` where the path's marginal crosses
+    ``lam``, by plain bisection."""
+    lo, hi = 0.0, top
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if path.derivative(mid, others, weighted)[0] < lam:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestPathLevel:
+    """``SplitCost.level``: the own flow at which a one-path marginal
+    meets a level, in closed form on one M/M/1 or affine link."""
+
+    @settings(max_examples=300)
+    @given(one_link_levels())
+    def test_level_brackets_lam(self, case):
+        path, others, weighted, top, lam = case
+        x, slope = path.level(lam, others, weighted, top)
+        assert 0.0 <= x <= top
+        below = path.derivative(math.nextafter(x, -math.inf), others,
+                                weighted)[0]
+        above = path.derivative(math.nextafter(x, math.inf), others,
+                                weighted)[0]
+        assert below <= lam * (1 + 1e-12)
+        assert above >= lam * (1 - 1e-12)
+        assert slope == pytest.approx(
+            path.derivative(x, others, weighted)[1], rel=1e-12)
+
+    @settings(max_examples=100)
+    @given(WEIGHTS, st.just(0.0) | st.floats(0.01, 0.9), WEIGHTS,
+           st.floats(0.0, 1.0))
+    def test_series_path_takes_newton(self, b, load, share, q):
+        # an M/M/1 link in series with an affine one has no closed form
+        path = SplitCost(specs=(MM1Cost(3.0), LinearCost(1.0, 0.2)), n1=2,
+                         own_weight=b, demand=2.0)
+        others = (3.0 * load, load)
+        weighted = (others[0] * share, others[1] * share)
+        top = path.bracket(others)[1]
+        m0 = path.derivative(0.0, others, weighted)[0]
+        mt = path.derivative(top, others, weighted)[0]
+        lam = m0 + q * (mt - m0)
+        assume(m0 < lam < mt)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return newton_argmin(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(costs, "newton_argmin", counted)
+            x, slope = path.level(lam, others, weighted, top)
+        assert len(calls) == 1
+        assert x == pytest.approx(
+            bisect_level(path, lam, others, weighted, top), abs=1e-12)
+        assert slope == path.derivative(x, others, weighted)[1]
 
 
 class TestSplitGuard:

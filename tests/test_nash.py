@@ -426,15 +426,17 @@ def three_link_game(alpha):
 # bisection the same solves made 284,759 value and 220,575 derivative
 # calls, and 318,896 and 254,712.  The three-link game at alpha 0.3 made
 # 11,990,442 value and 11,990,424 derivative calls over 64 trajectories
-# with the conditional-gradient best response, before water-filling.  The
+# with the conditional-gradient best response, before water-filling, and
+# 219,787, 219,769 and 219,760 while water-filling found each path's flow
+# at a level by Newton's method, before its closed-form inverse.  The
 # one-user Braess game of ``edge_braess_game`` took that loop 960 sweeps
 # (58 s) on one trajectory; the pairwise exchange takes 2.
 SOLVE_WORK = {
     "exp1": {"value": 48_208, "derivative": 48, "curvature": 0},
     "braess-lb-sym": {"value": 96_480, "derivative": 48_318,
                       "curvature": 48_270},
-    "parallel-3x3": {"value": 219_787, "derivative": 219_769,
-                     "curvature": 219_760},
+    "parallel-3x3": {"value": 10_737, "derivative": 10_719,
+                     "curvature": 10_710},
     "braess-edge": {"value": 181, "derivative": 161, "curvature": 0},
 }
 SOLVE_GAMES = {
@@ -846,8 +848,10 @@ class TestThreeParallelLinks:
         assert res.sweeps <= 10
         assert verify_nash(game, profile_from_state(game, res.state)).ok
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6])
     def test_unique_symmetric_equilibrium(self, alpha):
+        # the paper's low-cooperation uniqueness: one equilibrium, which
+        # every start reaches
         eqs = multistart_nash(three_link_game(alpha))
         assert len(eqs) == 1
         eq = eqs.equilibria[0]
@@ -971,7 +975,9 @@ class TestSaturatedBraessStarts:
     alpha 0.3, sa and bt of capacity 1.8 and the rest 3.
 
     Both users on s-a-t overload sa, and both on s-b-t overload bt, which
-    leaves each user one open path; best response must leave both starts.
+    leaves each user one open path; both on s-a-b-t overload sa and bt,
+    which leaves none open at the scaled start.  Best response must leave
+    all three starts.
     """
 
     @staticmethod
@@ -980,7 +986,8 @@ class TestSaturatedBraessStarts:
                             MM1Cost(3.0), MM1Cost(1.8)], [1.0, 1.0],
                            [0.3, 0.3])
 
-    @pytest.mark.parametrize("start", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("start", [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                       (1.0, 0.0, 0.0)])
     def test_dynamics_leave_a_full_link(self, start):
         game = self.game()
         prof = profile_from_state(game, [start] * 2)
@@ -992,14 +999,28 @@ class TestSaturatedBraessStarts:
         assert all(c < math.inf for c in raw)
         assert verify_nash(game, prof).ok
 
-    def test_failed_start_does_not_end_the_solve(self):
-        # the start with both users on s-a-b-t fills sa and bt, so user
-        # 1's three paths all price at infinity and its dynamics raise;
+    def test_every_start_converges(self):
+        # both users on s-a-b-t fill sa and bt, so user 1's scaled start
+        # prices all three paths at infinity; its exchange restarts from
+        # the even split, and that start too reaches the equilibrium
+        eqs = multistart_nash(self.game())
+        assert eqs.diagnostics["failed_starts"] == 0
+        assert len(eqs) == 1 and eqs.equilibria[0].verified
+        assert eqs.equilibria[0].basin_count == 16
+
+    def test_failed_start_does_not_end_the_solve(self, monkeypatch):
+        # the dynamics raise on the start with both users on s-a-b-t;
         # every other start reaches the even split over s-a-t and s-b-t
         game = self.game()
-        start = [(1.0, 0.0, 0.0)] * 2
-        with pytest.raises(SolverError, match="no unsaturated path"):
-            br_dynamics(game, start)
+        start = ((1.0, 0.0, 0.0),) * 2
+        dynamics = nash.br_dynamics
+
+        def failing_once(game, combo):
+            if tuple(map(tuple, combo)) == start:
+                raise SolverError("no unsaturated path")
+            return dynamics(game, combo)
+
+        monkeypatch.setattr(nash, "br_dynamics", failing_once)
         eqs = multistart_nash(game)
         diag = eqs.diagnostics
         assert diag["failed_starts"] == 1
