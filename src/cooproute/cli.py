@@ -346,6 +346,8 @@ def _cmd_sweep(args, manifest):
                              for s in eqsets),
         "failed_starts": sum(s.diagnostics["failed_starts"]
                              for s in eqsets),
+        **{key: sum(s.diagnostics[key] for s in eqsets)
+           for key in ("sweeps", "jumps_kept", "jumps_rejected")},
         "clusters": sum(len(s.equilibria) for s in eqsets),
         "rows_without_scan": sum(s.diagnostics["scan_coverage"] == "none"
                                  for s in eqsets),

@@ -15,10 +15,13 @@ three or more paths share links equilibrates them pairwise (Dafermos
 and Sparrow): it moves flow between its cheapest path and its dearest
 used path by the same guarded two-path solve, with its flow elsewhere
 held as fixed load, until their marginals agree to float noise.  Every
-best response is thus exact.  A multistart driver clusters the fixed
-points reached from a grid of starting splits (``search.grid``, whose
-last split is exactly the demand) and counts basin sizes and failed
-starts.
+best response is thus exact.  Between sweeps, the dynamics and the
+polish of each equilibrium they reach extrapolate the iterates to their
+limit by least squares over a short window (``_extrapolate``), and keep
+a jump only when the next sweep confirms it.  A multistart driver
+clusters the fixed points reached from a grid of starting splits
+(``search.grid``, whose last split is exactly the demand) and counts
+basin sizes and failed starts.
 
 Best-response iteration only ever reaches attracting fixed points, and
 interior equilibria of these games are often repelling.  For two users
@@ -70,11 +73,13 @@ from .search import SEARCH_STEPS, grid, newton_argmin, scan_sign_changes
 # Solver settings.  The pairwise exchange stops when no used path's
 # marginal exceeds the cheapest by EXCHANGE_TOL relative, or, as a safety
 # net, after EXCHANGE_STEPS steps.  Dynamics stop when a sweep moves no
-# coordinate by FP_TOL, or after MAX_SWEEPS sweeps.  GRID_DENSITY splits
-# per two-path user seed the multistart, and fixed points within
-# CLUSTER_RADIUS of each other are one equilibrium.  The support pass
-# samples each best-response curve at CURVE_GRID flows; a reduced
-# Jacobian's determinant, or an unused path's slack, at or below
+# coordinate by FP_TOL, or after MAX_SWEEPS sweeps; between sweeps they
+# extrapolate from a window of d + 2 iterates, where d, the number of
+# coordinates a sweep reads, is capped at EXTRAPOLATION_RANK.
+# GRID_DENSITY splits per two-path user seed the multistart, and fixed
+# points within CLUSTER_RADIUS of each other are one equilibrium.  The
+# support pass samples each best-response curve at CURVE_GRID flows; a
+# reduced Jacobian's determinant, or an unused path's slack, at or below
 # DEGENERATE_TOL relative makes a point degenerate.  The 2x2 scan samples
 # SCAN_DENSITY points.  Verification sweeps DEVIATION_GRID splits and
 # accepts a normalized violation up to VERIFY_TOL.
@@ -82,6 +87,7 @@ EXCHANGE_TOL = 1e-14
 EXCHANGE_STEPS = 1_000
 FP_TOL = 1e-8
 MAX_SWEEPS = 10_000
+EXTRAPOLATION_RANK = 8
 GRID_DENSITY = 21
 CLUSTER_RADIUS = 1e-4
 CURVE_GRID = 21
@@ -419,6 +425,8 @@ class DynamicsResult:
     state: tuple[tuple[float, ...], ...]
     converged: bool
     sweeps: int
+    jumps_kept: int
+    jumps_rejected: int
 
 
 def _reduced(game: RoutingGame, state) -> list[float]:
@@ -450,86 +458,173 @@ def _sweep(game: RoutingGame, state) -> None:
         state[ui] = list(_best_response(game, state, ui))
 
 
-def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
-    """Run Gauss-Seidel best response from one starting profile.
+def _forgets_start(game: RoutingGame) -> bool:
+    """Whether the first user's best response ignores its own flows: it
+    has two paths or fewer, or water-fills link-disjoint ones."""
+    return (len(game.path_link_idx[0]) <= 2
+            or game.disjoint[0] is not None)
 
-    Between plain sweeps a guarded Aitken step extrapolates the iterate
-    sequence when the per-coordinate contraction ratios look stable; a
-    trial sweep after the jump decides whether to keep it.
+
+def _sweep_rank(game: RoutingGame) -> int:
+    """``d``: how many reduced coordinates the next sweep reads, those of
+    users 2..n and the first user's own unless ``_forgets_start``; at
+    least 1 and at most ``EXTRAPOLATION_RANK``."""
+    ks = [len(p) - 1 for p in game.path_link_idx]
+    d = sum(ks[1:]) + (0 if not ks or _forgets_start(game) else ks[0])
+    return min(max(d, 1), EXTRAPOLATION_RANK)
+
+
+def _distance(a, b) -> float:
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
+
+def _iterate(game: RoutingGame, state, polish: bool) -> DynamicsResult:
+    """Gauss-Seidel sweeps from ``state``, extrapolated between them.
+
+    The last ``d + 2`` reduced iterates (``_sweep_rank``) form a window;
+    when it is full, ``_extrapolate`` fits its limit and the state jumps
+    there.  A trial sweep then keeps the jump only if it moves the state
+    less than a quarter of the window's last displacement; otherwise the
+    state goes back and ten plain sweeps cool it down.  A trial sweep
+    whose best response raises rejects the jump the same way.
+
+    The dynamics (``polish`` False) stop when a sweep moves no reduced
+    coordinate by ``FP_TOL``, converged, or after ``MAX_SWEEPS``.  The
+    polish starts from a converged state and stops when a sweep leaves
+    it bit-identical or moves it no less than the sweep before.
     """
-    state = [list(map(float, s)) for s in start]
-    prev: list[float] | None = None
+    rank = _sweep_rank(game)
+    prev = _reduced(game, state) if polish else None
+    last = math.inf
     window: list[list[float]] = []
-    cooldown = 0
+    cooldown = sweeps = kept = rejected = 0
     converged = False
-    sweeps = 0
+
+    def settled(move: float) -> bool:
+        nonlocal last, converged
+        if polish:
+            stop, last = move == 0.0 or not move < last, move
+            return stop
+        converged = move < FP_TOL
+        return converged
+
     while sweeps < MAX_SWEEPS:
         _sweep(game, state)
         sweeps += 1
         red = _reduced(game, state)
-        if prev is not None:
-            delta = max((abs(a - b) for a, b in zip(red, prev)), default=0.0)
-            if delta < FP_TOL:
-                converged = True
-                break
+        if prev is not None and settled(_distance(red, prev)):
+            break
         prev = red
         window.append(red)
-        if len(window) > 3:
+        if len(window) > rank + 2:
             window.pop(0)
         if cooldown > 0:
             cooldown -= 1
             continue
-        if len(window) == 3 and sweeps + 1 < MAX_SWEEPS:
-            jump = _aitken_target(window)
-            if jump is None:
-                continue
-            target, pre_delta = jump
-            saved = [list(s) for s in state]
-            _set_from_reduced(game, state, target)
-            _sweep(game, state)
-            sweeps += 1
-            red2 = _reduced(game, state)
-            new_delta = max((abs(a - b) for a, b in zip(red2, target)),
-                            default=0.0)
-            if new_delta < 0.25 * pre_delta:
-                prev = red2
-                if new_delta < FP_TOL:
-                    converged = True
-                    break
-            else:
-                state = saved
-                cooldown = 10
-            window = []
-    return DynamicsResult(state=tuple(tuple(s) for s in state),
-                          converged=converged, sweeps=sweeps)
-
-
-def _aitken_target(window):
-    x0, x1, x2 = window
-    d1 = [b - a for a, b in zip(x0, x1)]
-    d2 = [b - a for a, b in zip(x1, x2)]
-    ratios = []
-    active = []
-    for i in range(len(d2)):
-        if abs(d2[i]) < 1e-14 and abs(d1[i]) < 1e-14:
-            active.append(False)
+        if len(window) < rank + 2 or sweeps + 1 >= MAX_SWEEPS:
             continue
-        if abs(d1[i]) < 1e-14 or d1[i] * d2[i] <= 0:
-            return None
-        ratio = d2[i] / d1[i]
-        if not 0.02 <= ratio <= 0.9:
-            return None
-        ratios.append(ratio)
-        active.append(True)
-    if not ratios or max(ratios) - min(ratios) > 0.05:
-        return None
-    target = []
-    for i in range(len(d2)):
-        if active[i]:
-            target.append(x2[i] - d2[i] * d2[i] / (d2[i] - d1[i]))
+        jump = _extrapolate(window)
+        if jump is None:
+            continue
+        window = []
+        target, size = jump
+        saved = [list(s) for s in state]
+        _set_from_reduced(game, state, target)
+        sweeps += 1
+        try:
+            _sweep(game, state)
+        except SolverError:
+            move = math.inf
         else:
-            target.append(x2[i])
-    return target, max(abs(v) for v in d2)
+            red = _reduced(game, state)
+            move = _distance(red, target)
+        if move < 0.25 * size:
+            kept += 1
+            prev = red
+            if settled(move):
+                break
+        else:
+            rejected += 1
+            state[:] = saved
+            cooldown = 10
+    return DynamicsResult(state=tuple(tuple(s) for s in state),
+                          converged=converged, sweeps=sweeps,
+                          jumps_kept=kept, jumps_rejected=rejected)
+
+
+def br_dynamics(game: RoutingGame, start) -> DynamicsResult:
+    """Run Gauss-Seidel best response from one starting profile,
+    extrapolated between sweeps (``_iterate``)."""
+    return _iterate(game, [list(map(float, s)) for s in start], False)
+
+
+def _extrapolate(window):
+    """The limit that the reduced iterates ``window`` head for, and the
+    size of their last displacement; None when no limit is trusted.
+
+    With ``d + 2`` iterates ``x_0 .. x_{d+1}`` and displacements ``u_j =
+    x_{j+1} - x_j``, weights ``g_j`` summing to 1 minimize
+    ``|sum g_j u_j|`` by least squares, and the limit is ``sum g_j
+    x_{j+1}`` (Anderson acceleration: Walker and Ni 2011; reduced rank
+    extrapolation: Sidi 2017).  On an affine map whose displacements span
+    at most ``d`` dimensions that sum is the fixed point, whatever the
+    map's eigenvalues; a column the earlier ones already span is left
+    out of the fit.
+
+    With ``d = 1`` this is Aitken's delta-squared step, taken per
+    coordinate: every coordinate that moves must keep one sign and
+    shrink at a ratio in [0.02, 0.9], and the ratios must agree within
+    0.05.
+    """
+    diffs = [[b - a for a, b in zip(x0, x1)]
+             for x0, x1 in zip(window, window[1:])]
+    size = max(map(abs, diffs[-1]), default=0.0)
+    if len(diffs) == 2:
+        target, ratios = [], []
+        for x, u0, u1 in zip(window[-1], *diffs):
+            if abs(u0) < 1e-14 and abs(u1) < 1e-14:
+                target.append(x)
+                continue
+            if abs(u0) < 1e-14 or u0 * u1 <= 0 or not 0.02 <= u1 / u0 <= 0.9:
+                return None
+            ratios.append(u1 / u0)
+            target.append(x - u1 * u1 / (u1 - u0))
+        if not ratios or max(ratios) - min(ratios) > 0.05:
+            return None
+        return target, size
+    # With g_d = 1 - sum of the others, the fit is min |u_d + sum g_j
+    # (u_j - u_d)| over j < d: modified Gram-Schmidt on those columns,
+    # newest first, then back substitution.
+    last = diffs[-1]
+    basis, rows, cols = [], [], []
+    for j in reversed(range(len(diffs) - 1)):
+        v = [a - b for a, b in zip(diffs[j], last)]
+        norm = math.hypot(*v)
+        row = []
+        for q in basis:
+            h = math.fsum(a * b for a, b in zip(q, v))
+            row.append(h)
+            v = [a - h * b for a, b in zip(v, q)]
+        rest = math.hypot(*v)
+        if not rest > 1e-10 * norm:
+            continue
+        basis.append([a / rest for a in v])
+        rows.append(row + [rest])
+        cols.append(j)
+    if not basis:
+        return None
+    rhs = [-math.fsum(a * b for a, b in zip(q, last)) for q in basis]
+    g = [0.0] * len(basis)
+    for i in reversed(range(len(basis))):
+        g[i] = (rhs[i] - math.fsum(rows[k][i] * g[k]
+                                   for k in range(i + 1, len(basis)))
+                ) / rows[i][i]
+    newest = window[-1]
+    target = list(newest)
+    for gi, j in zip(g, cols):
+        target = [t + gi * (a - b) for t, a, b in zip(target, window[j + 1],
+                                                       newest)]
+    return target, size
 
 
 @dataclass(frozen=True)
@@ -656,10 +751,10 @@ class _Cluster:
     the support pass or the scan added keeps the check that admitted it;
     ``check`` is None for a cluster that dynamics reached.  ``supports``
     holds the supports whose pass roots fell in it, and ``done`` caches
-    ``_finish``."""
+    ``_finish`` and ``polish`` its polishing run."""
 
     __slots__ = ("red", "state", "basin", "mins", "maxs", "check",
-                 "supports", "done")
+                 "supports", "done", "polish")
 
     def __init__(self, red, state, weight, check):
         self.red = red
@@ -670,6 +765,7 @@ class _Cluster:
         self.check = check
         self.supports = set()
         self.done = None
+        self.polish = None
 
 
 def _cluster_of(clusters: list[_Cluster], red) -> _Cluster | None:
@@ -695,22 +791,15 @@ def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
 
 def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
     """A cluster's profile and its check, computed on the first call and
-    cached.  A cluster that dynamics reached is polished, until a sweep
-    leaves it bit-identical or moves it no less than the sweep before,
-    and verified here; a cluster the pass or the scan added keeps the
-    check that admitted it."""
+    cached.  A cluster that dynamics reached is polished (``_iterate``),
+    its sweeps and jumps kept in ``c.polish``, and verified here; a
+    cluster the pass or the scan added keeps the check that admitted
+    it."""
     if c.done is None:
         state = [list(s) for s in c.state]
         if c.check is None:
-            last = math.inf
-            for _ in range(MAX_SWEEPS):
-                before = [v for s in state for v in s]
-                _sweep(game, state)
-                move = max((abs(a - b) for a, b in zip(
-                    before, (v for s in state for v in s))), default=0.0)
-                if move == 0.0 or not move < last:
-                    break
-                last = move
+            c.polish = _iterate(game, state, True)
+            state = c.polish.state
         profile = profile_from_state(game, state)
         c.done = (profile, c.check or verify_nash(game, profile))
     return c.done
@@ -1052,8 +1141,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     """Find the game's equilibria from a grid of starts plus a support pass.
 
     Starting profiles are the product of per-user splits.  When the
-    first user's best response is exact (two paths or fewer, or
-    link-disjoint paths) it does not depend on its own start, so
+    first user's best response ignores its own flows
+    (``_forgets_start``), it does not depend on its own start, so
     trajectories differing only there coincide after one step; they are
     run once and their count is credited to the reached basin.  A start
     whose dynamics raise ``SolverError`` counts in ``failed_starts``.
@@ -1072,16 +1161,17 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     cluster they reached verifies.  ``scan_candidates`` counts the
     pass's roots and the scan's candidates, ``scan_added`` the clusters
     they opened, and ``index_sum`` and ``degenerate`` describe the final
-    set (``index_sum`` is None without two two-path users).
+    set (``index_sum`` is None without two two-path users).  ``sweeps``
+    counts the sweeps of the dynamics and the polish, trial sweeps
+    included, and ``jumps_kept`` and ``jumps_rejected`` their
+    extrapolations (``_iterate``); a start that raised adds none.
     """
     n = len(game.users)
     options = _start_options(game)
     total_starts = 1
     for opts in options:
         total_starts *= len(opts)
-    collapse = n > 0 and (len(game.paths.paths[0]) <= 2
-                          or game.disjoint[0] is not None)
-    if collapse and len(options[0]) > 1:
+    if n > 0 and _forgets_start(game) and len(options[0]) > 1:
         weight = len(options[0])
         head = [options[0][0]]
     else:
@@ -1090,6 +1180,7 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     clusters: list[_Cluster] = []
     non_converged = 0
     failed_starts = 0
+    runs = []
     trajectories = 0
     for combo in itertools.product(head, *options[1:]):
         trajectories += 1
@@ -1098,6 +1189,7 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
         except SolverError:
             failed_starts += weight
             continue
+        runs.append(res)
         if not res.converged:
             non_converged += weight
             continue
@@ -1159,10 +1251,15 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
             kkt_multipliers=check.kkt_multipliers, basin_count=c.basin,
             cluster_diameter=diameter, scan_found=c.check is not None,
             verified=check.ok, max_violation=check.max_violation))
+        if c.polish is not None:
+            runs.append(c.polish)
     diagnostics = {"total_starts": total_starts,
                    "trajectories": trajectories,
                    "non_converged": non_converged,
                    "failed_starts": failed_starts,
+                   "sweeps": sum(r.sweeps for r in runs),
+                   "jumps_kept": sum(r.jumps_kept for r in runs),
+                   "jumps_rejected": sum(r.jumps_rejected for r in runs),
                    "scan_candidates": scan_candidates,
                    "scan_added": scan_added,
                    "scan_coverage": coverage,

@@ -36,6 +36,24 @@ MIXED_DOC = {"capacity_one": 4.0, "capacity_two": 3.0,
              "group_demand": 1.2, "mass_demand": 1.0, "alpha": 0.9}
 
 
+# three users of demand 1 on three parallel links, the game of
+# perfbench's parallel-3x3 workload
+THREE_LINK_DOC = {
+    "nodes": [1, 2],
+    "links": [
+        {"id": "l1", "source": 1, "target": 2,
+         "cost": {"kind": "queue", "capacity": 3.0}},
+        {"id": "l2", "source": 1, "target": 2,
+         "cost": {"kind": "linear", "slope": 1.0, "intercept": 0.2}},
+        {"id": "l3", "source": 1, "target": 2,
+         "cost": {"kind": "queue", "capacity": 2.5}},
+    ],
+    "users": [{"id": i, "source": 1, "target": 2, "demand": 1.0}
+              for i in (1, 2, 3)],
+    "alphas": [0.0, 0.0, 0.0],
+}
+
+
 # seven pairs of parallel links in series: 128 paths, over the cap of 64
 LADDER_DOC = {
     "nodes": list(range(8)),
@@ -343,6 +361,25 @@ class TestSweepCommand:
         assert rc == 0
         assert json.loads(err)["diagnostics"]["scan_coverage"] == {
             "unique": 1, "2x2": 1, "support": 1}
+
+    def test_manifest_sums_the_dynamics_work(self, capsys, tmp_path,
+                                             monkeypatch):
+        # each row's sweeps and extrapolation jumps, summed over the rows
+        monkeypatch.setenv("COOPROUTE_THREADS", "1")
+        path = write_doc(tmp_path, THREE_LINK_DOC)
+        rows = []
+        for alpha in ("0.3", "0.6"):
+            rc, _, err = run(capsys, "solve", "--config", path,
+                             "--alpha", alpha)
+            assert rc == 0
+            rows.append(json.loads(err)["diagnostics"])
+        rc, _, err = run(capsys, "sweep", "--config", path,
+                         "--alphas", "0.3,0.6", "--vary", "all")
+        assert rc == 0
+        diagnostics = json.loads(err)["diagnostics"]
+        for key in ("sweeps", "jumps_kept", "jumps_rejected"):
+            assert diagnostics[key] == sum(row[key] for row in rows)
+        assert diagnostics["jumps_kept"] > 0
 
     def test_structural_sweep_alpha_matches_solve(self, capsys):
         rc, out, _ = run(capsys, "sweep", "--preset", "exp5", "--parameter",
