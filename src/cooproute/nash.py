@@ -77,7 +77,9 @@ from .search import SEARCH_STEPS, grid, newton_argmin, scan_sign_changes
 # extrapolate from a window of d + 2 iterates, where d, the number of
 # coordinates a sweep reads, is capped at EXTRAPOLATION_RANK.
 # GRID_DENSITY splits per two-path user seed the multistart, and fixed
-# points within CLUSTER_RADIUS of each other are one equilibrium.  The
+# points within CLUSTER_RADIUS of each other are one equilibrium, except
+# that a support-pass root of another support than a cluster's point,
+# and more than DISTINCT_TOL from it, is one of its own.  The
 # support pass samples each best-response curve at CURVE_GRID flows; a
 # reduced Jacobian's determinant, or an unused path's slack, at or below
 # DEGENERATE_TOL relative makes a point degenerate.  The 2x2 scan samples
@@ -90,6 +92,7 @@ MAX_SWEEPS = 10_000
 EXTRAPOLATION_RANK = 8
 GRID_DENSITY = 21
 CLUSTER_RADIUS = 1e-4
+DISTINCT_TOL = 1e-9
 CURVE_GRID = 21
 DEGENERATE_TOL = 1e-9
 VERIFY_TOL = 1e-6
@@ -789,6 +792,33 @@ def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
             c.maxs[i] = v
 
 
+def _support_of(game: RoutingGame, t) -> tuple[int, ...]:
+    """Two two-path users' support at second-path flows ``t``: each on
+    its first path (0), its second (1) or both (2)."""
+    r = game.demands
+    return tuple(0 if v == 0.0 else 1 if v == r[i] else 2
+                 for i, v in enumerate(t))
+
+
+def _root_holder(game: RoutingGame, clusters: list[_Cluster], red,
+                 support) -> _Cluster | None:
+    """The cluster that holds a support-pass root ``red`` of ``support``:
+    the first within ``CLUSTER_RADIUS`` whose point has that support, or
+    holds a pass root of it, or lies within ``DISTINCT_TOL``.  A pass
+    root is exact, so one of another support off every nearby point is
+    another equilibrium, however close: on parallel links of slopes 1
+    and 1e-6, two selfish-enough users have three, within 5e-6 of each
+    other."""
+    for c in clusters:
+        if _distance(red, c.red) > CLUSTER_RADIUS:
+            continue
+        t = [flows[1] for flows in _finish(game, c)[0].path_flows]
+        if (support in c.supports or _support_of(game, t) == support
+                or _distance(red, t) <= DISTINCT_TOL):
+            return c
+    return None
+
+
 def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
     """A cluster's profile and its check, computed on the first call and
     cached.  A cluster that dynamics reached is polished (``_iterate``),
@@ -1064,15 +1094,13 @@ def _index_sum(game: RoutingGame, rows,
     path's slack is near zero against the user's multiplier, or when pass
     roots of two supports fell in its cluster.
     """
-    r = game.demands
     total = degenerate = 0
     for c in clusters:
         profile, check = _finish(game, c)
         if not check.ok:
             continue
         t = [profile.path_flows[i][1] for i in range(2)]
-        support = tuple(0 if v == 0.0 else 1 if v == r[i] else 2
-                        for i, v in enumerate(t))
+        support = _support_of(game, t)
         at = rows(t)
         free = [i for i, s in enumerate(support) if s == 2]
         if at is None or len(c.supports | {support}) > 1 or any(
@@ -1149,12 +1177,12 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
 
     For two two-path users with positive demands the support pass then
     looks for the fixed points that the dynamics repel
-    (``_support_roots``).  A root within ``CLUSTER_RADIUS`` of a known
-    cluster is dropped unverified; any other is verified and, if it
-    passes, opens a cluster with basin 0.  ``diagnostics["scan_coverage"]``
-    reads ``"support"`` when the verified clusters' index sum
-    (``_index_sum``) is 1 with no degenerate point.  Otherwise the 2x2
-    scan's candidates (``_scan_for_fixed_points``) go through the same
+    (``_support_roots``).  A root that a known cluster holds
+    (``_root_holder``) is dropped unverified; any other is verified and,
+    if it passes, opens a cluster with basin 0.
+    ``diagnostics["scan_coverage"]`` reads ``"support"`` when the
+    verified clusters' index sum (``_index_sum``) is 1 with no
+    degenerate point.  Otherwise the 2x2 scan's candidates (``_scan_for_fixed_points``) go through the same
     test, and it reads ``"2x2"``.  Neither runs, and it reads
     ``"unique"``, when the game is certified to have one equilibrium
     (``_certified_unique``), every trajectory converged, and the one
@@ -1213,7 +1241,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
         for support, cand in candidates:
             scan_candidates += 1
             red = _reduced(game, [list(s) for s in cand])
-            c = _cluster_of(clusters, red)
+            c = (_cluster_of(clusters, red) if support is None
+                 else _root_holder(game, clusters, red, support))
             if c is None:
                 try:
                     profile = profile_from_state(game, cand)

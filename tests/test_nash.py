@@ -1367,6 +1367,29 @@ def test_affine_games_match_the_oracle(case):
                        <= checks.FLOW_TOL for flows in emitted), p
 
 
+def test_pass_roots_of_other_supports_inside_the_cluster_radius():
+    # parallel links of slopes 1 and 1e-6, alphas (0, 0.875): three
+    # equilibria within 5e-6 of each other, one per support.  The pass
+    # once dropped the two the dynamics miss, as inside CLUSTER_RADIUS
+    # of the one they reach.
+    links = {"l1": (1.0, 0.0), "l2": (1e-6, 0.0)}
+    users = [(1.0, ["l1"], ["l2"]), (1.0, ["l1"], ["l2"])]
+    alphas = [0.0, 0.875]
+    game = parallel_game([LinearCost(*links["l1"]), LinearCost(*links["l2"])],
+                         [1.0, 1.0], alphas)
+    points, segments = checks.affine_equilibria(links, users, alphas)
+    assert len(points) == 3 and not segments
+    eqs = multistart_nash(game)
+    assert len(eqs) == 3 and all(eq.verified for eq in eqs)
+    emitted = sorted(tuple(eq.profile.path_flows[ui][1] for ui in range(2))
+                     for eq in eqs)
+    for flows, p in zip(emitted, sorted(points)):
+        assert flows == pytest.approx([float(v) for v in p], abs=1e-12)
+    assert eqs.diagnostics["scan_coverage"] == "support"
+    assert eqs.diagnostics["index_sum"] == 1
+    assert sum(eq.basin_count for eq in eqs) == 441
+
+
 def test_exp1_at_full_cooperation_lists_the_oracles_three_points():
     # each user at alpha 1 weighs only the other's cost, so its own
     # objective is linear in its split; the point (0.5, 0.5) of each user
