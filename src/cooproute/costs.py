@@ -54,6 +54,11 @@ class LinearCost:
     def value(self, flow: float) -> float:
         return self.slope * flow + self.intercept
 
+    def values(self, flows) -> list[float]:
+        """``[self.value(f) for f in flows]`` in one pass."""
+        a, g = self.slope, self.intercept
+        return [a * f + g for f in flows]
+
     def derivative(self, flow: float) -> float:
         return self.slope
 
@@ -78,6 +83,12 @@ class MM1Cost:
         if slack <= 0.0:
             return INFINITE_COST
         return 1.0 / slack
+
+    def values(self, flows) -> list[float]:
+        """``[self.value(f) for f in flows]`` in one pass."""
+        c = self.capacity
+        return [INFINITE_COST if (s := c - f) <= 0.0 else 1.0 / s
+                for f in flows]
 
     def derivative(self, flow: float) -> float:
         slack = self.capacity - flow
@@ -459,9 +470,13 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
     ``weighted_cost(row, user_costs(...))`` at the loads summed path by
     path in user order, with the same rules: zero flow on a full link
     costs nothing, a user of weight zero is skipped, and an infinite raw
-    cost makes the operating cost infinite.  Only the links on ``ui``'s
-    paths are recomputed; every other link's latency and cost shares are
-    summed here, once.
+    cost makes the operating cost infinite, since every weight left is
+    positive.  (A NaN flow or cost can make a cost NaN where
+    ``weighted_cost`` returns infinity; ``verify_nash`` rejects such a
+    profile on its raw costs first.)  Only the links on ``ui``'s paths
+    are recomputed, each priced by one ``values`` call per list of
+    points; every other link's latency and cost shares are summed here,
+    once.
     """
     mine = paths[ui]
     moving = sorted({li for p in mine for li in p})
@@ -511,21 +526,27 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
         plans.append((row[k], terms))
 
     # Each step below runs over all points at once, in the order a
-    # single evaluation would take.
+    # single evaluation would take, on the points' flows by path.  A
+    # link's own load starts at its first path's flow, not at 0.0 plus
+    # it: the two differ only in the sign of a zero, which no term reads.
     def costs(points) -> list[float]:
+        if not points:
+            return []
         n = len(points)
+        cols = list(zip(*points))
         owns, lats = [], []
         for spec, base, cover, tail in movers:
-            own, tot = [0.0] * n, [base] * n
-            for p in cover:
-                col = [f[p] for f in points]
+            own = cols[cover[0]]
+            tot = [base + v for v in own]
+            for p in cover[1:]:
+                col = cols[p]
                 own = [o + v for o, v in zip(own, col)]
                 tot = [x + v for x, v in zip(tot, col)]
             for v in tail:
                 tot = [x + v for x in tot]
             owns.append(own)
-            lats.append(list(map(spec.value, tot)))
-        acc, full = [0.0] * n, [False] * n
+            lats.append(spec.values(tot))
+        acc = [0.0] * n
         for w, terms in plans:
             raw = [0.0] * n
             if terms is None:
@@ -538,9 +559,8 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
                         raw = [x + v for x in raw]
                     else:
                         raw = [x + v * t for x, t in zip(raw, lats[j])]
-            full = [h or x == INFINITE_COST for h, x in zip(full, raw)]
             acc = [a + w * x for a, x in zip(acc, raw)]
-        return [INFINITE_COST if h else a for a, h in zip(acc, full)]
+        return acc
 
     return costs
 

@@ -471,3 +471,35 @@ def readme_command_lines():
 def test_readme_commands_parse(line):
     # a flag that is gone from the parser must not stay documented
     cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
+
+GOLDEN_SWEEPS = {
+    "exp1_first.csv": ("--preset", "exp1", "--alphas", "0:1:0.05",
+                       "--vary", "first"),
+    "exp1_all.csv": ("--preset", "exp1", "--alphas", "0:1:0.05",
+                     "--vary", "all"),
+    "braess_lb_sym.csv": ("--preset", "braess-lb-sym", "--parameter"),
+    "braess_lb_asym.csv": ("--preset", "braess-lb-asym", "--parameter"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SWEEPS))
+def test_sweep_csv_matches_golden_file(name, tmp_path, monkeypatch):
+    """The CSV bytes of four sweeps, run with one worker, are pinned in
+    ``tests/data``:
+
+        cooproute sweep --preset exp1 --alphas 0:1:0.05 --vary first
+        cooproute sweep --preset exp1 --alphas 0:1:0.05 --vary all
+        cooproute sweep --preset braess-lb-sym --parameter
+        cooproute sweep --preset braess-lb-asym --parameter
+
+    A change that means to move these answers regenerates the files with
+    the same commands and says so in CHANGES.md."""
+    monkeypatch.delenv("COOPROUTE_THREADS", raising=False)
+    out = tmp_path / name
+    rc = cli.main(["sweep", *GOLDEN_SWEEPS[name], "--out", str(out),
+                   "--manifest", str(tmp_path / "manifest.json")])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 
 import pytest
@@ -44,6 +45,40 @@ def marginal(net, prof, coop, uid, link_id):
                 weighted[li] += w * v
     return path_marginals(net.links, [[net.link_index(link_id)]], row[ui],
                           prof.total_link_flows, weighted, [0.0])[0]
+
+
+@st.composite
+def priced_loads(draw):
+    """A latency of either class and flows to price on it: zero, flows
+    just below, at and past an M/M/1 capacity, large affine loads that
+    may overflow, and NaN."""
+    if draw(st.booleans()):
+        cap = draw(st.floats(0.0, 1e3))
+        spec = MM1Cost(cap)
+        edges = [0.0, math.nextafter(cap, 0.0), cap,
+                 math.nextafter(cap, math.inf), 2.0 * cap + 1.0]
+    else:
+        spec = LinearCost(draw(st.floats(0.0, 1e3, allow_subnormal=False)),
+                          draw(st.floats(0.0, 1e3)))
+        edges = [0.0, 1e150, 1e300, sys.float_info.max]
+    flows = draw(st.lists(st.sampled_from(edges + [math.nan])
+                          | st.floats(0.0, 1e6), max_size=40))
+    return spec, flows
+
+
+def float_bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(priced_loads())
+def test_values_equal_value_bit_for_bit(case):
+    # the deviation sweep prices whole columns of loads through
+    # ``values``; each must be the float ``value`` gives, NaN and the
+    # sign of zero included
+    spec, flows = case
+    assert float_bits(spec.values(flows)) == float_bits(
+        [spec.value(f) for f in flows])
 
 
 class TestLinkCosts:

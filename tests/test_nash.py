@@ -385,6 +385,20 @@ DEVIATION_GAMES = {
     # user 1 puts weight 0 on user 2, whose flow fills l1: 0 * inf = 0
     "weight-0-on-full-link": lambda: parallel_game(
         [MM1Cost(1.0), LinearCost(1.0, 0.2)], [1.0, 1.0], [0.0, 0.5]),
+    # both paths of each user share sa, so both of a user's flows load
+    # that link, on top of the other user's
+    "shared-first-hop": lambda: make_game(
+        build_network(["s", "a", "t"], [
+            ("sa", "s", "a", MM1Cost(4.0)),
+            ("at1", "a", "t", LinearCost(1.0, 0.1)),
+            ("at2", "a", "t", MM1Cost(1.2))]),
+        [UserSpec(1, "s", "t", 1.0), UserSpec(2, "s", "t", 1.5)],
+        [0.4, 0.7]),
+    # two later users load both of user 1's links, user 2 sits between
+    # one user ahead and one behind
+    "three-users": lambda: parallel_game(
+        [MM1Cost(2.5), LinearCost(1.0, 0.2)], [1.0, 0.8, 1.2],
+        [0.3, 0.6, 0.9]),
 }
 
 
@@ -396,11 +410,10 @@ def test_deviation_cost_equals_full_state_cost(name):
     g = nash.DEVIATION_GRID
     seen_inf = False
     for ui, r in enumerate(game.demands):
-        r_other = game.demands[1 - ui]
         for share in (0.0, 0.3, 1.0):
-            state = [None, None]
+            # everyone else puts ``share`` of its demand on its second path
+            state = [[d - share * d, share * d] for d in game.demands]
             state[ui] = [r, 0.0]
-            state[1 - ui] = [r_other - share * r_other, share * r_other]
             splits = [(r - r * i / (g - 1), r * i / (g - 1))
                       for i in range(g)]
             cost = deviation_cost(game.net.links, game.path_link_idx, state,
@@ -410,7 +423,8 @@ def test_deviation_cost_equals_full_state_cost(name):
                 trial[ui] = list(flows)
                 assert got == full_state_cost(game, trial, ui)
                 seen_inf |= got == math.inf
-    if name in ("asym-cross-0", "weight-0-on-full-link"):
+    if name in ("asym-cross-0", "weight-0-on-full-link", "shared-first-hop",
+                "three-users"):
         assert seen_inf
 
 
