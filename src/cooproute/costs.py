@@ -18,6 +18,7 @@ the mixed model's group, and owns the M/M/1 capacity guard: its
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -51,13 +52,12 @@ class LinearCost:
             # the solvers could verify a split that is no equilibrium
             raise ConfigError(f"linear cost slope {self.slope!r} is subnormal")
 
+    # ``value`` as source for ``deviation_cost``'s kernel, over the load
+    # ``{f}`` and the fields, each ``{name}``
+    LATENCY = "{slope} * {f} + {intercept}"
+
     def value(self, flow: float) -> float:
         return self.slope * flow + self.intercept
-
-    def values(self, flows) -> list[float]:
-        """``[self.value(f) for f in flows]`` in one pass."""
-        a, g = self.slope, self.intercept
-        return [a * f + g for f in flows]
 
     def derivative(self, flow: float) -> float:
         return self.slope
@@ -78,17 +78,16 @@ class MM1Cost:
         if self.capacity < 0:
             raise ConfigError("capacity must be nonnegative")
 
+    # ``value`` as kernel source (see ``LinearCost.LATENCY``); the slack
+    # is taken twice, as a comprehension's ``for`` clause binds no name
+    # by ``:=``, and comes out the same both times
+    LATENCY = "INF if {capacity} - {f} <= 0.0 else 1.0 / ({capacity} - {f})"
+
     def value(self, flow: float) -> float:
         slack = self.capacity - flow
         if slack <= 0.0:
             return INFINITE_COST
         return 1.0 / slack
-
-    def values(self, flows) -> list[float]:
-        """``[self.value(f) for f in flows]`` in one pass."""
-        c = self.capacity
-        return [INFINITE_COST if (s := c - f) <= 0.0 else 1.0 / s
-                for f in flows]
 
     def derivative(self, flow: float) -> float:
         slack = self.capacity - flow
@@ -474,9 +473,9 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
     positive.  (A NaN flow or cost can make a cost NaN where
     ``weighted_cost`` returns infinity; ``verify_nash`` rejects such a
     profile on its raw costs first.)  Only the links on ``ui``'s paths
-    are recomputed, each priced by one ``values`` call per list of
-    points; every other link's latency and cost shares are summed here,
-    once.
+    are recomputed, by one list comprehension compiled per shape of the
+    game (``_kernel``) that prices each point in one pass; every other
+    link's latency and cost shares are summed here, once.
     """
     mine = paths[ui]
     moving = sorted({li for p in mine for li in p})
@@ -503,66 +502,92 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
                         before[j] += v
                     else:
                         after[j].append(v)
-    # Adding a zero flow changes no sum, so ui's flows go in unskipped.
-    movers = tuple((links[li].cost, before[j],
-                    tuple(p for p, lp in enumerate(mine) if li in lp),
-                    tuple(after[j]))
-                   for j, li in enumerate(moving))
-    # A raw cost sums f * T over links in link order.  Terms on fixed
-    # links are constants: ``(j, v)`` is load ``v`` on moving link ``j``
-    # and ``(-1, c)`` a constant.  ``None`` stands for ui's own terms.
-    plans = []
+    # The shape goes to ``_kernel`` and every float to the kernel, in the
+    # order of its parameters.  A moving link is its cost class, the
+    # paths of ui that cover it and its count of later users' flows.
+    movers, plans, consts = [], [], []
+    for j, li in enumerate(moving):
+        spec = links[li].cost
+        movers.append((type(spec),
+                       tuple(p for p, lp in enumerate(mine) if li in lp),
+                       len(after[j])))
+        consts += (before[j], *after[j],
+                   *(getattr(spec, name) for name in spec.__slots__))
+    # A raw cost sums f * T over links in link order.  A term on moving
+    # link ``j`` is a load times its latency; a fixed link's term is a
+    # constant, slot -1.  ``None`` stands for ui's own terms.
     for k, own in enumerate(loads):
         if not row[k]:
             continue
-        terms = None
-        if k != ui:
-            terms = []
-            for li, v in enumerate(own):
-                if v:
-                    j = slot.get(li)
-                    terms.append((j, v) if j is not None else
-                                 (-1, v * links[li].cost.value(totals[li])))
-        plans.append((row[k], terms))
+        consts.append(row[k])
+        if k == ui:
+            plans.append(None)
+            continue
+        slots = []
+        for li, v in enumerate(own):
+            if v:
+                j = slot.get(li, -1)
+                slots.append(j)
+                consts.append(v if j >= 0 else
+                              v * links[li].cost.value(totals[li]))
+        plans.append(tuple(slots))
+    return functools.partial(_kernel(len(mine), tuple(movers), tuple(plans)),
+                             *consts)
 
-    # Each step below runs over all points at once, in the order a
-    # single evaluation would take, on the points' flows by path.  A
-    # link's own load starts at its first path's flow, not at 0.0 plus
-    # it: the two differ only in the sign of a zero, which no term reads.
-    def costs(points) -> list[float]:
-        if not points:
-            return []
-        n = len(points)
-        cols = list(zip(*points))
-        owns, lats = [], []
-        for spec, base, cover, tail in movers:
-            own = cols[cover[0]]
-            tot = [base + v for v in own]
-            for p in cover[1:]:
-                col = cols[p]
-                own = [o + v for o, v in zip(own, col)]
-                tot = [x + v for x, v in zip(tot, col)]
-            for v in tail:
-                tot = [x + v for x in tot]
-            owns.append(own)
-            lats.append(spec.values(tot))
-        acc = [0.0] * n
-        for w, terms in plans:
-            raw = [0.0] * n
-            if terms is None:
-                for own, lat in zip(owns, lats):
-                    raw = [x + o * t if o else x
-                           for x, o, t in zip(raw, own, lat)]
-            else:
-                for j, v in terms:
-                    if j < 0:
-                        raw = [x + v for x in raw]
-                    else:
-                        raw = [x + v * t for x, t in zip(raw, lats[j])]
-            acc = [a + w * x for a, x in zip(acc, raw)]
-        return acc
 
-    return costs
+@functools.lru_cache(maxsize=128)
+def _kernel(ncols: int, movers: tuple, plans: tuple):
+    """``deviation_cost``'s evaluator for one shape: ``ncols`` path flows
+    per point, each moving link's ``(class, cover, tail length)`` and each
+    plan's term slots.  It takes the shape's floats, then the points.
+
+    One comprehension prices each point in the order and with the float
+    operations of a single evaluation: a link's total is its base plus
+    the point's flows on it plus the later users' flows, one at a time;
+    the latency is the class's ``LATENCY``; the deviating user's raw
+    cost runs from 0.0 over its links and skips a zero own load; the
+    operating cost runs from 0.0 over the plans.  A link's own load is
+    its first path's flow, not 0.0 plus it: the two differ only in the
+    sign of a zero, which no term reads.  The source holds slot indices
+    and the ``LATENCY`` templates only, never a float.  Every preset
+    sweep together uses 53 shapes.
+    """
+    xs = [f"x{p}" for p in range(ncols)]
+    params = []
+    clauses = ["for (" + "".join(x + ", " for x in xs) + ") in points"]
+    for j, (cls, cover, ntail) in enumerate(movers):
+        names = {name: f"{name}{j}" for name in cls.__slots__}
+        tails = [f"k{j}_{i}" for i in range(ntail)]
+        params += [f"b{j}", *tails, *names.values()]
+        total = " + ".join([f"b{j}", *(xs[p] for p in cover), *tails])
+        clauses.append(f"for t{j} in ({total},)")
+        clauses.append(f"for l{j} in "
+                       f"({cls.LATENCY.format(f=f't{j}', **names)},)")
+    acc = "0.0"
+    for i, slots in enumerate(plans):
+        params.append(f"w{i}")
+        raw = "0.0"
+        if slots is None:
+            for j, (_, cover, _) in enumerate(movers):
+                own = " + ".join(xs[p] for p in cover)
+                if len(cover) > 1:
+                    clauses.append(f"for o{j} in ({own},)")
+                    own = f"o{j}"
+                clauses.append(f"for r in ({raw} + {own} * l{j} "
+                               f"if {own} else {raw},)")
+                raw = "r"
+        else:
+            for n, j in enumerate(slots):
+                params.append(f"v{i}_{n}")
+                raw += f" + v{i}_{n}" + (f" * l{j}" if j >= 0 else "")
+        acc += f" + w{i} * ({raw})"
+    source = (f"def kernel({', '.join(params)}, points):\n"
+              f"    return [{acc}\n"
+              + "".join(f"            {c}\n" for c in clauses)
+              + "            ]\n")
+    scope = {"INF": INFINITE_COST}
+    exec(compile(source, "<deviation kernel>", "exec"), scope)
+    return scope["kernel"]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,8 @@ users' path flows into link loads, through the game's precomputed
 ``feeds`` in one fixed order (``_state_loads``), and hands them over.  The
 verifier's deviation sweep prices each split with
 ``costs.deviation_cost``, which recomputes only the deviating user's
-links and matches the full-state cost exactly.
+links, by one list comprehension compiled per shape of the game, and
+matches the full-state cost exactly.
 """
 
 from __future__ import annotations

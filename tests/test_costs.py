@@ -70,14 +70,26 @@ def float_bits(xs):
     return [struct.pack("<d", x) for x in xs]
 
 
+def latency_column(spec, flows):
+    """``spec.LATENCY`` over ``flows`` as the deviation kernel evaluates
+    it: a comprehension's ``for`` clause on a bound load, with the fields
+    passed in as the parameters ``{name}0``."""
+    names = {name: f"{name}0" for name in spec.__slots__}
+    source = (f"lambda {', '.join(names.values())}, flows: "
+              f"[l0 for t0 in flows for l0 in "
+              f"({spec.LATENCY.format(f='t0', **names)},)]")
+    kernel = eval(source, {"INF": costs.INFINITE_COST})
+    return kernel(*(getattr(spec, name) for name in spec.__slots__), flows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(priced_loads())
-def test_values_equal_value_bit_for_bit(case):
-    # the deviation sweep prices whole columns of loads through
-    # ``values``; each must be the float ``value`` gives, NaN and the
-    # sign of zero included
+def test_latency_source_equals_value_bit_for_bit(case):
+    # the deviation sweep prices loads through each class's ``LATENCY``
+    # source; each must be the float ``value`` gives, NaN and the sign of
+    # zero included
     spec, flows = case
-    assert float_bits(spec.values(flows)) == float_bits(
+    assert float_bits(latency_column(spec, flows)) == float_bits(
         [spec.value(f) for f in flows])
 
 

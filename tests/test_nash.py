@@ -28,7 +28,7 @@ from cooproute.costs import (CAPACITY_GUARD, CooperationProfile,
                              deviation_cost, path_marginals, user_costs,
                              weighted_cost)
 from cooproute.errors import InfeasibleError, SolverError
-from cooproute.experiments import alpha_sweep
+from cooproute.experiments import alpha_sweep, parameter_sweep
 from cooproute.nash import _best_response, _state_loads, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
 from cooproute.search import argmin_by_derivative
@@ -428,6 +428,68 @@ def test_deviation_cost_equals_full_state_cost(name):
         assert seen_inf
 
 
+# A user from s to t has three paths, two of them through sa, one from
+# a to t has two and one from s to a has one.
+FORK_LINKS = (("sa", "s", "a"), ("at1", "a", "t"), ("at2", "a", "t"),
+              ("st", "s", "t"))
+
+
+@st.composite
+def deviation_cases(draw):
+    """Two games of one shape on the fork network, mixing affine and
+    M/M/1 links, with different constants: 2 or 3 users, cooperation
+    degrees of 0 and 1 among them (zero weights), a state and points for
+    each user whose flows may fill an M/M/1 link."""
+    n = draw(st.integers(2, 3))
+    ends = draw(st.lists(st.sampled_from([("s", "t"), ("a", "t"),
+                                          ("s", "a")]),
+                         min_size=n, max_size=n))
+    classes = draw(st.lists(st.sampled_from([LinearCost, MM1Cost]),
+                            min_size=4, max_size=4))
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0])
+                           | st.floats(0.05, 0.95), min_size=n, max_size=n))
+    games, caps = [], []
+    for _ in range(2):
+        latencies = [
+            MM1Cost(draw(st.floats(0.5, 3.0))) if cls is MM1Cost else
+            LinearCost(draw(st.floats(0.0, 2.0, allow_subnormal=False)),
+                       draw(st.floats(0.0, 1.0)))
+            for cls in classes]
+        net = build_network(["s", "a", "t"], [
+            (lid, a, b, c) for (lid, a, b), c in zip(FORK_LINKS, latencies)])
+        caps += [c.capacity for c in latencies if isinstance(c, MM1Cost)]
+        games.append(make_game(net, [UserSpec(i + 1, a, b, 0.1)
+                                     for i, (a, b) in enumerate(ends)],
+                               alphas))
+        # the second game keeps the zero weights and draws the rest anew
+        alphas = [a if a == 0.0 or a == 1.0 else draw(st.floats(0.05, 0.95))
+                  for a in alphas]
+    flow = st.sampled_from([0.0, *caps]) | st.floats(0.0, 3.0)
+    width = [len(paths) for paths in games[0].path_link_idx]
+    state = [draw(st.lists(flow, min_size=w, max_size=w)) for w in width]
+    points = [draw(st.lists(st.lists(flow, min_size=w, max_size=w),
+                            min_size=1, max_size=8)) for w in width]
+    return games, state, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(deviation_cases())
+def test_deviation_kernel_equals_full_state_cost(case):
+    # the second game has the first one's shape, so it reuses the first
+    # one's compiled kernel and must not price with any of its constants
+    games, state, points = case
+    for game in games:
+        compiled = costs._kernel.cache_info().misses
+        for ui, pts in enumerate(points):
+            cost = deviation_cost(game.net.links, game.path_link_idx, state,
+                                  game.coop.rows[ui], ui)
+            for flows, got in zip(pts, cost(pts)):
+                trial = [list(s) for s in state]
+                trial[ui] = list(flows)
+                assert got == full_state_cost(game, trial, ui)
+    assert costs._kernel.cache_info().misses == compiled
+
+
 def solve_recording_runs(game, monkeypatch):
     """``multistart_nash``'s result and every ``br_dynamics`` run it made."""
     runs = []
@@ -519,6 +581,27 @@ def test_sweep_work_stays_bounded(monkeypatch):
     assert [len(row.equilibria) for row in table.rows] == [1] * 18 + [2, 3, 3]
     for name, measured in SWEEP_WORK.items():
         assert calls[name] <= measured, name
+
+
+# Deviation kernels compiled by exp1's 101-row vary="first" sweep (the
+# exp1-alpha benchmark) and by the braess-lb-sym then braess-lb-asym
+# parameter sweeps, which share all but one shape.  A cache key that held
+# a constant would compile one kernel per verified profile.
+KERNEL_WORK = {"exp1": 4, "braess-lb-sym": 6, "braess-lb-asym": 1}
+
+
+def test_deviation_kernels_compile_once_per_shape():
+    def compiled():
+        return costs._kernel.cache_info().misses
+
+    costs._kernel.cache_clear()
+    alpha_sweep(get_preset("exp1"), [i / 100 for i in range(101)], "first")
+    assert compiled() == KERNEL_WORK["exp1"]
+    costs._kernel.cache_clear()
+    for preset in ("braess-lb-sym", "braess-lb-asym"):
+        before = compiled()
+        parameter_sweep(get_preset(preset))
+        assert compiled() - before == KERNEL_WORK[preset], preset
 
 
 @pytest.mark.parametrize("preset,build,newton", [
