@@ -725,6 +725,7 @@ class EquilibriumResult:
     operating_costs: tuple[float, ...]
     kkt_multipliers: tuple[float, ...]
     basin_count: int
+    # spread of the limits of the trajectories that ran into the cluster
     cluster_diameter: float
     scan_found: bool
     verified: bool
@@ -772,11 +773,18 @@ class _Cluster:
         self.polish = None
 
 
-def _cluster_of(clusters: list[_Cluster], red) -> _Cluster | None:
-    """The first cluster within ``CLUSTER_RADIUS`` of ``red``, if any."""
+def _cluster_of(clusters: list[_Cluster], red, far=None) -> _Cluster | None:
+    """The first cluster within ``CLUSTER_RADIUS`` of ``red``, if any;
+    given ``far``, the one that is first for every point of the box that
+    ``red`` and ``far`` span, if one is."""
+    far = red if far is None else far
     for c in clusters:
-        if all(abs(a - b) <= CLUSTER_RADIUS for a, b in zip(red, c.red)):
+        if all(abs(x - r) <= CLUSTER_RADIUS and abs(y - r) <= CLUSTER_RADIUS
+               for x, y, r in zip(red, far, c.red)):
             return c
+        if not any(abs(x - r) > CLUSTER_RADIUS and abs(y - r) > CLUSTER_RADIUS
+                   and (x > r) == (y > r) for x, y, r in zip(red, far, c.red)):
+            return None
     return None
 
 
@@ -1176,6 +1184,14 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     run once and their count is credited to the reached basin.  A start
     whose dynamics raise ``SolverError`` counts in ``failed_starts``.
 
+    With two users, the first user's start fixed and the second on two
+    paths, the starts are bisected when one sweep from each keeps them
+    in order (Topkis 1979; Milgrom and Roberts 1990): from the lowest
+    up, an interval whose ends' limits span a box in one cluster
+    (``_cluster_of``) credits its inner starts to the lower end.  That
+    this matches running every start is tested, not proved: the probe
+    checks order at the starts only, and the dynamics extrapolate.
+
     For two two-path users with positive demands the support pass then
     looks for the fixed points that the dynamics repel
     (``_support_roots``).  A root that a known cluster holds
@@ -1191,8 +1207,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     pass's roots and the scan's candidates, ``scan_added`` the clusters
     they opened, and ``index_sum`` and ``degenerate`` describe the final
     set (``index_sum`` is None without two two-path users).  ``sweeps``
-    counts the sweeps of the dynamics and the polish, trial sweeps
-    included, and ``jumps_kept`` and ``jumps_rejected`` their
+    counts the probe's sweeps and those of the dynamics and the polish,
+    trial sweeps included, and ``jumps_kept`` and ``jumps_rejected`` their
     extrapolations (``_iterate``); a start that raised adds none.
     """
     n = len(game.users)
@@ -1206,24 +1222,54 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     else:
         weight = 1
         head = options[0]
-    clusters: list[_Cluster] = []
-    non_converged = 0
-    failed_starts = 0
+    combos = list(itertools.product(head, *options[1:]))
+    probes = []
+    if n == 2 and len(head) == 1 and game.two_path[1] is not None:
+        try:
+            for state in ([list(s) for s in combo] for combo in combos):
+                _sweep(game, state)
+                probes.append(state[1][1])
+        except SolverError:
+            probes = []
+    ordered = bool(probes) and probes == sorted(probes)
     runs = []
-    trajectories = 0
-    for combo in itertools.product(head, *options[1:]):
+    clusters: list[_Cluster] = []
+    trajectories = non_converged = failed_starts = 0
+
+    def run(i):
+        # start i's dynamics (None if they raised) and limit (or None)
+        nonlocal trajectories
         trajectories += 1
         try:
-            res = br_dynamics(game, combo)
+            res = br_dynamics(game, combos[i])
         except SolverError:
-            failed_starts += weight
-            continue
+            return None, None
         runs.append(res)
-        if not res.converged:
-            non_converged += weight
-            continue
-        red = _reduced(game, [list(s) for s in res.state])
-        _cluster_merge(clusters, red, res.state, weight)
+        return res, _reduced(game, res.state) if res.converged else None
+
+    def fill(lo, a, hi, b):
+        # the starts up to lo are merged and hi has run: merge those up
+        # to hi, crediting the ones between to lo's cluster or bisecting
+        nonlocal non_converged, failed_starts
+        if hi - lo > 1 and not (ordered and a[1] and b[1]
+                                and _cluster_of(clusters, a[1], b[1])):
+            mid = (lo + hi) // 2
+            m = run(mid)
+            fill(lo, a, mid, m)
+            fill(mid, m, hi, b)
+            return
+        for (res, red), count in ((a, hi - lo - 1), (b, 1)):
+            if res is None:
+                failed_starts += count * weight
+            elif red is None:
+                non_converged += count * weight
+            else:
+                _cluster_merge(clusters, red, res.state, count * weight)
+
+    first = run(0)
+    fill(-1, (None, None), 0, first)
+    if len(combos) > 1:
+        fill(0, first, len(combos) - 1, run(len(combos) - 1))
     scan_candidates = 0
     scan_added = 0
     index_sum, degenerate = None, 0
@@ -1287,7 +1333,7 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                    "trajectories": trajectories,
                    "non_converged": non_converged,
                    "failed_starts": failed_starts,
-                   "sweeps": sum(r.sweeps for r in runs),
+                   "sweeps": len(probes) + sum(r.sweeps for r in runs),
                    "jumps_kept": sum(r.jumps_kept for r in runs),
                    "jumps_rejected": sum(r.jumps_rejected for r in runs),
                    "scan_candidates": scan_candidates,

@@ -3,7 +3,7 @@ import struct
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, CooperationProfile, InfeasibleError,
@@ -425,6 +425,11 @@ class TestPathLevel:
 
     @settings(max_examples=300)
     @given(one_link_levels())
+    # a subnormal level: the marginal one float step below the root reads
+    # 2e-323, one subnormal step above lam, and no split does better
+    @example((SplitCost(specs=(LinearCost(0.796875, 0.0),), n1=1,
+                        own_weight=0.25, demand=7.0),
+              (0.0,), (0.0,), 7.0, 1.5e-323))
     def test_level_brackets_lam(self, case):
         path, others, weighted, top, lam = case
         x, slope = path.level(lam, others, weighted, top)
@@ -433,8 +438,11 @@ class TestPathLevel:
                                 weighted)[0]
         above = path.derivative(math.nextafter(x, math.inf), others,
                                 weighted)[0]
-        assert below <= lam * (1 + 1e-12)
-        assert above >= lam * (1 - 1e-12)
+        # ulp(lam) is about 2.2e-16 of a normal lam, so it only matters
+        # at subnormal levels, where one step of the marginal exceeds
+        # the relative slack
+        assert below <= lam * (1 + 1e-12) + math.ulp(lam)
+        assert above >= lam * (1 - 1e-12) - math.ulp(lam)
         assert slope == pytest.approx(
             path.derivative(x, others, weighted)[1], rel=1e-12)
 

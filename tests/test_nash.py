@@ -13,6 +13,7 @@ x = 0.75 (1 - 2a) / (3 - 4a) for a < 0.5.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -588,20 +589,33 @@ def test_sweep_work_stays_bounded(monkeypatch):
 # parameter sweeps, which share all but one shape.  A cache key that held
 # a constant would compile one kernel per verified profile.
 KERNEL_WORK = {"exp1": 4, "braess-lb-sym": 6, "braess-lb-asym": 1}
+# Trajectories the same sweeps run: 2,121, 441 and 441 from every start
+# of the second user; 246, 105 and 46 once the bisection over ordered
+# starts credits the starts between two that reach one cluster.  Wall
+# time is too noisy to show a bisection that stops crediting starts; the
+# count is not.
+TRAJECTORY_WORK = {"exp1": 246, "braess-lb-sym": 105, "braess-lb-asym": 46}
 
 
 def test_deviation_kernels_compile_once_per_shape():
     def compiled():
         return costs._kernel.cache_info().misses
 
+    def trajectories(table):
+        return sum(row.equilibria.diagnostics["trajectories"]
+                   for row in table.rows)
+
     costs._kernel.cache_clear()
-    alpha_sweep(get_preset("exp1"), [i / 100 for i in range(101)], "first")
+    exp1 = alpha_sweep(get_preset("exp1"), [i / 100 for i in range(101)],
+                       "first")
     assert compiled() == KERNEL_WORK["exp1"]
+    assert trajectories(exp1) == TRAJECTORY_WORK["exp1"]
     costs._kernel.cache_clear()
     for preset in ("braess-lb-sym", "braess-lb-asym"):
         before = compiled()
-        parameter_sweep(get_preset(preset))
+        table = parameter_sweep(get_preset(preset))
         assert compiled() - before == KERNEL_WORK[preset], preset
+        assert trajectories(table) == TRAJECTORY_WORK[preset], preset
 
 
 @pytest.mark.parametrize("preset,build,newton", [
@@ -1553,3 +1567,119 @@ def test_support_pass_finds_what_the_scan_finds(game):
         t = (cand[0][1], cand[1][1])
         assert any(max(abs(a - b) for a, b in zip(t, flows))
                    <= nash.CLUSTER_RADIUS for flows in emitted), t
+
+
+# ------------------------------------------------------ ordered starts
+
+@st.composite
+def ordered_start_games(draw):
+    """A two-user load-balancing or parallel game on affine and M/M/1
+    links, each M/M/1 capacity 1e-3 to 3 above the demand that can cross
+    the link."""
+    parallel = draw(st.booleans())
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
+    latencies = []
+    for i in range(2 if parallel else 4):
+        through = sum(demands) if parallel else demands[i % 2]
+        if draw(st.booleans()):
+            latencies.append(MM1Cost(through + draw(st.floats(1e-3, 3.0))))
+        else:
+            latencies.append(LinearCost(
+                draw(st.floats(0.0, 3.0, allow_subnormal=False)),
+                draw(st.floats(0.0, 2.0))))
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=2, max_size=2))
+    try:
+        if parallel:
+            return parallel_game(latencies, demands, alphas)
+        return load_balancing_game(latencies, demands, alphas)
+    except InfeasibleError:
+        reject()
+
+
+def every_start_clusters(game):
+    """The dynamics run from every start of the second user, merged in
+    grid order: the clusters' states and basins, the non-converged and
+    the failed starts."""
+    options = nash._start_options(game)
+    weight = len(options[0])
+    clusters = []
+    non_converged = failed = 0
+    for start in itertools.product(options[0][:1], *options[1:]):
+        try:
+            res = br_dynamics(game, start)
+        except SolverError:
+            failed += weight
+            continue
+        if not res.converged:
+            non_converged += weight
+            continue
+        nash._cluster_merge(clusters, nash._reduced(game, res.state),
+                            res.state, weight)
+    return ([(c.state, c.basin) for c in clusters], non_converged, failed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ordered_start_games())
+def test_ordered_starts_match_every_start(game):
+    # the bisection credits the starts between two that reach one limit;
+    # the loop over every start must find the same clusters
+    expected = every_start_clusters(game)
+    seen = []
+    merge = nash._cluster_merge
+
+    def recorded(clusters, *args):
+        seen.append(clusters)
+        merge(clusters, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash, "_cluster_merge", recorded)
+        try:
+            diag = multistart_nash(game).diagnostics
+        except SolverError as err:
+            diag = err.diagnostics
+    clusters = [(c.state, c.basin) for c in (seen[0] if seen else [])
+                if c.check is None]
+    assert (clusters, diag["non_converged"], diag["failed_starts"]) \
+        == expected
+
+
+def test_decreasing_probe_runs_every_start(monkeypatch):
+    # user 2 answers half a unit against its own split around 1/2: one
+    # sweep reverses the starts' order, so none is credited, and all 21
+    # still reach the one fixed point
+    game = linear_two_origin((0.0, 0.0))
+    assert multistart_nash(game).diagnostics["trajectories"] < 21
+    response = nash._best_response
+
+    def reversed_second(game, state, ui):
+        if ui == 0:
+            return response(game, state, ui)
+        t = 0.75 - 0.5 * state[1][1]
+        return (1.0 - t, t)
+
+    monkeypatch.setattr(nash, "_best_response", reversed_second)
+    eqs = multistart_nash(game)
+    assert eqs.diagnostics["trajectories"] == 21
+    dynamic = [eq for eq in eqs if not eq.scan_found]
+    assert [eq.basin_count for eq in dynamic] == [
+        eqs.diagnostics["total_starts"]]
+
+
+def test_box_cluster_is_first_for_every_point():
+    # a and b both fall in the second cluster, but the box they span
+    # reaches the first, whose radius holds (6e-5, 6e-5): a start between
+    # them might join it, so the interval must not be credited
+    r = nash.CLUSTER_RADIUS
+    first = nash._Cluster([0.0, 0.0], None, 1, None)
+    second = nash._Cluster([1.5 * r, 1.5 * r], None, 1, None)
+    a, b = [1.5 * r, 0.6 * r], [0.6 * r, 1.5 * r]
+    clusters = [first, second]
+    assert nash._cluster_of(clusters, a) is second
+    assert nash._cluster_of(clusters, b) is second
+    assert nash._cluster_of(clusters, a, b) is None
+    assert nash._cluster_of([second], a, b) is second
+    # an end outside the cluster's radius leaves the box only partly in it
+    assert nash._cluster_of([second], a, [0.4 * r, 1.5 * r]) is None
+    # a box wholly on one side of a cluster misses it
+    assert nash._cluster_of(clusters, [1.5 * r, 2.0 * r], b) is second
