@@ -482,18 +482,30 @@ GOLDEN_SWEEPS = {
                      "--vary", "all"),
     "braess_lb_sym.csv": ("--preset", "braess-lb-sym", "--parameter"),
     "braess_lb_asym.csv": ("--preset", "braess-lb-asym", "--parameter"),
+    "exp3_all.csv": ("--preset", "exp3", "--alphas", "0:1:0.05",
+                     "--vary", "all"),
+    "exp5_parameter.csv": ("--preset", "exp5", "--parameter"),
+    "exp4_feasible_first.csv": ("--preset", "exp4-feasible", "--alphas",
+                                "0:1:0.05", "--vary", "first"),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_SWEEPS))
 def test_sweep_csv_matches_golden_file(name, tmp_path, monkeypatch):
-    """The CSV bytes of four sweeps, run with one worker, are pinned in
+    """The CSV bytes of seven sweeps, run with one worker, are pinned in
     ``tests/data``:
 
         cooproute sweep --preset exp1 --alphas 0:1:0.05 --vary first
         cooproute sweep --preset exp1 --alphas 0:1:0.05 --vary all
         cooproute sweep --preset braess-lb-sym --parameter
         cooproute sweep --preset braess-lb-asym --parameter
+        cooproute sweep --preset exp3 --alphas 0:1:0.05 --vary all
+        cooproute sweep --preset exp5 --parameter
+        cooproute sweep --preset exp4-feasible --alphas 0:1:0.05 --vary first
+
+    The exp3 sweep holds the roots of M/M/1 best-response curves, three
+    equilibria a row past alpha 0.80; exp4-feasible holds the closed-form
+    split of a queue pair.
 
     The two Braess sweeps also run on two worker processes, which price
     with their parent's compiled deviation kernels or their own, to the
