@@ -347,7 +347,8 @@ def _cmd_sweep(args, manifest):
         "failed_starts": sum(s.diagnostics["failed_starts"]
                              for s in eqsets),
         **{key: sum(s.diagnostics[key] for s in eqsets)
-           for key in ("sweeps", "jumps_kept", "jumps_rejected")},
+           for key in ("sweeps", "jumps_kept", "jumps_rejected",
+                       "pass_missed")},
         "clusters": sum(len(s.equilibria) for s in eqsets),
         "rows_without_scan": sum(s.diagnostics["scan_coverage"] == "none"
                                  for s in eqsets),

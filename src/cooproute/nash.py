@@ -16,7 +16,7 @@ and Sparrow): it moves flow between its cheapest path and its dearest
 used path by the same guarded two-path solve, with its flow elsewhere
 held as fixed load, until their marginals agree to float noise.  Every
 best response is thus exact.  Between sweeps, the dynamics and the
-polish of each equilibrium they reach extrapolate the iterates to their
+polish of the fixed points they reach extrapolate the iterates to their
 limit by least squares over a short window (``_extrapolate``), and keep
 a jump only when the next sweep confirms it.  A multistart driver
 clusters the fixed points reached from a grid of starting splits
@@ -31,17 +31,19 @@ with "the derivative along the split is zero" solved for the users on
 both.  One such user takes its exact best response; two solve a linear
 system on affine links, and otherwise follow each user's best-response
 curve and solve each sign change of the other's derivative by Newton's
-method with its analytic slope (``SplitCost.cross``).  A root no
-known cluster holds is verified and, if it passes, opens a cluster with
-a basin count of zero.  The pass checks itself by the index sum of the
-verified equilibria (``_index_sum``), which is 1 for a complete set of
-regular equilibria; when it is not 1, or a point is degenerate, the
-best-response composition is also scanned for sign changes, each
-bracket refined by bisection (``search.scan_sign_changes``).  On affine
-links the game can be certified, in exact arithmetic, to have a single
-equilibrium (Rosen's diagonal strict convexity with unit weights); when
-the dynamics reach one verified equilibrium of a certified game, there
-is nothing left to find and neither runs.
+method with its analytic slope (``SplitCost.cross``).  The verified
+roots are the equilibria: each cluster of dynamics limits gives its
+basin to the nearest root within ``CLUSTER_RADIUS``, and only a cluster
+near no root is polished and verified itself.  The pass checks itself
+by the index sum of the verified equilibria (``_index_sum``), which is
+1 for a complete set of regular equilibria; when it is not 1, or a
+point is degenerate, the best-response composition is also scanned for
+sign changes, each bracket refined by bisection
+(``search.scan_sign_changes``).  On affine links the game can be
+certified, in exact arithmetic, to have a single equilibrium (Rosen's
+diagonal strict convexity with unit weights); when the dynamics reach
+one verified equilibrium of a certified game, there is nothing left to
+find and neither runs.
 
 Costs, path marginals and the two-path derivative, which also prices
 one path alone, come from ``costs``; this module only sums the other
@@ -62,8 +64,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
-                    LinearCost, MM1Cost, SplitCost, cost_report,
-                    deviation_cost, path_marginals, user_costs)
+                    LinearCost, MM1Cost, SplitCost, deviation_cost,
+                    path_marginals, user_costs, weighted_cost)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
@@ -78,9 +80,8 @@ from .search import SEARCH_STEPS, grid, newton_argmin, scan_sign_changes
 # extrapolate from a window of d + 2 iterates, where d, the number of
 # coordinates a sweep reads, is capped at EXTRAPOLATION_RANK.
 # GRID_DENSITY splits per two-path user seed the multistart, and fixed
-# points within CLUSTER_RADIUS of each other are one equilibrium, except
-# that a support-pass root of another support than a cluster's point,
-# and more than DISTINCT_TOL from it, is one of its own.  The
+# points within CLUSTER_RADIUS of each other, or of a support-pass root,
+# are one equilibrium; pass roots are one only within DISTINCT_TOL.  The
 # support pass samples each best-response curve at CURVE_GRID flows; a
 # reduced Jacobian's determinant, or an unused path's slack, at or below
 # DEGENERATE_TOL relative makes a point degenerate.  The 2x2 scan samples
@@ -752,24 +753,23 @@ def profile_from_state(game: RoutingGame, state) -> FlowProfile:
 
 
 class _Cluster:
-    """Fixed points within ``CLUSTER_RADIUS`` of the first one.  A cluster
-    the support pass or the scan added keeps the check that admitted it;
-    ``check`` is None for a cluster that dynamics reached.  ``supports``
-    holds the supports whose pass roots fell in it, and ``done`` caches
-    ``_finish`` and ``polish`` its polishing run."""
+    """Fixed points within ``CLUSTER_RADIUS`` of the first one, or a
+    verified support-pass root or scan candidate.  ``mins`` and ``maxs``
+    bound the dynamics limits in it, ``supports`` holds the supports of
+    the pass roots in it, ``done`` its profile and check (``_finish``),
+    and ``polish`` its polishing run."""
 
-    __slots__ = ("red", "state", "basin", "mins", "maxs", "check",
-                 "supports", "done", "polish")
+    __slots__ = ("red", "state", "basin", "mins", "maxs", "supports",
+                 "done", "polish")
 
-    def __init__(self, red, state, weight, check):
+    def __init__(self, red, state, weight, done):
         self.red = red
         self.state = state
         self.basin = weight
         self.mins = list(red)
         self.maxs = list(red)
-        self.check = check
         self.supports = set()
-        self.done = None
+        self.done = done
         self.polish = None
 
 
@@ -809,38 +809,15 @@ def _support_of(game: RoutingGame, t) -> tuple[int, ...]:
                  for i, v in enumerate(t))
 
 
-def _root_holder(game: RoutingGame, clusters: list[_Cluster], red,
-                 support) -> _Cluster | None:
-    """The cluster that holds a support-pass root ``red`` of ``support``:
-    the first within ``CLUSTER_RADIUS`` whose point has that support, or
-    holds a pass root of it, or lies within ``DISTINCT_TOL``.  A pass
-    root is exact, so one of another support off every nearby point is
-    another equilibrium, however close: on parallel links of slopes 1
-    and 1e-6, two selfish-enough users have three, within 5e-6 of each
-    other."""
-    for c in clusters:
-        if _distance(red, c.red) > CLUSTER_RADIUS:
-            continue
-        t = [flows[1] for flows in _finish(game, c)[0].path_flows]
-        if (support in c.supports or _support_of(game, t) == support
-                or _distance(red, t) <= DISTINCT_TOL):
-            return c
-    return None
-
-
 def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
-    """A cluster's profile and its check, computed on the first call and
-    cached.  A cluster that dynamics reached is polished (``_iterate``),
-    its sweeps and jumps kept in ``c.polish``, and verified here; a
-    cluster the pass or the scan added keeps the check that admitted
-    it."""
+    """A cluster's profile and its check.  A cluster the pass or the scan
+    opened holds the check that admitted it; one that dynamics reached is
+    polished (``_iterate``), its run kept in ``c.polish``, and verified on
+    the first call."""
     if c.done is None:
-        state = [list(s) for s in c.state]
-        if c.check is None:
-            c.polish = _iterate(game, state, True)
-            state = c.polish.state
-        profile = profile_from_state(game, state)
-        c.done = (profile, c.check or verify_nash(game, profile))
+        c.polish = _iterate(game, [list(s) for s in c.state], True)
+        profile = profile_from_state(game, c.polish.state)
+        c.done = (profile, verify_nash(game, profile))
     return c.done
 
 
@@ -1193,23 +1170,27 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     checks order at the starts only, and the dynamics extrapolate.
 
     For two two-path users with positive demands the support pass then
-    looks for the fixed points that the dynamics repel
-    (``_support_roots``).  A root that a known cluster holds
-    (``_root_holder``) is dropped unverified; any other is verified and,
-    if it passes, opens a cluster with basin 0.
-    ``diagnostics["scan_coverage"]`` reads ``"support"`` when the
-    verified clusters' index sum (``_index_sum``) is 1 with no
-    degenerate point.  Otherwise the 2x2 scan's candidates (``_scan_for_fixed_points``) go through the same
-    test, and it reads ``"2x2"``.  Neither runs, and it reads
+    lists the supports' roots (``_support_roots``), the repelling fixed
+    points among them.  Each root is verified and, if it passes, opens a
+    cluster with basin 0, or notes its support on an earlier root's
+    within ``DISTINCT_TOL``.  Each dynamics cluster within
+    ``CLUSTER_RADIUS`` of one gives the nearest its basin and limits'
+    bounds; one near none stays, to be polished and verified, and counts
+    in ``pass_missed``.  ``diagnostics["scan_coverage"]`` reads
+    ``"support"`` when the verified clusters' index sum (``_index_sum``)
+    is 1 with no degenerate point.  Otherwise each 2x2 scan candidate
+    (``_scan_for_fixed_points``) that no cluster holds is verified the
+    same way, and it reads ``"2x2"``.  Neither runs, and it reads
     ``"unique"``, when the game is certified to have one equilibrium
     (``_certified_unique``), every trajectory converged, and the one
     cluster they reached verifies.  ``scan_candidates`` counts the
-    pass's roots and the scan's candidates, ``scan_added`` the clusters
-    they opened, and ``index_sum`` and ``degenerate`` describe the final
-    set (``index_sum`` is None without two two-path users).  ``sweeps``
-    counts the probe's sweeps and those of the dynamics and the polish,
-    trial sweeps included, and ``jumps_kept`` and ``jumps_rejected`` their
-    extrapolations (``_iterate``); a start that raised adds none.
+    pass's roots and the scan's candidates, ``scan_added`` the basin-0
+    clusters (``scan_found``), and ``index_sum`` and ``degenerate``
+    describe the final set (None and 0 without two two-path users).
+    ``sweeps`` counts the probe's sweeps and those of the dynamics and
+    the polish, trial sweeps included, and ``jumps_kept`` and
+    ``jumps_rejected`` their extrapolations (``_iterate``); a start that
+    raised adds none.
     """
     n = len(game.users)
     options = _start_options(game)
@@ -1270,8 +1251,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     fill(-1, (None, None), 0, first)
     if len(combos) > 1:
         fill(0, first, len(combos) - 1, run(len(combos) - 1))
-    scan_candidates = 0
-    scan_added = 0
+    reached = clusters
+    scan_candidates = pass_missed = 0
     index_sum, degenerate = None, 0
     paired = (n == 2 and all(k is not None for k in game.two_path)
               and all(r > 0 for r in game.demands))
@@ -1280,55 +1261,71 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     unique = (paired and non_converged == 0 and len(clusters) == 1
               and _certified_unique(game) and _finish(game, clusters[0])[1].ok)
 
-    def admit(candidates):
-        # Open a basin-0 cluster for each verified candidate that no
-        # known cluster holds; a candidate's support, if any, is noted
-        # on the cluster it falls in.
-        nonlocal scan_candidates, scan_added
-        for support, cand in candidates:
-            scan_candidates += 1
-            red = _reduced(game, [list(s) for s in cand])
-            c = (_cluster_of(clusters, red) if support is None
-                 else _root_holder(game, clusters, red, support))
-            if c is None:
-                try:
-                    profile = profile_from_state(game, cand)
-                except ConfigError:
-                    continue
-                check = verify_nash(game, profile)
-                if not check.ok:
-                    continue
-                c = _Cluster(red, cand, 0, check)
-                clusters.append(c)
-                scan_added += 1
-            if support is not None:
-                c.supports.add(support)
+    def admit(red, cand, found):
+        # verify a candidate and, if it passes, open a basin-0 cluster
+        # for it in found
+        try:
+            profile = profile_from_state(game, cand)
+        except ConfigError:
+            return None
+        check = verify_nash(game, profile)
+        if check.ok:
+            found.append(_Cluster(red, cand, 0, (profile, check)))
+            return found[-1]
+        return None
 
     coverage = "none"
     if paired:
         rows = _split_rows(game)
         coverage = "unique" if unique else "support"
         if not unique:
-            admit(_support_roots(game, rows))
+            roots: list[_Cluster] = []
+            for support, cand in _support_roots(game, rows):
+                scan_candidates += 1
+                red = _reduced(game, cand)
+                c = next((h for h in roots if _distance(red, h.red)
+                          <= DISTINCT_TOL), None) or admit(red, cand, roots)
+                if c is not None:
+                    c.supports.add(support)
+            # each dynamics cluster near a root gives the nearest its
+            # basin and the bounds of its limits; the rest stay
+            missed = []
+            for c in reached:
+                h = min(roots, key=lambda h: _distance(c.red, h.red),
+                        default=None)
+                if h is None or _distance(c.red, h.red) > CLUSTER_RADIUS:
+                    missed.append(c)
+                    continue
+                if h.basin:
+                    c.mins = list(map(min, h.mins, c.mins))
+                    c.maxs = list(map(max, h.maxs, c.maxs))
+                h.mins, h.maxs = c.mins, c.maxs
+                h.basin += c.basin
+            clusters, pass_missed = roots + missed, len(missed)
         index_sum, degenerate = _index_sum(game, rows, clusters)
         if not unique and index_sum != 1:
-            admit((None, cand) for cand in _scan_for_fixed_points(game))
+            for cand in _scan_for_fixed_points(game):
+                scan_candidates += 1
+                red = _reduced(game, cand)
+                if _cluster_of(clusters, red) is None:
+                    admit(red, cand, clusters)
             coverage = "2x2"
             index_sum, degenerate = _index_sum(game, rows, clusters)
     results = []
     for c in clusters:
         profile, check = _finish(game, c)
-        report = cost_report(game.net, profile, game.coop)
+        raws = user_costs(game.net.links, profile.user_link_flows,
+                          profile.total_link_flows)
         diameter = max((mx - mn for mn, mx in zip(c.mins, c.maxs)),
                        default=0.0)
         results.append(EquilibriumResult(
-            profile=profile, raw_costs=report.raw_costs,
-            operating_costs=report.operating_costs,
+            profile=profile, raw_costs=tuple(raws),
+            operating_costs=tuple(weighted_cost(row, raws)
+                                  for row in game.coop.rows),
             kkt_multipliers=check.kkt_multipliers, basin_count=c.basin,
-            cluster_diameter=diameter, scan_found=c.check is not None,
+            cluster_diameter=diameter, scan_found=c.basin == 0,
             verified=check.ok, max_violation=check.max_violation))
-        if c.polish is not None:
-            runs.append(c.polish)
+    runs += [c.polish for c in reached if c.polish is not None]
     diagnostics = {"total_starts": total_starts,
                    "trajectories": trajectories,
                    "non_converged": non_converged,
@@ -1337,7 +1334,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                    "jumps_kept": sum(r.jumps_kept for r in runs),
                    "jumps_rejected": sum(r.jumps_rejected for r in runs),
                    "scan_candidates": scan_candidates,
-                   "scan_added": scan_added,
+                   "scan_added": sum(c.basin == 0 for c in clusters),
+                   "pass_missed": pass_missed,
                    "scan_coverage": coverage,
                    "index_sum": index_sum,
                    "degenerate": degenerate}

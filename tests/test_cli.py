@@ -377,7 +377,7 @@ class TestSweepCommand:
                          "--alphas", "0.3,0.6", "--vary", "all")
         assert rc == 0
         diagnostics = json.loads(err)["diagnostics"]
-        for key in ("sweeps", "jumps_kept", "jumps_rejected"):
+        for key in ("sweeps", "jumps_kept", "jumps_rejected", "pass_missed"):
             assert diagnostics[key] == sum(row[key] for row in rows)
         assert diagnostics["jumps_kept"] > 0
 

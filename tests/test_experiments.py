@@ -103,6 +103,21 @@ class TestParameterSweep:
                     diag["degenerate"]) == ("support", 1, 0), row.value
 
 
+@pytest.mark.parametrize("preset, vary", [
+    ("exp1", "first"), ("exp1", "all"), ("exp3", "all"),
+    ("braess-lb-sym", None), ("braess-lb-asym", None)])
+def test_support_pass_takes_every_dynamics_cluster(preset, vary):
+    # on a row that the support pass or the certificate closes, every
+    # cluster the dynamics reached lies near a verified root
+    scenario = get_preset(preset)
+    table = (parameter_sweep(scenario) if vary is None else alpha_sweep(
+        scenario, [i / 20 for i in range(21)], vary))
+    for row in table.rows:
+        diag = row.equilibria.diagnostics
+        if diag["scan_coverage"] in ("support", "unique"):
+            assert diag["pass_missed"] == 0, row.value
+
+
 class TestDetectBraess:
     def test_capacity_growth_witness(self):
         table = parameter_sweep(get_preset("braess-lb-sym"),

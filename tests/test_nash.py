@@ -775,8 +775,8 @@ class TestMultistartLinear:
         assert find_near(eqs, 1.0, 1.0) is not None
 
     def test_scan_clusters_are_verified_once(self, monkeypatch):
-        # only a support-pass root that opens a cluster is verified, and
-        # only the clusters dynamics reached are verified after polishing
+        # each support-pass root is verified once, and the clusters that
+        # dynamics reached give their basins to the roots unverified
         calls = []
 
         def counted(game, profile):
@@ -869,11 +869,40 @@ class TestMultistartQueueing:
 
     def test_polish_reaches_the_symmetric_split(self):
         # equal queues, alphas (0.75, 0): a fixed number of polishing
-        # sweeps stopped about 7e-8 short of the even split
+        # sweeps stopped about 7e-8 short of the even split.  The solve
+        # emits the support-pass root there, so the polish of a
+        # dynamics limit is checked on its own as well.
         game = get_preset("exp4-feasible").build_game(alphas=(0.75, 0.0))
+        limit = br_dynamics(game, ((1.0, 0.0), (1.0, 0.0))).state
+        polished = nash._iterate(game, [list(s) for s in limit], True)
         for eq in multistart_nash(game):
-            for flows in eq.profile.path_flows:
+            for flows in eq.profile.path_flows + polished.state:
                 assert flows == pytest.approx((0.5, 0.5), abs=1e-12)
+
+    def test_covered_points_are_neither_polished_nor_verified_twice(
+            self, monkeypatch):
+        # all three equilibria are support-pass roots: each is verified
+        # once, as a root, and the two that the dynamics reach take their
+        # basins unpolished
+        polishes, verifies = [], []
+        iterate = nash._iterate
+
+        def counted_iterate(game, state, polish):
+            if polish:
+                polishes.append(state)
+            return iterate(game, state, polish)
+
+        def counted_verify(game, profile):
+            verifies.append(profile)
+            return verify_nash(game, profile)
+
+        monkeypatch.setattr(nash, "_iterate", counted_iterate)
+        monkeypatch.setattr(nash, "verify_nash", counted_verify)
+        eqs = multistart_nash(
+            get_preset("exp3").build_game(alphas=(0.85, 0.85)))
+        assert sorted(eq.basin_count for eq in eqs) == [0, 105, 336]
+        assert eqs.diagnostics["pass_missed"] == 0
+        assert (len(polishes), len(verifies)) == (0, 3)
 
 
 class TestVerification:
@@ -1638,8 +1667,7 @@ def test_ordered_starts_match_every_start(game):
             diag = multistart_nash(game).diagnostics
         except SolverError as err:
             diag = err.diagnostics
-    clusters = [(c.state, c.basin) for c in (seen[0] if seen else [])
-                if c.check is None]
+    clusters = [(c.state, c.basin) for c in (seen[0] if seen else [])]
     assert (clusters, diag["non_converged"], diag["failed_starts"]) \
         == expected
 
