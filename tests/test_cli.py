@@ -523,3 +523,24 @@ def test_sweep_csv_matches_golden_file(name, tmp_path, monkeypatch):
         # a pool that fails to start falls back to one worker
         assert not any("worker pool" in w for w in
                        json.loads(manifest.read_text())["warnings"])
+
+
+GOLDEN_MIXED = {
+    "mixed_fig7.csv": ("--preset", "mixed-fig7"),
+    "mixed_fig7_a050.csv": ("--preset", "mixed-fig7", "--alpha", "0.5"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_MIXED))
+def test_mixed_csv_matches_golden_file(name, capsys):
+    """The CSV bytes of two mixed solves are pinned in ``tests/data``:
+
+        cooproute mixed --preset mixed-fig7
+        cooproute mixed --preset mixed-fig7 --alpha 0.5
+
+    The second runs the closed form at the balanced weight on unequal
+    capacities.  A change that means to move these answers regenerates
+    the files with the same commands and says so in CHANGES.md."""
+    rc, out, _ = run(capsys, "mixed", *GOLDEN_MIXED[name])
+    assert rc == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
