@@ -36,15 +36,12 @@ _DUP_TOL = 1e-9
 # Solver settings.  The numeric solver scans STARTS group splits, then
 # alternates from each for up to MAX_ITERS rounds, until neither split
 # moves by FP_TOL, and merges points within DEDUPE_RADIUS.  Verification
-# accepts a normalized violation up to VERIFY_TOL.  The closed form skips
-# the both-links interior formula while the group weight is within
-# SINGULAR_BAND of balance.
+# accepts a normalized violation up to VERIFY_TOL.
 STARTS = 201
 FP_TOL = 1e-9
 MAX_ITERS = 10_000
 DEDUPE_RADIUS = 1e-5
 VERIFY_TOL = 1e-7
-SINGULAR_BAND = 0.05
 
 
 @dataclass(frozen=True)
@@ -221,11 +218,13 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
     The mass either uses both links, only the first, or only the second.
     Each case contributes an interior stationary point of the group
     objective plus the ends of the case's admissible interval, all of
-    which are then verified against the definition.  Near the balanced
-    weight the interior formula of the both-links case divides by almost
-    zero and is skipped (a note says so); at the exactly balanced weight
-    with equal capacities the whole interval is stationary and is
-    reported as a continuum.
+    which are then verified against the definition.  Only the exactly
+    balanced weight, alpha = 1/2, has no interior formula in the
+    both-links case: with equal capacities the whole interval is
+    stationary and is reported as a continuum, and otherwise the
+    objective is linear along the interval (a note says so).  Near 1/2
+    the formula's root leaves the interval unless the capacities are
+    nearly equal, where it tends to half the group demand.
     """
     c1, c2 = s.capacity_one, s.capacity_two
     r1, r2, a = s.group_demand, s.mass_demand, s.alpha
@@ -259,9 +258,8 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
     if lo1 <= hi1 + tol:
         span1 = (lo1, hi1)
         balance = 1.0 - 2.0 * a
-        if abs(balance) <= SINGULAR_BAND:
-            residual = r2 - r1 + 2.0 * offset  # == c1 - c2
-            if a == 0.5 and residual == 0.0:
+        if balance == 0.0:
+            if c1 == c2:
                 continuum = True
                 continuum_span = span1
                 notes.append(
@@ -272,8 +270,9 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
                 emit("both-links", "boundary", hi1, hi1 - offset, span1)
             else:
                 notes.append(
-                    "interior formula for the both-links case skipped: the "
-                    "group weight is inside the singular band around 1/2")
+                    "balanced weight: the both-links objective is linear "
+                    "along the equal-latency splits; no interior "
+                    "stationary point")
         else:
             root = (a * (c2 - c1) + r1 * balance) / (2.0 * balance)
             if lo1 - tol <= root <= hi1 + tol:

@@ -702,12 +702,8 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
             viol = max(viol, min(res / max(1.0, r), gap))
         if len(paths) == 2:
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
-            ts = grid(r, DEVIATION_GRID)
-            best_alt = math.inf
-            # Blocks of splits keep the evaluator's lists short.
-            for lo in range(0, len(ts), 128):
-                best_alt = min(best_alt, *cost([(r - t, t)
-                                                for t in ts[lo:lo + 128]]))
+            best_alt = min(math.inf, *cost([(r - t, t) for t in
+                                             grid(r, DEVIATION_GRID)]))
             if cur != INFINITE_COST and best_alt < cur:
                 viol = max(viol, (cur - best_alt) / cscale)
             elif cur == INFINITE_COST and best_alt < INFINITE_COST:
@@ -832,9 +828,9 @@ def _signs(tp: _TwoPath) -> dict[int, int]:
 def _certified_unique(game: RoutingGame) -> bool:
     """Whether Rosen's test proves that the game has one equilibrium.
 
-    It applies when every user has two paths and every link is affine.
-    User ``i``'s derivative along its second-path flow is then affine in
-    all users' second-path flows, with the constant Jacobian
+    It applies to two users with two paths each on affine links.  User
+    ``i``'s derivative along its second-path flow is then affine in both
+    users' second-path flows, with the constant Jacobian
 
         J_ii = 2 w_ii sum_l a_l e_il^2,
         J_ij = (w_ii + w_ij) sum_l a_l e_il e_jl,
@@ -844,29 +840,23 @@ def _certified_unique(game: RoutingGame) -> bool:
     its first path only and 0 elsewhere.  If the symmetric part of ``J``
     is positive definite, the users' derivatives are strictly monotone
     and the equilibrium is unique (diagonal strict convexity with unit
-    weights).  Sylvester's criterion decides that exactly: every pivot
-    of Gaussian elimination, in rational arithmetic, must be positive.
+    weights).  In rational arithmetic the 2x2 test decides that exactly.
     """
-    if any(tp is None for tp in game.two_path) or not all(
-            isinstance(lk.cost, LinearCost) for lk in game.net.links):
+    if len(game.two_path) != 2 or any(tp is None for tp in game.two_path) \
+            or not all(isinstance(lk.cost, LinearCost)
+                       for lk in game.net.links):
         return False
     links = game.net.links
     signs = [_signs(tp) for tp in game.two_path]
     w = [[Fraction(v) for v in row] for row in game.coop.rows]
-    n = len(signs)
-    jac = [[(2 * w[i][i] if i == j else w[i][i] + w[i][j]) * sum(
-        (Fraction(links[li].cost.slope) * e * signs[j][li]
-         for li, e in signs[i].items() if li in signs[j]), Fraction(0))
-        for j in range(n)] for i in range(n)]
-    sym = [[(jac[i][j] + jac[j][i]) / 2 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if sym[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = sym[i][k] / sym[k][k]
-            for j in range(k + 1, n):
-                sym[i][j] -= f * sym[k][j]
-    return True
+
+    def jac(i, j):
+        return (2 * w[i][i] if i == j else w[i][i] + w[i][j]) * sum(
+            (Fraction(links[li].cost.slope) * e * signs[j][li]
+             for li, e in signs[i].items() if li in signs[j]), Fraction(0))
+
+    j00, j11 = jac(0, 0), jac(1, 1)
+    return j00 > 0 and j00 * j11 > ((jac(0, 1) + jac(1, 0)) / 2) ** 2
 
 
 def _start_options(game: RoutingGame):

@@ -74,6 +74,7 @@ def random_mixed_scenarios(n=100, seed=20260821):
         r1 = rng.uniform(0.2, 0.45) * (c1 + c2)
         r2 = rng.uniform(0.1, 0.4) * (c1 + c2 - r1)
         alpha = rng.uniform(0.0, 1.0)
+        # keeps perfbench's copy in step; test_mixed.py tests these weights
         if abs(2 * alpha - 1) < 0.05:
             continue
         out.append(MixedScenario(c1, c2, r1, r2, alpha))

@@ -144,10 +144,11 @@ class TestClosedForm:
             scale = max(abs(sol.quad_a), abs(sol.quad_b), abs(sol.quad_c))
             assert abs(res) <= 1e-8 * scale
 
-    def test_singular_band_is_noted_not_solved(self):
+    def test_balanced_weight_is_noted_not_solved(self):
         result = mixed_closed_form(reference(0.5))
         assert not result.continuum
-        assert any("singular band" in n for n in result.notes)
+        assert any("no interior stationary point" in n
+                   for n in result.notes)
 
     def test_balanced_equal_capacity_continuum(self):
         s = MixedScenario(4.0, 4.0, 1.0, 1.0, 0.5)
@@ -157,12 +158,14 @@ class TestClosedForm:
 
 
 class TestSymmetricInstance:
-    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.48, 0.49, 0.51, 0.52,
+                                       0.7, 0.9, 1.0])
     def test_even_split_is_exact(self, alpha):
         s = MixedScenario(4.0, 4.0, 1.0, 1.0, alpha)
         closed = [x for x in mixed_closed_form(s).solutions
                   if x.kind == "interior" and x.verified]
-        assert closed and closed[0].group_split == 0.5
+        assert closed and closed[0].case == "both-links"
+        assert closed[0].group_split == 0.5
         assert closed[0].mass_split == 0.5
         numeric = [p for p in mixed_numeric(s).points
                    if abs(p.group_split - 0.5) < 0.2]
@@ -290,9 +293,8 @@ def hand_group_response(s, w):
 @st.composite
 def group_cases(draw):
     """A scenario and a mass split, wider than the acceptance suite draws
-    them: weights inside the singular band around 1/2, nearly equal
-    capacities, and mass splits that put one end of the group's guard
-    bracket against a capacity."""
+    them: weights near 1/2, nearly equal capacities, and mass splits
+    that put one end of the group's guard bracket against a capacity."""
     alpha = draw(st.one_of(st.floats(0.45, 0.55), st.floats(0.0, 1.0)))
     c1 = draw(st.floats(1.0, 6.0))
     c2 = draw(st.one_of(st.floats(1.0, 6.0),
@@ -326,6 +328,43 @@ def test_group_response_matches_bisection(case):
         return
     cost = mixed_costs(s, x, w)[2]
     assert cost <= mixed_costs(s, ref, w)[2] + 1e-12 * max(1.0, abs(cost))
+
+
+@st.composite
+def balanced_scenarios(draw):
+    """Scenarios drawn as the acceptance suite draws them, but with the
+    weight near 1/2 and half the capacity pairs nearly equal."""
+    alpha = draw(st.floats(0.45, 0.55))
+    c1 = draw(st.floats(1.5, 6.0))
+    c2 = draw(st.one_of(st.floats(1.5, 6.0),
+                        st.floats(-1e-3, 1e-3).map(lambda e: c1 * (1 + e))))
+    r1 = draw(st.floats(0.2, 0.45)) * (c1 + c2)
+    r2 = draw(st.floats(0.1, 0.4)) * (c1 + c2 - r1)
+    return MixedScenario(c1, c2, r1, r2, alpha)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(balanced_scenarios())
+def test_closed_form_lists_numeric_points_near_balance(s):
+    # criterion 08's rule: each verified numeric point off the group's
+    # corners lies within 1e-6 of a verified closed-form candidate, or
+    # on the continuum the closed form reports
+    closed = mixed_closed_form(s)
+    cands = [(x.group_split, x.mass_split) for x in closed.solutions
+             if x.verified]
+    r1 = s.group_demand
+    for p in mixed_numeric(s).points:
+        if not p.verified or not 1e-7 < p.group_split < r1 - 1e-7:
+            continue
+        if closed.continuum:
+            lo, hi = closed.continuum_span
+            offset = closed.solutions[0].equal_cost_offset
+            if (abs(p.group_split - p.mass_split - offset) <= 1e-6
+                    and lo - 1e-6 <= p.group_split <= hi + 1e-6):
+                continue
+        assert any(abs(p.group_split - x) <= 1e-6
+                   and abs(p.mass_split - w) <= 1e-6
+                   for x, w in cands), (p.group_split, p.mass_split)
 
 
 # SplitCost.derivative calls of mixed_numeric on mixed-fig7: 13,921 for
