@@ -842,9 +842,9 @@ def _certified_unique(game: RoutingGame) -> bool:
     and the equilibrium is unique (diagonal strict convexity with unit
     weights).  In rational arithmetic the 2x2 test decides that exactly.
     """
-    if len(game.two_path) != 2 or any(tp is None for tp in game.two_path) \
+    if (len(game.two_path) != 2 or any(tp is None for tp in game.two_path)
             or not all(isinstance(lk.cost, LinearCost)
-                       for lk in game.net.links):
+                       for lk in game.net.links)):
         return False
     links = game.net.links
     signs = [_signs(tp) for tp in game.two_path]
