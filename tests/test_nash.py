@@ -23,7 +23,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
-                       cost_report, costs, get_preset, make_game,
+                       cli, cost_report, costs, get_preset, make_game,
                        multistart_nash, nash, netmodel, verify_nash)
 from cooproute.costs import (CAPACITY_GUARD, CooperationProfile,
                              deviation_cost, path_marginals, user_costs,
@@ -1058,6 +1058,33 @@ class TestThreeParallelLinks:
         want = symmetric_water_level(alpha)
         for flows in eq.profile.path_flows:
             assert flows == pytest.approx(want, abs=1e-7)
+
+    def test_csv_matches_golden_file(self):
+        """The CSV bytes of the solves at alpha 0.3, 0.6 and 0.9 are
+        pinned in ``tests/data/three_link.csv``, the only golden file of
+        users with three or more paths, written from the repository root
+        by
+
+            import sys
+            sys.path[:0] = ["src", "tests"]
+            from test_nash import three_link_game
+            from cooproute import cli, multistart_nash
+            rows = [(a, multistart_nash(three_link_game(a)))
+                    for a in (0.3, 0.6, 0.9)]
+            game = three_link_game(0.3)
+            sys.stdout.write(cli.emit_csv(
+                rows, [u.user_id for u in game.users],
+                [lk.link_id for lk in game.net.links]))
+
+        A change that means to move these answers regenerates the file
+        the same way and says so in CHANGES.md."""
+        rows = [(a, multistart_nash(three_link_game(a)))
+                for a in (0.3, 0.6, 0.9)]
+        game = three_link_game(0.3)
+        text = cli.emit_csv(rows, [u.user_id for u in game.users],
+                            [lk.link_id for lk in game.net.links])
+        golden = Path(__file__).resolve().parent / "data" / "three_link.csv"
+        assert text.encode() == golden.read_bytes()
 
     def test_several_equilibria_under_cooperation(self):
         eqs = multistart_nash(three_link_game(0.9))
