@@ -62,9 +62,6 @@ class LinearCost:
     def derivative(self, flow: float) -> float:
         return self.slope
 
-    def curvature(self, flow: float) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True, slots=True)
 class MM1Cost:
@@ -94,12 +91,6 @@ class MM1Cost:
         if slack <= 0.0:
             return INFINITE_COST
         return 1.0 / (slack * slack)
-
-    def curvature(self, flow: float) -> float:
-        slack = self.capacity - flow
-        if slack <= 0.0:
-            return INFINITE_COST
-        return 2.0 / (slack * slack * slack)
 
 
 CostSpec = LinearCost | MM1Cost
@@ -266,10 +257,18 @@ class SplitCost:
     ``2 b T' + (w + b x) T''`` to the derivative's slope.  On affine
     links the derivative is the line ``C + S t``.
 
+    ``derivative`` and ``cross`` run one loop over a table built once
+    per split, a row per moving link: whether it is on the first path,
+    and the capacity of an M/M/1 link or the slope and intercept of an
+    affine one.  The loop writes out ``T``, ``T'`` and ``T''`` of both
+    kinds, ``1 / s``, ``1 / s^2`` and ``2 / s^3`` at slack ``s`` (all
+    infinite at ``s <= 0``) or ``a f + g``, ``a`` and 0, with the float
+    operations of ``value`` and ``derivative``, and calls no cost method.
+
     With every link on the second path (``n1 == len(specs)``) the
     derivative is the user's marginal cost along that one path at own
     flow ``t``, and ``demand`` plays no part: that is how a user whose
-    paths share no link prices each of them, and ``level`` inverts it.
+    paths share no link prices each of them, and ``inverse`` inverts it.
 
     On an M/M/1 link, with ``u = C - o`` the room the other users leave
     and ``h = b u + w``, that term is ``h / (u - x)^2``.  With one M/M/1
@@ -288,15 +287,22 @@ class SplitCost:
                                 compare=False)
     _pair: bool = field(default=False, init=False, repr=False, compare=False)
     _caps: tuple = field(default=(), init=False, repr=False, compare=False)
+    _table: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a row per link: (on the first path, capacity, None) or
+        # (on the first path, slope, intercept)
+        object.__setattr__(self, "_table", tuple(
+            (i >= self.n1, s.capacity, None) if isinstance(s, MM1Cost)
+            else (i >= self.n1, s.slope, s.intercept)
+            for i, s in enumerate(self.specs)))
         caps = tuple((i, s.capacity) for i, s in enumerate(self.specs)
                      if isinstance(s, MM1Cost))
         object.__setattr__(self, "_caps", caps)
         if self.n1 == 1 and len(self.specs) == len(caps) == 2:
             object.__setattr__(self, "_pair", True)
             return
-        if not all(isinstance(s, LinearCost) for s in self.specs):
+        if caps:
             return
         b, r = self.own_weight, self.demand
         const = slope = 0.0
@@ -347,18 +353,25 @@ class SplitCost:
 
     def derivative(self, t: float, others, weighted) -> tuple[float, float]:
         """The derivative at ``t`` and its slope."""
-        b, n1 = self.own_weight, self.n1
+        b, r = self.own_weight, self.demand
         g = slope = 0.0
-        for i, spec in enumerate(self.specs):
-            if i < n1:
-                own, sgn = t, 1.0
+        for (first, a, icpt), o, w in zip(self._table, others, weighted):
+            own = r - t if first else t
+            f = o + own
+            if icpt is None:
+                s = a - f
+                if s <= 0.0:
+                    v = dt = ddt = INFINITE_COST
+                else:
+                    v, dt, ddt = 1.0 / s, 1.0 / (s * s), 2.0 / (s * s * s)
             else:
-                own, sgn = self.demand - t, -1.0
-            f = others[i] + own
-            dt = spec.derivative(f)
-            c = weighted[i] + b * own
-            g += sgn * (b * spec.value(f) + c * dt)
-            slope += 2.0 * b * dt + c * spec.curvature(f)
+                v, dt, ddt = a * f + icpt, a, 0.0
+            c = w + b * own
+            if first:
+                g -= b * v + c * dt
+            else:
+                g += b * v + c * dt
+            slope += 2.0 * b * dt + c * ddt
         return g, slope
 
     def cross(self, t: float, others, weighted, shift, weight: float
@@ -368,23 +381,28 @@ class SplitCost:
         One more unit of that user's flow moves ``others[i]`` by
         ``shift[i]`` (1, -1 or 0) and ``weighted[i]`` by ``weight *
         shift[i]``; a link then adds ``(b + weight) T' + (w + b x) T''``,
-        times its path's sign and ``shift[i]``.  Affine links read the
-        line's coefficients and call no cost method."""
+        times its path's sign and ``shift[i]``.  On affine links alone
+        it reads the line's coefficients."""
         if self._line is not None:
             return sum((co + cw * weight) * e
                        for (co, cw), e in zip(self._line[2], shift) if e)
-        b, n1 = self.own_weight, self.n1
+        b, r = self.own_weight, self.demand
         acc = 0.0
-        for i, (spec, e) in enumerate(zip(self.specs, shift)):
+        for (first, a, icpt), o, w, e in zip(self._table, others, weighted,
+                                             shift):
             if not e:
                 continue
-            if i < n1:
-                own, sgn = t, e
+            own = r - t if first else t
+            if icpt is None:
+                s = a - (o + own)
+                if s <= 0.0:
+                    dt = ddt = INFINITE_COST
+                else:
+                    dt, ddt = 1.0 / (s * s), 2.0 / (s * s * s)
             else:
-                own, sgn = self.demand - t, -e
-            f = others[i] + own
-            acc += sgn * ((b + weight) * spec.derivative(f)
-                          + (weighted[i] + b * own) * spec.curvature(f))
+                dt, ddt = a, 0.0
+            acc += (-e if first else e) * ((b + weight) * dt
+                                          + (w + b * own) * ddt)
         return acc
 
     def argmin(self, lo: float, hi: float, others, weighted) -> float:
@@ -429,33 +447,53 @@ class SplitCost:
         t = 0.5 * (us - vf) + 0.5 * (us + vf) * (rf - rs) / (rs + rf)
         return min(max(t, lo), hi)
 
-    def level(self, lam: float, others, weighted, top: float
-              ) -> tuple[float, float]:
-        """One-path mode: the own flow ``x`` in ``[0, top]`` at which the
-        path's marginal meets ``lam``, and the marginal's slope there.
+    def inverse(self, others, weighted, top: float):
+        """One-path mode: the inverse of the path's marginal beside the
+        loads ``others`` and ``weighted``, as a function that takes a
+        level ``lam`` above the marginal at 0 to the own flow ``x`` in
+        ``[0, top]`` at which the marginal meets ``lam``, and the
+        marginal's slope there.
 
-        ``lam`` lies above the marginal at 0, and ``top`` is at most
-        ``bracket(others)[1]``.  Affine links invert the line ``C + S x``;
-        one M/M/1 link inverts ``h / (u - x)^2`` to ``x = u - sqrt(h /
-        lam)``, with slope ``2 h / (u - x)^3``.  Other paths run
+        ``top`` is at most ``bracket(others)[1]``.  The constants that do
+        not move with the level are computed here, once: affine links
+        give ``(C, S)`` and invert the line ``C + S x``; one M/M/1 link
+        gives ``(u, h)`` and inverts ``h / (u - x)^2`` to ``x = u -
+        sqrt(h / lam)``, with slope ``2 h / (u - x)^3``.  Other paths run
         ``newton_argmin`` on the marginal minus ``lam``.
         """
         if self._line is not None and self._line[1] > 0.0:
             c, slope = self.line(others, weighted)
-            return min(max((lam - c) / slope, 0.0), top), slope
-        if len(self.specs) == len(self._caps) == 1:
+
+            def level(lam: float) -> tuple[float, float]:
+                x = (lam - c) / slope
+                if 0.0 > x:
+                    x = 0.0
+                if top < x:
+                    x = top
+                return x, slope
+            return level
+        if len(self._table) == len(self._caps) == 1:
             u = self._caps[0][1] - others[0]
             h = self.own_weight * u + weighted[0]
-            x = min(max(u - math.sqrt(h / lam), 0.0), top)
-            s = u - x
-            return x, 2.0 * h / (s * s * s)
 
-        def excess(x: float) -> tuple[float, float]:
-            m, slope = self.derivative(x, others, weighted)
-            return m - lam, slope
+            def level(lam: float) -> tuple[float, float]:
+                x = u - math.sqrt(h / lam)
+                if 0.0 > x:
+                    x = 0.0
+                if top < x:
+                    x = top
+                s = u - x
+                return x, 2.0 * h / (s * s * s)
+            return level
 
-        x = newton_argmin(excess, 0.0, top)
-        return x, self.derivative(x, others, weighted)[1]
+        def level(lam: float) -> tuple[float, float]:
+            def excess(x: float) -> tuple[float, float]:
+                m, slope = self.derivative(x, others, weighted)
+                return m - lam, slope
+
+            x = newton_argmin(excess, 0.0, top)
+            return x, self.derivative(x, others, weighted)[1]
+        return level
 
 
 def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],

@@ -265,9 +265,12 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
     Path ``p``'s marginal ``m_p`` rises with its own flow, so at a level
     ``lam`` the path carries the root of ``m_p(x) = lam`` in
     ``[0, top_p]``, the guard bracket of the path's one-path
-    ``SplitCost``.  ``SplitCost.level`` inverts the marginal: in closed
-    form on one M/M/1 link (a square root) and on affine links (a line),
-    by Newton's method otherwise.  The total supply rises with ``lam``;
+    ``SplitCost``.  ``SplitCost.inverse`` inverts the marginal, from
+    constants computed once per response, as are the marginal's ends
+    ``m_p(0)``, ``m_p'(0)`` and ``m_p(top_p)``: ``(u, h)`` on one M/M/1
+    link give ``u - sqrt(h / lam)``, ``(C, S)`` on affine links give
+    the zero of ``C + S x - lam``, and other paths run Newton's method
+    on the marginal.  The total supply rises with ``lam``;
     safeguarded Newton on ``lam`` (its slope is the sum of ``1 / m_p'``
     over the paths strictly inside) finds the level where it meets
     ``r``.  A flat marginal makes the supply jump; its paths are filled
@@ -286,11 +289,13 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
             f"the capacities of its paths")
     live = [p for p in range(k) if tops[p] > 0.0]
     zeros = [0.0] * k
-    # m_p(0), m_p'(0) and m_p(top_p) do not move with the level.
-    ends = {}
+    # m_p(0), m_p'(0), m_p(top_p) and the inverse's constants do not
+    # move with the level.
+    ends, levels = {}, {}
     for p in live:
         m0, s0 = margins[p].derivative(0.0, *loads[p])
         ends[p] = (m0, s0, margins[p].derivative(tops[p], *loads[p])[0])
+        levels[p] = margins[p].inverse(*loads[p], tops[p])
 
     def supply(lam: float):
         # The least and the greatest flows at level lam, and each path's
@@ -307,7 +312,7 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
             if mt <= lam:
                 lower[p] = upper[p] = tops[p]
                 continue
-            x, s = margins[p].level(lam, *loads[p], tops[p])
+            x, s = levels[p](lam)
             lower[p] = upper[p] = x
             if s > 0.0:
                 gains[p] = 1.0 / s

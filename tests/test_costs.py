@@ -160,14 +160,6 @@ class TestLinkCosts:
         assert c.derivative(f) == pytest.approx(1.0 / (cap - f) ** 2)
 
 
-    def test_curvature(self):
-        assert LinearCost(2.0, 1.0).curvature(3.0) == 0.0
-        q = MM1Cost(4.0)
-        assert q.curvature(2.0) == pytest.approx(0.25, rel=1e-15)
-        assert q.curvature(4.0) == math.inf
-        assert q.curvature(5.0) == math.inf
-
-
 class TestSplitCost:
     """One user with paths (l1) and (l2, l3): t on the second path."""
 
@@ -260,6 +252,139 @@ class TestSplitCost:
                   - path.derivative(t - h, others[1:], weighted[1:])[0]
                   ) / (2 * h)
             assert slope == pytest.approx(fd, rel=1e-5)
+
+
+# Cooperation weights and shares of a load: the ends, or at least 5 %, so
+# that no marginal is subnormal.
+WEIGHTS = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 1.0)
+
+
+def curvature(spec, flow):
+    """``T''``: 0 on an affine link, ``2 / s^3`` at slack ``s`` on an
+    M/M/1 link, infinite at and past its capacity."""
+    if isinstance(spec, LinearCost):
+        return 0.0
+    slack = spec.capacity - flow
+    if slack <= 0.0:
+        return math.inf
+    return 2.0 / (slack * slack * slack)
+
+
+def reference_derivative(split, t, others, weighted):
+    """``SplitCost.derivative`` as a sum of cost-method calls, link by
+    link in the order of ``split.specs``."""
+    b, g, slope = split.own_weight, 0.0, 0.0
+    for i, spec in enumerate(split.specs):
+        own, sgn = (t, 1.0) if i < split.n1 else (split.demand - t, -1.0)
+        f = others[i] + own
+        dt = spec.derivative(f)
+        c = weighted[i] + b * own
+        g += sgn * (b * spec.value(f) + c * dt)
+        slope += 2.0 * b * dt + c * curvature(spec, f)
+    return g, slope
+
+
+def reference_cross(split, t, others, weighted, shift, weight):
+    """``SplitCost.cross`` off the affine line, as a sum of cost-method
+    calls over the shifted links."""
+    b, acc = split.own_weight, 0.0
+    for i, (spec, e) in enumerate(zip(split.specs, shift)):
+        if not e:
+            continue
+        own, sgn = (t, e) if i < split.n1 else (split.demand - t, -e)
+        f = others[i] + own
+        acc += sgn * ((b + weight) * spec.derivative(f)
+                      + (weighted[i] + b * own) * curvature(spec, f))
+    return acc
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as a tuple of floats, or the class of the error it
+    raises: a slack whose square or cube underflows to zero divides by
+    zero in the cost methods and in the table alike."""
+    try:
+        out = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def same_outcome(a, b):
+    """Equal floats by ``==``, NaN against NaN, or the same error."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return len(a) == len(b) and all(
+        x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+@st.composite
+def split_tables(draw):
+    """A ``SplitCost`` over a random mix of M/M/1 and affine links, the
+    other users' loads on them, and a split ``t`` inside the guard
+    bracket, at an end of it or of ``[0, r]``, or putting an M/M/1 link
+    at or past its capacity; and a shift of another user's flow and its
+    weight, for ``cross``."""
+    specs = tuple(
+        MM1Cost(draw(st.floats(0.0, 8.0))) if draw(st.booleans()) else
+        LinearCost(draw(st.floats(0.0, 3.0, allow_subnormal=False)),
+                   draw(st.floats(0.0, 2.0)))
+        for _ in range(draw(st.integers(1, 5))))
+    n1 = draw(st.integers(0, len(specs)))
+    r = draw(st.floats(0.0, 5.0))
+    split = SplitCost(specs=specs, n1=n1, own_weight=draw(WEIGHTS),
+                      demand=r)
+    others = tuple(draw(st.floats(0.0, 5.0)) for _ in specs)
+    weighted = tuple(o * draw(WEIGHTS) for o in others)
+    lo, hi = split.bracket(others)
+    queues = [i for i, s in enumerate(specs) if isinstance(s, MM1Cost)]
+    kind = draw(st.sampled_from(["inside", "end", "pole"]))
+    if kind == "pole" and queues:
+        i = draw(st.sampled_from(queues))
+        own = specs[i].capacity - others[i] + draw(
+            st.just(0.0) | st.floats(0.0, 2.0))
+        t = own if i < n1 else r - own
+    elif kind == "inside" and lo <= hi:
+        t = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
+    else:
+        t = draw(st.sampled_from([lo, hi, 0.0, r]))
+    shift = tuple(draw(st.sampled_from([-1, 0, 1])) for _ in specs)
+    return split, t, others, weighted, shift, draw(st.floats(0.0, 1.0))
+
+
+class TestSplitTable:
+    """``SplitCost.derivative`` and ``cross`` run one loop over a table
+    of link constants, with the float operations of the cost methods."""
+
+    @settings(max_examples=500)
+    @given(split_tables())
+    # the three facts of the curvature, which the reference reads and
+    # the table must match bit for bit: 0 on an affine link, 2 / s^3 on
+    # an M/M/1 link (0.25 at slack 2), infinite at and past capacity
+    @example((SplitCost(specs=(LinearCost(2.0, 1.0), MM1Cost(4.0)), n1=1,
+                        own_weight=0.5, demand=3.0),
+              1.0, (2.0, 0.0), (1.0, 0.0), (1, -1), 0.5))
+    @example((SplitCost(specs=(MM1Cost(4.0), MM1Cost(4.0)), n1=1,
+                        own_weight=1.0, demand=5.0),
+              4.0, (0.0, 3.5), (0.0, 0.0), (1, 1), 0.5))
+    def test_table_matches_cost_methods(self, case):
+        split, t, others, weighted, shift, weight = case
+        for i, spec in enumerate(split.specs):
+            f = others[i] + (t if i < split.n1 else split.demand - t)
+            if isinstance(spec, LinearCost):
+                assert curvature(spec, f) == 0.0
+            elif spec.capacity - f <= 0.0:
+                assert curvature(spec, f) == math.inf
+            elif spec.capacity - f == 2.0:
+                assert curvature(spec, f) == 0.25
+        got = outcome(split.derivative, t, others, weighted)
+        want = outcome(reference_derivative, split, t, others, weighted)
+        assert same_outcome(got, want), (got, want)
+        if not split.affine:
+            # an affine split's cross reads its line, not the table
+            got = outcome(split.cross, t, others, weighted, shift, weight)
+            want = outcome(reference_cross, split, t, others, weighted,
+                           shift, weight)
+            assert same_outcome(got, want), (got, want)
 
 
 def split_objective(split, t, others, weighted):
@@ -363,11 +488,6 @@ class TestSplitArgmin:
         assert split.argmin(lo, hi, others, weighted) == want
 
 
-# Cooperation weights and shares of a load: the ends, or at least 5 %, so
-# that no marginal is subnormal.
-WEIGHTS = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 1.0)
-
-
 @st.composite
 def one_link_levels(draw):
     """A one-path ``SplitCost`` on one M/M/1 link or one affine link with
@@ -420,7 +540,7 @@ def bisect_level(path, lam, others, weighted, top):
 
 
 class TestPathLevel:
-    """``SplitCost.level``: the own flow at which a one-path marginal
+    """``SplitCost.inverse``: the own flow at which a one-path marginal
     meets a level, in closed form on one M/M/1 or affine link."""
 
     @settings(max_examples=300)
@@ -432,7 +552,7 @@ class TestPathLevel:
               (0.0,), (0.0,), 7.0, 1.5e-323))
     def test_level_brackets_lam(self, case):
         path, others, weighted, top, lam = case
-        x, slope = path.level(lam, others, weighted, top)
+        x, slope = path.inverse(others, weighted, top)(lam)
         assert 0.0 <= x <= top
         below = path.derivative(math.nextafter(x, -math.inf), others,
                                 weighted)[0]
@@ -468,7 +588,7 @@ class TestPathLevel:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(costs, "newton_argmin", counted)
-            x, slope = path.level(lam, others, weighted, top)
+            x, slope = path.inverse(others, weighted, top)(lam)
         assert len(calls) == 1
         assert x == pytest.approx(
             bisect_level(path, lam, others, weighted, top), abs=1e-12)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
                        cli, cost_report, costs, get_preset, make_game,
                        multistart_nash, nash, netmodel, verify_nash)
-from cooproute.costs import (CAPACITY_GUARD, CooperationProfile,
+from cooproute.costs import (CAPACITY_GUARD, CooperationProfile, SplitCost,
                              deviation_cost, path_marginals, user_costs,
                              weighted_cost)
 from cooproute.errors import InfeasibleError, SolverError
@@ -511,25 +511,37 @@ def three_link_game(alpha):
                          [1.0, 1.0, 1.0], [alpha] * 3)
 
 
-# Cost-method calls one solve made when the exact best response came in
-# (exp1 at (0.95, 0) and braess-lb-sym at capacity 10).  With 60-step
-# bisection the same solves made 284,759 value and 220,575 derivative
-# calls, and 318,896 and 254,712.  The three-link game at alpha 0.3 made
-# 11,990,442 value and 11,990,424 derivative calls over 64 trajectories
-# with the conditional-gradient best response, before water-filling, and
-# 219,787, 219,769 and 219,760 while water-filling found each path's flow
-# at a level by Newton's method, before its closed-form inverse, and
-# 10,737, 10,719 and 10,710 with a per-coordinate Aitken step, before the
-# window fit of ``nash._extrapolate``.  The one-user Braess game of
+# Evaluations one solve makes: cost-method calls (``value`` and
+# ``derivative`` of ``LinearCost`` and ``MM1Cost``), table rows of
+# ``SplitCost.derivative`` and ``cross``, and levels of the water-filling
+# inverse (``SplitCost.inverse``).
+#
+# History, in cost-method calls.  When the exact best response came in,
+# exp1 at (0.95, 0) and braess-lb-sym at capacity 10 made 48,208 value
+# and 48 derivative calls, and 96,480, 48,318 and 48,270 curvature
+# calls; with 60-step bisection the same solves made 284,759 value and
+# 220,575 derivative calls, and 318,896 and 254,712.  The three-link
+# game at alpha 0.3 made 11,990,442 value and 11,990,424 derivative
+# calls over 64 trajectories with the conditional-gradient best
+# response, before water-filling, and 219,787, 219,769 and 219,760
+# while water-filling found each path's flow at a level by Newton's
+# method, before its closed-form inverse, and 10,737, 10,719 and 10,710
+# with a per-coordinate Aitken step, before the window fit of
+# ``nash._extrapolate``.  The one-user Braess game of
 # ``edge_braess_game`` took that loop 960 sweeps (58 s) on one
-# trajectory; the pairwise exchange takes 2.
+# trajectory; the pairwise exchange takes 2.  Before ``SplitCost`` read
+# its table, the solves made 45 and 18, 2,824, 3,076 and 3,058,
+# 4,281, 4,275 and 4,266, and 143 and 133 value, derivative and
+# curvature calls, so the pins of exp1 and braess-lb-sym had gone stale
+# by factors of over 1,000 and 30.  Now every table row and level counts.
 SOLVE_WORK = {
-    "exp1": {"value": 48_208, "derivative": 48, "curvature": 0},
-    "braess-lb-sym": {"value": 96_480, "derivative": 48_318,
-                      "curvature": 48_270},
-    "parallel-3x3": {"value": 4_293, "derivative": 4_275,
-                     "curvature": 4_266},
-    "braess-edge": {"value": 181, "derivative": 161, "curvature": 0},
+    "exp1": {"value": 45, "derivative": 18, "rows": 0, "levels": 0},
+    "braess-lb-sym": {"value": 46, "derivative": 18, "rows": 3_058,
+                      "levels": 0},
+    "parallel-3x3": {"value": 15, "derivative": 9, "rows": 4_266,
+                     "levels": 11_930},
+    "braess-edge": {"value": 143, "derivative": 133, "rows": 0,
+                    "levels": 0},
 }
 SOLVE_GAMES = {
     "exp1": lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)),
@@ -540,20 +552,51 @@ SOLVE_GAMES = {
 }
 
 
-@pytest.mark.parametrize("preset", list(SOLVE_WORK))
-def test_solve_work_stays_bounded(preset, monkeypatch):
-    # wall time is too noisy to catch a slow fallback; call counts are not
-    game = SOLVE_GAMES[preset]()
-    calls = dict.fromkeys(SOLVE_WORK[preset], 0)
+def count_solve_work(game, monkeypatch):
+    """``multistart_nash(game)`` and the evaluations it made: cost-method
+    calls, table rows of ``SplitCost.derivative`` and ``cross`` (a row
+    per moving link, or per shifted one) and levels of
+    ``SplitCost.inverse``."""
+    calls = dict.fromkeys(("value", "derivative", "rows", "levels"), 0)
     for cls in (LinearCost, MM1Cost):
-        for meth in calls:
+        for meth in ("value", "derivative"):
             def counted(self, flow, _orig=getattr(cls, meth), _meth=meth):
                 calls[_meth] += 1
                 return _orig(self, flow)
             monkeypatch.setattr(cls, meth, counted)
-    eqs = multistart_nash(game)
-    for meth, measured in SOLVE_WORK[preset].items():
-        assert calls[meth] <= 2 * measured, meth
+    split_derivative, cross = SplitCost.derivative, SplitCost.cross
+    inverse = SplitCost.inverse
+
+    def counted_derivative(self, t, others, weighted):
+        calls["rows"] += len(self.specs)
+        return split_derivative(self, t, others, weighted)
+
+    def counted_cross(self, t, others, weighted, shift, weight):
+        if not self.affine:
+            calls["rows"] += sum(1 for e in shift[:len(self.specs)] if e)
+        return cross(self, t, others, weighted, shift, weight)
+
+    def counted_inverse(self, others, weighted, top):
+        level = inverse(self, others, weighted, top)
+
+        def counted_level(lam):
+            calls["levels"] += 1
+            return level(lam)
+        return counted_level
+
+    monkeypatch.setattr(SplitCost, "derivative", counted_derivative)
+    monkeypatch.setattr(SplitCost, "cross", counted_cross)
+    monkeypatch.setattr(SplitCost, "inverse", counted_inverse)
+    return multistart_nash(game), calls
+
+
+@pytest.mark.parametrize("preset", list(SOLVE_WORK))
+def test_solve_work_stays_bounded(preset, monkeypatch):
+    # wall time is too noisy to catch a slow fallback; evaluation counts
+    # are not
+    eqs, calls = count_solve_work(SOLVE_GAMES[preset](), monkeypatch)
+    for key, measured in SOLVE_WORK[preset].items():
+        assert calls[key] <= 2 * measured, key
     if preset == "parallel-3x3":
         # the first user's water-filling response ignores its own start,
         # so its 4 starts run as one trajectory each
