@@ -329,8 +329,10 @@ def _cmd_sweep(args, manifest):
     workers = _thread_cap()
     if workers > 1 and len(values) > 1:
         try:
+            # a fork-started pool launches every worker at the first
+            # submit, so it never gets more workers than rows
             with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers) as pool:
+                    max_workers=min(workers, len(values))) as pool:
                 table = sweep(map=pool.map)
         except OSError as e:
             manifest["warnings"].append(
@@ -350,10 +352,6 @@ def _cmd_sweep(args, manifest):
            for key in ("sweeps", "jumps_kept", "jumps_rejected",
                        "pass_missed")},
         "clusters": sum(len(s.equilibria) for s in eqsets),
-        "rows_without_scan": sum(s.diagnostics["scan_coverage"] == "none"
-                                 for s in eqsets),
-        "rows_certified_unique": sum(
-            s.diagnostics["scan_coverage"] == "unique" for s in eqsets),
         "scan_coverage": dict(collections.Counter(
             s.diagnostics["scan_coverage"] for s in eqsets))}
     # Header metadata comes from one cheap rebuild, not from re-solving.

@@ -37,13 +37,11 @@ basin to the nearest root within ``CLUSTER_RADIUS``, and only a cluster
 near no root is polished and verified itself.  The pass checks itself
 by the index sum of the verified equilibria (``_index_sum``), which is
 1 for a complete set of regular equilibria; when it is not 1, or a
-point is degenerate, the best-response composition is also scanned for
-sign changes, each bracket refined by bisection
-(``search.scan_sign_changes``).  On affine links the game can be
-certified, in exact arithmetic, to have a single equilibrium (Rosen's
-diagonal strict convexity with unit weights); when the dynamics reach
-one verified equilibrium of a certified game, there is nothing left to
-find and neither runs.
+point is degenerate, no check says the set is complete.  On affine links
+the game can be certified, in exact arithmetic, to have a single
+equilibrium (Rosen's diagonal strict convexity with unit weights); when
+the dynamics reach one verified equilibrium of a certified game, there
+is nothing left to find and the pass does not run.
 
 Costs, path marginals and the two-path derivative, which also prices
 one path alone, come from ``costs``; this module only sums the other
@@ -70,7 +68,7 @@ from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
                        saturated_links)
-from .search import SEARCH_STEPS, grid, newton_argmin, scan_sign_changes
+from .search import SEARCH_STEPS, grid, newton_argmin
 
 
 # Solver settings.  The pairwise exchange stops when no used path's
@@ -84,9 +82,9 @@ from .search import SEARCH_STEPS, grid, newton_argmin, scan_sign_changes
 # are one equilibrium; pass roots are one only within DISTINCT_TOL.  The
 # support pass samples each best-response curve at CURVE_GRID flows; a
 # reduced Jacobian's determinant, or an unused path's slack, at or below
-# DEGENERATE_TOL relative makes a point degenerate.  The 2x2 scan samples
-# SCAN_DENSITY points.  Verification sweeps DEVIATION_GRID splits and
-# accepts a normalized violation up to VERIFY_TOL.
+# DEGENERATE_TOL relative makes a point degenerate.  Verification sweeps
+# DEVIATION_GRID splits and accepts a normalized violation up to
+# VERIFY_TOL.
 EXCHANGE_TOL = 1e-14
 EXCHANGE_STEPS = 1_000
 FP_TOL = 1e-8
@@ -98,7 +96,6 @@ DISTINCT_TOL = 1e-9
 CURVE_GRID = 21
 DEGENERATE_TOL = 1e-9
 VERIFY_TOL = 1e-6
-SCAN_DENSITY = 801
 DEVIATION_GRID = 1001
 
 
@@ -755,10 +752,10 @@ def profile_from_state(game: RoutingGame, state) -> FlowProfile:
 
 class _Cluster:
     """Fixed points within ``CLUSTER_RADIUS`` of the first one, or a
-    verified support-pass root or scan candidate.  ``mins`` and ``maxs``
-    bound the dynamics limits in it, ``supports`` holds the supports of
-    the pass roots in it, ``done`` its profile and check (``_finish``),
-    and ``polish`` its polishing run."""
+    verified support-pass root.  ``mins`` and ``maxs`` bound the dynamics
+    limits in it, ``supports`` holds the supports of the pass roots in
+    it, ``done`` its profile and check (``_finish``), and ``polish`` its
+    polishing run."""
 
     __slots__ = ("red", "state", "basin", "mins", "maxs", "supports",
                  "done", "polish")
@@ -811,8 +808,8 @@ def _support_of(game: RoutingGame, t) -> tuple[int, ...]:
 
 
 def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
-    """A cluster's profile and its check.  A cluster the pass or the scan
-    opened holds the check that admitted it; one that dynamics reached is
+    """A cluster's profile and its check.  A cluster the pass opened
+    holds the check that admitted it; one that dynamics reached is
     polished (``_iterate``), its run kept in ``c.polish``, and verified on
     the first call."""
     if c.done is None:
@@ -1106,46 +1103,6 @@ def _index_sum(game: RoutingGame, rows,
     return (None if degenerate else total), degenerate
 
 
-def _scan_for_fixed_points(game: RoutingGame):
-    """Two-user, two-path-each composition scan in both user orders.  A
-    grid point or bisection step whose best response raises
-    ``SolverError`` reads as no sign change."""
-    r1, r2 = game.demands
-
-    def br_first(y: float) -> float:
-        st = [[r1, 0.0], [r2 - y, y]]
-        return _best_response(game, st, 0)[1]
-
-    def br_second(x: float) -> float:
-        st = [[r1 - x, x], [r2, 0.0]]
-        return _best_response(game, st, 1)[1]
-
-    def gap(outer, inner):
-        def f(x: float) -> float:
-            try:
-                return outer(inner(x)) - x
-            except SolverError:
-                return math.nan
-        return f
-
-    candidates = []
-    # Both orders are needed: a user at alpha 1 can answer from corner to
-    # corner, so when it answers second the forward candidate
-    # y = br_second(x) lands on a corner and fails verification; only the
-    # reverse scan, on that user's own coordinate, finds the point.
-    for outer, inner, r, flip in ((br_first, br_second, r1, False),
-                                  (br_second, br_first, r2, True)):
-        for x in scan_sign_changes(gap(outer, inner), grid(r, SCAN_DENSITY)):
-            try:
-                y = inner(x)
-            except SolverError:
-                continue
-            if flip:
-                x, y = y, x
-            candidates.append(((r1 - x, x), (r2 - y, y)))
-    return candidates
-
-
 def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     """Find the game's equilibria from a grid of starts plus a support pass.
 
@@ -1173,15 +1130,15 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     bounds; one near none stays, to be polished and verified, and counts
     in ``pass_missed``.  ``diagnostics["scan_coverage"]`` reads
     ``"support"`` when the verified clusters' index sum (``_index_sum``)
-    is 1 with no degenerate point.  Otherwise each 2x2 scan candidate
-    (``_scan_for_fixed_points``) that no cluster holds is verified the
-    same way, and it reads ``"2x2"``.  Neither runs, and it reads
+    is 1 with no degenerate point.  The pass does not run, and it reads
     ``"unique"``, when the game is certified to have one equilibrium
     (``_certified_unique``), every trajectory converged, and the one
-    cluster they reached verifies.  ``scan_candidates`` counts the
-    pass's roots and the scan's candidates, ``scan_added`` the basin-0
-    clusters (``scan_found``), and ``index_sum`` and ``degenerate``
-    describe the final set (None and 0 without two two-path users).
+    cluster they reached verifies.  Otherwise it reads ``"none"``: no
+    check says the listed set is complete.  ``scan_candidates`` counts
+    the pass's roots, ``scan_added`` the basin-0 clusters
+    (``scan_found``), and ``index_sum`` and ``degenerate`` describe the
+    final set (None and 0 without two two-path users), so they tell a
+    pass that did not close from one that did not run.
     ``sweeps`` counts the probe's sweeps and those of the dynamics and
     the polish, trial sweeps included, and ``jumps_kept`` and
     ``jumps_rejected`` their extrapolations (``_iterate``); a start that
@@ -1256,32 +1213,28 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     unique = (paired and non_converged == 0 and len(clusters) == 1
               and _certified_unique(game) and _finish(game, clusters[0])[1].ok)
 
-    def admit(red, cand, found):
-        # verify a candidate and, if it passes, open a basin-0 cluster
-        # for it in found
-        try:
-            profile = profile_from_state(game, cand)
-        except ConfigError:
-            return None
-        check = verify_nash(game, profile)
-        if check.ok:
-            found.append(_Cluster(red, cand, 0, (profile, check)))
-            return found[-1]
-        return None
-
     coverage = "none"
     if paired:
         rows = _split_rows(game)
-        coverage = "unique" if unique else "support"
         if not unique:
             roots: list[_Cluster] = []
             for support, cand in _support_roots(game, rows):
                 scan_candidates += 1
                 red = _reduced(game, cand)
-                c = next((h for h in roots if _distance(red, h.red)
-                          <= DISTINCT_TOL), None) or admit(red, cand, roots)
-                if c is not None:
-                    c.supports.add(support)
+                c = next((h for h in roots
+                          if _distance(red, h.red) <= DISTINCT_TOL), None)
+                if c is None:
+                    # a new root opens a basin-0 cluster if it verifies
+                    try:
+                        profile = profile_from_state(game, cand)
+                    except ConfigError:
+                        continue
+                    check = verify_nash(game, profile)
+                    if not check.ok:
+                        continue
+                    c = _Cluster(red, cand, 0, (profile, check))
+                    roots.append(c)
+                c.supports.add(support)
             # each dynamics cluster near a root gives the nearest its
             # basin and the bounds of its limits; the rest stay
             missed = []
@@ -1298,14 +1251,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                 h.basin += c.basin
             clusters, pass_missed = roots + missed, len(missed)
         index_sum, degenerate = _index_sum(game, rows, clusters)
-        if not unique and index_sum != 1:
-            for cand in _scan_for_fixed_points(game):
-                scan_candidates += 1
-                red = _reduced(game, cand)
-                if _cluster_of(clusters, red) is None:
-                    admit(red, cand, clusters)
-            coverage = "2x2"
-            index_sum, degenerate = _index_sum(game, rows, clusters)
+        coverage = ("unique" if unique
+                    else "support" if index_sum == 1 else "none")
     results = []
     for c in clusters:
         profile, check = _finish(game, c)

@@ -127,8 +127,8 @@ class TestSolveCommand:
     def test_manifest_reports_scan_coverage(self, capsys, tmp_path):
         # selfish exp1 is certified to have one equilibrium; at (0.95, 0)
         # it has three, which the support pass finds with index sum 1; at
-        # (0.9, 0) an equilibrium has an unused path at zero slack, so
-        # the scan runs
+        # (0.9, 0) an equilibrium has an unused path at zero slack, so no
+        # check closes the set
         rc, _, err = run(capsys, "solve", "--preset", "exp1")
         assert rc == 0
         assert json.loads(err)["diagnostics"]["scan_coverage"] == "unique"
@@ -142,7 +142,7 @@ class TestSolveCommand:
                          "--alpha", "0.9", "0")
         assert rc == 0
         diagnostics = json.loads(err)["diagnostics"]
-        assert diagnostics["scan_coverage"] == "2x2"
+        assert diagnostics["scan_coverage"] == "none"
         assert diagnostics["index_sum"] is None
         assert diagnostics["degenerate"] == 1
         rc, _, err = run(capsys, "solve", "--config",
@@ -338,29 +338,27 @@ class TestSweepCommand:
                          write_doc(tmp_path, ONE_LINK_DOC),
                          "--alphas", "0,0.5")
         assert rc == 0
-        assert json.loads(err)["diagnostics"]["rows_without_scan"] == 2
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == {"none": 2}
         rc, _, err = run(capsys, "sweep", "--preset", "exp2",
                          "--alphas", "0,0.2")
         assert rc == 0
-        assert json.loads(err)["diagnostics"]["rows_without_scan"] == 0
+        assert "none" not in json.loads(err)["diagnostics"]["scan_coverage"]
 
     def test_manifest_counts_rows_certified_unique(self, capsys):
         rc, _, err = run(capsys, "sweep", "--preset", "exp1",
                          "--alphas", "0,0.5,0.95", "--vary", "first")
         assert rc == 0
-        diagnostics = json.loads(err)["diagnostics"]
-        assert diagnostics["rows_certified_unique"] == 2
-        assert diagnostics["rows_without_scan"] == 0
-        assert diagnostics["scan_coverage"] == {"unique": 2, "support": 1}
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == {
+            "unique": 2, "support": 1}
 
     def test_manifest_counts_rows_by_scan_coverage(self, capsys):
-        # at 0.9 an unused path has zero slack, so that row falls back to
-        # the 2x2 scan
+        # at 0.9 an unused path has zero slack, so no check closes that
+        # row
         rc, _, err = run(capsys, "sweep", "--preset", "exp1",
                          "--alphas", "0.5,0.9,0.95", "--vary", "first")
         assert rc == 0
         assert json.loads(err)["diagnostics"]["scan_coverage"] == {
-            "unique": 1, "2x2": 1, "support": 1}
+            "unique": 1, "none": 1, "support": 1}
 
     def test_manifest_sums_the_dynamics_work(self, capsys, tmp_path,
                                              monkeypatch):
@@ -392,6 +390,36 @@ class TestSweepCommand:
             assert rc == 0
             want = [value + line for line in solved.strip().splitlines()[1:]]
             assert [r for r in rows if r.split(",")[0] == value] == want
+
+    def test_worker_pool_has_no_more_workers_than_rows(self, capsys,
+                                                        monkeypatch):
+        # a fork-started pool launches all its workers at the first
+        # submit; this fake records the count and starts no process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            Pool)
+        monkeypatch.setenv("COOPROUTE_THREADS", "64")
+        rc, _, _ = run(capsys, "sweep", "--preset", "exp2",
+                       "--alphas", "0,0.2")
+        assert rc == 0
+        monkeypatch.setenv("COOPROUTE_THREADS", "2")
+        rc, _, _ = run(capsys, "sweep", "--preset", "exp2",
+                       "--alphas", "0,0.1,0.2")
+        assert rc == 0
+        assert sizes == [2, 2]
 
     def test_worker_pool_matches_sequential(self, capsys, monkeypatch):
         rc, seq, _ = run(capsys, "sweep", "--preset", "exp2",

@@ -94,7 +94,7 @@ class TestParameterSweep:
     @pytest.mark.parametrize("preset", ["braess-lb-sym", "braess-lb-asym"])
     def test_braess_rows_need_no_scan(self, preset):
         # the support pass's index sum is 1 on every row, with no
-        # degenerate point, so the 2x2 scan never runs
+        # degenerate point, so the pass closes every row
         table = parameter_sweep(get_preset(preset))
         assert len(table.rows) == 21
         for row in table.rows:

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
@@ -32,7 +32,7 @@ from cooproute.errors import InfeasibleError, SolverError
 from cooproute.experiments import alpha_sweep, parameter_sweep
 from cooproute.nash import _best_response, _state_loads, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
-from cooproute.search import argmin_by_derivative
+from cooproute.search import argmin_by_derivative, grid, scan_sign_changes
 
 # The benchmark's exact oracles, which import nothing from cooproute.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -55,6 +55,47 @@ def linear_two_origin(alphas):
     return load_balancing_game(
         [LinearCost(1.0), LinearCost(1.0), LinearCost(0.0, 0.5),
          LinearCost(0.0, 0.5)], [1.0, 1.0], alphas)
+
+
+def composition_scan(game):
+    """Candidate fixed points of two two-path users' best-response
+    composition, as path flows: each sign change of ``br(br(x)) - x`` on
+    a grid of 801 flows, bisected, in both user orders.  A grid point or
+    bisection step whose best response raises ``SolverError`` reads as no
+    sign change.  It is the reference that the support pass is checked
+    against."""
+    r1, r2 = game.demands
+
+    def br_first(y):
+        return _best_response(game, [[r1, 0.0], [r2 - y, y]], 0)[1]
+
+    def br_second(x):
+        return _best_response(game, [[r1 - x, x], [r2, 0.0]], 1)[1]
+
+    def gap(outer, inner):
+        def f(x):
+            try:
+                return outer(inner(x)) - x
+            except SolverError:
+                return math.nan
+        return f
+
+    candidates = []
+    # Both orders are needed: a user at alpha 1 can answer from corner to
+    # corner, so when it answers second the forward candidate
+    # y = br_second(x) lands on a corner and fails verification; only the
+    # reverse scan, on that user's own coordinate, finds the point.
+    for outer, inner, r, flip in ((br_first, br_second, r1, False),
+                                  (br_second, br_first, r2, True)):
+        for x in scan_sign_changes(gap(outer, inner), grid(r, 801)):
+            try:
+                y = inner(x)
+            except SolverError:
+                continue
+            if flip:
+                x, y = y, x
+            candidates.append(((r1 - x, x), (r2 - y, y)))
+    return candidates
 
 
 def parallel_game(costs, demands, alphas):
@@ -604,13 +645,15 @@ def test_solve_work_stays_bounded(preset, monkeypatch):
         assert sum(eq.basin_count for eq in eqs) == 64
 
 
-# verify_nash and _scan_for_fixed_points calls of
+# verify_nash and composition-scan calls of
 # alpha_sweep(exp1, 0..1 step 0.05, vary="first"): 76 and 21 when every
 # scan candidate was verified and every row scanned; 27 and 6 with
 # merge-before-verify and the scan skipped on the 15 certified rows; 26
-# and 1 with the support pass, whose index sum sends only the row at 0.9
-# (an unused path at zero slack) to the fallback scan.
-SWEEP_WORK = {"verify_nash": 26, "_scan_for_fixed_points": 1}
+# and 1 with the support pass, whose index sum sent only the row at 0.9
+# (an unused path at zero slack) to the fallback scan.  With the scan
+# gone, verify_nash still runs 26 times: the scan's candidates at 0.9
+# all fell in clusters that the pass and the dynamics had found.
+SWEEP_WORK = {"verify_nash": 26}
 
 
 def test_sweep_work_stays_bounded(monkeypatch):
@@ -625,6 +668,32 @@ def test_sweep_work_stays_bounded(monkeypatch):
     assert [len(row.equilibria) for row in table.rows] == [1] * 18 + [2, 3, 3]
     for name, measured in SWEEP_WORK.items():
         assert calls[name] <= measured, name
+
+
+# verify_nash calls of the continuum rows at alphas (0.5, 0.5), where
+# every point is degenerate and no check closes the set: 813 (2.9 s, 813
+# clusters) on exp4-feasible and 201 (201 clusters) on exp2 while a 2x2
+# composition scan ran as the fallback and opened a cluster for each of
+# its verified candidates on the continuum; 21 and 6 without it, one per
+# support-pass root or dynamics cluster.
+CONTINUUM_WORK = {"exp4-feasible": 21, "exp2": 6}
+
+
+@pytest.mark.parametrize("preset", list(CONTINUUM_WORK))
+def test_continuum_rows_stay_small(preset, monkeypatch):
+    calls = []
+
+    def counted(game, profile):
+        calls.append(profile)
+        return verify_nash(game, profile)
+
+    monkeypatch.setattr(nash, "verify_nash", counted)
+    eqs = multistart_nash(get_preset(preset).build_game(alphas=(0.5, 0.5)))
+    diag = eqs.diagnostics
+    assert diag["scan_coverage"] == "none"
+    assert diag["index_sum"] is None and diag["degenerate"] > 0
+    assert all(eq.verified for eq in eqs)
+    assert len(calls) <= CONTINUUM_WORK[preset]
 
 
 # Deviation kernels compiled by exp1's 101-row vary="first" sweep (the
@@ -856,7 +925,7 @@ class TestMultistartLinear:
         flows = eq.profile.path_flows
         assert flows[0] == pytest.approx((0.36724, 0.39496), abs=1e-5)
         assert flows[1] == pytest.approx((0.53650, 0.37070), abs=1e-5)
-        near = [cand for cand in nash._scan_for_fixed_points(game)
+        near = [cand for cand in composition_scan(game)
                 if abs(cand[0][1] - flows[0][1]) <= 1e-9]
         verdicts = [verify_nash(game, profile_from_state(game, cand))
                     for cand in near]
@@ -870,7 +939,8 @@ class TestMultistartLinear:
         assert eqs.diagnostics["scan_coverage"] == "support"
         # at 0.9 the corner (0, 1) of user 1 has zero slack
         eqs = multistart_nash(linear_two_origin((0.9, 0.0)))
-        assert eqs.diagnostics["scan_coverage"] == "2x2"
+        assert eqs.diagnostics["scan_coverage"] == "none"
+        assert eqs.diagnostics["index_sum"] is None
         assert eqs.diagnostics["degenerate"] == 1
         eqs = multistart_nash(parallel_game([LinearCost(1.0, 0.5)],
                                             [1.0, 1.0], [0.5, 0.0]))
@@ -1429,8 +1499,9 @@ def test_exchange_overflow_moves_to_a_third_path():
 def test_raising_best_response_does_not_abort_a_converged_solve():
     # user 2 crosses L (capacity 1.5) on both of its paths with demand 1,
     # so user 1 can put at most 0.5 on its path F-L.  Past that, user 2's
-    # best response raises.  Every start converges, and the scan's grid
-    # reaches user 1's corner, where that raise must not end the solve.
+    # best response raises.  Every start converges, and the composition
+    # scan's grid reaches user 1's corner, where that raise must not end
+    # the scan.
     net = build_network([1, 2, 3, 5], [
         ("F", 5, 1, LinearCost(0.1)), ("L", 1, 2, MM1Cost(1.5)),
         ("D", 5, 2, LinearCost(1.0, 0.5)), ("M1", 2, 3, LinearCost(1.0)),
@@ -1442,8 +1513,9 @@ def test_raising_best_response_does_not_abort_a_converged_solve():
     assert diag["failed_starts"] == diag["non_converged"] == 0
     assert diag["scan_coverage"] == "support"
     assert len(eqs) == 1 and eqs.equilibria[0].verified
-    # the fallback scan reads the raising grid points as no sign change
-    cands = nash._scan_for_fixed_points(game)
+    # the composition scan reads the raising grid points as no sign
+    # change
+    cands = composition_scan(game)
     assert cands
     for cand in cands:
         assert verify_nash(game, profile_from_state(game, cand)).ok
@@ -1555,7 +1627,8 @@ def oracle_holds(flows, points, segments):
 @given(affine_two_user_games())
 def test_affine_games_match_the_oracle(case):
     # certified or not: every verified point is an equilibrium of the
-    # exact oracle, and without a continuum every oracle point is emitted
+    # exact oracle, and every isolated oracle point is emitted, also
+    # beside a continuum
     game, links, users, alphas = case
     # An intercept below float resolution beside the others (7.8e-175
     # beside 1) makes path costs that the exact oracle tells apart equal
@@ -1571,10 +1644,9 @@ def test_affine_games_match_the_oracle(case):
                for eq in eqs if eq.verified]
     for flows in emitted:
         assert oracle_holds(flows, points, segments), flows
-    if not segments:
-        for p in points:
-            assert any(max(abs(f - float(v)) for f, v in zip(flows, p))
-                       <= checks.FLOW_TOL for flows in emitted), p
+    for p in points:
+        assert any(max(abs(f - float(v)) for f, v in zip(flows, p))
+                   <= checks.FLOW_TOL for flows in emitted), p
 
 
 def test_pass_roots_of_other_supports_inside_the_cluster_radius():
@@ -1603,7 +1675,7 @@ def test_pass_roots_of_other_supports_inside_the_cluster_radius():
 def test_exp1_at_full_cooperation_lists_the_oracles_three_points():
     # each user at alpha 1 weighs only the other's cost, so its own
     # objective is linear in its split; the point (0.5, 0.5) of each user
-    # repels best response, and the 2x2 scan's composition steps over it
+    # repels best response, and the composition scan steps over it
     eqs = multistart_nash(get_preset("exp1").build_game(alphas=(1.0, 1.0)))
     points, segments = checks.affine_equilibria(
         {"l1": (1.0, 0.0), "l2": (1.0, 0.0), "l3": (0.0, 0.5),
@@ -1648,24 +1720,66 @@ def queue_two_user_games(draw):
         reject()
 
 
+def on_verified_segment(game, t, flows, steps=4):
+    """Whether the inner points of the segment from second-path flows
+    ``t`` to ``flows``, at ``1 / steps`` of its length apart, verify."""
+    r = game.demands
+    for k in range(1, steps):
+        x, y = (a + (b - a) * k / steps for a, b in zip(t, flows))
+        if not verify_nash(game, profile_from_state(
+                game, ((r[0] - x, x), (r[1] - y, y)))).ok:
+            return False
+    return True
+
+
 @settings(max_examples=30, deadline=None)
 @given(queue_two_user_games())
+# a continuum at tied alphas 0.5, which the scan crosses in float noise
+@example(parallel_game([LinearCost(1.0), LinearCost(0.0, 1.0)], [1.0, 1.0],
+                       [0.5, 0.5]))
+# user 2 at alpha 1 is indifferent while user 1 sits on its flat path:
+# the scan finds the far end of that continuum, the solve its near end
+@example(parallel_game([MM1Cost(2.159521298272994),
+                        LinearCost(0.0, 1.1005495074944804)],
+                       [0.8844144311480451, 1.9842200787261843],
+                       [0.9522462283575805, 1.0]))
 def test_support_pass_finds_what_the_scan_finds(game):
     # the completeness check on M/M/1 links, where no exact oracle
-    # exists: every verified candidate of the 2x2 composition scan is
-    # emitted, also when the support pass's index sum spared the scan
+    # exists: every verified candidate of the composition scan is
+    # emitted, unless it lies on a continuum.  The solver lists a
+    # continuum only by the pass's roots and the dynamics' clusters, so
+    # a candidate it leaves out must lie on a segment of verified points
+    # to an emitted one, in a game that reports no check closing its set.
+    # Candidates are taken farthest first, and one on a segment already
+    # checked needs no check of its own.
     try:
         eqs = multistart_nash(game)
     except SolverError:
         reject()
+    diag = eqs.diagnostics
     emitted = [tuple(eq.profile.path_flows[ui][1] for ui in range(2))
                for eq in eqs if eq.verified]
-    for cand in nash._scan_for_fixed_points(game):
-        if not verify_nash(game, profile_from_state(game, cand)).ok:
+
+    def gap(t):
+        return min((max(abs(a - b) for a, b in zip(t, f)) for f in emitted),
+                   default=math.inf)
+
+    r = game.demands
+    cands = [(cand[0][1], cand[1][1]) for cand in composition_scan(game)]
+    segments = []
+    for t in sorted((t for t in cands if gap(t) > nash.CLUSTER_RADIUS),
+                    key=gap, reverse=True):
+        if any(checks.distance_to_segment(t, seg) <= nash.CLUSTER_RADIUS
+               for seg in segments):
             continue
-        t = (cand[0][1], cand[1][1])
-        assert any(max(abs(a - b) for a, b in zip(t, flows))
-                   <= nash.CLUSTER_RADIUS for flows in emitted), t
+        if not verify_nash(game, profile_from_state(
+                game, ((r[0] - t[0], t[0]), (r[1] - t[1], t[1])))).ok:
+            continue
+        assert diag["scan_coverage"] == "none" and diag["degenerate"], t
+        end = next((f for f in sorted(emitted, key=lambda f: math.dist(t, f))
+                    if on_verified_segment(game, t, f)), None)
+        assert end is not None, t
+        segments.append((t, end))
 
 
 # ------------------------------------------------------ ordered starts
