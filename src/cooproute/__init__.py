@@ -19,7 +19,7 @@ from .errors import (ConfigError, CoopRouteError, InfeasibleError,
 from .experiments import (Branch, ParadoxReport, ParadoxWitness, Scenario,
                           SweepParameter, SweepRow, SweepTable, alpha_sweep,
                           detect_braess, detect_cooperation_paradox,
-                          get_preset, parameter_sweep, preset_names)
+                          get_preset, parameter_sweep)
 from .mixed import (MixedNumericSet, MixedPoint, MixedScenario,
                     MixedSolution, MixedSolutionSet, mixed_closed_form,
                     mixed_costs, mixed_numeric, verify_mixed, wardrop_split)
@@ -44,6 +44,6 @@ __all__ = [
     "check_feasibility", "cost_report", "detect_braess",
     "detect_cooperation_paradox", "enumerate_paths", "get_preset",
     "make_game", "mixed_closed_form", "mixed_costs", "mixed_numeric",
-    "multistart_nash", "parameter_sweep", "preset_names",
-    "saturated_links", "verify_mixed", "verify_nash", "wardrop_split",
+    "multistart_nash", "parameter_sweep", "saturated_links", "verify_mixed",
+    "verify_nash", "wardrop_split",
 ]

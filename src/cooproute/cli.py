@@ -303,27 +303,36 @@ def _cmd_solve(args, manifest):
 
 def _cmd_sweep(args, manifest):
     t0 = time.perf_counter()
+    # Each option belongs to one kind of sweep; the other kind refuses it.
+    for flag, given, structural in (
+            ("--alphas", args.alphas, False), ("--vary", args.vary, False),
+            ("--values", args.values, True), ("--alpha", args.alpha, True)):
+        if given is not None and structural != args.parameter:
+            raise ConfigError(f"{flag} needs --parameter" if structural
+                              else f"{flag} does not apply with --parameter")
     sc = _scenario_for_args(args, manifest)
     if args.parameter:
         if sc.param is None:
             raise ConfigError("--parameter needs a preset with a sweep "
                               "parameter")
         values = (_parse_value_list(args.values)
-                  if args.values else sc.param.values)
+                  if args.values is not None else sc.param.values)
         alphas = _resolve_alphas(args.alpha, len(sc.base_alphas))
         if alphas is not None:
             sc = replace(sc, base_alphas=alphas)
-        parameter_name = sc.param.name
+        manifest["parameters"] = {"parameter": sc.param.name,
+                                  "values": list(values)}
         sweep = functools.partial(parameter_sweep, sc, values)
     else:
         if not args.alphas:
             raise ConfigError("give --alphas for a cooperation sweep or "
                               "--parameter for a structural one")
         values = _parse_value_list(args.alphas)
-        parameter_name = "alpha" if args.vary == "all" else "alpha_first"
-        sweep = functools.partial(alpha_sweep, sc, values, args.vary)
-    manifest["parameters"] = {"parameter": parameter_name,
-                              "values": list(values), "vary": args.vary}
+        vary = args.vary or "all"
+        manifest["parameters"] = {
+            "parameter": "alpha" if vary == "all" else "alpha_first",
+            "values": list(values), "vary": vary}
+        sweep = functools.partial(alpha_sweep, sc, values, vary)
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     workers = _thread_cap()
@@ -469,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p, "JSON game document")
     p.add_argument("--alphas",
                    help="cooperation grid: 'a,b,c' or 'start:stop:step'")
-    p.add_argument("--vary", choices=("all", "first"), default="all",
-                   help="move every user's degree or only the first one")
+    p.add_argument("--vary", choices=("all", "first"),
+                   help="move every user's degree (all, the default) or "
+                        "only the first one")
     p.add_argument("--parameter", action="store_true",
                    help="sweep the preset's structural parameter instead")
     p.add_argument("--values",

@@ -123,14 +123,14 @@ def _exp4_builder(capacity):
 
 
 def _exp5_builder(alphas, param):
-    slope = 0.0 if param is None else float(param)
+    slope = float(param)
     net = _load_balancing_net(LinearCost(4.1, 0.0), LinearCost(4.1, 0.0),
                               LinearCost(slope, 0.5), LinearCost(slope, 0.5))
     return make_game(net, _two_origin_users((1.0, 1.0)), alphas)
 
 
 def _braess_builder(alphas, param):
-    cap = 10.0 if param is None else float(param)
+    cap = float(param)
     net = _load_balancing_net(MM1Cost(4.1), MM1Cost(4.1),
                               MM1Cost(cap), MM1Cost(cap))
     return make_game(net, _two_origin_users((2.0, 1.0)), alphas)
@@ -222,10 +222,6 @@ def _make_presets() -> dict[str, Scenario]:
 PRESETS: dict[str, Scenario] = _make_presets()
 
 
-def preset_names() -> tuple[str, ...]:
-    return tuple(PRESETS)
-
-
 def get_preset(name: str) -> Scenario:
     try:
         return PRESETS[name]
@@ -261,10 +257,6 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
     branches: tuple[Branch, ...]
     varied_users: tuple[int, ...]
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(r.value for r in self.rows)
 
 
 def _flow_vector(eq) -> tuple[float, ...]:
@@ -405,12 +397,11 @@ def _branch_pairs(sets: Sequence[EquilibriumSet]):
         for (k1, i1), (k2, i2) in zip(b.entries, b.entries[1:]):
             yield k1, i1, k2, i2, b.index, False
         if b.parent is not None and b.born_at > 0:
-            parent = branches[b.parent]
-            match = [e for e in parent.entries if e[0] == b.born_at - 1]
-            if match:
-                k1, i1 = match[0]
-                k2, i2 = b.entries[0]
-                yield k1, i1, k2, i2, b.index, True
+            # _match_lineage picks a parent that ends on the row before
+            k1, i1 = next(e for e in branches[b.parent].entries
+                          if e[0] == b.born_at - 1)
+            k2, i2 = b.entries[0]
+            yield k1, i1, k2, i2, b.index, True
 
 
 def detect_braess(table: SweepTable,

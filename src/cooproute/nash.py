@@ -79,12 +79,13 @@ from .search import SEARCH_STEPS, grid, newton_argmin
 # coordinates a sweep reads, is capped at EXTRAPOLATION_RANK.
 # GRID_DENSITY splits per two-path user seed the multistart, and fixed
 # points within CLUSTER_RADIUS of each other, or of a support-pass root,
-# are one equilibrium; pass roots are one only within DISTINCT_TOL.  The
-# support pass samples each best-response curve at CURVE_GRID flows; a
-# reduced Jacobian's determinant, or an unused path's slack, at or below
-# DEGENERATE_TOL relative makes a point degenerate.  Verification sweeps
-# DEVIATION_GRID splits and accepts a normalized violation up to
-# VERIFY_TOL.
+# are one equilibrium.  One support's pass roots are one within
+# CLUSTER_RADIUS too (_solve_support); roots of different supports are
+# one only within DISTINCT_TOL.  The support pass samples each
+# best-response curve at CURVE_GRID flows; a reduced Jacobian's
+# determinant, or an unused path's slack, at or below DEGENERATE_TOL
+# relative makes a point degenerate.  Verification sweeps DEVIATION_GRID
+# splits and accepts a normalized violation up to VERIFY_TOL.
 EXCHANGE_TOL = 1e-14
 EXCHANGE_STEPS = 1_000
 FP_TOL = 1e-8
@@ -193,6 +194,8 @@ def make_game(net: Network, users: Sequence[UserSpec],
     """Bundle a validated game.  ``coop`` is either a full weight profile or
     a sequence of per-user cooperation degrees."""
     users = tuple(sorted(users, key=lambda u: u.user_id))
+    if not users:
+        raise ConfigError("a game needs at least one user")
     ids = tuple(u.user_id for u in users)
     if not isinstance(coop, CooperationProfile):
         coop = CooperationProfile.from_alphas(ids, list(coop))
@@ -1012,8 +1015,11 @@ def _solve_support(game: RoutingGame, rows, support) -> list:
     solve a linear system on affine links, from ``rows`` at the
     centroid; on other links they take ``_curve_roots`` along both
     users' best-response curves, since such a support can hold several
-    roots, and a root within ``CLUSTER_RADIUS`` of an earlier one is
-    dropped.
+    roots.  Both curves' scans can find the same root, and near a
+    continuum of equilibria their two copies can lie further apart than
+    ``DISTINCT_TOL``, so a root within ``CLUSTER_RADIUS`` of an earlier
+    one of this support is dropped here; ``multistart_nash`` merges the
+    roots of different supports only within ``DISTINCT_TOL``.
     """
     r = game.demands
     t = [(0.0, r[i], 0.5 * r[i])[s] for i, s in enumerate(support)]
@@ -1149,7 +1155,7 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     total_starts = 1
     for opts in options:
         total_starts *= len(opts)
-    if n > 0 and _forgets_start(game) and len(options[0]) > 1:
+    if _forgets_start(game) and len(options[0]) > 1:
         weight = len(options[0])
         head = [options[0][0]]
     else:
@@ -1225,10 +1231,7 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                           if _distance(red, h.red) <= DISTINCT_TOL), None)
                 if c is None:
                     # a new root opens a basin-0 cluster if it verifies
-                    try:
-                        profile = profile_from_state(game, cand)
-                    except ConfigError:
-                        continue
+                    profile = profile_from_state(game, cand)
                     check = verify_nash(game, profile)
                     if not check.ok:
                         continue

@@ -47,29 +47,21 @@ class Network:
         except KeyError:
             raise ConfigError(f"unknown link id {link_id!r}") from None
 
-    def link(self, link_id: str) -> Link:
-        return self.links[self.link_index(link_id)]
-
 
 def build_network(nodes: Iterable[int],
-                  links: Iterable[tuple | Link]) -> Network:
+                  links: Iterable[tuple]) -> Network:
     """Validate and normalize a network description.
 
-    ``links`` entries are either ``Link`` objects or ``(id, source, target,
-    cost)`` tuples.  Ids are coerced to strings and the link list is sorted
-    by id.
+    ``links`` entries are ``(id, source, target, cost)`` tuples.  Ids are
+    coerced to strings and the link list is sorted by id.
     """
     node_tuple = tuple(nodes)
     if len(set(node_tuple)) != len(node_tuple):
         raise ConfigError("duplicate node ids")
     node_set = set(node_tuple)
     out = []
-    for entry in links:
-        if isinstance(entry, Link):
-            lk = entry
-        else:
-            lid, src, dst, cost = entry
-            lk = Link(link_id=str(lid), source=src, target=dst, cost=cost)
+    for lid, src, dst, cost in links:
+        lk = Link(link_id=str(lid), source=src, target=dst, cost=cost)
         if lk.source not in node_set or lk.target not in node_set:
             raise ConfigError(
                 f"link {lk.link_id!r} references unknown node "
@@ -148,9 +140,6 @@ class PathSet:
     user_ids: tuple[int, ...]
     paths: tuple[tuple[tuple[str, ...], ...], ...]
 
-    def for_user(self, user_id: int) -> tuple[tuple[str, ...], ...]:
-        return self.paths[self.user_ids.index(user_id)]
-
 
 def build_path_set(net: Network, users: Sequence[UserSpec]) -> PathSet:
     ids = tuple(u.user_id for u in users)
@@ -182,21 +171,15 @@ class FlowProfile:
     user_link_flows: tuple[tuple[float, ...], ...]
     total_link_flows: tuple[float, ...]
 
-    def user_index(self, user_id: int) -> int:
-        try:
-            return self.user_ids.index(user_id)
-        except ValueError:
-            raise ConfigError(f"unknown user id {user_id}") from None
-
 
 def assemble_profile(net: Network, path_set: PathSet,
                      path_flows: Sequence[Sequence[float]],
-                     demands: Sequence[float] | None = None) -> FlowProfile:
+                     demands: Sequence[float]) -> FlowProfile:
     """Turn per-path flow amounts into a validated ``FlowProfile``.
 
-    Flows must be finite and nonnegative (up to 1e-12, then clamped) and,
-    when ``demands`` is given, each user's flows must sum to its demand
-    within 1e-12 scaled by the demand size.
+    Flows must be finite and nonnegative (up to 1e-12, then clamped), and
+    each user's flows must sum to its demand within 1e-12 scaled by the
+    demand size.
     """
     n = len(path_set.user_ids)
     if len(path_flows) != n:
@@ -215,13 +198,12 @@ def assemble_profile(net: Network, path_set: PathSet,
                 raise ConfigError(f"negative path flow {v}")
             if v < 0:
                 flows[p] = 0.0
-        if demands is not None:
-            total = math.fsum(flows)
-            scale = max(1.0, abs(demands[ui]))
-            if abs(total - demands[ui]) > _FLOW_TOL * scale:
-                raise ConfigError(
-                    f"user {path_set.user_ids[ui]} routes {total}, "
-                    f"demand is {demands[ui]}")
+        total = math.fsum(flows)
+        scale = max(1.0, abs(demands[ui]))
+        if abs(total - demands[ui]) > _FLOW_TOL * scale:
+            raise ConfigError(
+                f"user {path_set.user_ids[ui]} routes {total}, "
+                f"demand is {demands[ui]}")
         cleaned.append(tuple(flows))
     m = len(net.links)
     per_user = []

@@ -305,13 +305,16 @@ class TestSweepCommand:
         rc, out, err = run(capsys, "sweep", "--preset", "exp2",
                            "--alphas", "0:0.4:0.2")
         assert rc == 0
-        assert json.loads(err)["parameters"]["values"] == [0.0, 0.2, 0.4]
+        assert json.loads(err)["parameters"] == {
+            "parameter": "alpha", "values": [0.0, 0.2, 0.4], "vary": "all"}
 
     def test_structural_sweep_with_values(self, capsys):
         rc, out, err = run(capsys, "sweep", "--preset", "exp5",
                            "--parameter", "--values", "0,40")
         assert rc == 0
-        assert json.loads(err)["parameters"]["parameter"] == "cross_slope"
+        # a structural sweep varies no cooperation degree
+        assert json.loads(err)["parameters"] == {
+            "parameter": "cross_slope", "values": [0.0, 40.0]}
         lines = out.strip().splitlines()
         assert {line.split(",")[0] for line in lines[1:]} == {"0", "40"}
 
@@ -319,6 +322,20 @@ class TestSweepCommand:
         rc, out, err = run(capsys, "sweep", "--preset", "exp1",
                            "--parameter")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--preset", "exp1", "--alphas", "0:1:0.5", "--values", "1"),
+         "--values"),
+        (("--preset", "exp1", "--alphas", "0:1:0.5", "--alpha", "0.5"),
+         "--alpha"),
+        (("--preset", "exp5", "--parameter", "--alphas", "0,1"), "--alphas"),
+        (("--preset", "exp5", "--parameter", "--vary", "all"), "--vary"),
+    ])
+    def test_other_sweep_kinds_options_rejected(self, capsys, argv, flag):
+        rc, out, err = run(capsys, "sweep", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} ")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_document_sweep_matches_preset(self, capsys, monkeypatch,

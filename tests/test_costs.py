@@ -22,11 +22,11 @@ def parallel_net(costs):
     return build_network([1, 2], links)
 
 
-def parallel_profile(net, rows, demands=None):
+def parallel_profile(net, rows):
     users = [UserSpec(user_id=i + 1, source=1, target=2,
                       demand=sum(row)) for i, row in enumerate(rows)]
     pset = build_path_set(net, users)
-    return assemble_profile(net, pset, rows, demands)
+    return assemble_profile(net, pset, rows, [u.demand for u in users])
 
 
 def selfish(n):
@@ -36,7 +36,7 @@ def selfish(n):
 def marginal(net, prof, coop, uid, link_id):
     """User ``uid``'s marginal operating cost along the one-link path
     ``link_id`` at the profile, whose loads already hold its own flow."""
-    ui = prof.user_index(uid)
+    ui = prof.user_ids.index(uid)
     row = coop.rows[ui]
     weighted = [0.0] * len(net.links)
     for w, own in zip(row, prof.user_link_flows):

@@ -2,12 +2,13 @@ import pytest
 
 from cooproute import (ConfigError, InfeasibleError, alpha_sweep,
                        detect_braess, detect_cooperation_paradox,
-                       get_preset, parameter_sweep, preset_names)
+                       get_preset, parameter_sweep)
+from cooproute.experiments import PRESETS
 
 
 class TestPresets:
     def test_registry_contents(self):
-        names = preset_names()
+        names = tuple(PRESETS)
         assert len(names) == 10
         for expected in ("exp1", "exp2", "exp3", "exp4", "exp5",
                          "braess-lb-asym", "braess-lb-sym", "mixed-fig7"):
@@ -54,7 +55,7 @@ class TestAlphaSweep:
     def test_shared_degree_sweep(self):
         table = alpha_sweep(get_preset("exp2"), (0.0, 0.2, 0.4))
         assert table.parameter == "alpha"
-        assert table.values == (0.0, 0.2, 0.4)
+        assert [r.value for r in table.rows] == [0.0, 0.2, 0.4]
         assert table.varied_users == (0, 1)
         # one equilibrium per row on this instance
         assert [len(r.equilibria) for r in table.rows] == [1, 1, 1]

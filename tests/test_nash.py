@@ -28,7 +28,7 @@ from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
 from cooproute.costs import (CAPACITY_GUARD, CooperationProfile, SplitCost,
                              deviation_cost, path_marginals, user_costs,
                              weighted_cost)
-from cooproute.errors import InfeasibleError, SolverError
+from cooproute.errors import ConfigError, InfeasibleError, SolverError
 from cooproute.experiments import alpha_sweep, parameter_sweep
 from cooproute.nash import _best_response, _state_loads, profile_from_state
 from cooproute.netmodel import UserSpec, build_network
@@ -777,6 +777,12 @@ class TestMakeGame:
         monkeypatch.setattr(netmodel, "enumerate_paths", counted)
         get_preset("exp1").build_game()
         assert len(calls) == 2
+
+    def test_no_users_rejected(self):
+        # the multistart indexes the first user's starts
+        net = build_network([1, 2], [("l1", 1, 2, LinearCost(1.0))])
+        with pytest.raises(ConfigError, match="at least one user"):
+            make_game(net, [], [])
 
 
 class TestDynamics:
@@ -1780,6 +1786,19 @@ def test_support_pass_finds_what_the_scan_finds(game):
                     if on_verified_segment(game, t, f)), None)
         assert end is not None, t
         segments.append((t, end))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(affine_two_user_games().map(lambda case: case[0]),
+                 queue_two_user_games()))
+def test_support_roots_assemble_into_profiles(game):
+    # every pass root routes each user's demand within [0, r], so the
+    # pass may build its profile without a guard against ConfigError
+    r = game.demands
+    for support, state in nash._support_roots(game, nash._split_rows(game)):
+        assert all(0.0 <= v <= ri for flows, ri in zip(state, r)
+                   for v in flows), (support, state)
+        profile_from_state(game, state)
 
 
 # ------------------------------------------------------ ordered starts

@@ -36,7 +36,7 @@ class TestBuildNetwork:
         net = two_origin_net()
         assert tuple(lk.link_id for lk in net.links) == ("l1", "l2", "l3",
                                                          "l4")
-        assert net.link("l3").source == 1
+        assert net.links[net.link_index("l3")].source == 1
         assert net.link_index("l4") == 3
 
     def test_duplicate_link_ids_rejected(self):
@@ -55,7 +55,7 @@ class TestBuildNetwork:
     def test_unknown_link_lookup_rejected(self):
         net = two_origin_net()
         with pytest.raises(ConfigError):
-            net.link("nope")
+            net.link_index("nope")
 
 
 class TestEnumeratePaths:
@@ -105,7 +105,7 @@ class TestPathSetAndProfiles:
         net = build_network([1, 2, 3], [("a", 1, 2, LinearCost(1.0))])
         users = [UserSpec(user_id=1, source=1, target=3, demand=0.0)]
         pset = build_path_set(net, users)
-        assert pset.for_user(1) == ()
+        assert pset.paths[pset.user_ids.index(1)] == ()
 
     def test_assemble_checks_demand(self):
         net = two_origin_net()
@@ -117,12 +117,13 @@ class TestPathSetAndProfiles:
 
     @pytest.mark.parametrize("v", [math.nan, math.inf])
     def test_assemble_rejects_non_finite_flows(self, v):
-        # no demands given, so only the finiteness check can refuse these
+        # the finiteness check refuses these before the demand check
         net = two_origin_net()
         users = [UserSpec(1, 1, 3, 2.0), UserSpec(2, 2, 3, 1.0)]
         pset = build_path_set(net, users)
         with pytest.raises(ConfigError, match="finite"):
-            assemble_profile(net, pset, [[v, 0.5], [1.0, 0.0]])
+            assemble_profile(net, pset, [[v, 0.5], [1.0, 0.0]],
+                             demands=(2.0, 1.0))
 
     def test_assemble_accumulates_link_flows(self):
         net = two_origin_net()
@@ -139,7 +140,7 @@ class TestPathSetAndProfiles:
         users = [UserSpec(1, 1, 3, 1.0), UserSpec(2, 2, 3, 0.0)]
         pset = build_path_set(net, users)
         prof = assemble_profile(net, pset, [[1.0 + 1e-13, -1e-13],
-                                            [0.0, 0.0]])
+                                            [0.0, 0.0]], demands=(1.0, 0.0))
         assert prof.path_flows[0][1] == 0.0
 
     @settings(max_examples=30)
@@ -162,9 +163,9 @@ class TestSaturationAndFeasibility:
                                      ("b", 1, 2, MM1Cost(0.0))])
         users = [UserSpec(1, 1, 2, 1.0)]
         pset = build_path_set(net, users)
-        ok = assemble_profile(net, pset, [[0.5, 0.0]])
+        ok = assemble_profile(net, pset, [[0.5, 0.0]], demands=(0.5,))
         assert saturated_links(net, ok) == ()
-        bad = assemble_profile(net, pset, [[1.0, 0.0]])
+        bad = assemble_profile(net, pset, [[1.0, 0.0]], demands=(1.0,))
         assert saturated_links(net, bad) == ("a",)
 
     def test_overloaded_cut_is_infeasible(self):
