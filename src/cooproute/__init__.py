@@ -12,8 +12,7 @@ infinitesimal users, in closed form and with an independent iterative
 cross-check.
 """
 
-from .costs import (CooperationProfile, CostReport, LinearCost, MM1Cost,
-                    cost_report)
+from .costs import CooperationProfile, LinearCost, MM1Cost
 from .errors import (ConfigError, CoopRouteError, InfeasibleError,
                      SolverError)
 from .experiments import (Branch, ParadoxReport, ParadoxWitness, Scenario,
@@ -34,14 +33,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "ConfigError", "CooperationProfile", "CoopRouteError",
-    "CostReport", "DynamicsResult", "EquilibriumResult", "EquilibriumSet",
+    "DynamicsResult", "EquilibriumResult", "EquilibriumSet",
     "FlowProfile", "InfeasibleError", "LinearCost", "Link", "MM1Cost",
     "MixedNumericSet", "MixedPoint", "MixedScenario", "MixedSolution",
     "MixedSolutionSet", "NashCheck", "Network", "ParadoxReport",
     "ParadoxWitness", "PathSet", "RoutingGame", "Scenario", "SolverError",
     "SweepParameter", "SweepRow", "SweepTable", "UserSpec", "alpha_sweep",
     "assemble_profile", "br_dynamics", "build_network", "build_path_set",
-    "check_feasibility", "cost_report", "detect_braess",
+    "check_feasibility", "detect_braess",
     "detect_cooperation_paradox", "enumerate_paths", "get_preset",
     "make_game", "mixed_closed_form", "mixed_costs", "mixed_numeric",
     "multistart_nash", "parameter_sweep", "saturated_links", "verify_mixed",

@@ -265,8 +265,6 @@ def _scenario_for_args(args, manifest) -> Scenario:
     if _is_mixed_doc(doc):
         raise ConfigError("this document describes a mixed setup; use the "
                           "'mixed' command")
-    if getattr(args, "param", None) is not None:
-        raise ConfigError("--param only applies to presets")
     net, users, coop = _game_from_doc(doc)
     base = tuple(coop.alpha_of(i) for i in range(len(users)))
 

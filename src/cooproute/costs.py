@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .search import newton_argmin
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .netmodel import FlowProfile, Link, Network
+    from .netmodel import Link
 
 INFINITE_COST = math.inf
 
@@ -162,29 +162,9 @@ class CooperationProfile:
         return 1.0 - self.rows[user_index][user_index]
 
 
-def _flow_times_cost(flow: float, cost: float) -> float:
-    # Zero flow on an unusable link costs nothing; avoids 0 * inf.
-    if flow == 0.0:
-        return 0.0
-    return flow * cost
-
-
 # The kernel below works on link loads in network link order.  Callers
 # build the loads once per evaluation, each in its own summation order,
 # so the kernel adds no rounding of its own to theirs.
-
-def link_shares(links: Sequence["Link"], user_loads, totals
-                ) -> tuple[tuple[float, ...], ...]:
-    """Cost share ``f_l^i * T_l(f_l)`` of every user on every link.
-
-    ``user_loads[i][l]`` is user ``i``'s flow on link ``l`` and
-    ``totals[l]`` the link's total flow.
-    """
-    latencies = [lk.cost.value(f) for lk, f in zip(links, totals)]
-    return tuple(tuple(_flow_times_cost(v, t)
-                       for v, t in zip(own, latencies))
-                 for own in user_loads)
-
 
 def user_costs(links: Sequence["Link"], user_loads, totals) -> list[float]:
     """Raw cost ``sum_l f_l^i * T_l(f_l)`` of every user; infinite when the
@@ -626,26 +606,3 @@ def _kernel(ncols: int, movers: tuple, plans: tuple):
     scope = {"INF": INFINITE_COST}
     exec(compile(source, "<deviation kernel>", "exec"), scope)
     return scope["kernel"]
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Per-user raw and operating costs plus per-link cost shares.
-
-    ``link_shares[i][l]`` is ``f_l^i * T_l(f_l)`` in user and link order.
-    """
-
-    user_ids: tuple[int, ...]
-    raw_costs: tuple[float, ...]
-    operating_costs: tuple[float, ...]
-    link_shares: tuple[tuple[float, ...], ...]
-
-
-def cost_report(net: "Network", profile: "FlowProfile",
-                coop: CooperationProfile) -> CostReport:
-    loads, totals = profile.user_link_flows, profile.total_link_flows
-    raws = tuple(user_costs(net.links, loads, totals))
-    return CostReport(user_ids=profile.user_ids, raw_costs=raws,
-                      operating_costs=tuple(weighted_cost(row, raws)
-                                            for row in coop.rows),
-                      link_shares=link_shares(net.links, loads, totals))

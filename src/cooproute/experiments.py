@@ -72,6 +72,8 @@ class Scenario:
                    param: float | None = None) -> RoutingGame:
         if self.kind != "game":
             raise ConfigError(f"preset {self.name!r} is not a routing game")
+        if param is not None and self.param is None:
+            raise ConfigError(f"{self.name!r} has no structural parameter")
         a = tuple(alphas) if alphas is not None else self.base_alphas
         p = param if param is not None else self.default_param
         return self.builder(a, p)
@@ -434,20 +436,20 @@ def detect_braess(table: SweepTable,
                          witnesses=tuple(witnesses))
 
 
-def detect_cooperation_paradox(table: SweepTable,
-                               users: Sequence[int] | None = None
-                               ) -> ParadoxReport:
+def detect_cooperation_paradox(table: SweepTable) -> ParadoxReport:
     """Look for a user's own cost falling, by more than ``PARADOX_MARGIN``,
     as its cooperation degree rises.
 
-    Checks the users whose degree the sweep varied (or ``users``), along
-    branch steps and births.  When a witness lies on rows that each hold
-    a single equilibrium, the report sets ``discrepancy``: the drop then
-    cannot be explained by a jump between coexisting equilibria.
+    Checks the users whose degree the sweep varied, along branch steps
+    and births; a structural sweep varies none and is refused.  When a
+    witness lies on rows that each hold a single equilibrium, the report
+    sets ``discrepancy``: the drop then cannot be explained by a jump
+    between coexisting equilibria.
     """
-    checked = tuple(users) if users is not None else table.varied_users
+    checked = table.varied_users
     if not checked:
-        raise ConfigError("no varied users to check; pass users explicitly")
+        raise ConfigError("the sweep varies no user's cooperation degree; "
+                          "the cooperation paradox needs an alpha sweep")
     sets = [r.equilibria for r in table.rows]
     witnesses = []
     discrepancy = False

@@ -181,8 +181,9 @@ class MixedSolution:
     the group's first-order condition picked the point and "boundary" when
     a region end did.  ``span`` is the case's admissible interval for the
     group split, ``equal_cost_offset`` the shift between the two splits
-    that keeps both link latencies equal, and the quadratic fields record
-    the resolvent behind the interior root where one applies.
+    that keeps both link latencies equal, and ``quad_a``, ``quad_b`` and
+    ``quad_c`` the coefficients of the quadratic whose root is the group's
+    interior split when the mass uses one link (None when it uses both).
     """
 
     case: str
@@ -196,12 +197,9 @@ class MixedSolution:
     violation: float
     span: tuple[float, float]
     equal_cost_offset: float
-    interior_split: float | None = None
-    wardrop_interior: float | None = None
     quad_a: float | None = None
     quad_b: float | None = None
     quad_c: float | None = None
-    quad_disc: float | None = None
 
 
 @dataclass(frozen=True)
@@ -276,8 +274,7 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
         else:
             root = (a * (c2 - c1) + r1 * balance) / (2.0 * balance)
             if lo1 - tol <= root <= hi1 + tol:
-                emit("both-links", "interior", root, root - offset, span1,
-                     interior_split=root, wardrop_interior=root - offset)
+                emit("both-links", "interior", root, root - offset, span1)
 
         def along(x: float) -> float:
             return (1.0 - a) * (2.0 * x - r1) + a * (r2 - 2.0 * (x - offset))
@@ -295,8 +292,7 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
         qa = heavy - light
         qb = 2.0 * (heavy * v0 + light * u0)
         qc = heavy * v0 * v0 - light * u0 * u0
-        trail = dict(quad_a=qa, quad_b=qb, quad_c=qc,
-                     quad_disc=qb * qb - 4.0 * qa * qc)
+        trail = dict(quad_a=qa, quad_b=qb, quad_c=qc)
 
         def deriv(x: float) -> float:
             uu, vv = u0 - x, v0 + x
@@ -308,8 +304,7 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
             root = ((math.sqrt(light) * u0 - math.sqrt(heavy) * v0)
                     / (math.sqrt(heavy) + math.sqrt(light)))
             if lo - tol <= root <= hi + tol:
-                emit(case, "interior", root, w, span, interior_split=root,
-                     **trail)
+                emit(case, "interior", root, w, span, **trail)
         if deriv(lo) >= -tol:
             emit(case, "boundary", lo, w, span, **trail)
         if deriv(hi) <= tol:

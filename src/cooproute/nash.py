@@ -666,8 +666,8 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
     viol = math.inf if any(math.isnan(j) for j in raws) else 0.0
     for ui in range(len(profile.user_ids)):
         r = game.users[ui].demand
-        paths = profile.paths[ui]
-        if r == 0.0 or len(paths) <= 1:
+        k = len(profile.path_flows[ui])
+        if r == 0.0 or k <= 1:
             lambdas.append(0.0)
             continue
         # The profile's loads hold the user's own flow: none goes on top.
@@ -678,13 +678,13 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
                 weighted = [w + wk * v for w, v in zip(weighted, own)]
         margs = path_marginals(links, game.path_link_idx[ui], row[ui],
                                profile.total_link_flows, weighted,
-                               [0.0] * len(paths))
+                               [0.0] * k)
         finite = [v for v in margs if v != INFINITE_COST]
         lam = min(finite) if finite else INFINITE_COST
         lambdas.append(lam)
         flow_eps = 1e-9 * max(1.0, r)
         scale = max(1.0, abs(lam)) if lam != INFINITE_COST else 1.0
-        for p in range(len(paths)):
+        for p in range(k):
             if profile.path_flows[ui][p] > flow_eps:
                 if margs[p] == INFINITE_COST or math.isnan(margs[p] - lam):
                     viol = math.inf
@@ -705,7 +705,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
             else:
                 gap = max(0.0, cur - at_br) / max(1.0, abs(cur))
             viol = max(viol, min(res / max(1.0, r), gap))
-        if len(paths) == 2:
+        if k == 2:
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
             best_alt = min(math.inf, *cost([(r - t, t) for t in
                                              grid(r, DEVIATION_GRID)]))

@@ -166,7 +166,6 @@ class FlowProfile:
     """
 
     user_ids: tuple[int, ...]
-    paths: tuple[tuple[tuple[str, ...], ...], ...]
     path_flows: tuple[tuple[float, ...], ...]
     user_link_flows: tuple[tuple[float, ...], ...]
     total_link_flows: tuple[float, ...]
@@ -218,8 +217,7 @@ def assemble_profile(net: Network, path_set: PathSet,
         per_user.append(tuple(row))
     totals = tuple(math.fsum(per_user[ui][li] for ui in range(n))
                    for li in range(m))
-    return FlowProfile(user_ids=path_set.user_ids, paths=path_set.paths,
-                       path_flows=tuple(cleaned),
+    return FlowProfile(user_ids=path_set.user_ids, path_flows=tuple(cleaned),
                        user_link_flows=tuple(per_user),
                        total_link_flows=totals)
 

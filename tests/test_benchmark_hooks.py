@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from cooproute import LinearCost, br_dynamics, make_game, multistart_nash
+from cooproute import (EquilibriumResult, FlowProfile, LinearCost,
+                       MixedNumericSet, MixedPoint, MixedSolution,
+                       MixedSolutionSet, br_dynamics, get_preset, make_game,
+                       mixed_numeric, multistart_nash)
 from cooproute.netmodel import UserSpec, build_network
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -27,13 +30,29 @@ def test_wrapped_names_exist(span):
                             attr, None))
 
 
+def names(record):
+    return {f.name for f in dataclasses.fields(record)}
+
+
 def test_result_fields_exist():
     net = build_network([1, 2], [("l1", 1, 2, LinearCost(1.0)),
                                  ("l2", 1, 2, LinearCost(0.0, 0.5))])
     game = make_game(net, [UserSpec(1, 1, 2, 1.0), UserSpec(2, 1, 2, 1.0)],
                      [0.0, 0.0])
     res = br_dynamics(game, [(1.0, 0.0), (1.0, 0.0)])
-    fields = {f.name for f in dataclasses.fields(res)}
-    assert {"sweeps", "converged"} <= fields
+    assert {"sweeps", "converged"} <= names(res)
     diagnostics = multistart_nash(game).diagnostics
     assert {"scan_candidates", "scan_added"} <= set(diagnostics)
+    diagnostics = mixed_numeric(get_preset("mixed-fig7").build_mixed()
+                                ).diagnostics
+    assert {"non_converged", "scan_added"} <= set(diagnostics)
+    # the records perfbench/workloads.py checks each solve by
+    priced = {"group_split", "mass_split", "group_cost", "mass_cost",
+              "operating_cost", "verified"}
+    assert priced | {"case", "kind"} <= names(MixedSolution)
+    assert priced <= names(MixedPoint)
+    assert {"solutions"} <= names(MixedSolutionSet)
+    assert {"points", "diagnostics"} <= names(MixedNumericSet)
+    assert {"verified", "raw_costs", "operating_costs",
+            "profile"} <= names(EquilibriumResult)
+    assert {"path_flows", "user_link_flows"} <= names(FlowProfile)

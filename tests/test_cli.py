@@ -220,6 +220,21 @@ class TestErrorPaths:
         assert rc == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_param_needs_a_parameter(self, capsys, tmp_path, command):
+        # exp1 has no structural parameter, and neither has a document
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps(
+            {"path_flows": [[1.0, 0.0], [1.0, 0.0]]}))
+        extra = ("--profile", str(prof)) if command == "verify" else ()
+        for source in (("--preset", "exp1"),
+                       ("--config", write_doc(tmp_path, GAME_DOC))):
+            rc, out, err = run(capsys, command, *source, "--param", "5",
+                               *extra)
+            assert rc == 2
+            assert out == ""
+            assert "no structural parameter" in err
+
     @pytest.mark.parametrize("argv", [
         ("--preset", "exp1", "--alphas", "0:1:nan"),
         ("--preset", "exp1", "--alphas", "0:inf:1"),

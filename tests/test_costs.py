@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cooproute import (ConfigError, CooperationProfile, InfeasibleError,
                        LinearCost, MM1Cost, MixedScenario, SolverError,
                        assemble_profile, build_network, build_path_set,
-                       cost_report, make_game, mixed, nash, wardrop_split)
+                       make_game, mixed, nash, wardrop_split)
 from cooproute import costs
 from cooproute.costs import (CAPACITY_GUARD, SplitCost, guard_fill,
                              path_marginals)
@@ -27,6 +27,13 @@ def parallel_profile(net, rows):
                       demand=sum(row)) for i, row in enumerate(rows)]
     pset = build_path_set(net, users)
     return assemble_profile(net, pset, rows, [u.demand for u in users])
+
+
+def priced(net, prof, coop):
+    """Raw and operating costs of every user at the profile."""
+    raws = tuple(costs.user_costs(net.links, prof.user_link_flows,
+                                  prof.total_link_flows))
+    return raws, tuple(costs.weighted_cost(row, raws) for row in coop.rows)
 
 
 def selfish(n):
@@ -770,49 +777,44 @@ class TestUserCosts:
     def test_user_cost_sums_link_terms(self):
         net = parallel_net([LinearCost(1.0), LinearCost(0.0, 0.5)])
         prof = parallel_profile(net, [[0.25, 0.75], [0.5, 0.5]])
-        report = cost_report(net, prof, selfish(2))
+        raws, _ = priced(net, prof, selfish(2))
         # link 1 carries 0.75 total, link 2 is constant
-        assert report.link_shares[0] == pytest.approx((0.25 * 0.75,
-                                                       0.75 * 0.5))
-        assert report.raw_costs == pytest.approx(
+        assert raws == pytest.approx(
             (0.25 * 0.75 + 0.75 * 0.5, 0.5 * 0.75 + 0.5 * 0.5))
 
     def test_zero_flow_on_saturated_link_costs_nothing(self):
         net = parallel_net([MM1Cost(1.0), MM1Cost(10.0)])
         prof = parallel_profile(net, [[1.0, 0.0], [0.0, 2.0]])
-        report = cost_report(net, prof, selfish(2))
+        raws, _ = priced(net, prof, selfish(2))
         # 0 * inf counts as 0; positive flow on the full link is infinite
-        assert report.link_shares[1][0] == 0.0
-        assert report.raw_costs[0] == math.inf
-        assert report.raw_costs[1] == pytest.approx(2.0 / 8.0)
+        assert raws[0] == math.inf
+        assert raws[1] == pytest.approx(2.0 / 8.0)
 
     def test_infinite_cost_propagates(self):
         net = parallel_net([MM1Cost(1.0), MM1Cost(10.0)])
         prof = parallel_profile(net, [[1.0, 0.0], [0.0, 2.0]])
         coop = CooperationProfile.from_alphas((1, 2), [0.0, 0.5])
-        report = cost_report(net, prof, coop)
+        _, ops = priced(net, prof, coop)
         # user 2 weighs the infinite cost of user 1; user 1 weighs nobody
-        assert report.operating_costs == (math.inf, math.inf)
-        report = cost_report(net, prof, selfish(2))
-        assert report.operating_costs[1] == pytest.approx(2.0 / 8.0)
+        assert ops == (math.inf, math.inf)
+        _, ops = priced(net, prof, selfish(2))
+        assert ops[1] == pytest.approx(2.0 / 8.0)
         assert marginal(net, prof, selfish(2), 2, "l1") == math.inf
         assert marginal(net, prof, selfish(2), 2, "l2") < math.inf
 
     def test_selfish_operating_cost_equals_raw(self):
         net = parallel_net([LinearCost(2.0), MM1Cost(5.0)])
         prof = parallel_profile(net, [[0.3, 0.7], [1.0, 0.5]])
-        report = cost_report(net, prof, selfish(2))
-        assert report.operating_costs == pytest.approx(report.raw_costs)
+        raws, ops = priced(net, prof, selfish(2))
+        assert ops == pytest.approx(raws)
 
     def test_operating_cost_blends_users(self):
         net = parallel_net([LinearCost(1.0), LinearCost(0.0, 0.5)])
         prof = parallel_profile(net, [[0.25, 0.75], [0.5, 0.5]])
         coop = CooperationProfile.from_alphas((1, 2), [0.4, 0.0])
-        report = cost_report(net, prof, coop)
-        j1, j2 = report.raw_costs
-        assert report.operating_costs[0] == pytest.approx(
-            0.6 * j1 + 0.4 * j2)
-        assert report.operating_costs[1] == pytest.approx(j2)
+        (j1, j2), ops = priced(net, prof, coop)
+        assert ops[0] == pytest.approx(0.6 * j1 + 0.4 * j2)
+        assert ops[1] == pytest.approx(j2)
 
     def test_marginal_is_weighted_formula(self):
         # b_i T_l + (sum_k b_k f_l^k) T_l' on each link, summed on a path
@@ -841,7 +843,7 @@ class TestUserCosts:
             trial = [list(r) for r in rows]
             trial[uid - 1][link] = flow
             prof = parallel_profile(net, trial)
-            return cost_report(net, prof, coop).operating_costs[uid - 1]
+            return priced(net, prof, coop)[1][uid - 1]
 
         prof = parallel_profile(net, rows)
         for uid in (1, 2):
@@ -851,16 +853,3 @@ class TestUserCosts:
                       - objective(uid, li, base - h)) / (2 * h)
                 assert marginal(net, prof, coop, uid, lid) == \
                     pytest.approx(fd, rel=1e-4, abs=1e-4)
-
-
-def test_cost_report_is_consistent():
-    net = parallel_net([LinearCost(1.0), LinearCost(0.0, 0.5)])
-    prof = parallel_profile(net, [[0.25, 0.75], [0.5, 0.5]])
-    coop = CooperationProfile.from_alphas((1, 2), [0.3, 0.1])
-    report = cost_report(net, prof, coop)
-    assert report.user_ids == (1, 2)
-    for i, row in enumerate(coop.rows):
-        assert report.raw_costs[i] == pytest.approx(
-            sum(report.link_shares[i]))
-        assert report.operating_costs[i] == pytest.approx(
-            sum(w * j for w, j in zip(row, report.raw_costs)))

@@ -23,8 +23,8 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cooproute import (LinearCost, MM1Cost, assemble_profile, br_dynamics,
-                       cli, cost_report, costs, get_preset, make_game,
-                       multistart_nash, nash, netmodel, verify_nash)
+                       cli, costs, get_preset, make_game, multistart_nash,
+                       nash, netmodel, verify_nash)
 from cooproute.costs import (CAPACITY_GUARD, CooperationProfile, SplitCost,
                              deviation_cost, path_marginals, user_costs,
                              weighted_cost)
@@ -146,6 +146,13 @@ def walked_loads(game, state, ui):
     return totals, weighted
 
 
+def priced(game, prof):
+    """Raw and operating costs of every user at the profile."""
+    raws = user_costs(game.net.links, prof.user_link_flows,
+                      prof.total_link_flows)
+    return raws, [weighted_cost(row, raws) for row in game.coop.rows]
+
+
 def transfer_flows(eq):
     return eq.profile.path_flows[0][1], eq.profile.path_flows[1][1]
 
@@ -248,7 +255,7 @@ def test_exact_response_matches_bisection(case):
         trial = [list(s) for s in state]
         trial[ui] = list(flows)
         prof = assemble_profile(game.net, game.paths, trial, game.demands)
-        return cost_report(game.net, prof, game.coop).operating_costs[ui]
+        return priced(game, prof)[1][ui]
 
     at_br = cost(br)
     grid_min = min(cost((r - r * i / 1000, r * i / 1000))
@@ -1106,7 +1113,7 @@ class TestSaturatedStarts:
         res = br_dynamics(game, [start] * 3)
         assert res.converged
         prof = profile_from_state(game, res.state)
-        raw = cost_report(game.net, prof, game.coop).raw_costs
+        raw, _ = priced(game, prof)
         assert all(c < math.inf for c in raw)
         assert verify_nash(game, prof).ok
 
@@ -1429,11 +1436,11 @@ class TestSaturatedBraessStarts:
     def test_dynamics_leave_a_full_link(self, start):
         game = self.game()
         prof = profile_from_state(game, [start] * 2)
-        assert math.inf in cost_report(game.net, prof, game.coop).raw_costs
+        assert math.inf in priced(game, prof)[0]
         res = br_dynamics(game, [start] * 2)
         assert res.converged
         prof = profile_from_state(game, res.state)
-        raw = cost_report(game.net, prof, game.coop).raw_costs
+        raw, _ = priced(game, prof)
         assert all(c < math.inf for c in raw)
         assert verify_nash(game, prof).ok
 
@@ -1490,8 +1497,7 @@ def test_exchange_overflow_moves_to_a_third_path():
     game = braess_game([LinearCost(1.0), LinearCost(0.0, 5.0), MM1Cost(0.2),
                         MM1Cost(0.5), LinearCost(0.0, 5.0)], [1.0], [0.0])
     start = [(1.0, 0.0, 0.0)]
-    assert math.inf in cost_report(
-        game.net, profile_from_state(game, start), game.coop).raw_costs
+    assert math.inf in priced(game, profile_from_state(game, start))[0]
     br = _best_response(game, start, 0)
     assert br[0] == 0.0 and sum(br) == pytest.approx(1.0, abs=1e-15)
     assert 0.0 < br[1] < 0.5
