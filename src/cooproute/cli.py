@@ -59,6 +59,8 @@ def _load_json(path: str, what: str):
         raise ConfigError(f"cannot read {what} {path!r}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{what} {path!r} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"{what} {path!r} nests too deeply") from None
 
 
 def _check_keys(obj, required, optional, where):

@@ -123,20 +123,15 @@ class RoutingGame:
     users: tuple[UserSpec, ...]
     paths: PathSet
     coop: CooperationProfile
-    path_link_idx: tuple = field(default=(), repr=False, compare=False)
-    two_path: tuple = field(default=(), repr=False, compare=False)
-    feeds: tuple = field(default=(), repr=False, compare=False)
-    disjoint: tuple = field(default=(), repr=False, compare=False)
+    two_path: tuple = field(init=False, repr=False, compare=False)
+    feeds: tuple = field(init=False, repr=False, compare=False)
+    disjoint: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pli = []
-        for user_paths in self.paths.paths:
-            pli.append(tuple(tuple(self.net.link_index(l) for l in p)
-                             for p in user_paths))
-        object.__setattr__(self, "path_link_idx", tuple(pli))
+        paths = self.paths.paths
         object.__setattr__(self, "two_path", tuple(
             self._two_path_user(ui, 0, 1, self.users[ui].demand)
-            if len(idx) == 2 else None for ui, idx in enumerate(pli)))
+            if len(idx) == 2 else None for ui, idx in enumerate(paths)))
         # A two-path user reads the loads on its own links; any other
         # user reads them on every link.
         m = len(self.net.links)
@@ -148,20 +143,20 @@ class RoutingGame:
         object.__setattr__(self, "disjoint", tuple(
             self._disjoint_user(ui) if len(idx) > 2 and len(
                 {l for p in idx for l in p}) == sum(map(len, idx)) else None
-            for ui, idx in enumerate(pli)))
+            for ui, idx in enumerate(paths)))
 
     def _disjoint_user(self, ui: int) -> tuple[SplitCost, ...]:
         b, r = self.coop.rows[ui][ui], self.users[ui].demand
         return tuple(
             SplitCost(specs=tuple(self.net.links[li].cost for li in p),
                       n1=len(p), own_weight=b, demand=r)
-            for p in self.path_link_idx[ui])
+            for p in self.paths.paths[ui])
 
     def _two_path_user(self, ui: int, first: int, second: int,
                        demand: float) -> _TwoPath:
         """User ``ui``'s paths ``first`` and ``second`` sharing ``demand``."""
-        p0 = self.path_link_idx[ui][first]
-        p1 = self.path_link_idx[ui][second]
+        p0 = self.paths.paths[ui][first]
+        p1 = self.paths.paths[ui][second]
         only1 = [l for l in p1 if l not in p0]
         only0 = [l for l in p0 if l not in p1]
         links = tuple(only1 + only0 + [l for l in p0 if l in p1])
@@ -180,7 +175,7 @@ class RoutingGame:
         order and then path order."""
         row = self.coop.rows[ui]
         return tuple(
-            tuple((k, p, row[k]) for k, paths in enumerate(self.path_link_idx)
+            tuple((k, p, row[k]) for k, paths in enumerate(self.paths.paths)
                   if k != ui for p, lp in enumerate(paths) if li in lp)
             for li in links)
 
@@ -237,7 +232,7 @@ def _guarded_split(game: RoutingGame, ui: int, tp: _TwoPath, others,
                 f"user {game.users[ui].user_id} saturates link "
                 f"{game.net.links[tp.links[i]].link_id!r} on every path")
     t, fits = tp.split.guarded_argmin(others, weighted)
-    if not fits and len(game.path_link_idx[ui]) == 2:
+    if not fits and len(game.paths.paths[ui]) == 2:
         raise SolverError(
             f"user {game.users[ui].user_id} has no feasible split "
             f"between its two paths")
@@ -279,7 +274,7 @@ def _disjoint_response(game: RoutingGame, ui: int, r: float,
     margins = game.disjoint[ui]
     totals, weighted = _state_loads(game, state, ui)
     loads = [([totals[li] for li in p], [weighted[li] for li in p])
-             for p in game.path_link_idx[ui]]
+             for p in game.paths.paths[ui]]
     k = len(margins)
     tops = [max(split.bracket(others)[1], 0.0)
             for split, (others, _) in zip(margins, loads)]
@@ -371,7 +366,7 @@ def _exchange_response(game: RoutingGame, ui: int, r: float,
     self-weight.  The steps stop when the two marginals agree to
     ``EXCHANGE_TOL`` or a step moves nothing.
     """
-    idx = game.path_link_idx[ui]
+    idx = game.paths.paths[ui]
     k = len(idx)
     links = game.net.links
     b = game.coop.rows[ui][ui]
@@ -415,7 +410,7 @@ def _exchange_response(game: RoutingGame, ui: int, r: float,
 
 def _best_response(game: RoutingGame, state, ui: int) -> tuple[float, ...]:
     r = game.users[ui].demand
-    paths = game.path_link_idx[ui]
+    paths = game.paths.paths[ui]
     if not paths:
         return ()
     if r == 0.0:
@@ -449,7 +444,7 @@ def _reduced(game: RoutingGame, state) -> list[float]:
 def _set_from_reduced(game: RoutingGame, state, red) -> None:
     i = 0
     for ui, u in enumerate(game.users):
-        k = len(game.path_link_idx[ui])
+        k = len(game.paths.paths[ui])
         if k <= 1:
             continue
         coords = [min(max(c, 0.0), u.demand) for c in red[i:i + k - 1]]
@@ -471,7 +466,7 @@ def _sweep(game: RoutingGame, state) -> None:
 def _forgets_start(game: RoutingGame) -> bool:
     """Whether the first user's best response ignores its own flows: it
     has two paths or fewer, or water-fills link-disjoint ones."""
-    return (len(game.path_link_idx[0]) <= 2
+    return (len(game.paths.paths[0]) <= 2
             or game.disjoint[0] is not None)
 
 
@@ -479,7 +474,7 @@ def _sweep_rank(game: RoutingGame) -> int:
     """``d``: how many reduced coordinates the next sweep reads, those of
     users 2..n and the first user's own unless ``_forgets_start``; at
     least 1 and at most ``EXTRAPOLATION_RANK``."""
-    ks = [len(p) - 1 for p in game.path_link_idx]
+    ks = [len(p) - 1 for p in game.paths.paths]
     d = sum(ks[1:]) + (0 if not ks or _forgets_start(game) else ks[0])
     return min(max(d, 1), EXTRAPOLATION_RANK)
 
@@ -676,7 +671,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
         for wk, own in zip(row, profile.user_link_flows):
             if wk:
                 weighted = [w + wk * v for w, v in zip(weighted, own)]
-        margs = path_marginals(links, game.path_link_idx[ui], row[ui],
+        margs = path_marginals(links, game.paths.paths[ui], row[ui],
                                profile.total_link_flows, weighted,
                                [0.0] * k)
         finite = [v for v in margs if v != INFINITE_COST]
@@ -690,7 +685,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
                     viol = math.inf
                 else:
                     viol = max(viol, (margs[p] - lam) / scale)
-        cost = deviation_cost(game.net.links, game.path_link_idx, state,
+        cost = deviation_cost(game.net.links, game.paths.paths, state,
                               game.coop.rows[ui], ui)
         cur = cost([state[ui]])[0]
         br = _best_response(game, state, ui)

@@ -9,7 +9,7 @@ fixes the iteration order everywhere else in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .costs import CostSpec, MM1Cost
@@ -35,17 +35,6 @@ class Network:
 
     nodes: tuple[int, ...]
     links: tuple[Link, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {lk.link_id: i for i, lk in enumerate(self.links)})
-
-    def link_index(self, link_id: str) -> int:
-        try:
-            return self._index[link_id]
-        except KeyError:
-            raise ConfigError(f"unknown link id {link_id!r}") from None
 
 
 def build_network(nodes: Iterable[int],
@@ -99,46 +88,51 @@ class UserSpec:
 
 
 def enumerate_paths(net: Network, source: int,
-                    target: int) -> tuple[tuple[str, ...], ...]:
-    """All simple paths from source to target as tuples of link ids; more
-    than ``MAX_PATHS`` of them raise ``ConfigError``.
+                    target: int) -> tuple[tuple[int, ...], ...]:
+    """All simple paths from source to target as tuples of indices into
+    ``net.links``; more than ``MAX_PATHS`` of them raise ``ConfigError``.
 
     Paths come out in lexicographic link-id order because the network's
-    links are sorted and the search extends smallest id first.
+    links are sorted and the search extends smallest id first.  The
+    search keeps one iterator over outgoing links per node on the path,
+    so a path may have any number of links.
     """
-    by_source: dict[int, list[Link]] = {}
-    for lk in net.links:
-        by_source.setdefault(lk.source, []).append(lk)
-    found: list[tuple[str, ...]] = []
-    stack: list[str] = []
+    out_links: dict[int, list[int]] = {}
+    for li, lk in enumerate(net.links):
+        out_links.setdefault(lk.source, []).append(li)
+    found: list[tuple[int, ...]] = []
+    path: list[int] = []
     visited = {source}
-
-    def walk(node: int):
+    frames = [iter(out_links.get(source, ()))]
+    while frames:
+        li = next(frames[-1], None)
+        if li is None:
+            frames.pop()
+            if path:
+                visited.remove(net.links[path.pop()].target)
+            continue
+        node = net.links[li].target
+        if node in visited:
+            continue
         if node == target:
-            found.append(tuple(stack))
+            found.append((*path, li))
             if len(found) > MAX_PATHS:
                 raise ConfigError(
                     f"more than {MAX_PATHS} paths from {source} to {target}")
-            return
-        for lk in by_source.get(node, ()):
-            if lk.target in visited:
-                continue
-            visited.add(lk.target)
-            stack.append(lk.link_id)
-            walk(lk.target)
-            stack.pop()
-            visited.remove(lk.target)
-
-    walk(source)
+            continue
+        visited.add(node)
+        path.append(li)
+        frames.append(iter(out_links.get(node, ())))
     return tuple(found)
 
 
 @dataclass(frozen=True, slots=True)
 class PathSet:
-    """Per-user routing options, aligned with a user id list."""
+    """Per-user routing options, aligned with a user id list; each path
+    is a tuple of indices into the network's links."""
 
     user_ids: tuple[int, ...]
-    paths: tuple[tuple[tuple[str, ...], ...], ...]
+    paths: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def build_path_set(net: Network, users: Sequence[UserSpec]) -> PathSet:
@@ -212,8 +206,8 @@ def assemble_profile(net: Network, path_set: PathSet,
             v = cleaned[ui][p]
             if v == 0.0:
                 continue
-            for link_id in path:
-                row[net.link_index(link_id)] += v
+            for li in path:
+                row[li] += v
         per_user.append(tuple(row))
     totals = tuple(math.fsum(per_user[ui][li] for ui in range(n))
                    for li in range(m))

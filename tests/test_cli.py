@@ -65,6 +65,18 @@ LADDER_DOC = {
 }
 
 
+# one user on a chain of 1,200 links: a single path longer than the
+# interpreter's recursion limit
+CHAIN_DOC = {
+    "nodes": list(range(1201)),
+    "links": [{"id": f"l{i:04d}", "source": i, "target": i + 1,
+               "cost": {"kind": "linear", "slope": 1.0}}
+              for i in range(1200)],
+    "users": [{"id": 1, "source": 0, "target": 1200, "demand": 1.0}],
+    "alphas": [0.0],
+}
+
+
 def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -150,6 +162,14 @@ class TestSolveCommand:
         assert rc == 0
         assert json.loads(err)["diagnostics"]["scan_coverage"] == "none"
 
+    def test_path_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "solve", "--config",
+                           write_doc(tmp_path, CHAIN_DOC))
+        assert rc == 0
+        row = out.strip().splitlines()[1].split(",")
+        # the one user routes its demand of 1 over every link
+        assert [float(v) for v in row[5:]] == [1.0] * 1200
+
     def test_manifest_lands_on_stderr_by_default(self, capsys):
         rc, out, err = run(capsys, "solve", "--preset", "exp2",
                            "--alpha", "0")
@@ -178,6 +198,19 @@ class TestErrorPaths:
         assert rc == 2
         assert "error:" in err
         assert "more than 64 paths" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config"],
+        ["sweep", "--alphas", "0,1", "--config"],
+        ["mixed", "--config"],
+        ["verify", "--preset", "exp1", "--alpha", "0", "--profile"],
+    ], ids=["solve", "sweep", "mixed", "verify"])
+    def test_deeply_nested_document(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 50_000)
+        rc, out, err = run(capsys, *argv, str(path))
+        assert rc == 2
+        assert "nests too deeply" in err
 
     def test_duplicate_json_key(self, capsys, tmp_path):
         path = tmp_path / "dup.json"

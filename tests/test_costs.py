@@ -50,7 +50,8 @@ def marginal(net, prof, coop, uid, link_id):
         if w:
             for li, v in enumerate(own):
                 weighted[li] += w * v
-    return path_marginals(net.links, [[net.link_index(link_id)]], row[ui],
+    li = [lk.link_id for lk in net.links].index(link_id)
+    return path_marginals(net.links, [[li]], row[ui],
                           prof.total_link_flows, weighted, [0.0])[0]
 
 

@@ -133,7 +133,7 @@ def walked_loads(game, state, ui):
     row = game.coop.rows[ui]
     totals = [0.0] * m
     weighted = [0.0] * m
-    for k, paths in enumerate(game.path_link_idx):
+    for k, paths in enumerate(game.paths.paths):
         if k == ui:
             continue
         for links_p, v in zip(paths, state[k]):
@@ -214,7 +214,7 @@ def best_response_cases(draw):
 def guard_bracket(game, ui, others):
     # second-path share t: M/M/1 links on one path only leave room
     # CAPACITY_GUARD short of their capacity
-    p0, p1 = game.path_link_idx[ui]
+    p0, p1 = game.paths.paths[ui]
     r = game.demands[ui]
     lo, hi = 0.0, r
     for li in p1:
@@ -233,7 +233,7 @@ def guard_bracket(game, ui, others):
 def test_exact_response_matches_bisection(case):
     game, ui, state = case
     r = game.demands[ui]
-    paths = game.path_link_idx[ui]
+    paths = game.paths.paths[ui]
     own_weight = game.coop.rows[ui][ui]
     others, weighted = walked_loads(game, state, ui)
 
@@ -318,7 +318,7 @@ def disjoint_response_cases(draw):
 def test_water_filling_response_is_optimal(case):
     game, state = case
     r = game.demands[0]
-    paths = game.path_link_idx[0]
+    paths = game.paths.paths[0]
     own_weight = game.coop.rows[0][0]
     others, weighted = walked_loads(game, state, 0)
     # a path's flow stays CAPACITY_GUARD below the room its M/M/1 link has
@@ -351,7 +351,7 @@ def test_water_filling_response_is_optimal(case):
     for x, m in zip(br, down):
         if x > 0.0:
             assert m - lam <= 1e-9 * max(1.0, abs(lam))
-    cost = deviation_cost(game.net.links, game.path_link_idx, state,
+    cost = deviation_cost(game.net.links, game.paths.paths, state,
                           game.coop.rows[0], 0)
     at_br = cost([br])[0]
     # splits that fill an M/M/1 link cost infinity; leave them out
@@ -387,7 +387,7 @@ def load_cases(draw):
                                in enumerate(zip(ends, demands))], alphas)
     state = [draw(st.lists(st.sampled_from([0.0]) | st.floats(0.0, 3.0),
                            min_size=len(paths), max_size=len(paths)))
-             for paths in game.path_link_idx]
+             for paths in game.paths.paths]
     return game, state
 
 
@@ -409,7 +409,7 @@ def full_state_cost(game, state, ui):
     path by path in user order."""
     m = len(game.net.links)
     loads, totals = [], [0.0] * m
-    for paths, flows in zip(game.path_link_idx, state):
+    for paths, flows in zip(game.paths.paths, state):
         own = [0.0] * m
         for links_p, v in zip(paths, flows):
             if v == 0.0:
@@ -465,7 +465,7 @@ def test_deviation_cost_equals_full_state_cost(name):
             state[ui] = [r, 0.0]
             splits = [(r - r * i / (g - 1), r * i / (g - 1))
                       for i in range(g)]
-            cost = deviation_cost(game.net.links, game.path_link_idx, state,
+            cost = deviation_cost(game.net.links, game.paths.paths, state,
                                   game.coop.rows[ui], ui)
             for flows, got in zip(splits, cost(splits)):
                 trial = [list(s) for s in state]
@@ -514,7 +514,7 @@ def deviation_cases(draw):
         alphas = [a if a == 0.0 or a == 1.0 else draw(st.floats(0.05, 0.95))
                   for a in alphas]
     flow = st.sampled_from([0.0, *caps]) | st.floats(0.0, 3.0)
-    width = [len(paths) for paths in games[0].path_link_idx]
+    width = [len(paths) for paths in games[0].paths.paths]
     state = [draw(st.lists(flow, min_size=w, max_size=w)) for w in width]
     points = [draw(st.lists(st.lists(flow, min_size=w, max_size=w),
                             min_size=1, max_size=8)) for w in width]
@@ -530,7 +530,7 @@ def test_deviation_kernel_equals_full_state_cost(case):
     for game in games:
         compiled = costs._kernel.cache_info().misses
         for ui, pts in enumerate(points):
-            cost = deviation_cost(game.net.links, game.path_link_idx, state,
+            cost = deviation_cost(game.net.links, game.paths.paths, state,
                                   game.coop.rows[ui], ui)
             for flows, got in zip(pts, cost(pts)):
                 trial = [list(s) for s in state]
@@ -827,7 +827,9 @@ class TestDynamics:
             ("M2", 2, 3, LinearCost(1.0, 0.2))])
         game = make_game(net, [UserSpec(1, 1, 3, 1.0),
                                UserSpec(2, 5, 2, 1.0)], [0.0, 0.0])
-        assert game.paths.paths[1] == (("D",), ("F", "L"))
+        ids = [lk.link_id for lk in game.net.links]
+        assert [[ids[li] for li in p] for p in game.paths.paths[1]] == [
+            ["D"], ["F", "L"]]
         start = [[1.0, 0.0], [1.0, 0.0]]
         # the dynamics settle in 2 sweeps; never stopping them lets the
         # window fill
@@ -1092,7 +1094,8 @@ class TestVerification:
         lam = check.kkt_multipliers[0]
         # user 1 is selfish: its weighted loads are its own, at weight 1
         prof = eq.profile
-        direct = path_marginals(game.net.links, [[game.net.link_index("l1")]],
+        assert game.net.links[0].link_id == "l1"
+        direct = path_marginals(game.net.links, [[0]],
                                 1.0, prof.total_link_flows,
                                 prof.user_link_flows[0], [0.0])[0]
         assert lam == pytest.approx(direct, abs=1e-7)
@@ -1307,8 +1310,9 @@ def test_overlapping_paths_use_pairwise_exchange():
     game = braess_game([LinearCost(1.0), LinearCost(1.0, 1.0),
                         LinearCost(1.0), LinearCost(1.0, 1.0),
                         LinearCost(1.0)], [1.0], [0.0])
-    assert game.paths.paths[0] == (("sa", "ab", "bt"), ("sa", "at"),
-                                   ("sb", "bt"))
+    ids = [lk.link_id for lk in game.net.links]
+    assert [[ids[li] for li in p] for p in game.paths.paths[0]] == [
+        ["sa", "ab", "bt"], ["sa", "at"], ["sb", "bt"]]
     assert game.two_path[0] is None and game.disjoint[0] is None
     res = br_dynamics(game, [(1.0, 0.0, 0.0)])
     assert res.converged
@@ -1316,7 +1320,7 @@ def test_overlapping_paths_use_pairwise_exchange():
     check = verify_nash(game, profile_from_state(game, res.state))
     assert check.ok
     assert check.kkt_multipliers[0] == pytest.approx(3.0, abs=1e-6)
-    cost = deviation_cost(game.net.links, game.path_link_idx,
+    cost = deviation_cost(game.net.links, game.paths.paths,
                           [list(res.state[0])], game.coop.rows[0], 0)
     at_br = cost([res.state[0]])[0]
     grid_min = min(cost(simplex_grid(1.0, [math.inf] * 3)))
@@ -1606,7 +1610,8 @@ def affine_two_user_games(draw):
     else:
         game = load_balancing_game(latencies, demands, alphas)
     links = {lk.link_id: ab for lk, ab in zip(game.net.links, specs)}
-    users = [(r, list(p[0]), list(p[1]))
+    ids = [lk.link_id for lk in game.net.links]
+    users = [(r, [ids[li] for li in p[0]], [ids[li] for li in p[1]])
              for r, p in zip(game.demands, game.paths.paths)]
     return game, links, users, alphas
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cooproute import (ConfigError, InfeasibleError, LinearCost, MM1Cost,
@@ -21,6 +21,54 @@ def ladder(rungs):
     return build_network(list(range(rungs + 1)), links)
 
 
+def link_ids(net, paths):
+    """Index paths as tuples of link ids."""
+    return tuple(tuple(net.links[li].link_id for li in p) for p in paths)
+
+
+def reference_paths(net, source, target):
+    """The recursive walk that ``enumerate_paths`` replaced, over link
+    ids: the reference for its order and its refusal."""
+    by_source = {}
+    for lk in net.links:
+        by_source.setdefault(lk.source, []).append(lk)
+    found, stack, visited = [], [], {source}
+
+    def walk(node):
+        if node == target:
+            found.append(tuple(stack))
+            if len(found) > MAX_PATHS:
+                raise ConfigError(
+                    f"more than {MAX_PATHS} paths from {source} to {target}")
+            return
+        for lk in by_source.get(node, ()):
+            if lk.target in visited:
+                continue
+            visited.add(lk.target)
+            stack.append(lk.link_id)
+            walk(lk.target)
+            stack.pop()
+            visited.remove(lk.target)
+
+    walk(source)
+    return tuple(found)
+
+
+@st.composite
+def digraphs(draw):
+    """A random multigraph on up to 7 nodes and two distinct nodes of it."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    ends = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                         min_size=1, max_size=30))
+    # ids in a drawn order, so that id order is not insertion order
+    names = draw(st.permutations(range(len(ends))))
+    net = build_network(range(n), [(f"e{k}", u, v, LinearCost(1.0))
+                                   for k, (u, v) in zip(names, ends)])
+    source = draw(node)
+    return net, source, draw(node.filter(lambda t: t != source))
+
+
 def two_origin_net(direct=4.1, cross=5.0):
     """Two sources, one sink, with a transfer link in each direction."""
     return build_network([1, 2, 3], [
@@ -36,8 +84,7 @@ class TestBuildNetwork:
         net = two_origin_net()
         assert tuple(lk.link_id for lk in net.links) == ("l1", "l2", "l3",
                                                          "l4")
-        assert net.links[net.link_index("l3")].source == 1
-        assert net.link_index("l4") == 3
+        assert net.links[2].source == 1
 
     def test_duplicate_link_ids_rejected(self):
         with pytest.raises(ConfigError):
@@ -52,17 +99,15 @@ class TestBuildNetwork:
         with pytest.raises(ConfigError):
             build_network([1, 2], [("a", 1, 3, LinearCost(1.0))])
 
-    def test_unknown_link_lookup_rejected(self):
-        net = two_origin_net()
-        with pytest.raises(ConfigError):
-            net.link_index("nope")
-
 
 class TestEnumeratePaths:
     def test_two_origin_paths_in_link_order(self):
         net = two_origin_net()
-        assert enumerate_paths(net, 1, 3) == (("l1",), ("l3", "l2"))
-        assert enumerate_paths(net, 2, 3) == (("l2",), ("l4", "l1"))
+        assert enumerate_paths(net, 1, 3) == ((0,), (2, 1))
+        assert link_ids(net, enumerate_paths(net, 1, 3)) == (("l1",),
+                                                             ("l3", "l2"))
+        assert link_ids(net, enumerate_paths(net, 2, 3)) == (("l2",),
+                                                             ("l4", "l1"))
 
     def test_no_path_gives_empty_tuple(self):
         net = build_network([1, 2, 3], [("a", 1, 2, LinearCost(1.0))])
@@ -74,7 +119,7 @@ class TestEnumeratePaths:
             ("b", 2, 1, LinearCost(1.0)),
             ("c", 2, 3, LinearCost(1.0)),
         ])
-        assert enumerate_paths(net, 1, 3) == (("a", "c"),)
+        assert link_ids(net, enumerate_paths(net, 1, 3)) == (("a", "c"),)
 
     def test_path_explosion_capped(self):
         with pytest.raises(ConfigError):
@@ -87,6 +132,23 @@ class TestEnumeratePaths:
     def test_path_cap_refuses_one_path_more(self):
         with pytest.raises(ConfigError, match="more than 64 paths"):
             make_game(ladder(7), [UserSpec(1, 0, 7, 1.0)], [0.0])
+
+    @settings(max_examples=200)
+    @given(digraphs())
+    @example((ladder(6), 0, 6))
+    @example((ladder(7), 0, 7))
+    def test_walk_matches_recursive_reference(self, case):
+        net, source, target = case
+
+        def outcome(walk):
+            try:
+                return walk(net, source, target)
+            except ConfigError as e:
+                return str(e)
+
+        got = outcome(enumerate_paths)
+        want = outcome(reference_paths)
+        assert (got if isinstance(got, str) else link_ids(net, got)) == want
 
 
 class TestPathSetAndProfiles:
