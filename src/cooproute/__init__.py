@@ -15,7 +15,7 @@ cross-check.
 from .costs import CooperationProfile, LinearCost, MM1Cost
 from .errors import (ConfigError, CoopRouteError, InfeasibleError,
                      SolverError)
-from .experiments import (Branch, ParadoxReport, ParadoxWitness, Scenario,
+from .experiments import (ParadoxReport, ParadoxWitness, Scenario,
                           SweepParameter, SweepRow, SweepTable, alpha_sweep,
                           detect_braess, detect_cooperation_paradox,
                           get_preset, parameter_sweep)
@@ -32,7 +32,7 @@ from .netmodel import (FlowProfile, Link, Network, PathSet, UserSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "ConfigError", "CooperationProfile", "CoopRouteError",
+    "ConfigError", "CooperationProfile", "CoopRouteError",
     "DynamicsResult", "EquilibriumResult", "EquilibriumSet",
     "FlowProfile", "InfeasibleError", "LinearCost", "Link", "MM1Cost",
     "MixedNumericSet", "MixedPoint", "MixedScenario", "MixedSolution",

@@ -191,6 +191,11 @@ def _resolve_alphas(given, count):
     return tuple(vals)
 
 
+# A value range may list at most this many values, so a tiny step is
+# refused before its values are built.
+MAX_VALUES = 1_000_000
+
+
 def _parse_value_list(text: str):
     text = text.strip()
     if ":" in text:
@@ -205,8 +210,11 @@ def _parse_value_list(text: str):
             raise ConfigError(f"value range {text!r} must be finite")
         if step <= 0 or stop < start:
             raise ConfigError("value ranges need step > 0 and stop >= start")
-        n = int((stop - start) / step + 1 + 1e-9)
-        return tuple(start + i * step for i in range(n))
+        n = (stop - start) / step + 1 + 1e-9
+        if not n < MAX_VALUES + 1:    # also refuses an infinite count
+            raise ConfigError(f"value range {text!r} has more than "
+                              f"{MAX_VALUES} values")
+        return tuple(start + i * step for i in range(int(n)))
     try:
         values = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError:

@@ -2,14 +2,12 @@
 
 A sweep re-solves a preset's game at every value of one scalar (a
 cooperation degree or a structural parameter such as a cross-link
-capacity) and stitches the equilibrium sets into branches by
-nearest-neighbor continuation.  New branches remember which existing
-branch they split from, so the detectors can compare a newborn
-equilibrium against its predecessor one step earlier.
-
-Two detectors walk the branches: one looks for everyone's cost rising as
-resources grow (within a branch or across a branch birth), the other for
-a user's own cost falling as that user's cooperation degree rises.
+capacity).  Two detectors stitch the rows' equilibria into branches by
+nearest-neighbor continuation and walk them, comparing each step along a
+branch and each newborn equilibrium against its nearest predecessor one
+row earlier: one looks for everyone's cost rising as resources grow, the
+other for a user's own cost falling as that user's cooperation degree
+rises.
 """
 
 from __future__ import annotations
@@ -239,73 +237,52 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class Branch:
-    """A continued equilibrium across sweep rows.
-
-    ``entries`` are (row index, equilibrium index) pairs; ``parent`` is
-    the branch this one split from when it was born after row zero.
-    """
-
-    index: int
-    born_at: int
-    parent: int | None
-    entries: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    scenario: str
     parameter: str
     rows: tuple[SweepRow, ...]
-    branches: tuple[Branch, ...]
     varied_users: tuple[int, ...]
 
 
-def _flow_vector(eq) -> tuple[float, ...]:
-    return tuple(v for flows in eq.profile.path_flows for v in flows)
+def _gap(u, v) -> float:
+    return max(abs(a - b) for a, b in zip(u, v))
 
 
-def _match_lineage(sets: Sequence[EquilibriumSet]) -> tuple[Branch, ...]:
-    """Continuation matching: nearest neighbors carry a branch forward,
-    unmatched newcomers are born with the nearest predecessor as parent."""
-    raw: list[dict] = []
-    prev_vecs: list[tuple[int, tuple[float, ...]]] = []
+def _branch_steps(sets: Sequence[EquilibriumSet]):
+    """Comparison steps along equilibrium branches, by nearest-neighbor
+    continuation; the one place that decides which equilibria compare.
+
+    Row by row, the closest pair of an equilibrium on the row before and
+    one on this row continues that branch first, ties going to the lower
+    branch id and then the lower equilibrium index.  An equilibrium left
+    over is born as a new branch and, if the row before had any, compared
+    with its nearest equilibrium there (ties to the lower branch id).
+    Yields (row_from, eq_from, row_to, eq_to, branch, birth) branch by
+    branch: each branch's steps in row order, then its birth step.
+    """
+    runs: list[list[tuple]] = []    # per branch, its steps
+    births: dict[int, tuple] = {}   # branch -> its birth step
+    ends: list[tuple] = []          # (branch, eq, flows) on the row before
     for k, eqset in enumerate(sets):
-        vecs = [_flow_vector(e) for e in eqset.equilibria]
-        if k == 0:
-            for i, v in enumerate(vecs):
-                raw.append({"entries": [(0, i)], "last": v,
-                            "parent": None, "born_at": 0})
-            prev_vecs = [(bi, b["last"]) for bi, b in enumerate(raw)]
-            continue
-        alive = [bi for bi, b in enumerate(raw)
-                 if b["entries"][-1][0] == k - 1]
-        pairs = sorted(
-            (max(abs(a - b) for a, b in zip(raw[bi]["last"], v)), bi, i)
-            for bi in alive for i, v in enumerate(vecs))
-        used_b: set[int] = set()
-        used_i: set[int] = set()
-        for _, bi, i in pairs:
-            if bi in used_b or i in used_i:
-                continue
-            used_b.add(bi)
-            used_i.add(i)
-            raw[bi]["entries"].append((k, i))
-            raw[bi]["last"] = vecs[i]
+        vecs = [tuple(v for flows in e.profile.path_flows for v in flows)
+                for e in eqset.equilibria]
+        owner: dict[int, int] = {}  # eq on this row -> its branch
+        for _, b, j, i in sorted((_gap(u, v), b, j, i) for b, j, u in ends
+                                 for i, v in enumerate(vecs)):
+            if i not in owner and b not in owner.values():
+                owner[i] = b
+                runs[b].append((k - 1, j, k, i, b, False))
         for i, v in enumerate(vecs):
-            if i in used_i:
-                continue
-            parent = None
-            if prev_vecs:
-                parent = min(prev_vecs, key=lambda pv: max(
-                    abs(a - b) for a, b in zip(pv[1], v)))[0]
-            raw.append({"entries": [(k, i)], "last": v,
-                        "parent": parent, "born_at": k})
-        prev_vecs = [(bi, raw[bi]["last"]) for bi in range(len(raw))
-                     if raw[bi]["entries"][-1][0] == k]
-    return tuple(Branch(index=bi, born_at=b["born_at"], parent=b["parent"],
-                        entries=tuple(b["entries"]))
-                 for bi, b in enumerate(raw))
+            if i not in owner:
+                owner[i] = b = len(runs)
+                runs.append([])
+                if ends:
+                    _, j, _ = min(ends, key=lambda e: _gap(e[2], v))
+                    births[b] = (k - 1, j, k, i, b, True)
+        ends = sorted((b, i, vecs[i]) for i, b in owner.items())
+    for b, run in enumerate(runs):
+        yield from run
+        if b in births:
+            yield births[b]
 
 
 def _solve_rows(values, games, map) -> tuple[SweepRow, ...]:
@@ -335,13 +312,11 @@ def alpha_sweep(scenario: Scenario, values: Sequence[float],
         else:
             alphas = (v,) + scenario.base_alphas[1:]
         games.append(scenario.build_game(alphas=alphas))
-    rows = _solve_rows(values, games, map)
-    branches = _match_lineage([r.equilibria for r in rows])
     varied = (tuple(range(len(scenario.base_alphas)))
               if vary == "all" else (0,))
-    return SweepTable(scenario=scenario.name,
-                      parameter="alpha" if vary == "all" else "alpha_first",
-                      rows=rows, branches=branches, varied_users=varied)
+    return SweepTable(parameter="alpha" if vary == "all" else "alpha_first",
+                      rows=_solve_rows(values, games, map),
+                      varied_users=varied)
 
 
 def parameter_sweep(scenario: Scenario,
@@ -357,9 +332,8 @@ def parameter_sweep(scenario: Scenario,
                                     else scenario.param.values))
     rows = _solve_rows(vals, [scenario.build_game(param=v) for v in vals],
                        map)
-    branches = _match_lineage([r.equilibria for r in rows])
-    return SweepTable(scenario=scenario.name, parameter=scenario.param.name,
-                      rows=rows, branches=branches, varied_users=())
+    return SweepTable(parameter=scenario.param.name, rows=rows,
+                      varied_users=())
 
 
 # A cost counts as risen or fallen only when it moves by more than
@@ -389,32 +363,15 @@ class ParadoxReport:
     notes: tuple[str, ...] = ()
 
 
-def _branch_pairs(sets: Sequence[EquilibriumSet]):
-    """Consecutive comparison pairs along branches, births included.
-
-    Yields (row_from, eq_from, row_to, eq_to, branch_index, birth).
-    """
-    branches = _match_lineage(sets)
-    for b in branches:
-        for (k1, i1), (k2, i2) in zip(b.entries, b.entries[1:]):
-            yield k1, i1, k2, i2, b.index, False
-        if b.parent is not None and b.born_at > 0:
-            # _match_lineage picks a parent that ends on the row before
-            k1, i1 = next(e for e in branches[b.parent].entries
-                          if e[0] == b.born_at - 1)
-            k2, i2 = b.entries[0]
-            yield k1, i1, k2, i2, b.index, True
-
-
 def detect_braess(table: SweepTable,
                   resource_direction: str = "increasing") -> ParadoxReport:
     """Look for added resources making every user worse off.
 
     The rows are walked in the direction of growing resources (set
     ``resource_direction`` to "decreasing" when smaller parameter values
-    mean more resources, as for a link price).  A witness is a branch
-    step, or a branch birth compared against its parent, where every
-    user's cost rises by more than ``PARADOX_MARGIN``.
+    mean more resources, as for a link price).  A witness is a step of
+    ``_branch_steps``, along a branch or at a birth, where every user's
+    cost rises by more than ``PARADOX_MARGIN``.
     """
     if resource_direction not in ("increasing", "decreasing"):
         raise ConfigError('resource_direction must be "increasing" or '
@@ -424,7 +381,7 @@ def detect_braess(table: SweepTable,
         rows = rows[::-1]
     sets = [r.equilibria for r in rows]
     witnesses = []
-    for k1, i1, k2, i2, branch, birth in _branch_pairs(sets):
+    for k1, i1, k2, i2, branch, birth in _branch_steps(sets):
         before = sets[k1].equilibria[i1].raw_costs
         after = sets[k2].equilibria[i2].raw_costs
         if all(b + PARADOX_MARGIN < a for b, a in zip(before, after)):
@@ -440,8 +397,8 @@ def detect_cooperation_paradox(table: SweepTable) -> ParadoxReport:
     """Look for a user's own cost falling, by more than ``PARADOX_MARGIN``,
     as its cooperation degree rises.
 
-    Checks the users whose degree the sweep varied, along branch steps
-    and births; a structural sweep varies none and is refused.  When a
+    Checks the users whose degree the sweep varied, at each step of
+    ``_branch_steps``; a structural sweep varies none and is refused.  When a
     witness lies on rows that each hold a single equilibrium, the report
     sets ``discrepancy``: the drop then cannot be explained by a jump
     between coexisting equilibria.
@@ -454,7 +411,7 @@ def detect_cooperation_paradox(table: SweepTable) -> ParadoxReport:
     witnesses = []
     discrepancy = False
     notes: list[str] = []
-    for k1, i1, k2, i2, branch, birth in _branch_pairs(sets):
+    for k1, i1, k2, i2, branch, birth in _branch_steps(sets):
         before = sets[k1].equilibria[i1].raw_costs
         after = sets[k2].equilibria[i2].raw_costs
         for ui in checked:

@@ -136,9 +136,6 @@ def mixed_costs(s: MixedScenario, group_split: float,
 class MixedCheck:
     ok: bool
     violation: float
-    wardrop_gap: float
-    group_gap: float
-    saturated: bool
 
 
 def verify_mixed(s: MixedScenario, group_split: float,
@@ -147,17 +144,13 @@ def verify_mixed(s: MixedScenario, group_split: float,
 
     The group check accepts either a matching split or a matching cost,
     so flat stretches of the group objective do not flag false
-    violations.
+    violations.  A split that saturates a link is refused outright.
     """
     r1, r2 = s.group_demand, s.mass_demand
     f1 = group_split + (r2 - mass_split)
     f2 = (r1 - group_split) + mass_split
-    saturated = ((f1 > 0 and f1 >= s.capacity_one)
-                 or (f2 > 0 and f2 >= s.capacity_two))
-    if saturated:
-        return MixedCheck(ok=False, violation=math.inf,
-                          wardrop_gap=math.inf, group_gap=math.inf,
-                          saturated=True)
+    if (f1 > 0 and f1 >= s.capacity_one) or (f2 > 0 and f2 >= s.capacity_two):
+        return MixedCheck(ok=False, violation=math.inf)
     split = _group_split(s)
     w_star = wardrop_split(*split.specs, group_split, r1 - group_split, r2)
     wardrop_gap = abs(mass_split - w_star) / max(1.0, r2)
@@ -166,11 +159,8 @@ def verify_mixed(s: MixedScenario, group_split: float,
     _, _, cur = mixed_costs(s, group_split, mass_split)
     _, _, best = mixed_costs(s, x_star, mass_split)
     cost_gap = max(cur - best, 0.0) / max(1.0, abs(best))
-    group_gap = min(split_gap, cost_gap)
-    violation = max(wardrop_gap, group_gap)
-    return MixedCheck(ok=violation <= VERIFY_TOL,
-                      violation=violation, wardrop_gap=wardrop_gap,
-                      group_gap=group_gap, saturated=False)
+    violation = max(wardrop_gap, min(split_gap, cost_gap))
+    return MixedCheck(ok=violation <= VERIFY_TOL, violation=violation)
 
 
 @dataclass(frozen=True)

@@ -720,7 +720,6 @@ class EquilibriumResult:
     profile: FlowProfile
     raw_costs: tuple[float, ...]
     operating_costs: tuple[float, ...]
-    kkt_multipliers: tuple[float, ...]
     basin_count: int
     # spread of the limits of the trajectories that ran into the cluster
     cluster_diameter: float
@@ -1262,8 +1261,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
             profile=profile, raw_costs=tuple(raws),
             operating_costs=tuple(weighted_cost(row, raws)
                                   for row in game.coop.rows),
-            kkt_multipliers=check.kkt_multipliers, basin_count=c.basin,
-            cluster_diameter=diameter, scan_found=c.basin == 0,
+            basin_count=c.basin, cluster_diameter=diameter,
+            scan_found=c.basin == 0,
             verified=check.ok, max_violation=check.max_violation))
     runs += [c.polish for c in reached if c.polish is not None]
     diagnostics = {"total_starts": total_starts,

@@ -4,7 +4,7 @@ import shlex
 
 import pytest
 
-from cooproute import SolverError
+from cooproute import ConfigError, SolverError
 from cooproute import cli
 
 
@@ -272,12 +272,20 @@ class TestErrorPaths:
         ("--preset", "exp1", "--alphas", "0:1:nan"),
         ("--preset", "exp1", "--alphas", "0:inf:1"),
         ("--preset", "braess-lb-sym", "--parameter", "--values", "nan:1:0.5"),
+        # finite ends whose count overflows a float
+        ("--preset", "exp1", "--alphas", "0:1e308:1e-308"),
     ])
     def test_non_finite_ranges_rejected(self, capsys, argv):
         rc, out, err = run(capsys, "sweep", *argv)
         assert rc == 2
         assert out == ""
         assert "error:" in err
+
+    def test_range_count_is_capped(self):
+        # called directly: a sweep would first solve every value it keeps
+        assert len(cli._parse_value_list("0:1:1e-5")) == 100_001
+        with pytest.raises(ConfigError, match="more than 1000000"):
+            cli._parse_value_list("0:1:1e-6")
 
     def test_mixed_document_needs_mixed_command(self, capsys, tmp_path):
         rc, out, err = run(capsys, "solve", "--config",

@@ -1,9 +1,15 @@
+from types import SimpleNamespace
+
 import pytest
 
 from cooproute import (ConfigError, InfeasibleError, alpha_sweep,
                        detect_braess, detect_cooperation_paradox,
                        get_preset, parameter_sweep)
-from cooproute.experiments import PRESETS
+from cooproute.experiments import PRESETS, _branch_steps
+
+
+def steps_of(table):
+    return list(_branch_steps([r.equilibria for r in table.rows]))
 
 
 class TestPresets:
@@ -63,8 +69,9 @@ class TestAlphaSweep:
         assert table.varied_users == (0, 1)
         # one equilibrium per row on this instance
         assert [len(r.equilibria) for r in table.rows] == [1, 1, 1]
-        assert len(table.branches) == 1
-        assert table.branches[0].entries == ((0, 0), (1, 0), (2, 0))
+        # one branch through every row
+        assert steps_of(table) == [(0, 0, 1, 0, 0, False),
+                                   (1, 0, 2, 0, 0, False)]
 
     def test_first_user_sweep_varies_one_degree(self):
         table = alpha_sweep(get_preset("exp1"), (0.0, 0.4), vary="first")
@@ -78,19 +85,46 @@ class TestAlphaSweep:
             alpha_sweep(get_preset("exp1"), (0.0,), vary="second")
 
 
+def test_branch_steps_on_hand_built_rows():
+    # one flow per equilibrium; the rows are, by index:
+    #   0: []       empty first row
+    #   1: [0]      branch 0 born, no row before to compare with
+    #   2: [4, 0]   branch 0 goes on at 0; 4 is born as branch 1 and
+    #               compared with row 1's 0, which also went on
+    #   3: [4, 0]   both branches go on
+    #   4: [2]      2 away from both: the tie goes to branch 0, the
+    #               lower id, although branch 1 holds equilibrium 0
+    #   5: []       empty middle row
+    #   6: [7]      branch 2 born, not compared
+    #   7: [7]      branch 2 goes on
+    rows = [[], [0], [4, 0], [4, 0], [2], [], [7], [7]]
+    sets = [SimpleNamespace(equilibria=[
+        SimpleNamespace(profile=SimpleNamespace(path_flows=((x,),)))
+        for x in row]) for row in rows]
+    # branch by branch; a branch's birth step follows its other steps
+    assert list(_branch_steps(sets)) == [
+        (1, 0, 2, 1, 0, False), (2, 1, 3, 1, 0, False),
+        (3, 1, 4, 0, 0, False),
+        (2, 0, 3, 0, 1, False), (1, 0, 2, 0, 1, True),
+        (6, 0, 7, 0, 2, False)]
+
+
 class TestParameterSweep:
     def test_branch_birth_has_parent(self):
         sc = get_preset("braess-lb-sym")
         table = parameter_sweep(sc, values=(0.0, 5.0, 6.5, 10.0))
         assert table.parameter == "cross_capacity"
-        base = table.branches[0]
-        assert base.born_at == 0
-        assert base.parent is None
-        assert len(base.entries) == 4
-        born_later = [b for b in table.branches if b.born_at > 0]
-        assert born_later
-        for b in born_later:
-            assert b.parent is not None
+        assert all(r.equilibria for r in table.rows)
+        steps = steps_of(table)
+        # branch 0 starts on the first row and runs to the last
+        assert [s[:4] for s in steps if s[4] == 0] == [
+            (0, 0, 1, 0), (1, 0, 2, 0), (2, 0, 3, 0)]
+        # no row is empty, so every later branch is compared at its
+        # birth with an equilibrium one row earlier
+        births = [s for s in steps if s[5]]
+        assert births
+        assert {s[4] for s in births} == {s[4] for s in steps} - {0}
+        assert all(s[2] == s[0] + 1 for s in births)
 
     def test_requires_a_parameter(self):
         with pytest.raises(ConfigError):

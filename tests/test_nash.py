@@ -1590,22 +1590,12 @@ class TestUniquenessCertificate:
         assert multistart_nash(game).diagnostics["scan_coverage"] == coverage
 
 
-@st.composite
-def affine_two_user_games(draw):
-    """A two-user load-balancing or parallel game on affine links, some
-    of them flat, as a cooproute game and as the oracle's input.  Slopes
-    are 0 or at least 1e-6: below about 1e-300, slope times flow
-    underflows to 0 and the float objectives go flat, although the exact
-    game still has one equilibrium."""
-    slope = st.one_of(st.just(0.0), st.floats(1e-6, 3.0))
-    parallel = draw(st.booleans())
-    k = 2 if parallel else 4
-    specs = [(draw(slope), draw(st.floats(0.0, 2.0))) for _ in range(k)]
-    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
-    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-                           min_size=2, max_size=2))
+def affine_two_user_game(specs, demands, alphas):
+    """A two-user game on affine links given as (slope, intercept) pairs,
+    parallel for two links and load-balancing for four, as a cooproute
+    game and as the oracle's input."""
     latencies = [LinearCost(a, g) for a, g in specs]
-    if parallel:
+    if len(specs) == 2:
         game = parallel_game(latencies, demands, alphas)
     else:
         game = load_balancing_game(latencies, demands, alphas)
@@ -1614,6 +1604,22 @@ def affine_two_user_games(draw):
     users = [(r, [ids[li] for li in p[0]], [ids[li] for li in p[1]])
              for r, p in zip(game.demands, game.paths.paths)]
     return game, links, users, alphas
+
+
+@st.composite
+def affine_two_user_games(draw):
+    """A two-user load-balancing or parallel game on affine links, some
+    of them flat, built by ``affine_two_user_game``.  Slopes are 0 or at
+    least 1e-6: below about 1e-300, slope times flow underflows to 0 and
+    the float objectives go flat, although the exact game still has one
+    equilibrium."""
+    slope = st.one_of(st.just(0.0), st.floats(1e-6, 3.0))
+    k = 2 if draw(st.booleans()) else 4
+    specs = [(draw(slope), draw(st.floats(0.0, 2.0))) for _ in range(k)]
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=2, max_size=2))
+    return affine_two_user_game(specs, demands, alphas)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1642,6 +1648,25 @@ def oracle_holds(flows, points, segments):
 
 @settings(max_examples=60, deadline=None)
 @given(affine_two_user_games())
+# Known misses, until affine games are solved in exact arithmetic.  The
+# oracle's point where user 1 sits on l2 has a slack of exactly zero for
+# user 1; the pass's exact sign test drops that root and the dynamics
+# stop short of it.
+@example(affine_two_user_game([(1.082884660382893, 0.5), (0.0, 1.5)],
+                              [1.0, 0.625], [0.5, 0.99999])).xfail(
+    raises=AssertionError, reason="zero-slack point missed")
+# An own weight of 2^-53, at float resolution: user 1's float derivative
+# at the oracle's point (1, 0.9389) reads +1.1e-16 where the exact slack
+# is zero (the slope 0.8911 is rounded from a random draw; the miss is
+# the same) ...
+@example(affine_two_user_game([(0.8911, 0.0), (0.0, 1.0)], [1.0, 1.5],
+                              [0.5, 1 - 2**-53])).xfail(
+    raises=AssertionError, reason="float derivative hides a zero slack")
+# ... and the oracle's third point puts 2.75e-17 on user 1's path, below
+# float resolution, where no solve finds it.
+@example(affine_two_user_game([(0.0, 0.25), (1.0, 0.0)], [1.0, 1.0],
+                              [0.99609375, 1 - 2**-53])).xfail(
+    raises=AssertionError, reason="point below float resolution missed")
 def test_affine_games_match_the_oracle(case):
     # certified or not: every verified point is an equilibrium of the
     # exact oracle, and every isolated oracle point is emitted, also
