@@ -20,8 +20,8 @@ from .experiments import (ParadoxReport, ParadoxWitness, Scenario,
                           detect_braess, detect_cooperation_paradox,
                           get_preset, parameter_sweep)
 from .mixed import (MixedNumericSet, MixedPoint, MixedScenario,
-                    MixedSolution, MixedSolutionSet, mixed_closed_form,
-                    mixed_costs, mixed_numeric, verify_mixed, wardrop_split)
+                    MixedSolutionSet, mixed_closed_form, mixed_costs,
+                    mixed_numeric, verify_mixed, wardrop_split)
 from .nash import (DynamicsResult, EquilibriumResult, EquilibriumSet,
                    NashCheck, RoutingGame, br_dynamics, make_game,
                    multistart_nash, verify_nash)
@@ -35,9 +35,9 @@ __all__ = [
     "ConfigError", "CooperationProfile", "CoopRouteError",
     "DynamicsResult", "EquilibriumResult", "EquilibriumSet",
     "FlowProfile", "InfeasibleError", "LinearCost", "Link", "MM1Cost",
-    "MixedNumericSet", "MixedPoint", "MixedScenario", "MixedSolution",
-    "MixedSolutionSet", "NashCheck", "Network", "ParadoxReport",
-    "ParadoxWitness", "PathSet", "RoutingGame", "Scenario", "SolverError",
+    "MixedNumericSet", "MixedPoint", "MixedScenario", "MixedSolutionSet",
+    "NashCheck", "Network", "ParadoxReport", "ParadoxWitness", "PathSet",
+    "RoutingGame", "Scenario", "SolverError",
     "SweepParameter", "SweepRow", "SweepTable", "UserSpec", "alpha_sweep",
     "assemble_profile", "br_dynamics", "build_network", "build_path_set",
     "check_feasibility", "detect_braess",

@@ -408,19 +408,15 @@ def _cmd_mixed(args, manifest):
         manifest["warnings"].append(f"closed form: {note}")
     lines = ["solver,case,kind,group_split,mass_split,group_cost,"
              "mass_cost,operating_cost,verified,violation,basin_count"]
-    for sol in closed.solutions:
-        lines.append(",".join([
-            "closed-form", sol.case, sol.kind, _fmt(sol.group_split),
-            _fmt(sol.mass_split), _fmt(sol.group_cost), _fmt(sol.mass_cost),
-            _fmt(sol.operating_cost), str(sol.verified).lower(),
-            _fmt(sol.violation), ""]))
-    for pt in numeric.points:
-        lines.append(",".join([
-            "numeric", "", "scan" if pt.scan_found else "iterated",
-            _fmt(pt.group_split), _fmt(pt.mass_split), _fmt(pt.group_cost),
-            _fmt(pt.mass_cost), _fmt(pt.operating_cost),
-            str(pt.verified).lower(), _fmt(pt.violation),
-            str(pt.basin_count)]))
+    for solver, points in (("closed-form", closed.solutions),
+                           ("numeric", numeric.points)):
+        for pt in points:
+            lines.append(",".join([
+                solver, pt.case, pt.kind, _fmt(pt.group_split),
+                _fmt(pt.mass_split), _fmt(pt.group_cost),
+                _fmt(pt.mass_cost), _fmt(pt.operating_cost),
+                str(pt.verified).lower(), _fmt(pt.violation),
+                "" if pt.basin_count is None else str(pt.basin_count)]))
     return "\n".join(lines) + "\n"
 
 

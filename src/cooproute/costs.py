@@ -74,6 +74,11 @@ class MM1Cost:
             raise ConfigError("capacity must be finite")
         if self.capacity < 0:
             raise ConfigError("capacity must be nonnegative")
+        if 0.0 < self.capacity and self.capacity ** 3 < sys.float_info.min:
+            # the cube of a slack, which T'' divides by, would lose its
+            # precision or round to zero
+            raise ConfigError(f"capacity {self.capacity!r} has a subnormal "
+                              f"cube")
 
     # ``value`` as kernel source (see ``LinearCost.LATENCY``); the slack
     # is taken twice, as a comprehension's ``for`` clause binds no name

@@ -22,7 +22,7 @@ dropped, so disagreements between the two solvers stay visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .costs import (CAPACITY_GUARD, MM1Cost, SplitCost, guard_fill,
                     user_costs, weighted_cost)
@@ -46,21 +46,24 @@ VERIFY_TOL = 1e-7
 
 @dataclass(frozen=True)
 class MixedScenario:
-    """Two parallel links, a group player, and a selfish background mass."""
+    """Two parallel links, a group player, and a selfish background mass.
+    Built once, here: ``links``, the two M/M/1 links, and ``split``, the
+    group's cost along its flow on link one (the second path) with the
+    cooperation row ``(1 - alpha, alpha)``."""
 
     capacity_one: float
     capacity_two: float
     group_demand: float
     mass_demand: float
     alpha: float
+    links: tuple[Link, Link] = field(init=False, repr=False, compare=False)
+    split: SplitCost = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        one, two = MM1Cost(self.capacity_one), MM1Cost(self.capacity_two)
         if not all(math.isfinite(v) for v in (
-                self.capacity_one, self.capacity_two, self.group_demand,
-                self.mass_demand, self.alpha)):
+                self.group_demand, self.mass_demand, self.alpha)):
             raise ConfigError("mixed scenario fields must be finite")
-        if self.capacity_one < 0 or self.capacity_two < 0:
-            raise ConfigError("capacities must be nonnegative")
         if self.group_demand < 0 or self.mass_demand < 0:
             raise ConfigError("demands must be nonnegative")
         if not 0.0 <= self.alpha <= 1.0:
@@ -72,6 +75,11 @@ class MixedScenario:
                 f"{self.capacity_one + self.capacity_two}",
                 detail={"demand": total,
                         "capacity": self.capacity_one + self.capacity_two})
+        object.__setattr__(self, "links", (Link("1", 1, 2, one),
+                                           Link("2", 1, 2, two)))
+        object.__setattr__(self, "split", SplitCost(
+            specs=(one, two), n1=1, own_weight=1.0 - self.alpha,
+            demand=self.group_demand))
 
 
 def wardrop_split(cost_one: MM1Cost, cost_two: MM1Cost, base_one: float,
@@ -102,17 +110,11 @@ def wardrop_split(cost_one: MM1Cost, cost_two: MM1Cost, base_one: float,
     return min(max(0.5 * (room_two - room_one + mass), lo), hi)
 
 
-def _group_split(s: MixedScenario) -> SplitCost:
-    """The group as a two-path user with cooperation row (1 - alpha, alpha)."""
-    return SplitCost(specs=(MM1Cost(s.capacity_one), MM1Cost(s.capacity_two)),
-                     n1=1, own_weight=1.0 - s.alpha, demand=s.group_demand)
-
-
-def _group_response(s: MixedScenario, split: SplitCost, w: float) -> float:
+def _group_response(s: MixedScenario, w: float) -> float:
     """Group split on link one minimizing its weighted cost at mass split w."""
     mass_one = s.mass_demand - w
-    x, fits = split.guarded_argmin((mass_one, w),
-                                   (s.alpha * mass_one, s.alpha * w))
+    x, fits = s.split.guarded_argmin((mass_one, w),
+                                     (s.alpha * mass_one, s.alpha * w))
     if not fits:
         raise InfeasibleError(
             "group demand does not fit beside the background mass",
@@ -126,9 +128,7 @@ def mixed_costs(s: MixedScenario, group_split: float,
     loads = ((group_split, s.group_demand - group_split),
              (s.mass_demand - mass_split, mass_split))
     totals = (group_split + loads[1][0], loads[0][1] + mass_split)
-    links = (Link("1", 1, 2, MM1Cost(s.capacity_one)),
-             Link("2", 1, 2, MM1Cost(s.capacity_two)))
-    raws = user_costs(links, loads, totals)
+    raws = user_costs(s.links, loads, totals)
     return (*raws, weighted_cost((1.0 - s.alpha, s.alpha), raws))
 
 
@@ -151,10 +151,9 @@ def verify_mixed(s: MixedScenario, group_split: float,
     f2 = (r1 - group_split) + mass_split
     if (f1 > 0 and f1 >= s.capacity_one) or (f2 > 0 and f2 >= s.capacity_two):
         return MixedCheck(ok=False, violation=math.inf)
-    split = _group_split(s)
-    w_star = wardrop_split(*split.specs, group_split, r1 - group_split, r2)
+    w_star = wardrop_split(*s.split.specs, group_split, r1 - group_split, r2)
     wardrop_gap = abs(mass_split - w_star) / max(1.0, r2)
-    x_star = _group_response(s, split, mass_split)
+    x_star = _group_response(s, mass_split)
     split_gap = abs(group_split - x_star) / max(1.0, r1)
     _, _, cur = mixed_costs(s, group_split, mass_split)
     _, _, best = mixed_costs(s, x_star, mass_split)
@@ -164,17 +163,13 @@ def verify_mixed(s: MixedScenario, group_split: float,
 
 
 @dataclass(frozen=True)
-class MixedSolution:
-    """One closed-form candidate with its derivation trail.
-
-    ``case`` says which links the mass uses; ``kind`` is "interior" when
-    the group's first-order condition picked the point and "boundary" when
-    a region end did.  ``span`` is the case's admissible interval for the
-    group split, ``equal_cost_offset`` the shift between the two splits
-    that keeps both link latencies equal, and ``quad_a``, ``quad_b`` and
-    ``quad_c`` the coefficients of the quadratic whose root is the group's
-    interior split when the mass uses one link (None when it uses both).
-    """
+class MixedPoint:
+    """One candidate of either solver, priced and verified.  A closed-form
+    point names the links the mass uses (``case``) and is "interior" when
+    the group's first-order condition picked it, "boundary" when a region
+    end did, with no ``basin_count``.  A numeric point has an empty case
+    and is "scan" when no start's alternation reached it (basin count 0),
+    so only the scan found it, and "iterated" otherwise."""
 
     case: str
     kind: str
@@ -185,16 +180,22 @@ class MixedSolution:
     operating_cost: float
     verified: bool
     violation: float
-    span: tuple[float, float]
-    equal_cost_offset: float
-    quad_a: float | None = None
-    quad_b: float | None = None
-    quad_c: float | None = None
+    basin_count: int | None
+
+
+def _point(s: MixedScenario, case: str, kind: str, x: float, w: float,
+           basin_count: int | None = None) -> MixedPoint:
+    """The point ``(x, w)`` priced by ``mixed_costs`` and checked by
+    ``verify_mixed``."""
+    costs = mixed_costs(s, x, w)
+    check = verify_mixed(s, x, w)
+    return MixedPoint(case, kind, x, w, *costs, check.ok, check.violation,
+                      basin_count)
 
 
 @dataclass(frozen=True)
 class MixedSolutionSet:
-    solutions: tuple[MixedSolution, ...]
+    solutions: tuple[MixedPoint, ...]
     continuum: bool
     continuum_span: tuple[float, float] | None
     notes: tuple[str, ...]
@@ -218,44 +219,38 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
     r1, r2, a = s.group_demand, s.mass_demand, s.alpha
     scale = max(1.0, c1, c2, r1, r2)
     tol = _REGION_TOL * scale
+    # the shift between the two splits that keeps both latencies equal
     offset = 0.5 * (c1 - c2) + 0.5 * (r1 - r2)
     upper = offset + r2
     notes: list[str] = []
     continuum = False
     continuum_span = None
-    candidates: list[MixedSolution] = []
+    candidates: list[MixedPoint] = []
 
-    def emit(case, kind, x, w, span, **extra):
+    def emit(case, kind, x, w):
         x = min(max(x, 0.0), r1)
         w = min(max(w, 0.0), r2)
         for prev in candidates:
             if (abs(prev.group_split - x) <= _DUP_TOL * scale
                     and abs(prev.mass_split - w) <= _DUP_TOL * scale):
                 return
-        jg, jm, jo = mixed_costs(s, x, w)
-        check = verify_mixed(s, x, w)
-        candidates.append(MixedSolution(
-            case=case, kind=kind, group_split=x, mass_split=w,
-            group_cost=jg, mass_cost=jm, operating_cost=jo,
-            verified=check.ok, violation=check.violation, span=span,
-            equal_cost_offset=offset, **extra))
+        candidates.append(_point(s, case, kind, x, w))
 
     # Mass on both links: equal latencies tie the splits together through
     # a constant offset, and the group's stationarity is linear.
     lo1, hi1 = max(offset, 0.0), min(upper, r1)
     if lo1 <= hi1 + tol:
-        span1 = (lo1, hi1)
         balance = 1.0 - 2.0 * a
         if balance == 0.0:
             if c1 == c2:
                 continuum = True
-                continuum_span = span1
+                continuum_span = (lo1, hi1)
                 notes.append(
                     "balanced weight with equal capacities: every split in "
                     f"[{lo1:.12g}, {hi1:.12g}] paired with its equal-latency "
                     "mass split is an equilibrium")
-                emit("both-links", "boundary", lo1, lo1 - offset, span1)
-                emit("both-links", "boundary", hi1, hi1 - offset, span1)
+                emit("both-links", "boundary", lo1, lo1 - offset)
+                emit("both-links", "boundary", hi1, hi1 - offset)
             else:
                 notes.append(
                     "balanced weight: the both-links objective is linear "
@@ -264,26 +259,19 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
         else:
             root = (a * (c2 - c1) + r1 * balance) / (2.0 * balance)
             if lo1 - tol <= root <= hi1 + tol:
-                emit("both-links", "interior", root, root - offset, span1)
+                emit("both-links", "interior", root, root - offset)
 
         def along(x: float) -> float:
             return (1.0 - a) * (2.0 * x - r1) + a * (r2 - 2.0 * (x - offset))
 
         if along(lo1) >= -tol:
-            emit("both-links", "boundary", lo1, lo1 - offset, span1)
+            emit("both-links", "boundary", lo1, lo1 - offset)
         if along(hi1) <= tol:
-            emit("both-links", "boundary", hi1, hi1 - offset, span1)
+            emit("both-links", "boundary", hi1, hi1 - offset)
 
-    def one_link(case, w, span, u0, v0, heavy, light):
+    def one_link(case, w, lo, hi, u0, v0, heavy, light):
         # With the mass fixed on one link the group's derivative is
-        # heavy / u^2 - light / v^2 in the slacks u = u0 - x, v = v0 + x;
-        # its zero solves a quadratic whose coefficients form the trail.
-        lo, hi = span
-        qa = heavy - light
-        qb = 2.0 * (heavy * v0 + light * u0)
-        qc = heavy * v0 * v0 - light * u0 * u0
-        trail = dict(quad_a=qa, quad_b=qb, quad_c=qc)
-
+        # heavy / u^2 - light / v^2 in the slacks u = u0 - x, v = v0 + x.
         def deriv(x: float) -> float:
             uu, vv = u0 - x, v0 + x
             if uu <= 0 or vv <= 0:
@@ -294,18 +282,18 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
             root = ((math.sqrt(light) * u0 - math.sqrt(heavy) * v0)
                     / (math.sqrt(heavy) + math.sqrt(light)))
             if lo - tol <= root <= hi + tol:
-                emit(case, "interior", root, w, span, **trail)
+                emit(case, "interior", root, w)
         if deriv(lo) >= -tol:
-            emit(case, "boundary", lo, w, span, **trail)
+            emit(case, "boundary", lo, w)
         if deriv(hi) <= tol:
-            emit(case, "boundary", hi, w, span, **trail)
+            emit(case, "boundary", hi, w)
 
     # Mass only on link one (its split is zero there).
     hi2 = min(offset, r1)
     if hi2 >= -tol:
         u0 = c1 - r2   # link-one slack at x = 0
         v0 = c2 - r1   # link-two slack at x = 0
-        one_link("wardrop-link1-only", 0.0, (0.0, min(max(hi2, 0.0), r1)),
+        one_link("wardrop-link1-only", 0.0, 0.0, min(max(hi2, 0.0), r1),
                  u0, v0, (1.0 - a) * u0 + a * r2, (1.0 - a) * c2)
 
     # Mass only on link two.
@@ -317,27 +305,12 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
             notes.append(
                 "second-link derivative keeps one sign in the "
                 "wardrop-link2-only case; no interior stationary point")
-        one_link("wardrop-link2-only", r2, (min(lo3, r1), r1), c1, v0,
+        one_link("wardrop-link2-only", r2, min(lo3, r1), r1, c1, v0,
                  (1.0 - a) * c1, light)
 
     candidates.sort(key=lambda sol: (sol.group_split, sol.mass_split))
     return MixedSolutionSet(solutions=tuple(candidates), continuum=continuum,
                             continuum_span=continuum_span, notes=tuple(notes))
-
-
-@dataclass(frozen=True)
-class MixedPoint:
-    """One equilibrium found by the iterative solver."""
-
-    group_split: float
-    mass_split: float
-    group_cost: float
-    mass_cost: float
-    operating_cost: float
-    basin_count: int
-    scan_found: bool
-    verified: bool
-    violation: float
 
 
 @dataclass(frozen=True)
@@ -359,16 +332,16 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
     reaches, the equilibria it repels, keep a zero basin count.
     """
     r1, r2 = s.group_demand, s.mass_demand
-    split = _group_split(s)
+    specs = s.split.specs
     responses = 0
 
     def mass_response(x: float) -> float:
-        return wardrop_split(*split.specs, x, r1 - x, r2)
+        return wardrop_split(*specs, x, r1 - x, r2)
 
     def group_response(w: float) -> float:
         nonlocal responses
         responses += 1
-        return _group_response(s, split, w)
+        return _group_response(s, w)
 
     clusters: list[list] = []   # [x, w, basin]
 
@@ -403,15 +376,9 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
                           "bracketed",
                           diagnostics={"starts": STARTS,
                                        "non_converged": non_converged})
-    points = []
-    for x, w, basin in clusters:
-        jg, jm, jo = mixed_costs(s, x, w)
-        check = verify_mixed(s, x, w)
-        points.append(MixedPoint(
-            group_split=x, mass_split=w, group_cost=jg, mass_cost=jm,
-            operating_cost=jo, basin_count=basin, scan_found=basin == 0,
-            verified=check.ok, violation=check.violation))
-    points.sort(key=lambda p: (p.group_split, p.mass_split))
+    points = sorted((_point(s, "", "iterated" if basin else "scan", x, w,
+                            basin) for x, w, basin in clusters),
+                    key=lambda p: (p.group_split, p.mass_split))
     return MixedNumericSet(
         points=tuple(points),
         diagnostics={"starts": STARTS,

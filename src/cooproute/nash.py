@@ -80,7 +80,7 @@ from .search import SEARCH_STEPS, grid, newton_argmin
 # GRID_DENSITY splits per two-path user seed the multistart, and fixed
 # points within CLUSTER_RADIUS of each other, or of a support-pass root,
 # are one equilibrium.  One support's pass roots are one within
-# CLUSTER_RADIUS too (_solve_support); roots of different supports are
+# CLUSTER_RADIUS too (_support_roots); roots of different supports are
 # one only within DISTINCT_TOL.  The support pass samples each
 # best-response curve at CURVE_GRID flows; a reduced Jacobian's
 # determinant, or an unused path's slack, at or below DEGENERATE_TOL
@@ -796,14 +796,6 @@ def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
             c.maxs[i] = v
 
 
-def _support_of(game: RoutingGame, t) -> tuple[int, ...]:
-    """Two two-path users' support at second-path flows ``t``: each on
-    its first path (0), its second (1) or both (2)."""
-    r = game.demands
-    return tuple(0 if v == 0.0 else 1 if v == r[i] else 2
-                 for i, v in enumerate(t))
-
-
 def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
     """A cluster's profile and its check.  A cluster the pass opened
     holds the check that admitted it; one that dynamics reached is
@@ -929,16 +921,15 @@ def _on_curve(game: RoutingGame, rows, i: int, x: float):
     """User ``i`` at second-path flow ``x`` and the other user at its
     exact best response, as ``(t, rows(t), inside)``: ``inside`` tells
     whether that response lies strictly inside its guard bracket.  None
-    when the split leaves a guard bracket or a shared link."""
-    r = game.demands
+    when the split leaves a guard bracket or a shared link (``rows``
+    tests the latter)."""
     j = 1 - i
     tp = game.two_path[j]
     t = [0.0, 0.0]
     t[i] = x
     others, weighted = _state_loads(game, _pair_state(game, t), j)
     lo, hi = tp.split.bracket(others)
-    if lo > hi or any(others[k] + r[j] > cap - CAPACITY_GUARD
-                      for k, cap in tp.caps):
+    if lo > hi:
         return None
     t[j] = tp.split.argmin(lo, hi, others, weighted)
     at = rows(t)
@@ -999,57 +990,68 @@ def _curve_roots(game: RoutingGame, rows, i: int) -> list:
     return roots
 
 
-def _solve_support(game: RoutingGame, rows, support) -> list:
-    """The second-path flows where the users that ``support`` puts on
-    both paths (2) have a zero derivative, the others sitting on their
-    first (0) or second (1) path, strictly inside the box and the guard
-    brackets.
-
-    One such user takes its exact best response (``_on_curve``).  Two
-    solve a linear system on affine links, from ``rows`` at the
-    centroid; on other links they take ``_curve_roots`` along both
-    users' best-response curves, since such a support can hold several
-    roots.  Both curves' scans can find the same root, and near a
-    continuum of equilibria their two copies can lie further apart than
-    ``DISTINCT_TOL``, so a root within ``CLUSTER_RADIUS`` of an earlier
-    one of this support is dropped here; ``multistart_nash`` merges the
-    roots of different supports only within ``DISTINCT_TOL``.
-    """
-    r = game.demands
-    t = [(0.0, r[i], 0.5 * r[i])[s] for i, s in enumerate(support)]
-    free = [i for i, s in enumerate(support) if s == 2]
-    if not free:
-        return [t]
-    if len(free) == 1:
-        j = 1 - free[0]
-        p = _on_curve(game, rows, j, t[j])
-        return [p[0]] if p is not None and p[2] else []
-    if not all(tp.split.affine for tp in game.two_path):
-        roots = []
-        for root in _curve_roots(game, rows, 0) + _curve_roots(game, rows, 1):
-            if not any(all(abs(a - b) <= CLUSTER_RADIUS
-                           for a, b in zip(root, seen)) for seen in roots):
-                roots.append(root)
-        return roots
-    # On affine links the derivatives are linear in t: one Newton step
-    # from the centroid lands on the root.
-    (g0, s0, x0), (g1, s1, x1) = rows(t)
-    det = s0 * s1 - x0 * x1
-    if not det:
-        return []
-    t = [t[0] + (x0 * g1 - s1 * g0) / det, t[1] + (x1 * g0 - s0 * g1) / det]
-    return [t] if all(0.0 < v < ri for v, ri in zip(t, r)) else []
+def _reduced_det(at, free) -> tuple[float, float]:
+    """The determinant of the Jacobian of the derivatives in ``at``
+    (``rows``' output), reduced to the users in ``free``, and the product
+    of its rows' norms; (1, 1) when ``free`` is empty."""
+    if len(free) == 2:
+        (_, s0, x0), (_, s1, x1) = at
+        return s0 * s1 - x0 * x1, math.hypot(s0, x0) * math.hypot(x1, s1)
+    if free:
+        _, det, x = at[free[0]]
+        return det, math.hypot(det, x)
+    return 1.0, 1.0
 
 
 def _support_roots(game: RoutingGame, rows) -> list:
     """For two two-path users, the roots of each support, as ``(support,
     state)``: each user on its first path (0), its second (1) or both
-    (2).  A root is kept only if no user's unused path is cheaper.  The
+    (2), with a zero derivative for the users on both, strictly inside
+    the box and the guard brackets, and no unused path cheaper.  The
     solves test the guard brackets and shared links first, so a support
-    whose splits do not fit yields no root instead of raising."""
+    whose splits do not fit yields no root instead of raising.
+
+    One user on both paths takes its exact best response (``_on_curve``).
+    Two solve a linear system on affine links, from ``rows`` at the
+    centroid, and otherwise take ``_curve_roots`` along both users'
+    best-response curves, since such a support can hold several roots.
+    Both scans can find the same root, and near a continuum of equilibria
+    their copies can lie further apart than ``DISTINCT_TOL``, so a root
+    within ``CLUSTER_RADIUS`` of an earlier one of its support is dropped;
+    ``multistart_nash`` merges roots of different supports only within
+    ``DISTINCT_TOL``.
+    """
+    r = game.demands
+    affine = all(tp.split.affine for tp in game.two_path)
     out = []
     for support in itertools.product((0, 1, 2), repeat=2):
-        for t in _solve_support(game, rows, support):
+        t = [(0.0, r[i], 0.5 * r[i])[s] for i, s in enumerate(support)]
+        free = [i for i, s in enumerate(support) if s == 2]
+        if not free:
+            roots = [t]
+        elif len(free) == 1:
+            p = _on_curve(game, rows, 1 - free[0], t[1 - free[0]])
+            roots = [p[0]] if p is not None and p[2] else []
+        elif not affine:
+            roots = []
+            for root in (_curve_roots(game, rows, 0)
+                         + _curve_roots(game, rows, 1)):
+                if not any(all(abs(a - b) <= CLUSTER_RADIUS
+                               for a, b in zip(root, seen))
+                           for seen in roots):
+                    roots.append(root)
+        else:
+            # On affine links the derivatives are linear in t: one Newton
+            # step from the centroid lands on the root.
+            at = rows(t)
+            det = _reduced_det(at, free)[0]
+            if not det:
+                continue
+            (g0, s0, x0), (g1, s1, x1) = at
+            t = [t[0] + (x0 * g1 - s1 * g0) / det,
+                 t[1] + (x1 * g0 - s0 * g1) / det]
+            roots = [t] if all(0.0 < v < ri for v, ri in zip(t, r)) else []
+        for t in roots:
             at = rows(t)
             if at is None or any(s == 0 and g < 0.0 or s == 1 and g > 0.0
                                  for s, (g, _, _) in zip(support, at)):
@@ -1078,7 +1080,8 @@ def _index_sum(game: RoutingGame, rows,
         if not check.ok:
             continue
         t = [profile.path_flows[i][1] for i in range(2)]
-        support = _support_of(game, t)
+        support = tuple(0 if v == 0.0 else 1 if v == r else 2
+                        for v, r in zip(t, game.demands))
         at = rows(t)
         free = [i for i, s in enumerate(support) if s == 2]
         if at is None or len(c.supports | {support}) > 1 or any(
@@ -1087,15 +1090,7 @@ def _index_sum(game: RoutingGame, rows,
                 for i in range(2) if i not in free):
             degenerate += 1
             continue
-        if len(free) == 2:
-            (_, s0, x0), (_, s1, x1) = at
-            det = s0 * s1 - x0 * x1
-            size = math.hypot(s0, x0) * math.hypot(x1, s1)
-        elif free:
-            _, det, x = at[free[0]]
-            size = math.hypot(det, x)
-        else:
-            det = size = 1.0
+        det, size = _reduced_det(at, free)
         if abs(det) <= DEGENERATE_TOL * size:
             degenerate += 1
         else:

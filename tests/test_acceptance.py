@@ -354,8 +354,7 @@ def test_criterion_08_closed_form_against_oracle(bundle):
                        and abs(sol.mass_split - w) <= 1e-6
                        for x, w in pts):
                 unmatched_closed.append((s, sol.case, sol.group_split,
-                                         sol.quad_a, sol.quad_b,
-                                         sol.quad_c))
+                                         sol.mass_split))
         cands = [(x.group_split, x.mass_split) for x in closed.solutions
                  if x.verified]
         for p in numeric.points:

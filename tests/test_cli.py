@@ -114,12 +114,22 @@ class TestSolveCommand:
         assert out1 == out2
 
     def test_document_matches_inline_instance(self, capsys, tmp_path):
-        rc, out, err = run(capsys, "solve", "--config",
-                           write_doc(tmp_path, GAME_DOC))
-        assert rc == 0
-        row = out.strip().splitlines()[1].split(",")
-        # both users put a sixth of their demand on the congestible link
-        assert float(row[7]) == pytest.approx(1 / 6, abs=1e-6)
+        # two idle users, one of them without a path, change nothing
+        idle = {**GAME_DOC, "alphas": [0.0] * 4, "users": GAME_DOC["users"]
+                + [{"id": 3, "source": 1, "target": 2, "demand": 0.0},
+                   {"id": 4, "source": 2, "target": 1, "demand": 0.0}]}
+        for doc in (GAME_DOC, idle):
+            rc, out, err = run(capsys, "solve", "--config",
+                               write_doc(tmp_path, doc))
+            assert rc == 0
+            lines = out.strip().splitlines()
+            assert len(lines) == 2
+            row = dict(zip(lines[0].split(","), lines[1].split(",")))
+            # both users put a sixth of their demand on the congestible
+            # link
+            assert float(row["f_1_l1"]) == pytest.approx(1 / 6, abs=1e-6)
+            assert float(row["f_2_l1"]) == pytest.approx(1 / 6, abs=1e-6)
+        assert row["J_3"] == row["f_3_l1"] == row["f_4_l2"] == "0"
 
     def test_out_and_manifest_files(self, capsys, tmp_path):
         out_file = tmp_path / "r.csv"
@@ -211,6 +221,22 @@ class TestErrorPaths:
         rc, out, err = run(capsys, *argv, str(path))
         assert rc == 2
         assert "nests too deeply" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "braess-lb-sym", "--param", "1e-110"],
+        ["sweep", "--preset", "braess-lb-sym", "--parameter", "--values",
+         "1e-320"],
+        ["mixed", "--config"],
+    ], ids=["solve", "sweep", "mixed"])
+    def test_capacity_with_subnormal_cube(self, capsys, tmp_path, argv):
+        # a slack's cube, which the second derivative of an M/M/1 latency
+        # divides by, would round to zero
+        if argv[-1] == "--config":
+            argv = argv + [write_doc(tmp_path,
+                                     dict(MIXED_DOC, capacity_one=1e-170))]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert "error:" in err and "subnormal cube" in err
 
     def test_duplicate_json_key(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
@@ -576,18 +602,35 @@ def test_readme_commands_parse(line):
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
 
+# Each golden sweep's arguments, and what the pass decided on it as its
+# manifest counts it: rows, clusters, non-converged and failed starts,
+# dynamics clusters near no pass root, and rows per scan coverage.  The
+# work counters ``sweeps`` and ``jumps_*`` are not pinned.
+PINNED = ("rows", "clusters", "non_converged", "failed_starts",
+          "pass_missed", "scan_coverage")
 GOLDEN_SWEEPS = {
-    "exp1_first.csv": ("--preset", "exp1", "--alphas", "0:1:0.05",
-                       "--vary", "first"),
-    "exp1_all.csv": ("--preset", "exp1", "--alphas", "0:1:0.05",
-                     "--vary", "all"),
-    "braess_lb_sym.csv": ("--preset", "braess-lb-sym", "--parameter"),
-    "braess_lb_asym.csv": ("--preset", "braess-lb-asym", "--parameter"),
-    "exp3_all.csv": ("--preset", "exp3", "--alphas", "0:1:0.05",
-                     "--vary", "all"),
-    "exp5_parameter.csv": ("--preset", "exp5", "--parameter"),
-    "exp4_feasible_first.csv": ("--preset", "exp4-feasible", "--alphas",
-                                "0:1:0.05", "--vary", "first"),
+    "exp1_first.csv": (
+        ("--preset", "exp1", "--alphas", "0:1:0.05", "--vary", "first"),
+        (21, 26, 0, 0, 0, {"none": 1, "support": 5, "unique": 15})),
+    "exp1_all.csv": (
+        ("--preset", "exp1", "--alphas", "0:1:0.05", "--vary", "all"),
+        (21, 38, 0, 0, 0, {"none": 1, "support": 10, "unique": 10})),
+    "braess_lb_sym.csv": (
+        ("--preset", "braess-lb-sym", "--parameter"),
+        (21, 51, 0, 0, 0, {"support": 21})),
+    "braess_lb_asym.csv": (
+        ("--preset", "braess-lb-asym", "--parameter"),
+        (21, 23, 0, 0, 0, {"support": 21})),
+    "exp3_all.csv": (
+        ("--preset", "exp3", "--alphas", "0:1:0.05", "--vary", "all"),
+        (21, 29, 0, 0, 0, {"support": 21})),
+    "exp5_parameter.csv": (
+        ("--preset", "exp5", "--parameter"),
+        (51, 55, 0, 0, 0, {"support": 3, "unique": 48})),
+    "exp4_feasible_first.csv": (
+        ("--preset", "exp4-feasible", "--alphas", "0:1:0.05", "--vary",
+         "first"),
+        (21, 31, 0, 0, 0, {"support": 21})),
 }
 
 
@@ -611,19 +654,23 @@ def test_sweep_csv_matches_golden_file(name, tmp_path, monkeypatch):
     The two Braess sweeps also run on two worker processes, which price
     with their parent's compiled deviation kernels or their own, to the
     same bytes.  A change that means to move these answers regenerates
-    the files with the same commands and says so in CHANGES.md."""
+    the files with the same commands and says so in CHANGES.md, as it
+    does for the manifest counts in ``GOLDEN_SWEEPS``."""
+    argv, counts = GOLDEN_SWEEPS[name]
     threads = ["1", "2"] if name.startswith("braess") else ["1"]
     for n in threads:
         monkeypatch.setenv("COOPROUTE_THREADS", n)
         out = tmp_path / f"{n}-{name}"
         manifest = tmp_path / f"{n}-manifest.json"
-        rc = cli.main(["sweep", *GOLDEN_SWEEPS[name], "--out", str(out),
+        rc = cli.main(["sweep", *argv, "--out", str(out),
                        "--manifest", str(manifest)])
         assert rc == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes(), n
+        doc = json.loads(manifest.read_text())
+        assert {k: doc["diagnostics"][k] for k in PINNED} == dict(
+            zip(PINNED, counts)), n
         # a pool that fails to start falls back to one worker
-        assert not any("worker pool" in w for w in
-                       json.loads(manifest.read_text())["warnings"])
+        assert not any("worker pool" in w for w in doc["warnings"])
 
 
 GOLDEN_MIXED = {

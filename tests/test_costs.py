@@ -17,6 +17,11 @@ from cooproute.search import newton_argmin
 from cooproute.netmodel import UserSpec
 
 
+# Just above the smallest positive capacity that MM1Cost accepts, the
+# cube root of sys.float_info.min (about 2.81e-103).
+MIN_CAPACITY = 3e-103
+
+
 def parallel_net(costs):
     links = [(f"l{i + 1}", 1, 2, c) for i, c in enumerate(costs)]
     return build_network([1, 2], links)
@@ -61,7 +66,7 @@ def priced_loads(draw):
     just below, at and past an M/M/1 capacity, large affine loads that
     may overflow, and NaN."""
     if draw(st.booleans()):
-        cap = draw(st.floats(0.0, 1e3))
+        cap = draw(st.just(0.0) | st.floats(MIN_CAPACITY, 1e3))
         spec = MM1Cost(cap)
         edges = [0.0, math.nextafter(cap, 0.0), cap,
                  math.nextafter(cap, math.inf), 2.0 * cap + 1.0]
@@ -118,6 +123,16 @@ class TestLinkCosts:
         with pytest.raises(ConfigError, match="subnormal"):
             LinearCost(slope=slope)
         assert LinearCost(slope=sys.float_info.min).slope > 0.0
+
+    @pytest.mark.parametrize("capacity", [5e-324, 1e-170, 1e-110,
+                                          2.8e-103])
+    def test_queue_rejects_capacity_with_subnormal_cube(self, capacity):
+        # the second derivative divides by the slack's cube, which would
+        # lose its precision or round to zero; an absent link stays valid
+        with pytest.raises(ConfigError, match="subnormal cube"):
+            MM1Cost(capacity)
+        assert MM1Cost(MIN_CAPACITY).capacity ** 3 >= sys.float_info.min
+        assert MM1Cost(0.0).capacity == 0.0
 
     def test_queue_value_and_slope(self):
         c = MM1Cost(capacity=4.0)
@@ -333,7 +348,8 @@ def split_tables(draw):
     at or past its capacity; and a shift of another user's flow and its
     weight, for ``cross``."""
     specs = tuple(
-        MM1Cost(draw(st.floats(0.0, 8.0))) if draw(st.booleans()) else
+        MM1Cost(draw(st.just(0.0) | st.floats(MIN_CAPACITY, 8.0)))
+        if draw(st.booleans()) else
         LinearCost(draw(st.floats(0.0, 3.0, allow_subnormal=False)),
                    draw(st.floats(0.0, 2.0)))
         for _ in range(draw(st.integers(1, 5))))
@@ -709,11 +725,10 @@ class TestGuardCorners:
         ids=["link-one-full", "link-two-full"])
     def test_group(self, scenario, w, want):
         # the group's split goes on link one, its SplitCost's second path
-        split = mixed._group_split(scenario)
         mass_one = scenario.mass_demand - w
-        lo, hi = split.bracket((mass_one, w))
+        lo, hi = scenario.split.bracket((mass_one, w))
         assert lo > hi
-        x = mixed._group_response(scenario, split, w)
+        x = mixed._group_response(scenario, w)
         assert x == want
         assert x == self.atomic(
             (scenario.capacity_two, scenario.capacity_one), (w, mass_one),

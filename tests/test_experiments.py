@@ -144,7 +144,7 @@ class TestParameterSweep:
 
 @pytest.mark.parametrize("preset, vary", [
     ("exp1", "first"), ("exp1", "all"), ("exp3", "all"),
-    ("braess-lb-sym", None), ("braess-lb-asym", None)])
+    ("exp3-text", "all"), ("braess-lb-sym", None), ("braess-lb-asym", None)])
 def test_support_pass_takes_every_dynamics_cluster(preset, vary):
     # on a row that the support pass or the certificate closes, every
     # cluster the dynamics reached lies near a verified root

@@ -45,6 +45,13 @@ def hand_costs(s, x, w):
     return jg, jm, (1.0 - s.alpha) * jg + s.alpha * jm
 
 
+def equal_cost_offset(s):
+    # the shift x - w between the group and mass splits at which both
+    # link latencies are equal
+    return 0.5 * (s.capacity_one - s.capacity_two) + 0.5 * (
+        s.group_demand - s.mass_demand)
+
+
 def verified_splits(result):
     return sorted((round(s.group_split, 7), round(s.mass_split, 7))
                   for s in result.solutions if s.verified)
@@ -132,17 +139,25 @@ class TestClosedForm:
             s.capacity_two - f2, abs=1e-9)
 
     def test_quadratic_trail_vanishes_at_root(self):
+        # mass on link one only: the group's derivative is heavy / u^2 -
+        # light / v^2 in the slacks u = u0 - x, v = v0 + x, so its root
+        # solves (heavy - light) x^2 + 2 (heavy v0 + light u0) x +
+        # heavy v0^2 - light u0^2 = 0
         for a in (0.1, 0.2, 0.3, 0.4):
-            result = mixed_closed_form(reference(a))
-            sols = [s for s in result.solutions
-                    if s.case == "wardrop-link1-only"
-                    and s.kind == "interior"]
+            s = reference(a)
+            sols = [sol for sol in mixed_closed_form(s).solutions
+                    if sol.case == "wardrop-link1-only"
+                    and sol.kind == "interior"]
             assert sols, f"no pinned-mass interior solution at {a}"
-            sol = sols[0]
-            x = sol.group_split
-            res = sol.quad_a * x * x + sol.quad_b * x + sol.quad_c
-            scale = max(abs(sol.quad_a), abs(sol.quad_b), abs(sol.quad_c))
-            assert abs(res) <= 1e-8 * scale
+            u0 = s.capacity_one - s.mass_demand
+            v0 = s.capacity_two - s.group_demand
+            heavy = (1.0 - a) * u0 + a * s.mass_demand
+            light = (1.0 - a) * s.capacity_two
+            quad = (heavy - light, 2.0 * (heavy * v0 + light * u0),
+                    heavy * v0 * v0 - light * u0 * u0)
+            x = sols[0].group_split
+            res = quad[0] * x * x + quad[1] * x + quad[2]
+            assert abs(res) <= 1e-8 * max(map(abs, quad))
 
     def test_balanced_weight_is_noted_not_solved(self):
         result = mixed_closed_form(reference(0.5))
@@ -247,7 +262,7 @@ class TestNumericAgreement:
         corner = [p for p in pts if p.group_split == r1]
         assert len(corner) == 1
         assert corner[0].basin_count == basin
-        assert not corner[0].scan_found
+        assert corner[0].kind == "iterated"
         assert corner[0].verified
 
     def test_scan_recovers_repelled_interior(self):
@@ -255,7 +270,7 @@ class TestNumericAgreement:
         interior = [p for p in pts
                     if abs(p.group_split - 1.1625) < 1e-5]
         assert interior
-        assert interior[0].scan_found
+        assert interior[0].kind == "scan"
         assert interior[0].basin_count == 0
         assert interior[0].verified
 
@@ -321,7 +336,7 @@ def test_group_response_matches_bisection(case):
     s, w = case
     lo, hi, ref = hand_group_response(s, w)
     assume(lo <= hi)
-    x = mixed._group_response(s, mixed._group_split(s), w)
+    x = mixed._group_response(s, w)
     assert lo <= x <= hi
     r1 = s.group_demand
     if abs(x - ref) <= 1e-12 * max(1.0, r1):
@@ -358,7 +373,7 @@ def test_closed_form_lists_numeric_points_near_balance(s):
             continue
         if closed.continuum:
             lo, hi = closed.continuum_span
-            offset = closed.solutions[0].equal_cost_offset
+            offset = equal_cost_offset(s)
             if (abs(p.group_split - p.mass_split - offset) <= 1e-6
                     and lo - 1e-6 <= p.group_split <= hi + 1e-6):
                 continue
@@ -420,7 +435,7 @@ def test_continuum_points_lie_on_the_continuum(scenario):
     closed = mixed_closed_form(scenario)
     assert closed.continuum
     lo, hi = closed.continuum_span
-    offset = closed.solutions[0].equal_cost_offset
+    offset = equal_cost_offset(scenario)
     points = mixed_numeric(scenario).points
     assert points
     for p in points:

@@ -1785,6 +1785,13 @@ def on_verified_segment(game, t, flows, steps=4):
                         LinearCost(0.0, 1.1005495074944804)],
                        [0.8844144311480451, 1.9842200787261843],
                        [0.9522462283575805, 1.0]))
+# user 1's two paths share the M/M/1 link s, which user 2's second path
+# also loads: the pass meets splits where both demands do not fit on s
+@example(make_game(build_network([0, 1, 2, 3], [
+    ("e", 0, 1, LinearCost(0.5)), ("d", 0, 2, LinearCost(1.0, 0.5)),
+    ("s", 1, 2, MM1Cost(2.0)), ("a", 2, 3, LinearCost(1.0)),
+    ("b", 2, 3, MM1Cost(2.0))]),
+    [UserSpec(1, 1, 3, 1.2), UserSpec(2, 0, 2, 1.0)], [0.0, 0.0]))
 def test_support_pass_finds_what_the_scan_finds(game):
     # the completeness check on M/M/1 links, where no exact oracle
     # exists: every verified candidate of the composition scan is
