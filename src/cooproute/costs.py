@@ -74,9 +74,11 @@ class MM1Cost:
             raise ConfigError("capacity must be finite")
         if self.capacity < 0:
             raise ConfigError("capacity must be nonnegative")
-        if 0.0 < self.capacity and self.capacity ** 3 < sys.float_info.min:
+        cube = self.capacity * self.capacity * self.capacity
+        if 0.0 < self.capacity and cube < sys.float_info.min:
             # the cube of a slack, which T'' divides by, would lose its
-            # precision or round to zero
+            # precision or round to zero (multiplied, not raised by
+            # ``**``, a large capacity's cube is inf instead of an error)
             raise ConfigError(f"capacity {self.capacity!r} has a subnormal "
                               f"cube")
 

@@ -990,19 +990,6 @@ def _curve_roots(game: RoutingGame, rows, i: int) -> list:
     return roots
 
 
-def _reduced_det(at, free) -> tuple[float, float]:
-    """The determinant of the Jacobian of the derivatives in ``at``
-    (``rows``' output), reduced to the users in ``free``, and the product
-    of its rows' norms; (1, 1) when ``free`` is empty."""
-    if len(free) == 2:
-        (_, s0, x0), (_, s1, x1) = at
-        return s0 * s1 - x0 * x1, math.hypot(s0, x0) * math.hypot(x1, s1)
-    if free:
-        _, det, x = at[free[0]]
-        return det, math.hypot(det, x)
-    return 1.0, 1.0
-
-
 def _support_roots(game: RoutingGame, rows) -> list:
     """For two two-path users, the roots of each support, as ``(support,
     state)``: each user on its first path (0), its second (1) or both
@@ -1044,10 +1031,12 @@ def _support_roots(game: RoutingGame, rows) -> list:
             # On affine links the derivatives are linear in t: one Newton
             # step from the centroid lands on the root.
             at = rows(t)
-            det = _reduced_det(at, free)[0]
-            if not det:
+            if at is None:
                 continue
             (g0, s0, x0), (g1, s1, x1) = at
+            det = s0 * s1 - x0 * x1
+            if not det:
+                continue
             t = [t[0] + (x0 * g1 - s1 * g0) / det,
                  t[1] + (x1 * g0 - s0 * g1) / det]
             roots = [t] if all(0.0 < v < ri for v, ri in zip(t, r)) else []
@@ -1090,7 +1079,15 @@ def _index_sum(game: RoutingGame, rows,
                 for i in range(2) if i not in free):
             degenerate += 1
             continue
-        det, size = _reduced_det(at, free)
+        if len(free) == 2:
+            (_, s0, x0), (_, s1, x1) = at
+            det = s0 * s1 - x0 * x1
+            size = math.hypot(s0, x0) * math.hypot(x1, s1)
+        elif free:
+            _, det, x = at[free[0]]
+            size = math.hypot(det, x)
+        else:
+            det = size = 1.0
         if abs(det) <= DEGENERATE_TOL * size:
             degenerate += 1
         else:

@@ -238,6 +238,23 @@ class TestErrorPaths:
         assert rc == 2
         assert "error:" in err and "subnormal cube" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "braess-lb-sym", "--param", "1e200"],
+        ["solve", "--config"],
+        ["mixed", "--config"],
+    ], ids=["preset", "network", "mixed"])
+    def test_capacity_with_overflowing_cube(self, capsys, tmp_path, argv):
+        # a capacity whose cube overflows to inf is valid
+        if argv[0] == "mixed":
+            doc = dict(MIXED_DOC, capacity_one=1e103)
+        else:
+            doc = json.loads(json.dumps(GAME_DOC))
+            doc["links"][0]["cost"] = {"kind": "queue", "capacity": 1e200}
+        if argv[-1] == "--config":
+            argv = argv + [write_doc(tmp_path, doc)]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+
     def test_duplicate_json_key(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"capacity_one": 4, "capacity_one": 5, '

@@ -128,11 +128,13 @@ class TestLinkCosts:
                                           2.8e-103])
     def test_queue_rejects_capacity_with_subnormal_cube(self, capacity):
         # the second derivative divides by the slack's cube, which would
-        # lose its precision or round to zero; an absent link stays valid
+        # lose its precision or round to zero; an absent link stays valid,
+        # and so does a capacity whose cube overflows
         with pytest.raises(ConfigError, match="subnormal cube"):
             MM1Cost(capacity)
         assert MM1Cost(MIN_CAPACITY).capacity ** 3 >= sys.float_info.min
-        assert MM1Cost(0.0).capacity == 0.0
+        for valid in (0.0, 1e103, 1e300, sys.float_info.max):
+            assert MM1Cost(valid).capacity == valid
 
     def test_queue_value_and_slope(self):
         c = MM1Cost(capacity=4.0)

@@ -230,6 +230,11 @@ def guard_bracket(game, ui, others):
 
 @settings(max_examples=40, deadline=None)
 @given(best_response_cases())
+# user 1 weighs only user 2's cost, and its second path fills link l2 at
+# split 1: a split outside the guard bracket would do better by 2e-10
+@example((load_balancing_game([MM1Cost(2.0), MM1Cost(1.0), MM1Cost(2.0),
+                               MM1Cost(1.5)], [1.0, 0.5], [1.0, 0.0]),
+          0, [[1.0, 0.0], [0.0, 0.5]]))
 def test_exact_response_matches_bisection(case):
     game, ui, state = case
     r = game.demands[ui]
@@ -257,9 +262,10 @@ def test_exact_response_matches_bisection(case):
         prof = assemble_profile(game.net, game.paths, trial, game.demands)
         return priced(game, prof)[1][ui]
 
+    # the response is taken within the guard bracket, so the grid is too
     at_br = cost(br)
-    grid_min = min(cost((r - r * i / 1000, r * i / 1000))
-                   for i in range(1001))
+    grid_min = min(cost((r - t, t)) for t in (lo + (hi - lo) * i / 1000
+                                              for i in range(1001)))
     assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
 
 
@@ -1829,6 +1835,32 @@ def test_support_pass_finds_what_the_scan_finds(game):
                     if on_verified_segment(game, t, f)), None)
         assert end is not None, t
         segments.append((t, end))
+
+
+def test_split_rows_refuses_a_demand_that_misses_a_shared_link():
+    # user 1's two paths share the M/M/1 link s of capacity 2, and user 2
+    # loads it too.  In the first game user 2's second path alone loads
+    # s, whose room its own guard bracket also bounds; in the second both
+    # of its paths do, so no bracket sees s and only the shared-link test
+    # refuses.  The affine step of the pass then meets no rows at all.
+    first = make_game(build_network([0, 1, 2, 3], [
+        ("e", 0, 1, LinearCost(0.5)), ("d", 0, 2, LinearCost(1.0, 0.5)),
+        ("s", 1, 2, MM1Cost(2.0)), ("a", 2, 3, LinearCost(1.0)),
+        ("b", 2, 3, MM1Cost(2.0))]),
+        [UserSpec(1, 1, 3, 1.2), UserSpec(2, 0, 2, 1.0)], [0.0, 0.0])
+    rows = nash._split_rows(first)
+    assert rows([0.5, 0.0]) is not None
+    assert rows([0.5, 0.9]) is None and rows([0.5, 1.0]) is None
+    both = make_game(build_network([0, 1, 2, 3], [
+        ("s", 0, 1, MM1Cost(2.0)), ("a", 1, 2, LinearCost(1.0)),
+        ("b", 1, 2, LinearCost(0.0, 0.5)), ("c", 2, 3, LinearCost(1.0))]),
+        [UserSpec(1, 0, 2, 1.2), UserSpec(2, 0, 3, 1.0)], [0.0, 0.0])
+    rows = nash._split_rows(both)
+    assert all(rows([x, y]) is None
+               for x in grid(1.2, 5) for y in grid(1.0, 5))
+    assert nash._support_roots(both, rows) == []
+    with pytest.raises(SolverError, match="no starting point"):
+        multistart_nash(both)
 
 
 @settings(max_examples=100, deadline=None)
