@@ -10,20 +10,28 @@ assumptions, and phase timings goes to stderr (or ``--manifest``), never
 to stdout.
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible instance, 4 the
-solver could not produce an equilibrium.  ``COOPROUTE_THREADS`` caps the
-worker processes a sweep may use; rows are merged in submission order, so
-the output does not depend on scheduling.
+solver could not produce an equilibrium.
+
+``COOPROUTE_THREADS=N`` splits a sweep over N processes: once the parent
+has built every row's game, it forks N - 1 copies of itself, and worker
+k solves rows k, k + N, k + 2N, ... while the parent solves rows 0, N,
+2N, ...  N is capped by the row count and by the CPUs this process may
+run on.  Rows are merged back in order, so the output does not depend on
+scheduling; a failing sweep reports its lowest failing row, as a
+sequential one does.  Where a process cannot fork, the sweep runs
+sequentially and the manifest warns.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import functools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -260,6 +268,93 @@ def _thread_cap() -> int:
     return n
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _ForkUnavailable(Exception):
+    """No worker could be forked; the sweep runs sequentially instead."""
+
+
+def _map_slice(fn, items):
+    """``fn`` over ``items`` up to the first exception: the results so
+    far and that exception, or None."""
+    out = []
+    try:
+        for item in items:
+            out.append(fn(item))
+    except Exception as e:
+        return out, e
+    return out, None
+
+
+def _fork_map(fn, items, workers):
+    """``list(map(fn, items))`` over ``workers`` processes.
+
+    Forked child k (0 < k < workers) solves items k, k + workers, ...
+    and pipes back one pickle of its results and first exception; the
+    parent solves items 0, workers, ... itself.  The exception of the
+    lowest failing item is raised.  Children are killed and reaped
+    whenever the parent leaves early, so none outlives the call."""
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    if not hasattr(os, "fork"):
+        raise _ForkUnavailable("os.fork is not available")
+    children = {}   # worker -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            try:
+                r, w = os.pipe()
+            except OSError as e:
+                raise _ForkUnavailable(e) from None
+            try:
+                pid = os.fork()
+            except OSError as e:
+                os.close(r)
+                os.close(w)
+                raise _ForkUnavailable(e) from None
+            if pid == 0:
+                status = 1
+                try:
+                    data = pickle.dumps(_map_slice(fn, items[k::workers]),
+                                        pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    # no atexit handler or inherited buffer runs twice
+                    os._exit(status)
+            os.close(w)
+            children[k] = (pid, os.fdopen(r, "rb"))
+        slices = [_map_slice(fn, items[0::workers])]
+        for k in range(1, workers):
+            pid, fh = children[k]
+            data = fh.read()
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[k]
+            try:
+                slices.append(pickle.loads(data))
+            except Exception:
+                raise SolverError(
+                    f"sweep worker {k} left without a result (exit status "
+                    f"{os.waitstatus_to_exitcode(status)})") from None
+    finally:
+        for pid, fh in children.values():
+            os.kill(pid, signal.SIGKILL)
+            fh.close()
+            os.waitpid(pid, 0)
+    failed = [(k + len(out) * workers, error)
+              for k, (out, error) in enumerate(slices) if error is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [slices[i % workers][0][i // workers] for i in range(len(items))]
+
+
 def _scenario_for_args(args, manifest) -> Scenario:
     """Resolve ``--preset`` or ``--config`` to a routing-game scenario.
     A document's base degrees are its weight matrix's diagonal; other
@@ -343,20 +438,15 @@ def _cmd_sweep(args, manifest):
         sweep = functools.partial(alpha_sweep, sc, values, vary)
     manifest["timings"]["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
-    workers = _thread_cap()
-    if workers > 1 and len(values) > 1:
-        try:
-            # a fork-started pool launches every worker at the first
-            # submit, so it never gets more workers than rows
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(workers, len(values))) as pool:
-                table = sweep(map=pool.map)
-        except OSError as e:
-            manifest["warnings"].append(
-                f"worker pool unavailable ({e}); ran sequentially")
-            table = sweep()
-    else:
+    workers = min(_thread_cap(), len(values), _usable_cpus())
+    try:
+        table = sweep(map=functools.partial(_fork_map, workers=workers))
+    except _ForkUnavailable as e:
+        manifest["warnings"].append(
+            f"worker pool unavailable ({e}); ran sequentially")
+        workers = 1
         table = sweep()
+    manifest["workers"] = workers
     manifest["timings"]["solve"] = time.perf_counter() - t1
     eqsets = [row.equilibria for row in table.rows]
     manifest["diagnostics"] = {

@@ -1,11 +1,13 @@
 import json
+import os
 import pathlib
 import shlex
+import time
 
 import pytest
 
 from cooproute import ConfigError, SolverError
-from cooproute import cli
+from cooproute import cli, experiments
 
 
 def run(capsys, *argv):
@@ -507,35 +509,97 @@ class TestSweepCommand:
             want = [value + line for line in solved.strip().splitlines()[1:]]
             assert [r for r in rows if r.split(",")[0] == value] == want
 
-    def test_worker_pool_has_no_more_workers_than_rows(self, capsys,
-                                                        monkeypatch):
-        # a fork-started pool launches all its workers at the first
-        # submit; this fake records the count and starts no process
-        sizes = []
+    def test_workers_never_outnumber_rows_or_cores(self, capsys,
+                                                   monkeypatch):
+        # counts forks instead of trying a large worker count for real
+        forks = []
+        real_fork = os.fork
 
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def fork():
+            forks.append(1)
+            return real_fork()
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        for threads, alphas, workers in (("64", "0,0.2", 2),
+                                         ("64", "0,0.1,0.2", 2),
+                                         ("1", "0,0.1,0.2", 1)):
+            monkeypatch.setenv("COOPROUTE_THREADS", threads)
+            forks.clear()
+            rc, _, err = run(capsys, "sweep", "--preset", "exp2",
+                             "--alphas", alphas)
+            assert rc == 0
+            assert json.loads(err)["workers"] == workers
+            assert len(forks) == workers - 1
+        forks.clear()
+        assert cli._fork_map(abs, [-1, 2], 5) == [1, 2]
+        assert len(forks) == 1
 
-            def __exit__(self, *exc):
-                return False
+    @pytest.mark.parametrize("failing, reported", [((1, 2), 1),
+                                                   ((2, 3), 2)])
+    def test_lowest_failing_row_is_reported(self, capsys, monkeypatch,
+                                            failing, reported):
+        # with two workers the parent solves rows 0 and 2, its forked
+        # child rows 1 and 3; the child inherits the replaced solver
+        real = experiments.multistart_nash
+        values = (0.0, 0.1, 0.2, 0.3)
 
-            map = staticmethod(map)
+        def solve(game):
+            # user 1's weight on user 2 is the row's alpha
+            row = values.index(game.coop.rows[0][1])
+            if row in failing:
+                raise SolverError(f"row {row} failed")
+            return real(game)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
-                            Pool)
-        monkeypatch.setenv("COOPROUTE_THREADS", "64")
-        rc, _, _ = run(capsys, "sweep", "--preset", "exp2",
-                       "--alphas", "0,0.2")
-        assert rc == 0
+        monkeypatch.setattr(experiments, "multistart_nash", solve)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("COOPROUTE_THREADS", "2")
-        rc, _, _ = run(capsys, "sweep", "--preset", "exp2",
-                       "--alphas", "0,0.1,0.2")
+        rc, out, err = run(capsys, "sweep", "--preset", "exp2",
+                           "--alphas", ",".join(map(str, values)))
+        assert rc == 4
+        assert out == ""
+        assert err == f"solver failure: row {reported} failed\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_failure_runs_sequentially(self, capsys, monkeypatch):
+        rc, seq, _ = run(capsys, "sweep", "--preset", "exp2",
+                         "--alphas", "0,0.1,0.2")
+        real_fork = os.fork
+        forks = []
+
+        def fork():
+            # the second fork fails after the first child has started
+            forks.append(1)
+            if len(forks) > 1:
+                raise OSError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setenv("COOPROUTE_THREADS", "3")
+        rc2, out, err = run(capsys, "sweep", "--preset", "exp2",
+                            "--alphas", "0,0.1,0.2")
+        assert rc == rc2 == 0
+        assert out == seq
+        doc = json.loads(err)
+        assert doc["workers"] == 1
+        assert doc["warnings"][-1] == (
+            "worker pool unavailable ([Errno 11] Resource temporarily "
+            "unavailable); ran sequentially")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_runs_sequentially(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("COOPROUTE_THREADS", "2")
+        rc, _, err = run(capsys, "sweep", "--preset", "exp2",
+                         "--alphas", "0,0.2")
         assert rc == 0
-        assert sizes == [2, 2]
+        assert json.loads(err)["warnings"][-1] == (
+            "worker pool unavailable (os.fork is not available); ran "
+            "sequentially")
 
     def test_worker_pool_matches_sequential(self, capsys, monkeypatch):
         rc, seq, _ = run(capsys, "sweep", "--preset", "exp2",
@@ -545,6 +609,58 @@ class TestSweepCommand:
                           "--alphas", "0,0.2")
         assert rc == rc2 == 0
         assert seq == par
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_map(self, workers):
+        for n in range(1, 8):
+            items = list(range(n))
+            assert cli._fork_map(lambda x: (x, x * x), items, workers) == \
+                list(map(lambda x: (x, x * x), items))
+
+    def test_child_without_result_is_a_solver_error(self):
+        parent = os.getpid()
+
+        def die_in_child(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            return x
+
+        with pytest.raises(SolverError,
+                           match=r"worker 1 .*exit status 3\)"):
+            cli._fork_map(die_in_child, range(4), 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpicklable_child_exception_is_a_solver_error(self):
+        parent = os.getpid()
+
+        class Local(Exception):
+            pass
+
+        def fail_in_child(x):
+            if os.getpid() != parent:
+                raise Local("cannot pickle a local class")
+            return x
+
+        with pytest.raises(SolverError, match="worker 1 "):
+            cli._fork_map(fail_in_child, range(4), 2)
+
+    def test_interrupted_parent_leaves_no_child(self):
+        parent = os.getpid()
+
+        def interrupt(x):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._fork_map(interrupt, range(4), 3)
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestMixedCommand:
@@ -668,13 +784,14 @@ def test_sweep_csv_matches_golden_file(name, tmp_path, monkeypatch):
     equilibria a row past alpha 0.80; exp4-feasible holds the closed-form
     split of a queue pair.
 
-    The two Braess sweeps also run on two worker processes, which price
-    with their parent's compiled deviation kernels or their own, to the
-    same bytes.  A change that means to move these answers regenerates
+    The two Braess sweeps also run on two worker processes to the same
+    bytes.  A change that means to move these answers regenerates
     the files with the same commands and says so in CHANGES.md, as it
     does for the manifest counts in ``GOLDEN_SWEEPS``."""
     argv, counts = GOLDEN_SWEEPS[name]
     threads = ["1", "2"] if name.startswith("braess") else ["1"]
+    # two workers even on a one-core runner
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     for n in threads:
         monkeypatch.setenv("COOPROUTE_THREADS", n)
         out = tmp_path / f"{n}-{name}"
@@ -686,8 +803,9 @@ def test_sweep_csv_matches_golden_file(name, tmp_path, monkeypatch):
         doc = json.loads(manifest.read_text())
         assert {k: doc["diagnostics"][k] for k in PINNED} == dict(
             zip(PINNED, counts)), n
-        # a pool that fails to start falls back to one worker
+        # a worker that cannot be forked falls back to one process
         assert not any("worker pool" in w for w in doc["warnings"])
+        assert doc["workers"] == int(n)
 
 
 GOLDEN_MIXED = {
