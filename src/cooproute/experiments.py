@@ -230,13 +230,13 @@ def get_preset(name: str) -> Scenario:
         raise ConfigError(f"unknown preset {name!r}; known: {known}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     value: float
     equilibria: EquilibriumSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepTable:
     parameter: str
     rows: tuple[SweepRow, ...]
@@ -341,7 +341,7 @@ def parameter_sweep(scenario: Scenario,
 PARADOX_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParadoxWitness:
     """One comparison pair where the paradox shows."""
 
@@ -354,7 +354,7 @@ class ParadoxWitness:
     user_index: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParadoxReport:
     kind: str
     found: bool

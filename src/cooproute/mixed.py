@@ -44,7 +44,7 @@ DEDUPE_RADIUS = 1e-5
 VERIFY_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedScenario:
     """Two parallel links, a group player, and a selfish background mass.
     Built once, here: ``links``, the two M/M/1 links, and ``split``, the
@@ -132,7 +132,7 @@ def mixed_costs(s: MixedScenario, group_split: float,
     return (*raws, weighted_cost((1.0 - s.alpha, s.alpha), raws))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedCheck:
     ok: bool
     violation: float
@@ -162,7 +162,7 @@ def verify_mixed(s: MixedScenario, group_split: float,
     return MixedCheck(ok=violation <= VERIFY_TOL, violation=violation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedPoint:
     """One candidate of either solver, priced and verified.  A closed-form
     point names the links the mass uses (``case``) and is "interior" when
@@ -193,7 +193,7 @@ def _point(s: MixedScenario, case: str, kind: str, x: float, w: float,
                       basin_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedSolutionSet:
     solutions: tuple[MixedPoint, ...]
     continuum: bool
@@ -313,7 +313,7 @@ def mixed_closed_form(s: MixedScenario) -> MixedSolutionSet:
                             continuum_span=continuum_span, notes=tuple(notes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedNumericSet:
     points: tuple[MixedPoint, ...]
     diagnostics: dict

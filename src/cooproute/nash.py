@@ -55,6 +55,7 @@ matches the full-state cost exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -67,7 +68,7 @@ from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
-                       saturated_links)
+                       check_shared_links, saturated_links)
 from .search import SEARCH_STEPS, grid, newton_argmin
 
 
@@ -198,6 +199,7 @@ def make_game(net: Network, users: Sequence[UserSpec],
         raise ConfigError("cooperation profile user ids do not match users")
     paths = build_path_set(net, users)
     check_feasibility(net, users)
+    check_shared_links(net, users, paths)
     return RoutingGame(net=net, users=users, paths=paths, coop=coop)
 
 
@@ -425,7 +427,7 @@ def _best_response(game: RoutingGame, state, ui: int) -> tuple[float, ...]:
     return _exchange_response(game, ui, r, state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynamicsResult:
     state: tuple[tuple[float, ...], ...]
     converged: bool
@@ -632,7 +634,7 @@ def _extrapolate(window):
     return target, size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NashCheck:
     """Outcome of an independent equilibrium verification."""
 
@@ -640,6 +642,20 @@ class NashCheck:
     max_violation: float
     kkt_multipliers: tuple[float, ...]
     saturated: tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _deviation_splits(r: float) -> tuple[tuple[float, float], ...]:
+    """The ``(r - t, t)`` splits of demand ``r`` that ``verify_nash``'s
+    deviation sweep prices, for ``t`` on ``grid(r, DEVIATION_GRID)``.
+
+    They depend on the demand alone, so each demand's splits are built
+    once and shared as a tuple no caller can change.  ``typed`` keeps an
+    ``int`` demand apart from the equal ``float``, whose splits differ in
+    the type of the last point.  A preset's users have at most two
+    demands; each entry holds about 110 KB.
+    """
+    return tuple((r - t, t) for t in grid(r, DEVIATION_GRID))
 
 
 def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
@@ -702,8 +718,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
             viol = max(viol, min(res / max(1.0, r), gap))
         if k == 2:
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
-            best_alt = min(math.inf, *cost([(r - t, t) for t in
-                                             grid(r, DEVIATION_GRID)]))
+            best_alt = min(math.inf, *cost(_deviation_splits(r)))
             if cur != INFINITE_COST and best_alt < cur:
                 viol = max(viol, (cur - best_alt) / cscale)
             elif cur == INFINITE_COST and best_alt < INFINITE_COST:
@@ -713,7 +728,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
                      kkt_multipliers=tuple(lambdas), saturated=sat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumResult:
     """One equilibrium with its costs, basin share, and verification."""
 
@@ -728,7 +743,7 @@ class EquilibriumResult:
     max_violation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumSet:
     """All equilibria found for one game, cheapest first for user one."""
 

@@ -150,7 +150,7 @@ def build_path_set(net: Network, users: Sequence[UserSpec]) -> PathSet:
     return PathSet(user_ids=ids, paths=tuple(all_paths))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowProfile:
     """Routing decision of every user, stored per path and per link.
 
@@ -284,7 +284,8 @@ def check_feasibility(net: Network, users: Sequence[UserSpec]) -> None:
     the capacity of a minimum cut between those users' sources and the
     destination (``_min_cut``): its incoming links, or a bottleneck
     further upstream.  A user with positive demand and no path at all is
-    caught earlier, by ``build_path_set``.
+    caught earlier, by ``build_path_set``; demands of different
+    destinations that meet on one link, by ``check_shared_links``.
     """
     by_target: dict[int, float] = {}
     sources: dict[int, dict] = {}
@@ -312,3 +313,27 @@ def check_feasibility(net: Network, users: Sequence[UserSpec]) -> None:
             f"{', '.join(lk.link_id for lk in cut)}",
             detail={"node": target, "demand": demand, "capacity": cap,
                     "links": [lk.link_id for lk in cut]})
+
+
+def check_shared_links(net: Network, users: Sequence[UserSpec],
+                       paths: PathSet) -> None:
+    """Raise ``InfeasibleError`` when the demands that must cross one
+    M/M/1 link, because it lies on every one of their users' ``paths``,
+    meet or exceed its capacity, whatever destinations they are bound
+    for.  ``check_feasibility`` covers one destination's demand alone.
+    """
+    forced: dict[int, list[float]] = {}
+    for u, upaths in zip(users, paths.paths):
+        if upaths:
+            for li in set(upaths[0]).intersection(*upaths[1:]):
+                forced.setdefault(li, []).append(u.demand)
+    for li in sorted(forced):
+        lk = net.links[li]
+        demand = math.fsum(forced[li])
+        if (isinstance(lk.cost, MM1Cost) and demand > 0
+                and demand >= lk.cost.capacity):
+            raise InfeasibleError(
+                f"demand {demand} that must cross link {lk.link_id!r} meets "
+                f"or exceeds its capacity {lk.cost.capacity}",
+                detail={"link": lk.link_id, "demand": demand,
+                        "capacity": lk.cost.capacity})

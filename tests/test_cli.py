@@ -372,6 +372,28 @@ class TestErrorPaths:
         assert rc == 3
         assert "capacity 1.0 of the cut through links a" in err
 
+    def test_shared_link_of_two_destinations_exits_three(self, capsys,
+                                                         tmp_path):
+        # users bound for nodes 2 and 3 must both cross s (capacity 2);
+        # each destination's own cut holds its demand
+        doc = {"nodes": [0, 1, 2, 3],
+               "links": [{"id": "s", "source": 0, "target": 1,
+                          "cost": {"kind": "queue", "capacity": 2.0}},
+                         {"id": "a", "source": 1, "target": 2,
+                          "cost": {"kind": "linear", "slope": 1.0}},
+                         {"id": "b", "source": 1, "target": 2,
+                          "cost": {"kind": "linear", "slope": 0.0,
+                                   "intercept": 0.5}},
+                         {"id": "c", "source": 2, "target": 3,
+                          "cost": {"kind": "linear", "slope": 1.0}}],
+               "users": [{"id": 1, "source": 0, "target": 2, "demand": 1.2},
+                         {"id": 2, "source": 0, "target": 3, "demand": 1.0}],
+               "alphas": [0.0, 0.0]}
+        rc, out, err = run(capsys, "solve", "--config",
+                           write_doc(tmp_path, doc))
+        assert (rc, out) == (3, "")
+        assert "must cross link 's'" in err
+
     def test_solver_failure_maps_to_four(self, capsys, monkeypatch):
         def boom(game):
             raise SolverError("no fixed point", diagnostics={"starts": 0})

@@ -1843,6 +1843,9 @@ def test_split_rows_refuses_a_demand_that_misses_a_shared_link():
     # s, whose room its own guard bracket also bounds; in the second both
     # of its paths do, so no bracket sees s and only the shared-link test
     # refuses.  The affine step of the pass then meets no rows at all.
+    # make_game refuses the second game, whose users bound for different
+    # destinations must both cross s; built without that check, the
+    # solver refuses it too.
     first = make_game(build_network([0, 1, 2, 3], [
         ("e", 0, 1, LinearCost(0.5)), ("d", 0, 2, LinearCost(1.0, 0.5)),
         ("s", 1, 2, MM1Cost(2.0)), ("a", 2, 3, LinearCost(1.0)),
@@ -1851,10 +1854,17 @@ def test_split_rows_refuses_a_demand_that_misses_a_shared_link():
     rows = nash._split_rows(first)
     assert rows([0.5, 0.0]) is not None
     assert rows([0.5, 0.9]) is None and rows([0.5, 1.0]) is None
-    both = make_game(build_network([0, 1, 2, 3], [
+    net = build_network([0, 1, 2, 3], [
         ("s", 0, 1, MM1Cost(2.0)), ("a", 1, 2, LinearCost(1.0)),
-        ("b", 1, 2, LinearCost(0.0, 0.5)), ("c", 2, 3, LinearCost(1.0))]),
-        [UserSpec(1, 0, 2, 1.2), UserSpec(2, 0, 3, 1.0)], [0.0, 0.0])
+        ("b", 1, 2, LinearCost(0.0, 0.5)), ("c", 2, 3, LinearCost(1.0))])
+    users = (UserSpec(1, 0, 2, 1.2), UserSpec(2, 0, 3, 1.0))
+    with pytest.raises(InfeasibleError, match="link 's'") as refused:
+        make_game(net, users, [0.0, 0.0])
+    assert refused.value.detail == {"link": "s", "demand": 2.2,
+                                    "capacity": 2.0}
+    both = nash.RoutingGame(net, users, netmodel.build_path_set(net, users),
+                            CooperationProfile.from_alphas((1, 2),
+                                                           [0.0, 0.0]))
     rows = nash._split_rows(both)
     assert all(rows([x, y]) is None
                for x in grid(1.2, 5) for y in grid(1.0, 5))
@@ -1874,6 +1884,75 @@ def test_support_roots_assemble_into_profiles(game):
         assert all(0.0 <= v <= ri for flows, ri in zip(state, r)
                    for v in flows), (support, state)
         profile_from_state(game, state)
+
+
+# ----------------------------------------------------- deviation splits
+
+def same_float(a, b):
+    """Equal, of one type, and with one sign, so 0.0 and -0.0 differ."""
+    return (type(a) is type(b) and a == b
+            and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(0.0, 1e300), st.integers(1, 10 ** 6)))
+@example(1.0)
+@example(1)
+@example(5e-324)
+def test_deviation_splits_are_the_uncached_splits(r):
+    splits = nash._deviation_splits(r)
+    expected = [(r - t, t) for t in grid(r, nash.DEVIATION_GRID)]
+    assert type(splits) is tuple and len(splits) == len(expected)
+    for got, want in zip(splits, expected):
+        assert type(got) is tuple
+        assert all(map(same_float, got, want)), (got, want)
+    assert nash._deviation_splits(r) is splits
+
+
+def test_sweep_builds_the_deviation_grid_once_per_demand(monkeypatch):
+    # verify_nash prices the same 1,001 splits of a demand on every
+    # check; exp1's two users share the demand 1.0, so its 101-row sweep
+    # builds that grid once, however many profiles it verifies
+    grids, checks = [], []
+
+    def counted_grid(r, n):
+        if n == nash.DEVIATION_GRID:
+            grids.append(r)
+        return grid(r, n)
+
+    def counted_verify(game, profile, _orig=nash.verify_nash):
+        checks.append(profile)
+        return _orig(game, profile)
+
+    monkeypatch.setattr(nash, "grid", counted_grid)
+    monkeypatch.setattr(nash, "verify_nash", counted_verify)
+    nash._deviation_splits.cache_clear()
+    scenario = get_preset("exp1")
+    alpha_sweep(scenario, [i / 100 for i in range(101)], "first")
+    assert grids == sorted(set(scenario.build_game().demands))
+    assert len(checks) > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(affine_two_user_games().map(lambda case: case[0]),
+                 queue_two_user_games()),
+       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_verify_nash_is_the_same_with_a_cold_or_warm_cache(game, shares):
+    # a profile at the drawn shares of each user's second path, checked
+    # with splits built per call (as before the cache), with an empty
+    # cache and with a filled one
+    r = game.demands
+    flows = [[ri - ri * f, ri * f] for ri, f in zip(r, shares)]
+    profile = assemble_profile(game.net, game.paths, flows, r)
+    cached = nash._deviation_splits
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nash, "_deviation_splits", lambda d: [
+            (d - t, t) for t in grid(d, nash.DEVIATION_GRID)])
+        uncached = repr(verify_nash(game, profile))
+    cached.cache_clear()
+    assert repr(verify_nash(game, profile)) == uncached
+    assert cached.cache_info().currsize == len(set(r))
+    assert repr(verify_nash(game, profile)) == uncached
 
 
 # ------------------------------------------------------ ordered starts

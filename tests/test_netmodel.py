@@ -8,7 +8,7 @@ from cooproute import (ConfigError, InfeasibleError, LinearCost, MM1Cost,
                        assemble_profile, build_network, build_path_set,
                        check_feasibility, enumerate_paths, make_game,
                        saturated_links)
-from cooproute.netmodel import MAX_PATHS, UserSpec
+from cooproute.netmodel import MAX_PATHS, UserSpec, check_shared_links
 
 
 def ladder(rungs):
@@ -296,3 +296,47 @@ class TestSaturationAndFeasibility:
         with pytest.raises(InfeasibleError, match="incoming links"):
             check_feasibility(net, [UserSpec(1, 1, 3, 4.5),
                                     UserSpec(2, 2, 3, 3.7)])
+
+    @staticmethod
+    def shared_start_net(bypass=None):
+        # every path out of node 0 starts on s (capacity 2); users bound
+        # for nodes 2 and 3 then part at node 2
+        links = [("s", 0, 1, MM1Cost(2.0)), ("a", 1, 2, LinearCost(1.0)),
+                 ("b", 1, 2, LinearCost(0.0, 0.5)),
+                 ("c", 2, 3, LinearCost(1.0))]
+        if bypass is not None:
+            links.append(("d", 0, 1, bypass))
+        return build_network([0, 1, 2, 3], links)
+
+    @pytest.mark.parametrize("second, refused", [
+        (0.7, False), (0.8, True), (1.0, True)])
+    def test_link_on_every_path_of_two_destinations(self, second, refused):
+        # each destination's own cut holds its demand, but both users
+        # must cross s, so the sum of their demands must fit on it
+        net = self.shared_start_net()
+        users = [UserSpec(1, 0, 2, 1.2), UserSpec(2, 0, 3, second)]
+        paths = build_path_set(net, users)
+        check_feasibility(net, users)
+        if not refused:
+            check_shared_links(net, users, paths)
+            return
+        with pytest.raises(InfeasibleError, match="link 's'") as exc:
+            check_shared_links(net, users, paths)
+        assert exc.value.detail == {"link": "s", "demand": 1.2 + second,
+                                    "capacity": 2.0}
+
+    @pytest.mark.parametrize("bypass", [LinearCost(1.0), MM1Cost(0.5)])
+    def test_a_bypass_frees_the_shared_link(self, bypass):
+        # with a second link from 0 to 1, no path set forces s
+        net = self.shared_start_net(bypass)
+        users = [UserSpec(1, 0, 2, 1.2), UserSpec(2, 0, 3, 1.0)]
+        check_shared_links(net, users, build_path_set(net, users))
+        make_game(net, users, [0.0, 0.0])
+
+    def test_cut_message_comes_first(self):
+        # make_game reports one destination's overloaded cut as before,
+        # even when a shared link is overloaded too
+        net = self.shared_start_net()
+        users = [UserSpec(1, 0, 2, 2.5), UserSpec(2, 0, 3, 1.0)]
+        with pytest.raises(InfeasibleError, match="into node 2"):
+            make_game(net, users, [0.0, 0.0])
