@@ -83,8 +83,7 @@ class MM1Cost:
                               f"cube")
 
     # ``value`` as kernel source (see ``LinearCost.LATENCY``); the slack
-    # is taken twice, as a comprehension's ``for`` clause binds no name
-    # by ``:=``, and comes out the same both times
+    # is taken twice and comes out the same both times
     LATENCY = "INF if {capacity} - {f} <= 0.0 else 1.0 / ({capacity} - {f})"
 
     def value(self, flow: float) -> float:
@@ -490,126 +489,67 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
 
     ``paths[k]`` lists user ``k``'s paths as link indices and ``state[k]``
     its path flows.  The function returned maps a list of flow vectors
-    for ``ui`` to their costs, each exactly
-    ``weighted_cost(row, user_costs(...))`` at the loads summed path by
-    path in user order, with the same rules: zero flow on a full link
-    costs nothing, a user of weight zero is skipped, and an infinite raw
-    cost makes the operating cost infinite, since every weight left is
-    positive.  (A NaN flow or cost can make a cost NaN where
-    ``weighted_cost`` returns infinity; ``verify_nash`` rejects such a
-    profile on its raw costs first.)  Only the links on ``ui``'s paths
-    are recomputed, by one list comprehension compiled per shape of the
-    game (``_kernel``) that prices each point in one pass; every other
-    link's latency and cost shares are summed here, once.
+    for ``ui`` to their costs ``c + sum_l (w_l + b y_l) T_l(o_l + y_l)``
+    over the links on ``ui``'s paths in link order: ``o_l`` is the other
+    users' load, summed path by path in user order, ``w_l`` that load
+    weighed by ``row``, ``b = row[ui]`` and ``y_l`` the point's own load,
+    summed over the paths through ``l`` in path order.  ``c`` sums the
+    other links' terms, once.  A term of weight zero adds nothing, so in
+    exact arithmetic this is ``weighted_cost(row, user_costs(...))`` with
+    its rules (a user of weight zero is skipped, zero flow on a full link
+    is free, a weighted infinite cost is infinite); in floats the two
+    agree up to the rounding of the loads.
     """
-    mine = paths[ui]
-    moving = sorted({li for p in mine for li in p})
-    slot = {li: j for j, li in enumerate(moving)}
     m = len(links)
-    before = [0.0] * len(moving)   # totals of the users ahead of ui
-    after = [[] for _ in moving]   # later users' flows, added one by one
-    loads = []
-    totals = [0.0] * m
+    others, weighted = [0.0] * m, [0.0] * m
     for k, (kpaths, flows) in enumerate(zip(paths, state)):
+        if k == ui:
+            continue
         own = [0.0] * m
-        loads.append(own)
-        if k == ui:
-            continue
         for links_p, v in zip(kpaths, flows):
-            if v == 0.0:
-                continue
-            for li in links_p:
-                own[li] += v
-                totals[li] += v
-                j = slot.get(li)
-                if j is not None:
-                    if k < ui:
-                        before[j] += v
-                    else:
-                        after[j].append(v)
-    # The shape goes to ``_kernel`` and every float to the kernel, in the
-    # order of its parameters.  A moving link is its cost class, the
-    # paths of ui that cover it and its count of later users' flows.
-    movers, plans, consts = [], [], []
-    for j, li in enumerate(moving):
-        spec = links[li].cost
-        movers.append((type(spec),
-                       tuple(p for p, lp in enumerate(mine) if li in lp),
-                       len(after[j])))
-        consts += (before[j], *after[j],
-                   *(getattr(spec, name) for name in spec.__slots__))
-    # A raw cost sums f * T over links in link order.  A term on moving
-    # link ``j`` is a load times its latency; a fixed link's term is a
-    # constant, slot -1.  ``None`` stands for ui's own terms.
-    for k, own in enumerate(loads):
-        if not row[k]:
-            continue
-        consts.append(row[k])
-        if k == ui:
-            plans.append(None)
-            continue
-        slots = []
-        for li, v in enumerate(own):
-            if v:
-                j = slot.get(li, -1)
-                slots.append(j)
-                consts.append(v if j >= 0 else
-                              v * links[li].cost.value(totals[li]))
-        plans.append(tuple(slots))
-    return functools.partial(_kernel(len(mine), tuple(movers), tuple(plans)),
-                             *consts)
+            if v != 0.0:
+                for li in links_p:
+                    own[li] += v
+                    others[li] += v
+        if row[k]:
+            weighted = [w + row[k] * v for w, v in zip(weighted, own)]
+    mine = paths[ui]
+    cover = {li: tuple(p for p, lp in enumerate(mine) if li in lp)
+             for lp in mine for li in lp}
+    c, movers, consts = 0.0, [], []   # the shape, and the kernel's floats
+    for li, (lk, o, w) in enumerate(zip(links, others, weighted)):
+        spec = lk.cost
+        if li in cover:
+            movers.append((type(spec), cover[li]))
+            consts += (o, w, *(getattr(spec, name) for name in spec.__slots__))
+        elif w:
+            c += w * spec.value(o)
+    return functools.partial(_kernel(len(mine), tuple(movers)),
+                             c, row[ui], *consts)
 
 
 @functools.lru_cache(maxsize=128)
-def _kernel(ncols: int, movers: tuple, plans: tuple):
+def _kernel(ncols: int, movers: tuple):
     """``deviation_cost``'s evaluator for one shape: ``ncols`` path flows
-    per point, each moving link's ``(class, cover, tail length)`` and each
-    plan's term slots.  It takes the shape's floats, then the points.
-
-    One comprehension prices each point in the order and with the float
-    operations of a single evaluation: a link's total is its base plus
-    the point's flows on it plus the later users' flows, one at a time;
-    the latency is the class's ``LATENCY``; the deviating user's raw
-    cost runs from 0.0 over its links and skips a zero own load; the
-    operating cost runs from 0.0 over the plans.  A link's own load is
-    its first path's flow, not 0.0 plus it: the two differ only in the
-    sign of a zero, which no term reads.  The source holds slot indices
-    and the ``LATENCY`` templates only, never a float.  Every preset
-    sweep together uses 53 shapes.
+    per point and each moving link's ``(class, covering paths)``.  It
+    takes ``c``, ``b``, each link's ``o``, ``w`` and fields, then the
+    points, and prices each point in one comprehension, a latency by its
+    class's ``LATENCY``.  The source holds names and those templates
+    only, never a float, so games of one shape share a kernel.
     """
     xs = [f"x{p}" for p in range(ncols)]
-    params = []
+    params, acc = ["c", "b"], "c"
     clauses = ["for (" + "".join(x + ", " for x in xs) + ") in points"]
-    for j, (cls, cover, ntail) in enumerate(movers):
+    for j, (cls, cover) in enumerate(movers):
         names = {name: f"{name}{j}" for name in cls.__slots__}
-        tails = [f"k{j}_{i}" for i in range(ntail)]
-        params += [f"b{j}", *tails, *names.values()]
-        total = " + ".join([f"b{j}", *(xs[p] for p in cover), *tails])
-        clauses.append(f"for t{j} in ({total},)")
-        clauses.append(f"for l{j} in "
-                       f"({cls.LATENCY.format(f=f't{j}', **names)},)")
-    acc = "0.0"
-    for i, slots in enumerate(plans):
-        params.append(f"w{i}")
-        raw = "0.0"
-        if slots is None:
-            for j, (_, cover, _) in enumerate(movers):
-                own = " + ".join(xs[p] for p in cover)
-                if len(cover) > 1:
-                    clauses.append(f"for o{j} in ({own},)")
-                    own = f"o{j}"
-                clauses.append(f"for r in ({raw} + {own} * l{j} "
-                               f"if {own} else {raw},)")
-                raw = "r"
-        else:
-            for n, j in enumerate(slots):
-                params.append(f"v{i}_{n}")
-                raw += f" + v{i}_{n}" + (f" * l{j}" if j >= 0 else "")
-        acc += f" + w{i} * ({raw})"
+        params += [f"o{j}", f"w{j}", *names.values()]
+        clauses += [f"for y{j} in ({' + '.join(xs[p] for p in cover)},)",
+                    f"for h{j} in (w{j} + b * y{j},)",
+                    f"for t{j} in (o{j} + y{j},)"]
+        latency = cls.LATENCY.format(f=f"t{j}", **names)
+        acc += f" + (h{j} * ({latency}) if h{j} else 0.0)"
     source = (f"def kernel({', '.join(params)}, points):\n"
-              f"    return [{acc}\n"
-              + "".join(f"            {c}\n" for c in clauses)
-              + "            ]\n")
+              f"    return [{acc} {' '.join(clauses)}]\n")
     scope = {"INF": INFINITE_COST}
     exec(compile(source, "<deviation kernel>", "exec"), scope)
     return scope["kernel"]

@@ -48,9 +48,9 @@ one path alone, come from ``costs``; this module only sums the other
 users' path flows into link loads, through the game's precomputed
 ``feeds`` in one fixed order (``_state_loads``), and hands them over.  The
 verifier's deviation sweep prices each split with
-``costs.deviation_cost``, which recomputes only the deviating user's
-links, by one list comprehension compiled per shape of the game, and
-matches the full-state cost exactly.
+``costs.deviation_cost``, one sum over the deviating user's links by
+one list comprehension compiled per shape of the game, which agrees
+with the reported costs up to the rounding of the loads.
 """
 
 from __future__ import annotations

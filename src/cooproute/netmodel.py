@@ -232,15 +232,16 @@ def saturated_links(net: Network, profile: FlowProfile) -> tuple[str, ...]:
     return tuple(bad)
 
 
-def _min_cut(net: Network, sources, target) -> list[Link] | None:
-    """The links of a minimum cut between ``sources`` and ``target``,
+def _min_cut(net: Network, sources, targets) -> list[Link] | None:
+    """The links of a minimum cut between ``sources`` and ``targets``,
     found by an exact max-flow (Edmonds and Karp) from a super source
-    with unbounded edges to each of ``sources``.  An M/M/1 link carries
+    with unbounded edges to each of ``sources`` to a super sink with
+    unbounded edges from each of ``targets``.  An M/M/1 link carries
     its capacity and a linear link is unbounded; an unbounded path to
-    the target has no finite cut and returns None."""
+    a target has no finite cut and returns None."""
     # Residual graph as an edge list; edge e's reverse is e ^ 1.
     heads, room, out = [], [], {}
-    super_source = object()
+    super_source, super_sink = object(), object()
 
     def add(u, v, cap):
         for a, b, c in ((u, v, cap), (v, u, 0.0)):
@@ -250,6 +251,8 @@ def _min_cut(net: Network, sources, target) -> list[Link] | None:
 
     for s in sources:
         add(super_source, s, math.inf)
+    for t in targets:
+        add(t, super_sink, math.inf)
     for lk in net.links:
         add(lk.source, lk.target, lk.cost.capacity
             if isinstance(lk.cost, MM1Cost) else math.inf)
@@ -261,9 +264,9 @@ def _min_cut(net: Network, sources, target) -> list[Link] | None:
                 if room[e] > 0.0 and heads[e] not in via:
                     via[heads[e]] = e
                     queue.append(heads[e])
-        if target not in via:
+        if super_sink not in via:
             break
-        path, v = [], target
+        path, v = [], super_sink
         while via[v] is not None:
             path.append(via[v])
             v = heads[via[v] ^ 1]
@@ -285,7 +288,8 @@ def check_feasibility(net: Network, users: Sequence[UserSpec]) -> None:
     destination (``_min_cut``): its incoming links, or a bottleneck
     further upstream.  A user with positive demand and no path at all is
     caught earlier, by ``build_path_set``; demands of different
-    destinations that meet on one link, by ``check_shared_links``.
+    destinations that meet on one link or one cut, by
+    ``check_shared_links``.
     """
     by_target: dict[int, float] = {}
     sources: dict[int, dict] = {}
@@ -295,7 +299,7 @@ def check_feasibility(net: Network, users: Sequence[UserSpec]) -> None:
     for target, demand in by_target.items():
         if demand <= 0:
             continue
-        cut = _min_cut(net, sources[target], target)
+        cut = _min_cut(net, sources[target], (target,))
         if cut is None:
             continue
         cap = math.fsum(lk.cost.capacity for lk in cut)
@@ -321,6 +325,11 @@ def check_shared_links(net: Network, users: Sequence[UserSpec],
     M/M/1 link, because it lies on every one of their users' ``paths``,
     meet or exceed its capacity, whatever destinations they are bound
     for.  ``check_feasibility`` covers one destination's demand alone.
+
+    Then, when positive demands are bound for two or more destinations,
+    their total must stay below the capacity of a minimum cut from all
+    their sources to all those destinations (``_min_cut``): every
+    routing of every user is one flow between the two sets.
     """
     forced: dict[int, list[float]] = {}
     for u, upaths in zip(users, paths.paths):
@@ -337,3 +346,20 @@ def check_shared_links(net: Network, users: Sequence[UserSpec],
                 f"or exceeds its capacity {lk.cost.capacity}",
                 detail={"link": lk.link_id, "demand": demand,
                         "capacity": lk.cost.capacity})
+    bound = [u for u in users if u.demand > 0]
+    ends = list(dict.fromkeys(u.target for u in bound))
+    if len(ends) < 2:
+        return
+    cut = _min_cut(net, [u.source for u in bound], ends)
+    if cut is None:
+        return
+    demand = math.fsum(u.demand for u in bound)
+    cap = math.fsum(lk.cost.capacity for lk in cut)
+    if demand >= cap:
+        links = [lk.link_id for lk in cut]
+        raise InfeasibleError(
+            f"demand {demand} into nodes {', '.join(map(str, ends))} meets "
+            f"or exceeds the capacity {cap} of the cut through links "
+            f"{', '.join(links)}",
+            detail={"nodes": ends, "demand": demand, "capacity": cap,
+                    "links": links})

@@ -266,6 +266,36 @@ class TestErrorPaths:
         assert rc == 2
         assert "duplicate" in err
 
+    def test_cooperation_matrix_matches_alphas(self, capsys, tmp_path):
+        # the users listed out of id order: the matrix's rows and columns
+        # follow the listing, and the game re-indexes them by id
+        doc = {**THREE_LINK_DOC, "alphas": [0.2, 0.5, 0.9]}
+        users = doc["users"]
+        listed = {**doc, "users": [users[2], users[0], users[1]],
+                  "alphas": [0.9, 0.2, 0.5]}
+        # each row as from_alphas builds it: 1 - a on the user itself
+        rows = {1: (1 - 0.2, 0.1, 0.1), 2: (0.25, 1 - 0.5, 0.25),
+                3: (0.45, 0.45, 1 - 0.9)}
+        matrix = {k: v for k, v in listed.items() if k != "alphas"}
+        matrix["cooperation"] = [[rows[i][j - 1] for j in (3, 1, 2)]
+                                 for i in (3, 1, 2)]
+        outs = []
+        for d in (doc, listed, matrix):
+            rc, out, err = run(capsys, "solve", "--config",
+                               write_doc(tmp_path, d))
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.5, 0.4]]])
+    def test_bad_cooperation_matrix(self, capsys, tmp_path, matrix):
+        # a ragged matrix, then a row that does not sum to 1
+        doc = {k: v for k, v in GAME_DOC.items() if k != "alphas"}
+        rc, out, err = run(capsys, "solve", "--config",
+                           write_doc(tmp_path, {**doc, "cooperation": matrix}))
+        assert (rc, out) == (2, "")
+
     def test_both_weight_forms_rejected(self, capsys, tmp_path):
         doc = dict(GAME_DOC)
         doc["cooperation"] = [[1.0, 0.0], [0.0, 1.0]]
@@ -393,6 +423,35 @@ class TestErrorPaths:
                            write_doc(tmp_path, doc))
         assert (rc, out) == (3, "")
         assert "must cross link 's'" in err
+
+    @pytest.mark.parametrize("second, rc", [(1.0, 3), (0.7, 0)])
+    def test_cut_of_two_destinations_exits_three(self, capsys, tmp_path,
+                                                 second, rc):
+        # users bound for nodes 2 and 3 both cross s1 or s2 (capacity 1
+        # each) but no one link: each destination's own cut and each
+        # link hold the demand, the cut shared by both does not at 2.2
+        doc = {"nodes": [0, 1, 2, 3],
+               "links": [{"id": lid, "source": 0, "target": 1,
+                          "cost": {"kind": "queue", "capacity": 1.0}}
+                         for lid in ("s1", "s2")] + [
+                   {"id": "a", "source": 1, "target": 2,
+                    "cost": {"kind": "linear", "slope": 1.0}},
+                   {"id": "c", "source": 2, "target": 3,
+                    "cost": {"kind": "linear", "slope": 1.0}}],
+               "users": [{"id": 1, "source": 0, "target": 2, "demand": 1.2},
+                         {"id": 2, "source": 0, "target": 3,
+                          "demand": second}],
+               "alphas": [0.0, 0.0]}
+        got, out, err = run(capsys, "solve", "--config",
+                            write_doc(tmp_path, doc))
+        assert got == rc
+        if rc:
+            assert out == ""
+            assert ("demand 2.2 into nodes 2, 3 meets or exceeds the "
+                    "capacity 2.0 of the cut through links s1, s2") in err
+            assert json.loads(err.splitlines()[1]) == {
+                "nodes": [2, 3], "demand": 2.2, "capacity": 2.0,
+                "links": ["s1", "s2"]}
 
     def test_solver_failure_maps_to_four(self, capsys, monkeypatch):
         def boom(game):

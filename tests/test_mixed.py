@@ -115,6 +115,12 @@ class TestWardropSplit:
         w = wardrop_split(MM1Cost(1.0), MM1Cost(5.0), 0.9, 0.3, 0.5)
         assert w == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("base_one, base_two", [(0.5, 0.5), (1.0, 2.0)])
+    def test_zero_mass_sends_nothing(self, base_one, base_two):
+        # even beside a full link: no mass has nothing to place
+        w = wardrop_split(MM1Cost(1.0), MM1Cost(2.0), base_one, base_two, 0.0)
+        assert w == 0.0
+
 
 class TestClosedForm:
     def test_reference_three_equilibria(self):
@@ -285,6 +291,10 @@ def test_saturating_split_reports_infinite_cost():
     assert jg2 < math.inf
     for corner in ((1.2, 0.0), (0.0, 0.0)):
         assert mixed_costs(s, *corner) == hand_costs(s, *corner)
+    # the verifier refuses the saturating split outright, not by the
+    # finite gap to the mass's Wardrop split
+    assert verify_mixed(s, 1.2, 0.0) == mixed.MixedCheck(ok=False,
+                                                        violation=math.inf)
 
 
 def hand_group_response(s, w):

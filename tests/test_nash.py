@@ -428,6 +428,43 @@ def full_state_cost(game, state, ui):
                          user_costs(game.net.links, loads, totals))
 
 
+def link_sum_cost(game, state, ui):
+    """Operating cost of user ``ui`` as ``deviation_cost`` states it, by
+    plain loops in its order: the other users' loads path by path in
+    user order, ``ui``'s own load over its covering paths in path order,
+    then the constant and the link terms in link order."""
+    links, row = game.net.links, game.coop.rows[ui]
+    mine, m = game.paths.paths[ui], len(links)
+    others, weighted = [0.0] * m, [0.0] * m
+    for k, (paths, flows) in enumerate(zip(game.paths.paths, state)):
+        if k == ui:
+            continue
+        own = [0.0] * m
+        for links_p, v in zip(paths, flows):
+            if v != 0.0:
+                for li in links_p:
+                    own[li] += v
+                    others[li] += v
+        if row[k]:
+            for li in range(m):
+                weighted[li] += row[k] * own[li]
+    const, terms = 0.0, []
+    for li, lk in enumerate(links):
+        cover = [v for links_p, v in zip(mine, state[ui]) if li in links_p]
+        y = 0.0
+        for v in cover:
+            y += v
+        h = weighted[li] + row[ui] * y
+        term = h * lk.cost.value(others[li] + y) if h else 0.0
+        if cover:
+            terms.append(term)
+        else:
+            const += term
+    for term in terms:
+        const += term
+    return const
+
+
 DEVIATION_GAMES = {
     "asym-cross-0": lambda: get_preset("braess-lb-asym").build_game(param=0.0),
     "asym-cross-0.5": lambda: get_preset("braess-lb-asym").build_game(
@@ -459,8 +496,10 @@ DEVIATION_GAMES = {
 
 @pytest.mark.parametrize("name", list(DEVIATION_GAMES))
 def test_deviation_cost_equals_full_state_cost(name):
-    # the verifier's sweep recomputes only the deviating user's links;
-    # it must price every split exactly as the full state does
+    # the verifier's sweep recomputes only the deviating user's links; it
+    # must price every split as the link sum, which is the full state's
+    # cost up to the rounding of the loads (near an M/M/1 capacity a
+    # one-ulp change in a load moves 1 / (C - f) by far more than an ulp)
     game = DEVIATION_GAMES[name]()
     g = nash.DEVIATION_GRID
     seen_inf = False
@@ -476,11 +515,34 @@ def test_deviation_cost_equals_full_state_cost(name):
             for flows, got in zip(splits, cost(splits)):
                 trial = [list(s) for s in state]
                 trial[ui] = list(flows)
-                assert got == full_state_cost(game, trial, ui)
+                assert got == link_sum_cost(game, trial, ui)
+                # isclose holds for two infinities and for no other pair
+                # with one infinity
+                assert math.isclose(got, full_state_cost(game, trial, ui),
+                                    rel_tol=1e-9)
                 seen_inf |= got == math.inf
     if name in ("asym-cross-0", "weight-0-on-full-link", "shared-first-hop",
                 "three-users"):
         assert seen_inf
+
+
+@pytest.mark.parametrize("name", ["asym-cross-0", "shared-first-hop",
+                                  "three-users"])
+def test_a_split_costs_the_same_alone_and_in_the_sweep(name):
+    # verify_nash compares the current split, priced alone, with the
+    # 1,001 splits priced together: a point's cost must not depend on
+    # the points priced beside it
+    game = DEVIATION_GAMES[name]()
+    for ui, r in enumerate(game.demands):
+        state = [[0.7 * d, d - 0.7 * d] for d in game.demands]
+        cost = deviation_cost(game.net.links, game.paths.paths, state,
+                              game.coop.rows[ui], ui)
+        splits = nash._deviation_splits(r)
+        together = cost(splits)
+        assert [cost([flows])[0] for flows in splits] == together
+        if name == "asym-cross-0":
+            # the crossing path's link has capacity 0
+            assert math.inf in together
 
 
 # A user from s to t has three paths, two of them through sa, one from
@@ -531,7 +593,9 @@ def deviation_cases(draw):
 @given(deviation_cases())
 def test_deviation_kernel_equals_full_state_cost(case):
     # the second game has the first one's shape, so it reuses the first
-    # one's compiled kernel and must not price with any of its constants
+    # one's compiled kernel and must not price with any of its constants;
+    # the drawn flows may fill a link, where rounding of the loads can
+    # move the full state's cost far, so the link sum is the reference
     games, state, points = case
     for game in games:
         compiled = costs._kernel.cache_info().misses
@@ -541,7 +605,7 @@ def test_deviation_kernel_equals_full_state_cost(case):
             for flows, got in zip(pts, cost(pts)):
                 trial = [list(s) for s in state]
                 trial[ui] = list(flows)
-                assert got == full_state_cost(game, trial, ui)
+                assert got == link_sum_cost(game, trial, ui)
     assert costs._kernel.cache_info().misses == compiled
 
 
@@ -711,15 +775,29 @@ def test_continuum_rows_stay_small(preset, monkeypatch):
 
 # Deviation kernels compiled by exp1's 101-row vary="first" sweep (the
 # exp1-alpha benchmark) and by the braess-lb-sym then braess-lb-asym
-# parameter sweeps, which share all but one shape.  A cache key that held
+# parameter sweeps, which share every shape.  A cache key that held
 # a constant would compile one kernel per verified profile.
-KERNEL_WORK = {"exp1": 4, "braess-lb-sym": 6, "braess-lb-asym": 1}
+KERNEL_WORK = {"exp1": 2, "braess-lb-sym": 2, "braess-lb-asym": 0}
 # Trajectories the same sweeps run: 2,121, 441 and 441 from every start
 # of the second user; 246, 105 and 46 once the bisection over ordered
 # starts credits the starts between two that reach one cluster.  Wall
 # time is too noisy to show a bisection that stops crediting starts; the
 # count is not.
 TRAJECTORY_WORK = {"exp1": 246, "braess-lb-sym": 105, "braess-lb-asym": 46}
+
+
+def test_unconverged_starts_leave_the_support_pass_roots(monkeypatch):
+    # one sweep per run: no start converges, and every one is counted as
+    # such, while the support pass still finds and verifies all three
+    # equilibria, each with an empty basin
+    monkeypatch.setattr(nash, "MAX_SWEEPS", 1)
+    eqs = multistart_nash(get_preset("exp1").build_game(alphas=(0.95, 0.0)))
+    diag = eqs.diagnostics
+    assert diag["non_converged"] == diag["total_starts"] == 441
+    assert diag["failed_starts"] == 0
+    assert len(eqs) == 3
+    assert all(eq.verified and eq.scan_found and eq.basin_count == 0
+               for eq in eqs)
 
 
 def test_deviation_kernels_compile_once_per_shape():
