@@ -50,6 +50,23 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
+def _dumps(obj, indent=None) -> str:
+    """``obj`` as strict JSON with sorted keys: each non-finite float,
+    which JSON cannot hold, becomes the string ``_fmt`` writes for it in
+    the CSV (``"inf"``, ``"-inf"``, ``"nan"``), and one that is missed
+    raises."""
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return _fmt(v)
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+    return json.dumps(finite(obj), allow_nan=False, indent=indent,
+                      sort_keys=True)
+
+
 def _no_dup_pairs(pairs):
     out = {}
     for k, v in pairs:
@@ -529,7 +546,7 @@ def _cmd_verify(args, manifest):
               "max_violation": check.max_violation,
               "kkt_multipliers": list(check.kkt_multipliers),
               "saturated_links": list(check.saturated)}
-    return json.dumps(result, indent=2, sort_keys=True) + "\n"
+    return _dumps(result, indent=2) + "\n"
 
 
 def _cmd_presets(args, manifest):
@@ -630,15 +647,15 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         if e.detail:
-            print(json.dumps(e.detail, sort_keys=True), file=sys.stderr)
+            print(_dumps(e.detail), file=sys.stderr)
         return 3
     except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         if e.diagnostics:
-            print(json.dumps(e.diagnostics, sort_keys=True), file=sys.stderr)
+            print(_dumps(e.diagnostics), file=sys.stderr)
         return 4
     manifest["timings"]["total"] = time.perf_counter() - t0
-    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    manifest_text = _dumps(manifest, indent=2) + "\n"
     for text, path, stream in (
             (output, getattr(args, "out", None), sys.stdout),
             (manifest_text, getattr(args, "manifest", None), sys.stderr)):

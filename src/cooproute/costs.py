@@ -22,7 +22,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ConfigError
 from .search import newton_argmin
@@ -53,7 +53,12 @@ class LinearCost:
             raise ConfigError(f"linear cost slope {self.slope!r} is subnormal")
 
     # ``value`` as source for ``deviation_cost``'s kernel, over the load
-    # ``{f}`` and the fields, each ``{name}``
+    # ``{f}`` and the fields, each ``{name}``.  Every class the kernel
+    # prices must be nonnegative and nondecreasing in the load for
+    # nonnegative fields: ``DeviationCost.least_below`` bounds a block of
+    # splits by its corner on that ground alone.  A class that is not
+    # must make ``deviation_cost`` report ``monotone`` False, which
+    # prices every split.
     LATENCY = "{slope} * {f} + {intercept}"
 
     def value(self, flow: float) -> float:
@@ -499,6 +504,11 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
     its rules (a user of weight zero is skipped, zero flow on a full link
     is free, a weighted infinite cost is infinite); in floats the two
     agree up to the rounding of the loads.
+
+    The function is a ``DeviationCost``, ``monotone`` when ``c``, ``b``
+    and every ``o_l``, ``w_l`` and cost field are nonnegative.  A
+    cooperation weight inside ``CooperationProfile``'s tolerance below
+    0 can make one of them negative.
     """
     m = len(links)
     others, weighted = [0.0] * m, [0.0] * m
@@ -524,8 +534,65 @@ def deviation_cost(links: Sequence["Link"], paths, state, row: Sequence[float],
             consts += (o, w, *(getattr(spec, name) for name in spec.__slots__))
         elif w:
             c += w * spec.value(o)
-    return functools.partial(_kernel(len(mine), tuple(movers)),
-                             c, row[ui], *consts)
+    b = row[ui]
+    return DeviationCost(
+        functools.partial(_kernel(len(mine), tuple(movers)), c, b, *consts),
+        c >= 0.0 and b >= 0.0 and all(v >= 0.0 for v in consts))
+
+
+# Sizes of the blocks of splits whose corners ``least_below`` prices,
+# coarse then fine, before the splits of the blocks left.  Any sizes give
+# the same answer; on exp1's 101-row sweep others from 16 to 128, in one
+# to three levels, timed within noise of these.
+_BLOCKS = (64, 8)
+
+
+@dataclass(frozen=True, slots=True)
+class DeviationCost:
+    """A user's cost over its own path flows (``deviation_cost``).
+
+    Called on a list of flow vectors, ``price`` returns their costs.
+    ``monotone`` says that every constant ``price`` holds is nonnegative.
+    Each cost is then nondecreasing in every flow, in floats too: the
+    kernel adds, multiplies by nonnegative numbers and takes ``1 / x``,
+    all monotone when correctly rounded, and each ``LATENCY`` is
+    nonnegative and nondecreasing.  A term whose weight ``h_l`` is zero
+    is 0.0 even beside an infinite latency, and ``h_l`` does not
+    decrease either, so that rule keeps the order.
+    """
+
+    price: Callable[[list], list[float]]
+    monotone: bool
+
+    def __call__(self, points) -> list[float]:
+        return self.price(points)
+
+    def least_below(self, splits, bound) -> float:
+        """``min(math.inf, *self(splits))`` unless that is ``>= bound``,
+        and otherwise some value ``>= bound``: exactly the least cost
+        when it is below ``bound``, or when ``bound`` is NaN.
+
+        ``splits`` are two-path flows whose first flow does not increase
+        and whose second does not decrease along the list.  When
+        ``monotone``, the cost at a block's lower corner, the first flow
+        of its last split and the second of its first, bounds the cost of
+        every split in it from below.  So the corners of coarse blocks
+        are priced in one call, then those of the fine blocks inside the
+        ones whose corner is below ``bound``, and only the splits of the
+        fine blocks left are priced: every split that could cost less
+        than ``bound`` is priced (branch and bound, Land and Doig 1960).
+        A NaN corner keeps its block.  When not ``monotone``, every split
+        is priced.
+        """
+        spans = [(0, len(splits))]
+        for size in _BLOCKS if self.monotone else ():
+            spans = [(a, min(a + size, end)) for start, end in spans
+                     for a in range(start, end, size)]
+            corners = [(splits[e - 1][0], splits[a][1]) for a, e in spans]
+            spans = [span for span, v in zip(spans, self.price(corners))
+                     if not v >= bound]
+        return min([math.inf,
+                    *self.price([p for a, e in spans for p in splits[a:e]])])
 
 
 @functools.lru_cache(maxsize=128)

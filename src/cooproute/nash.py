@@ -47,10 +47,15 @@ Costs, path marginals and the two-path derivative, which also prices
 one path alone, come from ``costs``; this module only sums the other
 users' path flows into link loads, through the game's precomputed
 ``feeds`` in one fixed order (``_state_loads``), and hands them over.  The
-verifier's deviation sweep prices each split with
-``costs.deviation_cost``, one sum over the deviating user's links by
-one list comprehension compiled per shape of the game, which agrees
-with the reported costs up to the rounding of the loads.
+verifier's deviation sweep prices a split with ``costs.deviation_cost``,
+one sum over the deviating user's links by one list comprehension
+compiled per shape of the game, which agrees with the reported costs up
+to the rounding of the loads.  With no negative constant that cost is
+nondecreasing in each flow, so the sweep prices the corners of blocks
+of its sorted splits first and skips every block whose corner already
+costs no less than the current split
+(``costs.DeviationCost.least_below``); it still prices every split that
+could cost less, and reads the same least cost as a sweep of all 1,001.
 """
 
 from __future__ import annotations
@@ -649,8 +654,11 @@ def _deviation_splits(r: float) -> tuple[tuple[float, float], ...]:
     """The ``(r - t, t)`` splits of demand ``r`` that ``verify_nash``'s
     deviation sweep prices, for ``t`` on ``grid(r, DEVIATION_GRID)``.
 
-    They depend on the demand alone, so each demand's splits are built
-    once and shared as a tuple no caller can change.  ``typed`` keeps an
+    ``t`` does not decrease along the grid, so the first flow does not
+    increase and the second does not decrease, the order that
+    ``DeviationCost.least_below``'s block corners need.  They depend on
+    the demand alone, so each demand's splits are built once and shared
+    as a tuple no caller can change.  ``typed`` keeps an
     ``int`` demand apart from the equal ``float``, whose splits differ in
     the type of the last point.  A preset's users have at most two
     demands; each entry holds about 110 KB.
@@ -718,7 +726,9 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
             viol = max(viol, min(res / max(1.0, r), gap))
         if k == 2:
             cscale = max(1.0, abs(cur)) if cur != INFINITE_COST else 1.0
-            best_alt = min(math.inf, *cost(_deviation_splits(r)))
+            # the true least cost of a split when it is below cur, which
+            # is all that is read of it
+            best_alt = cost.least_below(_deviation_splits(r), cur)
             if cur != INFINITE_COST and best_alt < cur:
                 viol = max(viol, (cur - best_alt) / cscale)
             elif cur == INFINITE_COST and best_alt < INFINITE_COST:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -790,6 +791,25 @@ class TestVerifyCommand:
                            "--alpha", "0", "--profile", str(prof))
         assert rc == 0
         assert json.loads(out)["ok"] is False
+
+    def test_infinite_violation_is_strict_json(self, capsys, tmp_path):
+        # user 1's 2.0 on its crossing path overloads the link of capacity
+        # 0.5: an infinite violation, written as the CSV writes it
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"path_flows": [[0.0, 2.0], [1.0, 0.0]]}))
+        rc, out, err = run(capsys, "verify", "--preset", "braess-lb-asym",
+                           "--param", "0.5", "--profile", str(prof))
+        assert rc == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        result = json.loads(out, parse_constant=refuse)
+        assert result["ok"] is False
+        assert result["max_violation"] == "inf"
+        json.loads(err, parse_constant=refuse)
+        assert cli._dumps({"a": [math.nan, (-math.inf, 1.5)]}) == (
+            '{"a": ["nan", ["-inf", 1.5]]}')
 
     def test_demand_mismatch_is_config_error(self, capsys, tmp_path):
         prof = tmp_path / "prof.json"

@@ -784,6 +784,10 @@ KERNEL_WORK = {"exp1": 2, "braess-lb-sym": 2, "braess-lb-asym": 0}
 # time is too noisy to show a bisection that stops crediting starts; the
 # count is not.
 TRAJECTORY_WORK = {"exp1": 246, "braess-lb-sym": 105, "braess-lb-asym": 46}
+# Splits the deviation sweeps of the same sweeps price, block corners
+# included: 244,244 and 148,148 (1,001 a sweep) when every split is
+# priced.  Wall time is too noisy to show a bound that stops pruning.
+DEVIATION_WORK = {"exp1": 48_086, "braess": 13_532}
 
 
 def test_unconverged_starts_leave_the_support_pass_roots(monkeypatch):
@@ -800,7 +804,13 @@ def test_unconverged_starts_leave_the_support_pass_roots(monkeypatch):
                for eq in eqs)
 
 
-def test_deviation_kernels_compile_once_per_shape():
+def all_splits(*args):
+    """``deviation_cost`` with the bound off: its sweep prices every
+    split, as the reference of the bounded one."""
+    return dataclasses.replace(deviation_cost(*args), monotone=False)
+
+
+def test_deviation_kernels_compile_once_per_shape(monkeypatch):
     def compiled():
         return costs._kernel.cache_info().misses
 
@@ -808,17 +818,41 @@ def test_deviation_kernels_compile_once_per_shape():
         return sum(row.equilibria.diagnostics["trajectories"]
                    for row in table.rows)
 
+    priced, checks = [0], []
+    least_below = costs.DeviationCost.least_below
+
+    def counted(cost, splits, bound):
+        def price(points):
+            priced[0] += len(points)
+            return cost.price(points)
+        return least_below(dataclasses.replace(cost, price=price), splits,
+                           bound)
+
+    def recorded(game, profile, _verify=nash.verify_nash):
+        check = _verify(game, profile)
+        checks.append((game, profile, repr(check)))
+        return check
+
+    monkeypatch.setattr(costs.DeviationCost, "least_below", counted)
+    monkeypatch.setattr(nash, "verify_nash", recorded)
     costs._kernel.cache_clear()
     exp1 = alpha_sweep(get_preset("exp1"), [i / 100 for i in range(101)],
                        "first")
     assert compiled() == KERNEL_WORK["exp1"]
     assert trajectories(exp1) == TRAJECTORY_WORK["exp1"]
+    assert priced[0] == DEVIATION_WORK["exp1"]
+    priced[0] = 0
     costs._kernel.cache_clear()
     for preset in ("braess-lb-sym", "braess-lb-asym"):
         before = compiled()
         table = parameter_sweep(get_preset(preset))
         assert compiled() - before == KERNEL_WORK[preset], preset
         assert trajectories(table) == TRAJECTORY_WORK[preset], preset
+    assert priced[0] == DEVIATION_WORK["braess"]
+    # the bounded sweep's verdicts are the full sweep's, bit for bit
+    monkeypatch.setattr(nash, "deviation_cost", all_splits)
+    for game, profile, check in checks:
+        assert repr(verify_nash(game, profile)) == check
 
 
 @pytest.mark.parametrize("preset,build,newton", [
@@ -1985,6 +2019,10 @@ def test_deviation_splits_are_the_uncached_splits(r):
         assert type(got) is tuple
         assert all(map(same_float, got, want)), (got, want)
     assert nash._deviation_splits(r) is splits
+    # the order the sweep's block corners rely on
+    firsts, seconds = zip(*splits)
+    assert all(a >= b for a, b in zip(firsts, firsts[1:]))
+    assert all(a <= b for a, b in zip(seconds, seconds[1:]))
 
 
 def test_sweep_builds_the_deviation_grid_once_per_demand(monkeypatch):
@@ -2031,6 +2069,117 @@ def test_verify_nash_is_the_same_with_a_cold_or_warm_cache(game, shares):
     assert repr(verify_nash(game, profile)) == uncached
     assert cached.cache_info().currsize == len(set(r))
     assert repr(verify_nash(game, profile)) == uncached
+
+
+# Each user's two paths in link indices, and the links' ends: parallel
+# links, the load-balancing network (user 1 from 1 to 3 on l1 or l3 then
+# l2, user 2 from 2 to 3 on l2 or l4 then l1) and a shared first hop.
+SWEEP_SHAPES = {
+    "parallel": ([(1, 2), (1, 2)], [[(0,), (1,)], [(0,), (1,)]]),
+    "load-balancing": ([(1, 3), (2, 3), (1, 2), (2, 1)],
+                       [[(0,), (2, 1)], [(1,), (3, 0)]]),
+    "shared-first-hop": ([(1, 2), (2, 3), (2, 3)],
+                         [[(0, 1), (0, 2)], [(0, 1), (0, 2)]]),
+}
+
+
+@st.composite
+def bounded_sweep_cases(draw):
+    """User 1 of a two-user shape of ``SWEEP_SHAPES`` on affine and M/M/1
+    links, with zero weights and user 2's flows at, below or past an
+    M/M/1 capacity; its cooperation row, maybe one with a weight of
+    -1e-13, which ``CooperationProfile`` admits; an ``int`` or ``float``
+    demand, and a split of it."""
+    ends, paths = SWEEP_SHAPES[draw(st.sampled_from(list(SWEEP_SHAPES)))]
+    latencies = [
+        MM1Cost(draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 3.0)))
+        if draw(st.booleans()) else
+        LinearCost(draw(st.sampled_from([0.0])
+                        | st.floats(0.0, 2.0, allow_subnormal=False)),
+                   draw(st.floats(0.0, 1.0)))
+        for _ in ends]
+    net = build_network([1, 2, 3], [(f"l{i}", a, b, c) for i, ((a, b), c)
+                                     in enumerate(zip(ends, latencies))])
+    caps = [c.capacity for c in latencies if isinstance(c, MM1Cost)]
+    flow = st.sampled_from([0.0, *caps]) | st.floats(0.0, 3.0)
+    state = [[0.0, 0.0], draw(st.lists(flow, min_size=2, max_size=2))]
+    tiny = draw(st.sampled_from([None] * 4 + [0, 1]))
+    if tiny is None:
+        a = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        row = (1.0 - a, a)
+    else:
+        # -1e-13 on the user itself (b) or on the other (w and c)
+        row = [1.0 + 1e-13] * 2
+        row[tiny] = -1e-13
+    coop = CooperationProfile((1, 2), (tuple(row), (0.0, 1.0)))
+    r = draw(st.sampled_from([1]) | st.floats(0.1, 2.0))
+    t = draw(st.sampled_from([0.0, r]) | st.floats(0.0, r))
+    return net.links, paths, state, coop.rows[0], r, [r - t, t]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_sweep_cases(), st.floats(0.0, 10.0))
+def test_bounded_sweep_reads_what_the_full_sweep_reads(case, rand):
+    # below any bound the bounded sweep returns the full sweep's least
+    # cost exactly, and otherwise a value at or above the bound; a NaN
+    # bound, as a NaN current cost gives when a -1e-13 weight meets an
+    # infinite latency, prunes nothing
+    links, paths, state, row, r, split = case
+    cost = deviation_cost(links, paths, state, row, 0)
+    priced = [0]
+
+    def price(points):
+        priced[0] += len(points)
+        return cost.price(points)
+
+    counted = dataclasses.replace(cost, price=price)
+    splits = nash._deviation_splits(r)
+    full = min(math.inf, *cost(splits))
+    for bound in (cost([split])[0], math.inf, full, rand):
+        got = counted.least_below(splits, bound)
+        if not full >= bound:
+            assert same_float(got, full), (bound, got, full)
+        else:
+            assert got >= bound, (bound, got, full)
+    if all(w >= 0.0 for w in row):
+        assert cost.monotone
+    if row[0] < 0.0:
+        # a negative self-weight: every split of each of the four sweeps
+        assert not cost.monotone
+        assert priced[0] == 4 * len(splits)
+
+
+@pytest.mark.parametrize("preset,build", [
+    ("exp1", {"alphas": (0.95, 0.0)}),
+    ("braess-lb-asym", {"param": 10.0})])
+def test_the_sweep_alone_rejects_a_moved_equilibrium(preset, build,
+                                                      monkeypatch):
+    # with marginals that always agree and a best response that keeps
+    # any profile, the deviation sweep is the only check left: it must
+    # still reject 0.01 moved between a user's paths, and by as much as
+    # a sweep that prices every split
+    game = get_preset(preset).build_game(**build)
+    eqs = multistart_nash(game)
+    assert len(eqs) >= 1
+    monkeypatch.setattr(nash, "path_marginals",
+                        lambda links, paths, *rest: [1.0] * len(paths))
+    monkeypatch.setattr(nash, "_best_response",
+                        lambda game, state, ui: list(state[ui]))
+    for eq in eqs:
+        assert verify_nash(game, eq.profile).ok
+        for ui, (x, y) in enumerate(eq.profile.path_flows):
+            move = 0.01 if x >= y else -0.01
+            flows = [list(f) for f in eq.profile.path_flows]
+            flows[ui] = [x - move, y + move]
+            moved = assemble_profile(game.net, game.paths, flows,
+                                     game.demands)
+            check = verify_nash(game, moved)
+            with monkeypatch.context() as m:
+                m.setattr(nash, "deviation_cost", all_splits)
+                reference = verify_nash(game, moved)
+            assert not check.ok
+            assert check.max_violation == reference.max_violation
+            assert check.max_violation > nash.VERIFY_TOL
 
 
 # ------------------------------------------------------ ordered starts
