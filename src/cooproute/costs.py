@@ -267,7 +267,9 @@ class SplitCost:
     derivative is ``h_s / (u_s - t)^2 - h_f / (u_f - r + t)^2``, whose
     zero is ``t* = (sqrt(h_f) u_s - sqrt(h_s) (u_f - r)) /
     (sqrt(h_s) + sqrt(h_f))``: the square-root split of Orda, Rom and
-    Shimkin for parallel M/M/1 links.
+    Shimkin for parallel M/M/1 links.  ``pair_argmin``, the one copy of
+    it, runs it on four floats for ``argmin``, ``guarded_argmin`` and the
+    mixed model's group response, guard bracket and ``guard_fill`` too.
     """
 
     specs: tuple[CostSpec, ...]
@@ -326,6 +328,9 @@ class SplitCost:
     def guarded_argmin(self, others, weighted) -> tuple[float, bool]:
         """``argmin`` within ``bracket(others)`` and True, or
         ``guard_fill``'s ``(t, fits)`` when the bracket is empty."""
+        if self._pair:
+            return self.pair_argmin(others[0], others[1], weighted[0],
+                                    weighted[1])
         lo, hi = self.bracket(others)
         if lo > hi:
             return guard_fill(lo, hi, self.demand)
@@ -405,7 +410,7 @@ class SplitCost:
         one M/M/1 link on each path gives ``t*``, both clamped; other
         links run ``newton_argmin``.  The bracket stays within
         ``[0, demand]`` and short of every capacity, as ``bracket``'s
-        does.
+        does.  The pair runs ``pair_argmin``.
         """
         if self._line is not None:
             c, slope = self.line(others, weighted)
@@ -414,29 +419,49 @@ class SplitCost:
             if c + slope * hi <= 0.0:
                 return hi
             return min(max(-c / slope, lo), hi)
-        if not self._pair:
-            return newton_argmin(
-                lambda t: self.derivative(t, others, weighted), lo, hi)
+        if self._pair:
+            return self.pair_argmin(others[0], others[1], weighted[0],
+                                    weighted[1], (lo, hi))[0]
+        return newton_argmin(
+            lambda t: self.derivative(t, others, weighted), lo, hi)
+
+    def pair_argmin(self, o_s: float, o_f: float, w_s: float, w_f: float,
+                    bounds: tuple[float, float] | None = None
+                    ) -> tuple[float, bool]:
+        """``guarded_argmin`` of a pair split, on four floats: the second
+        path's link carries ``o_s`` of the others' load, weighed to
+        ``w_s``, and the first path's ``o_f`` and ``w_f``.  Given
+        ``bounds`` ``(lo, hi)``, the split is sought there instead, and
+        ``fits`` is True.  The float operations are ``bracket``'s, then
+        ``guard_fill``'s or the end tests and ``t*``, in that order."""
+        r = self.demand
+        us = self._caps[0][1] - o_s
+        uf = self._caps[1][1] - o_f
+        if bounds is None:
+            lo = max(0.0, r - uf + CAPACITY_GUARD)
+            hi = min(r, us - CAPACITY_GUARD)
+            if lo > hi:
+                return guard_fill(lo, hi, r)
+        else:
+            lo, hi = bounds
         if hi <= lo:
-            return lo
+            return lo, True
         b = self.own_weight
-        us = self._caps[0][1] - others[0]
-        uf = self._caps[1][1] - others[1]
-        hs = b * us + weighted[0]
-        hf = b * uf + weighted[1]
-        vf = uf - self.demand   # the first link's slack is vf + t
+        hs = b * us + w_s
+        hf = b * uf + w_f
+        vf = uf - r   # the first link's slack is vf + t
         s, f = us - lo, vf + lo
         if hs / (s * s) - hf / (f * f) >= 0.0:
-            return lo
+            return lo, True
         s, f = us - hi, vf + hi
         if hs / (s * s) - hf / (f * f) <= 0.0:
-            return hi
+            return hi, True
         # Past the end tests h_s and h_f are positive.  t* is written as
         # the even split of the two slacks plus a shift that vanishes
         # when h_s == h_f, so a symmetric pair splits exactly.
         rs, rf = math.sqrt(hs), math.sqrt(hf)
         t = 0.5 * (us - vf) + 0.5 * (us + vf) * (rf - rs) / (rs + rf)
-        return min(max(t, lo), hi)
+        return min(max(t, lo), hi), True
 
     def inverse(self, others, weighted, top: float):
         """One-path mode: the inverse of the path's marginal beside the

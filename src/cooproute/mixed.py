@@ -10,10 +10,10 @@ the latencies it sees (or piles onto the cheaper link).
 
 Both a closed-form case analysis and an independent iterative solver are
 provided; the latter prices the group as a two-path user with the shared
-``costs.SplitCost``, whose ``guarded_argmin`` gives its best response in
-closed form: the square-root split of two M/M/1 links inside the
-capacity-guard bracket.  When the mass's own bracket is empty, the mass
-takes the same fill rule, ``costs.guard_fill``.  Each
+``costs.SplitCost``, whose ``pair_argmin`` gives its best response in
+closed form from four floats: the square-root split of two M/M/1 links
+inside the capacity-guard bracket.  When the mass's own bracket is
+empty, the mass takes the same fill rule, ``costs.guard_fill``.  Each
 solution is re-verified from the definition, and candidates that fail
 verification are kept in the output with a flag rather than silently
 dropped, so disagreements between the two solvers stay visible.
@@ -113,8 +113,8 @@ def wardrop_split(cost_one: MM1Cost, cost_two: MM1Cost, base_one: float,
 def _group_response(s: MixedScenario, w: float) -> float:
     """Group split on link one minimizing its weighted cost at mass split w."""
     mass_one = s.mass_demand - w
-    x, fits = s.split.guarded_argmin((mass_one, w),
-                                     (s.alpha * mass_one, s.alpha * w))
+    x, fits = s.split.pair_argmin(mass_one, w, s.alpha * mass_one,
+                                  s.alpha * w)
     if not fits:
         raise InfeasibleError(
             "group demand does not fit beside the background mass",
@@ -324,12 +324,19 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
 
     A grid of group splits ending exactly at the group demand is scanned
     for sign changes of the composed update's displacement (the group's
-    best response, the closed form of ``SplitCost.guarded_argmin``, to
+    best response, the closed form of ``SplitCost.pair_argmin``, to
     the mass's equal-latency split), and each root, corners included,
     opens a cluster.  Then the two responses alternate from each grid
     split, and each limit is credited to the cluster within
     ``DEDUPE_RADIUS``, or opens its own.  Clusters the alternation never
     reaches, the equilibria it repels, keep a zero basin count.
+
+    No step is priced twice.  A start's first step is the scan's value
+    there.  A state is a function of its group split alone, so a start
+    whose group split lands on the same nonzero float as a state of the
+    last start's orbit takes that orbit's later steps, tests and end as
+    its own, within its ``MAX_ITERS``, and goes on if it ran out.
+    ``diagnostics["followed"]`` counts the starts that joined an orbit.
     """
     r1, r2 = s.group_demand, s.mass_demand
     specs = s.split.specs
@@ -354,22 +361,44 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
         clusters.append([x, w, weight])
 
     xs = grid(r1, STARTS)
+    # each start's split, mass split and first group step, in that order
+    starts = [(x, w, group_response(w))
+              for x, w in zip(xs, map(mass_response, xs))]
     for x in scan_sign_changes(
-            lambda x: group_response(mass_response(x)) - x, xs):
+            lambda x: group_response(mass_response(x)) - x, xs,
+            [g - x for x, _, g in starts]):
         merge(x, mass_response(x), 0)
-    non_converged = 0
-    for x in xs:
-        w = mass_response(x)
-        for _ in range(MAX_ITERS):
-            x_new = group_response(w)
+    non_converged = followed = 0
+    # the last start's states by step, whether it converged, and the
+    # step of each nonzero group split on it but the last one
+    last, last_converged, steps = [], False, {}
+    for x, w, x_new in starts:
+        orbit = [(x, w)]
+        converged = joined = False
+        while not converged and len(orbit) <= MAX_ITERS:
+            if x_new is None:
+                x_new = group_response(w)
             w_new = mass_response(x_new)
-            delta = max(abs(x_new - x), abs(w_new - w))
-            x, w = x_new, w_new
-            if delta < FP_TOL:
-                merge(x, w, 1)
-                break
+            converged = max(abs(x_new - x), abs(w_new - w)) < FP_TOL
+            x, w, x_new = x_new, w_new, None
+            orbit.append((x, w))
+            j = None if converged or not x else steps.get(x)
+            if j is not None:
+                # the state is the last orbit's from step j on, and so
+                # are the steps and tests that follow, up to its end or
+                # this start's last step, whichever comes first
+                joined = True
+                end = j + 2 + MAX_ITERS - len(orbit)
+                orbit += last[j + 1:end]
+                x, w = orbit[-1]
+                converged = last_converged and end >= len(last)
+        followed += joined
+        if converged:
+            merge(x, w, 1)
         else:
             non_converged += 1
+        last, last_converged = orbit, converged
+        steps = {y: k for k, (y, _) in enumerate(orbit[:-1]) if y}
 
     if not clusters:
         raise SolverError("no start converged and no fixed point was "
@@ -384,4 +413,5 @@ def mixed_numeric(s: MixedScenario) -> MixedNumericSet:
         diagnostics={"starts": STARTS,
                      "non_converged": non_converged,
                      "scan_added": sum(c[2] == 0 for c in clusters),
-                     "group_responses": responses})
+                     "group_responses": responses,
+                     "followed": followed})

@@ -65,12 +65,14 @@ def bisect_sign_change(f: Callable[[float], float], lo: float,
     return _bisect(f, lo, hi, flo)
 
 
-def scan_sign_changes(f: Callable[[float], float],
-                      xs: Sequence[float]) -> list[float]:
+def scan_sign_changes(f: Callable[[float], float], xs: Sequence[float],
+                      vals: Sequence[float] | None = None) -> list[float]:
     """Every zero of ``f`` that the increasing grid ``xs`` brackets, in
     grid order: grid points where ``f`` is exactly zero, and each strict
-    sign change between neighbours bisected."""
-    vals = [f(x) for x in xs]
+    sign change between neighbours bisected.  ``vals``, when given, is
+    ``f`` at ``xs``, which is then called for the bisections alone."""
+    if vals is None:
+        vals = [f(x) for x in xs]
     roots = []
     for i in range(len(xs) - 1):
         a, b = vals[i], vals[i + 1]

@@ -702,6 +702,100 @@ class TestSplitGuard:
         assert guard_fill(1.0 - (2.0 - 1.6) + self.g, t, 1.0) == (t, False)
 
 
+def pair_split_steps(caps, r, b, others, weighted, bounds=None):
+    """``(t, fits)`` of a split over one M/M/1 link on each path, by the
+    steps of ``bracket`` and then ``guard_fill`` or ``argmin``'s end
+    tests and square-root split, written out in their order: the second
+    path's capacity and load first.  Given ``bounds``, ``argmin`` alone
+    runs on them."""
+    if bounds is None:
+        lo, hi = 0.0, r
+        hi = min(hi, (caps[0] - others[0]) - CAPACITY_GUARD)
+        lo = max(lo, r - (caps[1] - others[1]) + CAPACITY_GUARD)
+        if lo > hi:
+            t = max(hi, 0.0)
+            return t, t >= r or t >= lo
+    else:
+        lo, hi = bounds
+    if hi <= lo:
+        return lo, True
+    us = caps[0] - others[0]
+    uf = caps[1] - others[1]
+    hs = b * us + weighted[0]
+    hf = b * uf + weighted[1]
+    vf = uf - r
+    s, f = us - lo, vf + lo
+    if hs / (s * s) - hf / (f * f) >= 0.0:
+        return lo, True
+    s, f = us - hi, vf + hi
+    if hs / (s * s) - hf / (f * f) <= 0.0:
+        return hi, True
+    rs, rf = math.sqrt(hs), math.sqrt(hf)
+    t = 0.5 * (us - vf) + 0.5 * (us + vf) * (rf - rs) / (rs + rf)
+    return min(max(t, lo), hi), True
+
+
+@st.composite
+def pair_loads(draw):
+    """Two M/M/1 links, the second path's first, with the other users'
+    loads anywhere from empty to past capacity, so that guard brackets
+    come out open, a single point, or empty."""
+    share = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    r = draw(st.floats(0.0, 3.0))
+    b = draw(share)
+    # one link in ten is absent (capacity 0)
+    cap = st.tuples(st.integers(0, 9), st.floats(0.5, 8.0)).map(
+        lambda kc: kc[1] if kc[0] else 0.0)
+    cs = draw(cap)
+    cf = draw(cap | st.floats(-1e-3, 1e-3).map(lambda e: cs * (1 + e)))
+    others, weighted = [], []
+    for c, room in ((cs, r - CAPACITY_GUARD), (cf, CAPACITY_GUARD)):
+        # at capacity, past it, at a guard end, or (twice as often) a
+        # share of it
+        part = st.floats(0.0, 1.0).map(lambda u: c * u)
+        o = draw(st.sampled_from([c, c + 0.5, c - room, c - r - room])
+                 | part | part)
+        others.append(max(o, 0.0))
+        weighted.append(others[-1] * draw(share))
+    split = SplitCost(specs=(MM1Cost(cs), MM1Cost(cf)), n1=1, own_weight=b,
+                      demand=r)
+    return split, (cs, cf), tuple(others), tuple(weighted)
+
+
+def same_split(got, want):
+    """Equal value, sign of zero and ``fits``."""
+    return (got == want
+            and math.copysign(1.0, got[0]) == math.copysign(1.0, want[0]))
+
+
+class TestPairArgmin:
+    """``SplitCost.pair_argmin`` does ``bracket``'s, ``guard_fill``'s and
+    ``argmin``'s float operations on a pair, in their order."""
+
+    @settings(max_examples=1000)
+    @given(pair_loads())
+    @example((SplitCost(specs=(MM1Cost(3.0), MM1Cost(2.0)), n1=1,
+                        own_weight=0.6, demand=1.0), (3.0, 2.0),
+              (2.5, 1.6), (0.0, 0.0)))
+    def test_matches_bracket_then_argmin(self, case):
+        split, caps, others, weighted = case
+        r, b = split.demand, split.own_weight
+        want = pair_split_steps(caps, r, b, others, weighted)
+        for got in (split.pair_argmin(*others, *weighted),
+                    split.guarded_argmin(others, weighted)):
+            assert same_split(got, want)
+
+    @settings(max_examples=300)
+    @given(queue_pairs())
+    def test_argmin_on_a_bracket(self, case):
+        split, others, weighted, bounds = case
+        caps = tuple(spec.capacity for spec in split.specs)
+        want = pair_split_steps(caps, split.demand, split.own_weight,
+                                others, weighted, bounds)
+        assert same_split((split.argmin(*bounds, others, weighted), True),
+                          want)
+
+
 class TestGuardCorners:
     """The mixed model's group and mass, on an empty bracket, land where
     an atomic two-path user on the same two queues lands."""

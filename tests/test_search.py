@@ -75,6 +75,19 @@ class TestScanSignChanges:
         monkeypatch.setattr(search, "SEARCH_STEPS", 1)
         assert scan_sign_changes(f, self.GRID) == [0.375, 1.125]
 
+    def test_given_values_leave_f_to_the_bisections(self):
+        def f(x):
+            calls.append(x)
+            return (x - 0.3) * (x - 1.2)
+
+        calls = []
+        want = scan_sign_changes(f, self.GRID)
+        bisecting = len(calls) - len(self.GRID)
+        vals = [f(x) for x in self.GRID]
+        calls.clear()
+        assert scan_sign_changes(f, self.GRID, vals) == want
+        assert len(calls) == bisecting
+
 
 class TestArgminByDerivative:
     def test_interior_quadratic_minimum(self):
