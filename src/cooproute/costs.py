@@ -248,13 +248,14 @@ class SplitCost:
     ``2 b T' + (w + b x) T''`` to the derivative's slope.  On affine
     links the derivative is the line ``C + S t``.
 
-    ``derivative`` and ``cross`` run one loop over a table built once
-    per split, a row per moving link: whether it is on the first path,
-    and the capacity of an M/M/1 link or the slope and intercept of an
-    affine one.  The loop writes out ``T``, ``T'`` and ``T''`` of both
-    kinds, ``1 / s``, ``1 / s^2`` and ``2 / s^3`` at slack ``s`` (all
-    infinite at ``s <= 0``) or ``a f + g``, ``a`` and 0, with the float
-    operations of ``value`` and ``derivative``, and calls no cost method.
+    ``derivative`` and ``row`` loop over a table built once per split, a
+    row per moving link: on the first path or not, and an M/M/1 link's
+    capacity or an affine one's slope and intercept.  The loop writes
+    ``T``, ``T'``, ``T''`` as ``1 / s``, ``1 / s^2``, ``2 / s^3`` at slack
+    ``s`` (infinite at ``s <= 0``) or ``a f + g``, ``a``, 0, with the
+    float operations of ``value`` and ``derivative``, and calls no cost
+    method.  Within one solve, nash asks ``argmin`` of a ``newton`` split
+    once per exact input.
 
     With every link on the second path (``n1 == len(specs)``) the
     derivative is the user's marginal cost along that one path at own
@@ -268,8 +269,8 @@ class SplitCost:
     zero is ``t* = (sqrt(h_f) u_s - sqrt(h_s) (u_f - r)) /
     (sqrt(h_s) + sqrt(h_f))``: the square-root split of Orda, Rom and
     Shimkin for parallel M/M/1 links.  ``pair_argmin``, the one copy of
-    it, runs it on four floats for ``argmin``, ``guarded_argmin`` and the
-    mixed model's group response, guard bracket and ``guard_fill`` too.
+    it, runs it on four floats for ``argmin`` and the mixed model's group
+    response, guard bracket and ``guard_fill`` too.
     """
 
     specs: tuple[CostSpec, ...]
@@ -325,20 +326,13 @@ class SplitCost:
                 lo = max(lo, self.demand - room + CAPACITY_GUARD)
         return lo, hi
 
-    def guarded_argmin(self, others, weighted) -> tuple[float, bool]:
-        """``argmin`` within ``bracket(others)`` and True, or
-        ``guard_fill``'s ``(t, fits)`` when the bracket is empty."""
-        if self._pair:
-            return self.pair_argmin(others[0], others[1], weighted[0],
-                                    weighted[1])
-        lo, hi = self.bracket(others)
-        if lo > hi:
-            return guard_fill(lo, hi, self.demand)
-        return self.argmin(lo, hi, others, weighted), True
-
     @property
     def affine(self) -> bool:
         return self._line is not None
+
+    @property
+    def newton(self) -> bool:   # argmin runs newton_argmin
+        return self._line is None and not self._pair
 
     def line(self, others, weighted) -> tuple[float, float]:
         """``(C, S)`` of the derivative ``C + S t``; affine links only."""
@@ -370,36 +364,41 @@ class SplitCost:
             slope += 2.0 * b * dt + c * ddt
         return g, slope
 
-    def cross(self, t: float, others, weighted, shift, weight: float
-              ) -> float:
-        """The derivative's slope in another user's flow, at ``t``.
-
-        One more unit of that user's flow moves ``others[i]`` by
-        ``shift[i]`` (1, -1 or 0) and ``weighted[i]`` by ``weight *
-        shift[i]``; a link then adds ``(b + weight) T' + (w + b x) T''``,
-        times its path's sign and ``shift[i]``.  On affine links alone
-        it reads the line's coefficients."""
+    def row(self, t: float, others, weighted, shift, weight: float
+            ) -> tuple:
+        """``derivative`` at ``t`` and then ``cross``, in one walk: one more
+        unit of another user's flow moves ``others[i]`` by ``shift[i]`` (1,
+        -1 or 0) and ``weighted[i]`` by ``weight * shift[i]``, and a link
+        adds ``(b + weight) T' + (w + b x) T''`` times its path's sign and
+        ``shift[i]``.  On affine links alone all three read the line."""
         if self._line is not None:
-            return sum((co + cw * weight) * e
-                       for (co, cw), e in zip(self._line[2], shift) if e)
+            c, slope = self.line(others, weighted)
+            return c + slope * t, slope, sum(
+                (co + cw * weight) * e
+                for (co, cw), e in zip(self._line[2], shift) if e)
         b, r = self.own_weight, self.demand
-        acc = 0.0
+        g = slope = cross = 0.0
         for (first, a, icpt), o, w, e in zip(self._table, others, weighted,
                                              shift):
-            if not e:
-                continue
             own = r - t if first else t
+            f = o + own
             if icpt is None:
-                s = a - (o + own)
+                s = a - f
                 if s <= 0.0:
-                    dt = ddt = INFINITE_COST
+                    v = dt = ddt = INFINITE_COST
                 else:
-                    dt, ddt = 1.0 / (s * s), 2.0 / (s * s * s)
+                    v, dt, ddt = 1.0 / s, 1.0 / (s * s), 2.0 / (s * s * s)
             else:
-                dt, ddt = a, 0.0
-            acc += (-e if first else e) * ((b + weight) * dt
-                                          + (w + b * own) * ddt)
-        return acc
+                v, dt, ddt = a * f + icpt, a, 0.0
+            c = w + b * own
+            if first:
+                g -= b * v + c * dt
+            else:
+                g += b * v + c * dt
+            slope += 2.0 * b * dt + c * ddt
+            if e:
+                cross += (-e if first else e) * ((b + weight) * dt + c * ddt)
+        return g, slope, cross
 
     def argmin(self, lo: float, hi: float, others, weighted) -> float:
         """The split ``t`` in ``[lo, hi]`` of least cost.
@@ -428,9 +427,11 @@ class SplitCost:
     def pair_argmin(self, o_s: float, o_f: float, w_s: float, w_f: float,
                     bounds: tuple[float, float] | None = None
                     ) -> tuple[float, bool]:
-        """``guarded_argmin`` of a pair split, on four floats: the second
-        path's link carries ``o_s`` of the others' load, weighed to
-        ``w_s``, and the first path's ``o_f`` and ``w_f``.  Given
+        """A pair split's least-cost ``t`` within ``bracket``, and True, or
+        ``guard_fill``'s ``(t, fits)`` when the bracket is empty, on four
+        floats: the second path's link carries ``o_s`` of the others'
+        load, weighed to ``w_s``, and the first path's ``o_f`` and ``w_f``.
+        Given
         ``bounds`` ``(lo, hi)``, the split is sought there instead, and
         ``fits`` is True.  The float operations are ``bracket``'s, then
         ``guard_fill``'s or the end tests and ``t*``, in that order."""

@@ -3,10 +3,11 @@
 The workhorse is plain Gauss-Seidel best response: sweep the users in id
 order, each one exactly minimizing its operating cost against the current
 flows of the others.  A two-path user's best response is
-``costs.SplitCost.guarded_argmin``, inside the split's capacity-guard
-bracket: in closed form on affine links (the zero of a line) and with
-one M/M/1 link on each path (the square-root split of parallel queues),
-and by a safeguarded Newton search otherwise.  A user with three or more
+``costs.SplitCost.argmin`` inside the split's capacity-guard bracket:
+in closed form on affine links (the zero of a line) and with one M/M/1
+link on each path (the square-root split of parallel queues), and by a
+safeguarded Newton search otherwise, solved once per exact input within
+one ``multistart_nash`` call (``_split_argmin``).  A user with three or more
 link-disjoint paths, such as parallel links, water-fills: safeguarded
 Newton on the marginal-cost level, with each path's flow at that level
 the inverse of its marginal, in closed form on one M/M/1 link or on
@@ -31,7 +32,8 @@ with "the derivative along the split is zero" solved for the users on
 both.  One such user takes its exact best response; two solve a linear
 system on affine links, and otherwise follow each user's best-response
 curve and solve each sign change of the other's derivative by Newton's
-method with its analytic slope (``SplitCost.cross``).  The verified
+method with its analytic slope, all priced by ``SplitCost.row`` with
+loads read from the flows (``_split_rows``).  The verified
 roots are the equilibria: each cluster of dynamics limits gives its
 basin to the nearest root within ``CLUSTER_RADIUS``, and only a cluster
 near no root is polished and verified itself.  The pass checks itself
@@ -60,6 +62,7 @@ could cost less, and reads the same least cost as a sweep of all 1,001.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -69,7 +72,7 @@ from typing import Sequence
 
 from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
                     LinearCost, MM1Cost, SplitCost, deviation_cost,
-                    path_marginals, user_costs, weighted_cost)
+                    guard_fill, path_marginals, user_costs, weighted_cost)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
@@ -232,18 +235,41 @@ def _guarded_split(game: RoutingGame, ui: int, tp: _TwoPath, others,
     """The least-cost split ``(first, second)`` of ``tp``'s demand, with
     the fixed loads ``others`` and ``weighted`` on ``tp.links``; a split
     that does not fit is kept only when a third path can relieve it."""
-    r = tp.split.demand
+    split, r = tp.split, tp.split.demand
     for i, cap in tp.caps:
         if others[i] + r > cap - CAPACITY_GUARD:
             raise SolverError(
                 f"user {game.users[ui].user_id} saturates link "
                 f"{game.net.links[tp.links[i]].link_id!r} on every path")
-    t, fits = tp.split.guarded_argmin(others, weighted)
+    lo, hi = split.bracket(others)
+    t, fits = (guard_fill(lo, hi, r) if lo > hi else
+               (_split_argmin(game, ui, tp, lo, hi, others, weighted), True))
     if not fits and len(game.paths.paths[ui]) == 2:
         raise SolverError(
             f"user {game.users[ui].user_id} has no feasible split "
             f"between its two paths")
     return (r - t, t)
+
+
+# The running ``multistart_nash`` call's game and its Newton best
+# responses, each ``[t, times reused]`` by exact input (``_split_argmin``),
+# in that call's own copy of the context.
+_RESPONSES = contextvars.ContextVar("responses", default=(None, None))
+
+
+def _split_argmin(game: RoutingGame, ui: int, tp: _TwoPath, lo: float,
+                  hi: float, others, weighted) -> float:
+    """``tp.split.argmin`` on ``[lo, hi]``; within a ``multistart_nash``
+    call on ``game``, that of a Newton split (``SplitCost.newton``) of
+    user ``ui``'s two paths once per bracket and loads."""
+    split, (owner, table) = tp.split, _RESPONSES.get()
+    if owner is not game or not split.newton or tp is not game.two_path[ui]:
+        return split.argmin(lo, hi, others, weighted)
+    kept = table.setdefault((ui, lo, hi, *others, *weighted), [None, -1])
+    if kept[0] is None:
+        kept[0] = split.argmin(lo, hi, others, weighted)
+    kept[1] += 1
+    return kept[0]
 
 
 def _settle(x, lo, hi, r: float, order=None) -> tuple[float, ...]:
@@ -897,68 +923,62 @@ def _start_options(game: RoutingGame):
     return options
 
 
-def _pair_state(game: RoutingGame, t) -> tuple:
-    """Two two-path users' path flows at second-path flows ``t``."""
-    r = game.demands
-    return ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
+def _pair_loads(game: RoutingGame, i: int, x: float):
+    """``_state_loads`` of user ``i`` of two, the other at second-path
+    flow ``x``: only the other user's flows are read."""
+    flows = (game.users[1 - i].demand - x, x)
+    return _state_loads(game, (flows, flows), i)
 
 
 def _split_rows(game: RoutingGame):
     """For two two-path users: a function from their second-path flows
-    ``t`` to each user's ``(derivative, slope, cross)`` along its split,
-    where ``cross`` is the derivative's slope in the other user's flow.
-    It returns None when a user's demand does not fit on a shared M/M/1
-    link, or its split leaves the guard bracket on a path it uses."""
+    ``t``, and user ``j``'s loads ``(j, others, weighted)`` if ``given``,
+    to each user's ``(derivative, slope, cross)`` along its split
+    (``SplitCost.row``, loads by ``_pair_loads``), where ``cross`` is the
+    slope in the other user's flow.  It returns None when a user's demand
+    does not fit on a shared M/M/1 link, or its split leaves the guard
+    bracket on a path it uses."""
     tps = game.two_path
     r = game.demands
-    shifts = []
-    for i, tp in enumerate(tps):
-        moves = _signs(tps[1 - i])
-        shifts.append(tuple(moves.get(li, 0)
-                            for li in tp.links[:len(tp.split.specs)]))
+    shifts = [tuple(_signs(tps[1 - i]).get(li, 0)
+                    for li in tp.links[:len(tp.split.specs)])
+              for i, tp in enumerate(tps)]
     weights = [game.coop.rows[i][1 - i] for i in range(2)]
 
-    def rows(t):
-        state = _pair_state(game, t)
+    def rows(t, given=(None,)):
         out = []
         for i, tp in enumerate(tps):
-            others, weighted = _state_loads(game, state, i)
+            others, weighted = (given[1:] if given[0] == i
+                                else _pair_loads(game, i, t[1 - i]))
             if any(others[k] + r[i] > cap - CAPACITY_GUARD
                    for k, cap in tp.caps):
                 return None
-            split = tp.split
-            lo, hi = split.bracket(others)
+            lo, hi = tp.split.bracket(others)
             if not ((t[i] == r[i] or lo <= t[i])
                     and (t[i] == 0.0 or t[i] <= hi)):
                 return None
-            if split.affine:
-                c, slope = split.line(others, weighted)
-                g = c + slope * t[i]
-            else:
-                g, slope = split.derivative(t[i], others, weighted)
-            out.append((g, slope, split.cross(t[i], others, weighted,
-                                              shifts[i], weights[i])))
+            out.append(tp.split.row(t[i], others, weighted, shifts[i],
+                                    weights[i]))
         return out
     return rows
 
 
 def _on_curve(game: RoutingGame, rows, i: int, x: float):
     """User ``i`` at second-path flow ``x`` and the other user at its
-    exact best response, as ``(t, rows(t), inside)``: ``inside`` tells
-    whether that response lies strictly inside its guard bracket.  None
-    when the split leaves a guard bracket or a shared link (``rows``
-    tests the latter)."""
+    exact best response (``_split_argmin``), as ``(t, rows(t), inside)``:
+    ``inside`` tells whether that response lies strictly inside its guard
+    bracket.  None when the split leaves a guard bracket or a shared link
+    (``rows`` tests the latter)."""
     j = 1 - i
     tp = game.two_path[j]
-    t = [0.0, 0.0]
-    t[i] = x
-    others, weighted = _state_loads(game, _pair_state(game, t), j)
+    others, weighted = _pair_loads(game, j, x)
     lo, hi = tp.split.bracket(others)
     if lo > hi:
         return None
-    t[j] = tp.split.argmin(lo, hi, others, weighted)
-    at = rows(t)
-    return None if at is None else (t, at, lo < t[j] < hi)
+    y = _split_argmin(game, j, tp, lo, hi, others, weighted)
+    t = [x, y] if i == 0 else [y, x]
+    at = rows(t, (j, others, weighted))
+    return None if at is None else (t, at, lo < y < hi)
 
 
 def _curve_roots(game: RoutingGame, rows, i: int) -> list:
@@ -1070,7 +1090,7 @@ def _support_roots(game: RoutingGame, rows) -> list:
             if at is None or any(s == 0 and g < 0.0 or s == 1 and g > 0.0
                                  for s, (g, _, _) in zip(support, at)):
                 continue
-            out.append((support, _pair_state(game, t)))
+            out.append((support, ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))))
     return out
 
 
@@ -1159,8 +1179,15 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     ``sweeps`` counts the probe's sweeps and those of the dynamics and
     the polish, trial sweeps included, and ``jumps_kept`` and
     ``jumps_rejected`` their extrapolations (``_iterate``); a start that
-    raised adds none.
+    raised adds none.  ``responses`` and ``responses_reused`` count the
+    Newton best responses solved and found again (``_split_argmin``).
     """
+    return contextvars.copy_context().run(_multistart, game)
+
+
+def _multistart(game: RoutingGame) -> EquilibriumSet:
+    table: dict = {}
+    _RESPONSES.set((game, table))
     n = len(game.users)
     options = _start_options(game)
     total_starts = 1
@@ -1287,6 +1314,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
                    "non_converged": non_converged,
                    "failed_starts": failed_starts,
                    "sweeps": len(probes) + sum(r.sweeps for r in runs),
+                   "responses": len(table),
+                   "responses_reused": sum(k[1] for k in table.values()),
                    "jumps_kept": sum(r.jumps_kept for r in runs),
                    "jumps_rejected": sum(r.jumps_rejected for r in runs),
                    "scan_candidates": scan_candidates,

@@ -256,7 +256,7 @@ class TestSplitCost:
                 [w + step * weight * e for w, e in zip(weighted, shift)])[0]
 
         fd = (moved(h) - moved(-h)) / (2 * h)
-        assert split.cross(t, others, weighted, shift, weight) == \
+        assert split.row(t, others, weighted, shift, weight)[2] == \
             pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     @settings(max_examples=40)
@@ -310,8 +310,8 @@ def reference_derivative(split, t, others, weighted):
 
 
 def reference_cross(split, t, others, weighted, shift, weight):
-    """``SplitCost.cross`` off the affine line, as a sum of cost-method
-    calls over the shifted links."""
+    """``SplitCost.row``'s cross slope off the affine line, as a sum of
+    cost-method calls over the shifted links."""
     b, acc = split.own_weight, 0.0
     for i, (spec, e) in enumerate(zip(split.specs, shift)):
         if not e:
@@ -321,6 +321,28 @@ def reference_cross(split, t, others, weighted, shift, weight):
         acc += sgn * ((b + weight) * spec.derivative(f)
                       + (weighted[i] + b * own) * curvature(spec, f))
     return acc
+
+
+def reference_line_cross(split, shift, weight):
+    """``SplitCost.row``'s cross slope on affine links alone, from the
+    line's coefficients of each shifted link: ``b a`` and ``a`` on the
+    second path, ``-b a`` and ``-a`` on the first."""
+    b = split.own_weight
+    return sum(((b * s.slope if i < split.n1 else -b * s.slope)
+                + (s.slope if i < split.n1 else -s.slope) * weight) * e
+               for i, (s, e) in enumerate(zip(split.specs, shift)) if e)
+
+
+def reference_row(split, t, others, weighted, shift, weight):
+    """``SplitCost.row``: on affine links the line at ``t``, its slope
+    and ``reference_line_cross``; otherwise ``derivative`` and then
+    ``reference_cross``."""
+    if split.affine:
+        c, slope = split.line(others, weighted)
+        return c + slope * t, slope, reference_line_cross(split, shift,
+                                                          weight)
+    return split.derivative(t, others, weighted) + (
+        reference_cross(split, t, others, weighted, shift, weight),)
 
 
 def outcome(fn, *args):
@@ -344,14 +366,16 @@ def same_outcome(a, b):
 
 @st.composite
 def split_tables(draw):
-    """A ``SplitCost`` over a random mix of M/M/1 and affine links, the
-    other users' loads on them, and a split ``t`` inside the guard
-    bracket, at an end of it or of ``[0, r]``, or putting an M/M/1 link
-    at or past its capacity; and a shift of another user's flow and its
-    weight, for ``cross``."""
+    """A ``SplitCost`` over a random mix of M/M/1 and affine links, or
+    over affine or M/M/1 links alone, the other users' loads on them,
+    and a split ``t`` inside the guard bracket, at an end of it or of
+    ``[0, r]``, or putting an M/M/1 link at or past its capacity; and a
+    shift of another user's flow and its weight, for ``row``.  Loads,
+    ``t`` and the weight may be zeros of either sign."""
+    kind = draw(st.sampled_from(["mixed", "affine", "queue"]))
     specs = tuple(
         MM1Cost(draw(st.just(0.0) | st.floats(MIN_CAPACITY, 8.0)))
-        if draw(st.booleans()) else
+        if kind == "queue" or kind == "mixed" and draw(st.booleans()) else
         LinearCost(draw(st.floats(0.0, 3.0, allow_subnormal=False)),
                    draw(st.floats(0.0, 2.0)))
         for _ in range(draw(st.integers(1, 5))))
@@ -359,7 +383,8 @@ def split_tables(draw):
     r = draw(st.floats(0.0, 5.0))
     split = SplitCost(specs=specs, n1=n1, own_weight=draw(WEIGHTS),
                       demand=r)
-    others = tuple(draw(st.floats(0.0, 5.0)) for _ in specs)
+    zero = st.sampled_from([0.0, -0.0])
+    others = tuple(draw(zero | st.floats(0.0, 5.0)) for _ in specs)
     weighted = tuple(o * draw(WEIGHTS) for o in others)
     lo, hi = split.bracket(others)
     queues = [i for i, s in enumerate(specs) if isinstance(s, MM1Cost)]
@@ -372,14 +397,15 @@ def split_tables(draw):
     elif kind == "inside" and lo <= hi:
         t = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
     else:
-        t = draw(st.sampled_from([lo, hi, 0.0, r]))
+        t = draw(st.sampled_from([lo, hi, 0.0, -0.0, r]))
     shift = tuple(draw(st.sampled_from([-1, 0, 1])) for _ in specs)
-    return split, t, others, weighted, shift, draw(st.floats(0.0, 1.0))
+    return split, t, others, weighted, shift, draw(zero
+                                                   | st.floats(0.0, 1.0))
 
 
 class TestSplitTable:
-    """``SplitCost.derivative`` and ``cross`` run one loop over a table
-    of link constants, with the float operations of the cost methods."""
+    """``SplitCost.derivative`` and ``row`` run one loop over a table of
+    link constants, with the float operations of the cost methods."""
 
     @settings(max_examples=500)
     @given(split_tables())
@@ -405,12 +431,23 @@ class TestSplitTable:
         got = outcome(split.derivative, t, others, weighted)
         want = outcome(reference_derivative, split, t, others, weighted)
         assert same_outcome(got, want), (got, want)
-        if not split.affine:
-            # an affine split's cross reads its line, not the table
-            got = outcome(split.cross, t, others, weighted, shift, weight)
-            want = outcome(reference_cross, split, t, others, weighted,
-                           shift, weight)
-            assert same_outcome(got, want), (got, want)
+
+    @settings(max_examples=500)
+    @given(split_tables())
+    # an infinite term and a zero shift; signed zeros everywhere
+    @example((SplitCost(specs=(MM1Cost(2.0), LinearCost(1.0, 0.5)), n1=1,
+                        own_weight=0.0, demand=1.0),
+              -0.0, (2.0, -0.0), (0.0, -0.0), (1, 0), -0.0))
+    @example((SplitCost(specs=(LinearCost(0.0), LinearCost(2.0)), n1=1,
+                        own_weight=0.0, demand=1.0),
+              0.0, (-0.0, 0.0), (-0.0, 0.0), (0, 0), 0.0))
+    def test_row_is_the_derivative_then_the_cross_slope(self, case):
+        # bit for bit, signs of zero, infinities and NaNs included: one
+        # walk of the table does derivative's operations and then the
+        # cross slope's, each summed in table order
+        got = outcome(SplitCost.row, *case)
+        want = outcome(reference_row, *case)
+        assert repr(got) == repr(want)
 
 
 def split_objective(split, t, others, weighted):
@@ -622,9 +659,9 @@ class TestPathLevel:
 
 
 class TestSplitGuard:
-    """``SplitCost.bracket`` and ``guarded_argmin``: ``t`` on the second
-    path, ``r - t`` on the first, each M/M/1 link kept ``CAPACITY_GUARD``
-    below its capacity."""
+    """``SplitCost.bracket`` and a pair's ``pair_argmin``: ``t`` on the
+    second path, ``r - t`` on the first, each M/M/1 link kept
+    ``CAPACITY_GUARD`` below its capacity."""
 
     g = CAPACITY_GUARD
 
@@ -682,21 +719,21 @@ class TestSplitGuard:
         others, weighted = (1.0, 0.5), (0.2, 0.1)
         lo, hi = split.bracket(others)
         assert lo < hi
-        assert split.guarded_argmin(others, weighted) == (
+        assert split.pair_argmin(*others, *weighted) == (
             split.argmin(lo, hi, others, weighted), True)
 
     def test_full_second_path_sends_nothing_along_it(self):
-        assert self.pair().guarded_argmin((3.0, 0.5), (0.0, 0.0)) == (
+        assert self.pair().pair_argmin(3.0, 0.5, 0.0, 0.0) == (
             0.0, True)
 
     def test_full_first_path_sends_everything_along_the_second(self):
-        assert self.pair().guarded_argmin((1.0, 2.5), (0.0, 0.0)) == (
+        assert self.pair().pair_argmin(1.0, 2.5, 0.0, 0.0) == (
             1.0, True)
 
     def test_neither_path_fits(self):
         # rooms 0.5 and 0.4 cannot carry 1: the second path is filled to
         # its guard and the first stays over its own
-        t, fits = self.pair().guarded_argmin((2.5, 1.6), (0.0, 0.0))
+        t, fits = self.pair().pair_argmin(2.5, 1.6, 0.0, 0.0)
         assert not fits
         assert t == 3.0 - 2.5 - self.g
         assert guard_fill(1.0 - (2.0 - 1.6) + self.g, t, 1.0) == (t, False)
@@ -781,9 +818,7 @@ class TestPairArgmin:
         split, caps, others, weighted = case
         r, b = split.demand, split.own_weight
         want = pair_split_steps(caps, r, b, others, weighted)
-        for got in (split.pair_argmin(*others, *weighted),
-                    split.guarded_argmin(others, weighted)):
-            assert same_split(got, want)
+        assert same_split(split.pair_argmin(*others, *weighted), want)
 
     @settings(max_examples=300)
     @given(queue_pairs())

@@ -37,6 +37,8 @@ from cooproute.search import argmin_by_derivative, grid, scan_sign_changes
 # The benchmark's exact oracles, which import nothing from cooproute.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
+# The table-walk references, beside the tests of the tables they check.
+from test_costs import reference_row  # noqa: E402
 
 
 def load_balancing_game(latencies, demands, alphas):
@@ -631,7 +633,7 @@ def three_link_game(alpha):
 
 # Evaluations one solve makes: cost-method calls (``value`` and
 # ``derivative`` of ``LinearCost`` and ``MM1Cost``), table rows of
-# ``SplitCost.derivative`` and ``cross``, and levels of the water-filling
+# ``SplitCost.derivative`` and ``row``, and levels of the water-filling
 # inverse (``SplitCost.inverse``).
 #
 # History, in cost-method calls.  When the exact best response came in,
@@ -652,9 +654,12 @@ def three_link_game(alpha):
 # 4,281, 4,275 and 4,266, and 143 and 133 value, derivative and
 # curvature calls, so the pins of exp1 and braess-lb-sym had gone stale
 # by factors of over 1,000 and 30.  Now every table row and level counts.
+# braess-lb-sym made 3,058 rows while ``SplitCost.cross`` walked the
+# table a second time for the support pass, and Newton best responses
+# were solved again on the same input.
 SOLVE_WORK = {
     "exp1": {"value": 45, "derivative": 18, "rows": 0, "levels": 0},
-    "braess-lb-sym": {"value": 46, "derivative": 18, "rows": 3_058,
+    "braess-lb-sym": {"value": 46, "derivative": 18, "rows": 1_773,
                       "levels": 0},
     "parallel-3x3": {"value": 15, "derivative": 9, "rows": 4_266,
                      "levels": 11_930},
@@ -672,8 +677,8 @@ SOLVE_GAMES = {
 
 def count_solve_work(game, monkeypatch):
     """``multistart_nash(game)`` and the evaluations it made: cost-method
-    calls, table rows of ``SplitCost.derivative`` and ``cross`` (a row
-    per moving link, or per shifted one) and levels of
+    calls, table rows of ``SplitCost.derivative`` and ``row`` (a row per
+    moving link; an affine ``row`` reads the line) and levels of
     ``SplitCost.inverse``."""
     calls = dict.fromkeys(("value", "derivative", "rows", "levels"), 0)
     for cls in (LinearCost, MM1Cost):
@@ -682,17 +687,17 @@ def count_solve_work(game, monkeypatch):
                 calls[_meth] += 1
                 return _orig(self, flow)
             monkeypatch.setattr(cls, meth, counted)
-    split_derivative, cross = SplitCost.derivative, SplitCost.cross
+    split_derivative, split_row = SplitCost.derivative, SplitCost.row
     inverse = SplitCost.inverse
 
     def counted_derivative(self, t, others, weighted):
         calls["rows"] += len(self.specs)
         return split_derivative(self, t, others, weighted)
 
-    def counted_cross(self, t, others, weighted, shift, weight):
+    def counted_row(self, t, others, weighted, shift, weight):
         if not self.affine:
-            calls["rows"] += sum(1 for e in shift[:len(self.specs)] if e)
-        return cross(self, t, others, weighted, shift, weight)
+            calls["rows"] += len(self.specs)
+        return split_row(self, t, others, weighted, shift, weight)
 
     def counted_inverse(self, others, weighted, top):
         level = inverse(self, others, weighted, top)
@@ -703,7 +708,7 @@ def count_solve_work(game, monkeypatch):
         return counted_level
 
     monkeypatch.setattr(SplitCost, "derivative", counted_derivative)
-    monkeypatch.setattr(SplitCost, "cross", counted_cross)
+    monkeypatch.setattr(SplitCost, "row", counted_row)
     monkeypatch.setattr(SplitCost, "inverse", counted_inverse)
     return multistart_nash(game), calls
 
@@ -788,6 +793,12 @@ TRAJECTORY_WORK = {"exp1": 246, "braess-lb-sym": 105, "braess-lb-asym": 46}
 # included: 244,244 and 148,148 (1,001 a sweep) when every split is
 # priced.  Wall time is too noisy to show a bound that stops pruning.
 DEVIATION_WORK = {"exp1": 48_086, "braess": 13_532}
+# Newton best responses (``SplitCost.argmin`` off the line and the pair)
+# that the two Braess parameter sweeps solve: 5,628 when every one asked
+# for was solved, 3,435 once each solve keeps them by exact input and
+# finds 2,193 of them again.  exp1's affine links need none.  Wall time
+# is too noisy to show a lost reuse; the count is not.
+RESPONSE_WORK = {"solved": 3_435, "asked": 5_628}
 
 
 def test_unconverged_starts_leave_the_support_pass_roots(monkeypatch):
@@ -833,22 +844,41 @@ def test_deviation_kernels_compile_once_per_shape(monkeypatch):
         checks.append((game, profile, repr(check)))
         return check
 
+    solved = [0]
+    argmin = SplitCost.argmin
+
+    def solving(split, *args):
+        solved[0] += split.newton
+        return argmin(split, *args)
+
+    def responses(table):
+        return [sum(row.equilibria.diagnostics[key] for row in table.rows)
+                for key in ("responses", "responses_reused")]
+
     monkeypatch.setattr(costs.DeviationCost, "least_below", counted)
     monkeypatch.setattr(nash, "verify_nash", recorded)
+    monkeypatch.setattr(SplitCost, "argmin", solving)
     costs._kernel.cache_clear()
     exp1 = alpha_sweep(get_preset("exp1"), [i / 100 for i in range(101)],
                        "first")
     assert compiled() == KERNEL_WORK["exp1"]
     assert trajectories(exp1) == TRAJECTORY_WORK["exp1"]
     assert priced[0] == DEVIATION_WORK["exp1"]
+    assert solved[0] == 0 and responses(exp1) == [0, 0]
     priced[0] = 0
     costs._kernel.cache_clear()
+    reused = 0
     for preset in ("braess-lb-sym", "braess-lb-asym"):
-        before = compiled()
+        before = compiled(), solved[0]
         table = parameter_sweep(get_preset(preset))
-        assert compiled() - before == KERNEL_WORK[preset], preset
+        assert compiled() - before[0] == KERNEL_WORK[preset], preset
         assert trajectories(table) == TRAJECTORY_WORK[preset], preset
+        # the diagnostics count what was solved
+        assert responses(table)[0] == solved[0] - before[1], preset
+        reused += responses(table)[1]
     assert priced[0] == DEVIATION_WORK["braess"]
+    assert solved[0] == RESPONSE_WORK["solved"]
+    assert solved[0] + reused == RESPONSE_WORK["asked"]
     # the bounded sweep's verdicts are the full sweep's, bit for bit
     monkeypatch.setattr(nash, "deviation_cost", all_splits)
     for game, profile, check in checks:
@@ -2295,3 +2325,166 @@ def test_box_cluster_is_first_for_every_point():
     assert nash._cluster_of([second], a, [0.4 * r, 1.5 * r]) is None
     # a box wholly on one side of a cluster misses it
     assert nash._cluster_of(clusters, [1.5 * r, 2.0 * r], b) is second
+
+
+# ------------------------------------------ split rows and reused responses
+
+# Each shape of SWEEP_SHAPES as two users' (source, destination).
+PAIRED_ENDS = {"parallel": ((1, 2), (1, 2)),
+               "load-balancing": ((1, 3), (2, 3)),
+               "shared-first-hop": ((1, 3), (1, 3))}
+
+
+@st.composite
+def paired_games(draw, queue=st.booleans()):
+    """Two two-path users on a shape of ``SWEEP_SHAPES``, each link M/M/1
+    when ``queue`` draws True and affine otherwise.  An M/M/1 capacity
+    is drawn around the users' total demand, so that guard brackets
+    bind."""
+    shape = draw(st.sampled_from(list(SWEEP_SHAPES)))
+    ends = SWEEP_SHAPES[shape][0]
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
+    latencies = [
+        MM1Cost(sum(demands) * draw(st.floats(0.3, 1.5))
+                + draw(st.floats(1e-3, 1.0)))
+        if draw(queue) else
+        LinearCost(draw(st.floats(0.0, 3.0, allow_subnormal=False)),
+                   draw(st.floats(0.0, 2.0)))
+        for _ in ends]
+    net = build_network([1, 2, 3], [(f"l{i}", a, b, c) for i, ((a, b), c)
+                                     in enumerate(zip(ends, latencies))])
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=2, max_size=2))
+    try:
+        return make_game(net, [
+            UserSpec(k + 1, a, b, r)
+            for k, ((a, b), r) in enumerate(zip(PAIRED_ENDS[shape], demands))],
+            alphas)
+    except InfeasibleError:
+        reject()
+
+
+def reference_rows(game, t):
+    """``_split_rows(game)(t)`` from the pair's state: each user's loads
+    by ``_state_loads``, the shared-link and guard tests, and the row by
+    ``SplitCost.derivative`` and ``reference_cross``, or on affine links
+    by the line."""
+    r = game.demands
+    state = ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
+    out = []
+    for i, tp in enumerate(game.two_path):
+        others, weighted = _state_loads(game, state, i)
+        if any(others[k] + r[i] > cap - CAPACITY_GUARD for k, cap in tp.caps):
+            return None
+        lo, hi = tp.split.bracket(others)
+        if not ((t[i] == r[i] or lo <= t[i]) and (t[i] == 0.0 or t[i] <= hi)):
+            return None
+        moves = nash._signs(game.two_path[1 - i])
+        shift = tuple(moves.get(li, 0)
+                      for li in tp.links[:len(tp.split.specs)])
+        out.append(reference_row(tp.split, t[i], others, weighted, shift,
+                                 game.coop.rows[i][1 - i]))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(paired_games(), st.data())
+def test_split_rows_read_the_state_loads(game, data):
+    # bit for bit, signs of zero included: the loads from the other
+    # user's flow alone are the path walk's (a second-path flow of -0.0
+    # loads nothing), and the rows are the reference's
+    rows = nash._split_rows(game)
+    r = game.demands
+    for _ in range(4):
+        t = [data.draw(st.sampled_from([0.0, -0.0, ri]) | st.floats(0.0, ri))
+             for ri in r]
+        state = ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
+        for i, tp in enumerate(game.two_path):
+            walked = walked_loads(game, state, i)
+            assert [list(map(repr, v)) for v in nash._pair_loads(
+                game, i, t[1 - i])] == [[repr(v[li]) for li in tp.links]
+                                        for v in walked]
+        assert repr(rows(t)) == repr(reference_rows(game, t))
+
+
+def solved_reprs(solve, reuse=True):
+    """What ``solve()`` returns, as the reprs of its equilibrium sets
+    with their diagnostics but the reuse counters, and of every
+    ``NashCheck`` it made; with each solve's table of Newton best
+    responses, or with every response solved anew."""
+    checks = []
+    verify = nash.verify_nash
+
+    def recorded(game, profile):
+        check = verify(game, profile)
+        checks.append(repr(check))
+        return check
+
+    def solved_anew(game, ui, tp, lo, hi, others, weighted):
+        return tp.split.argmin(lo, hi, others, weighted)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash, "verify_nash", recorded)
+        if not reuse:
+            mp.setattr(nash, "_split_argmin", solved_anew)
+        try:
+            sets = solve()
+        except SolverError as err:
+            sets = [nash.EquilibriumSet((), err.diagnostics)]
+    return [repr(s.equilibria) + repr(
+        {k: v for k, v in s.diagnostics.items()
+         if k not in ("responses", "responses_reused")}) for s in sets], checks
+
+
+@pytest.mark.parametrize("preset,sweep", [
+    ("braess-lb-sym", None), ("braess-lb-asym", None),
+    ("exp3", "all"), ("exp4-feasible", "first")])
+def test_reused_responses_change_no_answer(preset, sweep):
+    def solve():
+        if sweep is None:
+            table = parameter_sweep(get_preset(preset))
+        else:
+            table = alpha_sweep(get_preset(preset),
+                                [i / 20 for i in range(21)], sweep)
+        return [row.equilibria for row in table.rows]
+
+    assert solved_reprs(solve) == solved_reprs(solve, reuse=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(paired_games(st.sampled_from([True, True, True, False])))
+def test_reused_responses_change_no_random_answer(game):
+    def solve():
+        return [multistart_nash(game)]
+
+    assert solved_reprs(solve) == solved_reprs(solve, reuse=False)
+
+
+def test_reuse_table_lives_in_one_solve():
+    # a second solve of the same game solves every response again
+    game = get_preset("braess-lb-sym").build_game(param=10.0)
+    first = multistart_nash(game).diagnostics
+    assert nash._RESPONSES.get() == (None, None)
+    assert first["responses"] > 0 and first["responses_reused"] > 0
+    assert multistart_nash(game).diagnostics == first
+
+
+def test_a_kept_response_is_kept_by_its_bracket():
+    # the same loads on a narrower bracket ask another question
+    game = get_preset("braess-lb-sym").build_game(param=10.0)
+    tp = game.two_path[0]
+    assert tp.split.newton
+    others, weighted = _state_loads(game, ((1.0, 0.0), (0.5, 0.5)), 0)
+    lo, hi = tp.split.bracket(others)
+    whole = tp.split.argmin(lo, hi, others, weighted)
+    mid = 0.5 * (lo + whole)
+    assert lo < mid < whole < hi
+    table = {}
+    token = nash._RESPONSES.set((game, table))
+    try:
+        answers = [nash._split_argmin(game, 0, tp, lo, top, others, weighted)
+                   for top in (hi, mid, hi)]
+    finally:
+        nash._RESPONSES.reset(token)
+    assert answers == [whole, mid, whole]
+    assert sorted(n for _, n in table.values()) == [0, 1]
