@@ -15,8 +15,8 @@ class ConfigError(CoopRouteError):
 
 
 class InfeasibleError(CoopRouteError):
-    """The instance cannot carry the requested demand: no path exists,
-    a capacity is saturated, or an aggregate capacity condition fails."""
+    """The instance cannot carry the requested demand: no path exists, or
+    no routing keeps every M/M/1 link below its capacity."""
 
     def __init__(self, message: str, detail: dict | None = None):
         super().__init__(message)

@@ -76,7 +76,7 @@ from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
-                       check_shared_links, saturated_links)
+                       saturated_links)
 from .search import SEARCH_STEPS, grid, newton_argmin
 
 
@@ -195,8 +195,9 @@ class RoutingGame:
 
 def make_game(net: Network, users: Sequence[UserSpec],
               coop: CooperationProfile | Sequence[float]) -> RoutingGame:
-    """Bundle a validated game.  ``coop`` is either a full weight profile or
-    a sequence of per-user cooperation degrees."""
+    """Bundle a validated game, refused by ``check_feasibility`` when its
+    demand cannot fit below the capacities.  ``coop`` is either a full
+    weight profile or a sequence of per-user cooperation degrees."""
     users = tuple(sorted(users, key=lambda u: u.user_id))
     if not users:
         raise ConfigError("a game needs at least one user")
@@ -206,8 +207,7 @@ def make_game(net: Network, users: Sequence[UserSpec],
     if coop.user_ids != ids:
         raise ConfigError("cooperation profile user ids do not match users")
     paths = build_path_set(net, users)
-    check_feasibility(net, users)
-    check_shared_links(net, users, paths)
+    check_feasibility(net, users, paths)
     return RoutingGame(net=net, users=users, paths=paths, coop=coop)
 
 
@@ -701,7 +701,8 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
     alternative splits must not beat the current operating cost.  All
     violations are normalized before comparing with ``VERIFY_TOL``.  NaN
     compares false both ways, so a NaN cost or marginal counts as an
-    infinite violation.
+    infinite violation, and so does a best response that cannot be
+    recomputed because no split of the user's demand fits.
     """
     sat = saturated_links(game.net, profile)
     state = [list(f) for f in profile.path_flows]
@@ -738,7 +739,10 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
         cost = deviation_cost(game.net.links, game.paths.paths, state,
                               game.coop.rows[ui], ui)
         cur = cost([state[ui]])[0]
-        br = _best_response(game, state, ui)
+        try:
+            br = _best_response(game, state, ui)
+        except SolverError:  # no split fits beside the others' flows
+            br, viol = state[ui], math.inf
         res = max(abs(a - b) for a, b in zip(br, profile.path_flows[ui]))
         if res > flow_eps:
             # A different split only disqualifies the profile if it is

@@ -3,16 +3,19 @@
 Everything here is immutable: networks and flow profiles are frozen
 dataclasses over tuples, so they can be hashed, compared, and safely shared
 between solver restarts.  Link ids are strings and are kept sorted, which
-fixes the iteration order everywhere else in the package.
+fixes the iteration order everywhere else in the package.  Whether the
+demand fits below the M/M/1 capacities is decided once, exactly, by one
+maximum-concurrent-flow LP over the enumerated paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .costs import CostSpec, MM1Cost
+from .costs import CAPACITY_GUARD, CostSpec, MM1Cost
 from .errors import ConfigError, InfeasibleError
 
 # The most simple paths a user may have; a network with more is refused.
@@ -232,134 +235,71 @@ def saturated_links(net: Network, profile: FlowProfile) -> tuple[str, ...]:
     return tuple(bad)
 
 
-def _min_cut(net: Network, sources, targets) -> list[Link] | None:
-    """The links of a minimum cut between ``sources`` and ``targets``,
-    found by an exact max-flow (Edmonds and Karp) from a super source
-    with unbounded edges to each of ``sources`` to a super sink with
-    unbounded edges from each of ``targets``.  An M/M/1 link carries
-    its capacity and a linear link is unbounded; an unbounded path to
-    a target has no finite cut and returns None."""
-    # Residual graph as an edge list; edge e's reverse is e ^ 1.
-    heads, room, out = [], [], {}
-    super_source, super_sink = object(), object()
+def check_feasibility(net: Network, users: Sequence[UserSpec],
+                      paths: PathSet) -> Fraction | None:
+    """Raise ``InfeasibleError`` unless the positive demands fit on
+    ``paths`` with every M/M/1 link ``CAPACITY_GUARD`` below capacity.
 
-    def add(u, v, cap):
-        for a, b, c in ((u, v, cap), (v, u, 0.0)):
-            out.setdefault(a, []).append(len(heads))
-            heads.append(b)
-            room.append(c)
+    That is the maximum concurrent flow ``lam*``: the largest ``lam``
+    such that each user routes ``lam`` times its demand while each M/M/1
+    link carries at most ``max(C - CAPACITY_GUARD, 0)``.  It returns
+    ``lam*`` exactly, or None when no M/M/1 link bounds it, and refuses
+    ``lam* <= 1``.  Then the message names the links that the optimal
+    dual prices, and ``detail`` holds ``lam*``, those links and their
+    prices as coprime integers: a Farkas certificate.
 
-    for s in sources:
-        add(super_source, s, math.inf)
-    for t in targets:
-        add(t, super_sink, math.inf)
-    for lk in net.links:
-        add(lk.source, lk.target, lk.cost.capacity
-            if isinstance(lk.cost, MM1Cost) else math.inf)
-    while True:
-        via = {super_source: None}
-        queue = [super_source]
-        for u in queue:
-            for e in out.get(u, ()):
-                if room[e] > 0.0 and heads[e] not in via:
-                    via[heads[e]] = e
-                    queue.append(heads[e])
-        if super_sink not in via:
-            break
-        path, v = [], super_sink
-        while via[v] is not None:
-            path.append(via[v])
-            v = heads[via[v] ^ 1]
-        push = min(room[e] for e in path)
-        if push == math.inf:
+    Every row is ``<=`` with a nonnegative right side, so a one-phase
+    simplex with Bland's rule starts from the slacks.  One power of two
+    makes every (dyadic) float an integer, and integer-preserving pivots
+    (Edmonds 1967) keep the tableau exact over the last pivot ``d``.
+    """
+    bound = [ui for ui, u in enumerate(users) if u.demand > 0]
+    cols = [(ui, set(path)) for ui in bound for path in paths.paths[ui]]
+    queues = sorted({li for _, path in cols for li in path
+                     if isinstance(net.links[li].cost, MM1Cost)})
+    if not queues:
+        return None
+    ratios = [v.as_integer_ratio() for v in [users[k].demand for k in bound]
+              + [max(net.links[li].cost.capacity - CAPACITY_GUARD, 0.0)
+                 for li in queues]]
+    scale = max(den for _, den in ratios)
+    rhs = [num * (scale // den) for num, den in ratios]
+    # Row i reads ``basic_i + sum_j a_ij x_j = b_i`` over lam, the path
+    # flows and the rows' slacks; the last row is the objective z - lam.
+    n, m = len(cols) + 1, len(rhs)
+    tab = [[r] + [-(ui == k) for ui, _ in cols] + [0]
+           for k, r in zip(bound, rhs)]
+    tab += [[0] + [int(li in path) for _, path in cols] + [c]
+            for li, c in zip(queues, rhs[len(bound):])]
+    tab.append([-1] + [0] * n)
+    col_var, row_var = list(range(n)), list(range(n, n + m))
+    d = 1
+    while any(v < 0 for v in tab[m][:n]):
+        c = min((j for j in range(n) if tab[m][j] < 0),
+                key=col_var.__getitem__)
+        rows = [i for i in range(m) if tab[i][c] > 0]
+        if not rows:
             return None
-        for e in path:
-            room[e] -= push
-            room[e ^ 1] += push
-    return [lk for lk in net.links
-            if lk.source in via and lk.target not in via]
-
-
-def check_feasibility(net: Network, users: Sequence[UserSpec]) -> None:
-    """Raise ``InfeasibleError`` when the demand provably cannot be carried.
-
-    For each destination, the total demand bound for it must stay below
-    the capacity of a minimum cut between those users' sources and the
-    destination (``_min_cut``): its incoming links, or a bottleneck
-    further upstream.  A user with positive demand and no path at all is
-    caught earlier, by ``build_path_set``; demands of different
-    destinations that meet on one link or one cut, by
-    ``check_shared_links``.
-    """
-    by_target: dict[int, float] = {}
-    sources: dict[int, dict] = {}
-    for u in users:
-        by_target[u.target] = by_target.get(u.target, 0.0) + u.demand
-        sources.setdefault(u.target, {})[u.source] = None
-    for target, demand in by_target.items():
-        if demand <= 0:
-            continue
-        cut = _min_cut(net, sources[target], (target,))
-        if cut is None:
-            continue
-        cap = math.fsum(lk.cost.capacity for lk in cut)
-        if demand < cap:
-            continue
-        if {lk.link_id for lk in cut} == {
-                lk.link_id for lk in net.links if lk.target == target}:
-            raise InfeasibleError(
-                f"demand {demand} into node {target} meets or exceeds the "
-                f"total capacity {cap} of its incoming links",
-                detail={"node": target, "demand": demand, "capacity": cap})
-        raise InfeasibleError(
-            f"demand {demand} into node {target} meets or exceeds the "
-            f"capacity {cap} of the cut through links "
-            f"{', '.join(lk.link_id for lk in cut)}",
-            detail={"node": target, "demand": demand, "capacity": cap,
-                    "links": [lk.link_id for lk in cut]})
-
-
-def check_shared_links(net: Network, users: Sequence[UserSpec],
-                       paths: PathSet) -> None:
-    """Raise ``InfeasibleError`` when the demands that must cross one
-    M/M/1 link, because it lies on every one of their users' ``paths``,
-    meet or exceed its capacity, whatever destinations they are bound
-    for.  ``check_feasibility`` covers one destination's demand alone.
-
-    Then, when positive demands are bound for two or more destinations,
-    their total must stay below the capacity of a minimum cut from all
-    their sources to all those destinations (``_min_cut``): every
-    routing of every user is one flow between the two sets.
-    """
-    forced: dict[int, list[float]] = {}
-    for u, upaths in zip(users, paths.paths):
-        if upaths:
-            for li in set(upaths[0]).intersection(*upaths[1:]):
-                forced.setdefault(li, []).append(u.demand)
-    for li in sorted(forced):
-        lk = net.links[li]
-        demand = math.fsum(forced[li])
-        if (isinstance(lk.cost, MM1Cost) and demand > 0
-                and demand >= lk.cost.capacity):
-            raise InfeasibleError(
-                f"demand {demand} that must cross link {lk.link_id!r} meets "
-                f"or exceeds its capacity {lk.cost.capacity}",
-                detail={"link": lk.link_id, "demand": demand,
-                        "capacity": lk.cost.capacity})
-    bound = [u for u in users if u.demand > 0]
-    ends = list(dict.fromkeys(u.target for u in bound))
-    if len(ends) < 2:
-        return
-    cut = _min_cut(net, [u.source for u in bound], ends)
-    if cut is None:
-        return
-    demand = math.fsum(u.demand for u in bound)
-    cap = math.fsum(lk.cost.capacity for lk in cut)
-    if demand >= cap:
-        links = [lk.link_id for lk in cut]
-        raise InfeasibleError(
-            f"demand {demand} into nodes {', '.join(map(str, ends))} meets "
-            f"or exceeds the capacity {cap} of the cut through links "
-            f"{', '.join(links)}",
-            detail={"nodes": ends, "demand": demand, "capacity": cap,
-                    "links": links})
+        r = min(rows, key=lambda i: (Fraction(tab[i][n], tab[i][c]),
+                                     row_var[i]))
+        prow, p = tab[r], tab[r][c]
+        for i, row in enumerate(tab):
+            if i != r:
+                f = row[c]
+                tab[i] = [(v * p - f * w) // d for v, w in zip(row, prow)]
+                tab[i][c] = -f
+        prow[c], d = d, p
+        row_var[r], col_var[c] = col_var[c], row_var[r]
+    lam = Fraction(tab[m][n], d)
+    if lam > 1:
+        return lam
+    priced = sorted((queues[v - n - len(bound)], tab[m][j])
+                    for j, v in enumerate(col_var)
+                    if v >= n + len(bound) and tab[m][j] > 0)
+    links = [net.links[li].link_id for li, _ in priced]
+    unit = math.gcd(*(y for _, y in priced))
+    raise InfeasibleError(
+        f"demand meets or exceeds the capacity of links {', '.join(links)}: "
+        f"at most {float(lam)} of every user's demand fits",
+        detail={"lambda": float(lam), "links": links,
+                "prices": [y // unit for _, y in priced]})

@@ -379,7 +379,8 @@ class TestErrorPaths:
           "alphas": [0.0]}, "user 1 has no path from 2 to 1"),
         ({"links": [{"id": "l1", "source": 1, "target": 2,
                      "cost": {"kind": "queue", "capacity": 1.5}}]},
-         "demand 2.0 into node 2 meets or exceeds the total capacity 1.5"),
+         "demand meets or exceeds the capacity of links l1: at most "
+         "0.7499999995 of every user's demand fits"),
     ])
     def test_infeasible_document(self, capsys, tmp_path, edit, message):
         rc, out, err = run(capsys, "solve", "--config",
@@ -401,7 +402,7 @@ class TestErrorPaths:
         rc, out, err = run(capsys, "solve", "--config",
                            write_doc(tmp_path, doc))
         assert rc == 3
-        assert "capacity 1.0 of the cut through links a" in err
+        assert "capacity of links a:" in err
 
     def test_shared_link_of_two_destinations_exits_three(self, capsys,
                                                          tmp_path):
@@ -423,7 +424,7 @@ class TestErrorPaths:
         rc, out, err = run(capsys, "solve", "--config",
                            write_doc(tmp_path, doc))
         assert (rc, out) == (3, "")
-        assert "must cross link 's'" in err
+        assert "capacity of links s:" in err
 
     @pytest.mark.parametrize("second, rc", [(1.0, 3), (0.7, 0)])
     def test_cut_of_two_destinations_exits_three(self, capsys, tmp_path,
@@ -448,11 +449,54 @@ class TestErrorPaths:
         assert got == rc
         if rc:
             assert out == ""
-            assert ("demand 2.2 into nodes 2, 3 meets or exceeds the "
-                    "capacity 2.0 of the cut through links s1, s2") in err
+            assert "capacity of links s1, s2:" in err
+            # lambda is (2 - 2e-9) / 2.2: each link keeps its 1e-9 guard
             assert json.loads(err.splitlines()[1]) == {
-                "nodes": [2, 3], "demand": 2.2, "capacity": 2.0,
-                "links": ["s1", "s2"]}
+                "lambda": 0.9090909081818183, "links": ["s1", "s2"],
+                "prices": [1, 1]}
+
+    @pytest.mark.parametrize("second, rc", [(1.0, 3), (0.7, 0)])
+    def test_a_source_at_another_destination_exits_three(
+            self, capsys, tmp_path, second, rc):
+        # user 2 starts at user 1's destination and returns over b, so
+        # both users cross s1 or s2 (capacity 1 each): 2.2 against 2 is
+        # refused, with the two links priced; 1.9 solves
+        doc = {"nodes": [0, 1, 2],
+               "links": [{"id": lid, "source": 0, "target": 1,
+                          "cost": {"kind": "queue", "capacity": 1.0}}
+                         for lid in ("s1", "s2")] + [
+                   {"id": "a", "source": 1, "target": 2,
+                    "cost": {"kind": "linear", "slope": 1.0}},
+                   {"id": "b", "source": 2, "target": 0,
+                    "cost": {"kind": "linear", "slope": 1.0}}],
+               "users": [{"id": 1, "source": 0, "target": 2, "demand": 1.2},
+                         {"id": 2, "source": 2, "target": 1,
+                          "demand": second}],
+               "alphas": [0.0, 0.0]}
+        got, out, err = run(capsys, "solve", "--config",
+                            write_doc(tmp_path, doc))
+        assert got == rc
+        if rc:
+            assert out == ""
+            assert "capacity of links s1, s2:" in err
+            assert json.loads(err.splitlines()[1])["links"] == ["s1", "s2"]
+
+    @pytest.mark.parametrize("demand, rc", [(2 - 1e-9, 3), (2 - 3e-9, 0)])
+    def test_demand_within_the_guard_exits_three(self, capsys, tmp_path,
+                                                 demand, rc):
+        # two capacity-1 links hold 2 - 2e-9 once each keeps the solvers'
+        # 1e-9 guard: a demand above that is refused before any start
+        doc = {**GAME_DOC,
+               "links": [{"id": lid, "source": 1, "target": 2,
+                          "cost": {"kind": "queue", "capacity": 1.0}}
+                         for lid in ("l1", "l2")],
+               "users": [{"id": 1, "source": 1, "target": 2,
+                          "demand": demand}],
+               "alphas": [0.0]}
+        got, out, err = run(capsys, "solve", "--config",
+                            write_doc(tmp_path, doc))
+        assert got == rc
+        assert ("capacity of links l1, l2:" in err) is bool(rc)
 
     def test_solver_failure_maps_to_four(self, capsys, monkeypatch):
         def boom(game):
@@ -811,6 +855,29 @@ class TestVerifyCommand:
         json.loads(err, parse_constant=refuse)
         assert cli._dumps({"a": [math.nan, (-math.inf, 1.5)]}) == (
             '{"a": ["nan", ["-inf", 1.5]]}')
+
+    def test_no_fitting_best_response_reports_false(self, capsys, tmp_path):
+        # user 2's 2.0 on its crossing path fills l1 (capacity 2), which
+        # leaves user 1 no split of its demand that fits: a failed check
+        doc = {"nodes": [1, 2, 3],
+               "links": [{"id": lid, "source": a, "target": b,
+                          "cost": cost}
+                         for lid, a, b, cost in (
+                             ("l1", 1, 3, {"kind": "queue", "capacity": 2.0}),
+                             ("l2", 2, 3, {"kind": "linear", "slope": 0.0}),
+                             ("l3", 1, 2, {"kind": "queue", "capacity": 1.0}),
+                             ("l4", 2, 1, {"kind": "linear", "slope": 0.0}))],
+               "users": [{"id": 1, "source": 1, "target": 3, "demand": 1.0},
+                         {"id": 2, "source": 2, "target": 3, "demand": 2.0}],
+               "alphas": [0.0, 0.0]}
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"path_flows": [[1.0, 0.0], [0.0, 2.0]]}))
+        rc, out, err = run(capsys, "verify", "--config",
+                           write_doc(tmp_path, doc), "--profile", str(prof))
+        assert rc == 0
+        result = json.loads(out)
+        assert result["ok"] is False
+        assert result["max_violation"] == "inf"
 
     def test_demand_mismatch_is_config_error(self, capsys, tmp_path):
         prof = tmp_path / "prof.json"

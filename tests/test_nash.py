@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -2000,10 +2001,11 @@ def test_split_rows_refuses_a_demand_that_misses_a_shared_link():
         ("s", 0, 1, MM1Cost(2.0)), ("a", 1, 2, LinearCost(1.0)),
         ("b", 1, 2, LinearCost(0.0, 0.5)), ("c", 2, 3, LinearCost(1.0))])
     users = (UserSpec(1, 0, 2, 1.2), UserSpec(2, 0, 3, 1.0))
-    with pytest.raises(InfeasibleError, match="link 's'") as refused:
+    with pytest.raises(InfeasibleError, match="links s:") as refused:
         make_game(net, users, [0.0, 0.0])
-    assert refused.value.detail == {"link": "s", "demand": 2.2,
-                                    "capacity": 2.0}
+    assert refused.value.detail == {
+        "lambda": float(Fraction(2.0 - CAPACITY_GUARD) / (Fraction(1.2) + 1)),
+        "links": ["s"], "prices": [1]}
     both = nash.RoutingGame(net, users, netmodel.build_path_set(net, users),
                             CooperationProfile.from_alphas((1, 2),
                                                            [0.0, 0.0]))
@@ -2083,10 +2085,14 @@ def test_sweep_builds_the_deviation_grid_once_per_demand(monkeypatch):
 @given(st.one_of(affine_two_user_games().map(lambda case: case[0]),
                  queue_two_user_games()),
        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+@example(load_balancing_game([MM1Cost(2.0), LinearCost(0.0), MM1Cost(1.0),
+                              LinearCost(0.0)], [1.0, 2.0], [0.0, 0.0]),
+         [0.0, 1.0])
 def test_verify_nash_is_the_same_with_a_cold_or_warm_cache(game, shares):
     # a profile at the drawn shares of each user's second path, checked
     # with splits built per call (as before the cache), with an empty
-    # cache and with a filled one
+    # cache and with a filled one.  In the example, user 2's 2.0 fills l1
+    # and leaves user 1 no split that fits: a failed check, not an error
     r = game.demands
     flows = [[ri - ri * f, ri * f] for ri, f in zip(r, shares)]
     profile = assemble_profile(game.net, game.paths, flows, r)
