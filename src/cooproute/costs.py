@@ -590,13 +590,10 @@ class DeviationCost:
     price: Callable[[list], list[float]]
     monotone: bool
 
-    def __call__(self, points) -> list[float]:
-        return self.price(points)
-
     def least_below(self, splits, bound) -> float:
-        """``min(math.inf, *self(splits))`` unless that is ``>= bound``,
-        and otherwise some value ``>= bound``: exactly the least cost
-        when it is below ``bound``, or when ``bound`` is NaN.
+        """``min(math.inf, *self.price(splits))`` unless that is ``>=
+        bound``, and otherwise some value ``>= bound``: exactly the least
+        cost when it is below ``bound``, or when ``bound`` is NaN.
 
         ``splits`` are two-path flows whose first flow does not increase
         and whose second does not decrease along the list.  When

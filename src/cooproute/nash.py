@@ -32,14 +32,17 @@ with "the derivative along the split is zero" solved for the users on
 both.  One such user takes its exact best response; two solve a linear
 system on affine links, and otherwise follow each user's best-response
 curve and solve each sign change of the other's derivative by Newton's
-method with its analytic slope, all priced by ``SplitCost.row`` with
-loads read from the flows (``_split_rows``).  The verified
-roots are the equilibria: each cluster of dynamics limits gives its
-basin to the nearest root within ``CLUSTER_RADIUS``, and only a cluster
-near no root is polished and verified itself.  The pass checks itself
-by the index sum of the verified equilibria (``_index_sum``), which is
-1 for a complete set of regular equilibria; when it is not 1, or a
-point is degenerate, no check says the set is complete.  On affine links
+method with its analytic slope.  Each point is priced once, by
+``SplitCost.row`` with loads read from the pair's state
+(``_split_rows``): a point on a curve takes the responder's loads and
+guard bracket from its best response, and a root keeps the rows it was
+found with.  The verified roots are the equilibria: each cluster of
+dynamics limits gives its basin to the nearest root within
+``CLUSTER_RADIUS``, and only a cluster near no root is polished and
+verified itself.  The pass checks itself by the index sum of the
+verified equilibria (``_index_sum``), which is 1 for a complete set of
+regular equilibria; when it is not 1, or a point is degenerate, no check
+says the set is complete.  On affine links
 the game can be certified, in exact arithmetic, to have a single
 equilibrium (Rosen's diagonal strict convexity with unit weights); when
 the dynamics reach one verified equilibrium of a certified game, there
@@ -738,7 +741,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
                     viol = max(viol, (margs[p] - lam) / scale)
         cost = deviation_cost(game.net.links, game.paths.paths, state,
                               game.coop.rows[ui], ui)
-        cur = cost([state[ui]])[0]
+        cur = cost.price([state[ui]])[0]
         try:
             br = _best_response(game, state, ui)
         except SolverError:  # no split fits beside the others' flows
@@ -748,7 +751,7 @@ def verify_nash(game: RoutingGame, profile: FlowProfile) -> NashCheck:
             # A different split only disqualifies the profile if it is
             # actually cheaper; with a flat objective any split is a best
             # response and the recomputed one is arbitrary.
-            at_br = cost([br])[0]
+            at_br = cost.price([br])[0]
             if cur == INFINITE_COST:
                 gap = 0.0 if at_br == INFINITE_COST else math.inf
             else:
@@ -927,21 +930,14 @@ def _start_options(game: RoutingGame):
     return options
 
 
-def _pair_loads(game: RoutingGame, i: int, x: float):
-    """``_state_loads`` of user ``i`` of two, the other at second-path
-    flow ``x``: only the other user's flows are read."""
-    flows = (game.users[1 - i].demand - x, x)
-    return _state_loads(game, (flows, flows), i)
-
-
 def _split_rows(game: RoutingGame):
     """For two two-path users: a function from their second-path flows
-    ``t``, and user ``j``'s loads ``(j, others, weighted)`` if ``given``,
-    to each user's ``(derivative, slope, cross)`` along its split
-    (``SplitCost.row``, loads by ``_pair_loads``), where ``cross`` is the
-    slope in the other user's flow.  It returns None when a user's demand
-    does not fit on a shared M/M/1 link, or its split leaves the guard
-    bracket on a path it uses."""
+    ``t``, and user ``j``'s loads and bracket ``(j, others, weighted, lo,
+    hi)`` if ``given``, to each user's ``(derivative, slope, cross)``
+    along its split (``SplitCost.row``, loads by ``_state_loads`` of the
+    pair's state), where ``cross`` is the slope in the other user's flow.
+    It returns None when a user's demand does not fit on a shared M/M/1
+    link, or its split leaves the guard bracket on a path it uses."""
     tps = game.two_path
     r = game.demands
     shifts = [tuple(_signs(tps[1 - i]).get(li, 0)
@@ -950,14 +946,17 @@ def _split_rows(game: RoutingGame):
     weights = [game.coop.rows[i][1 - i] for i in range(2)]
 
     def rows(t, given=(None,)):
+        state = ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
         out = []
         for i, tp in enumerate(tps):
-            others, weighted = (given[1:] if given[0] == i
-                                else _pair_loads(game, i, t[1 - i]))
+            if given[0] == i:
+                others, weighted, lo, hi = given[1:]
+            else:
+                others, weighted = _state_loads(game, state, i)
+                lo, hi = tp.split.bracket(others)
             if any(others[k] + r[i] > cap - CAPACITY_GUARD
                    for k, cap in tp.caps):
                 return None
-            lo, hi = tp.split.bracket(others)
             if not ((t[i] == r[i] or lo <= t[i])
                     and (t[i] == 0.0 or t[i] <= hi)):
                 return None
@@ -971,25 +970,27 @@ def _on_curve(game: RoutingGame, rows, i: int, x: float):
     """User ``i`` at second-path flow ``x`` and the other user at its
     exact best response (``_split_argmin``), as ``(t, rows(t), inside)``:
     ``inside`` tells whether that response lies strictly inside its guard
-    bracket.  None when the split leaves a guard bracket or a shared link
-    (``rows`` tests the latter)."""
+    bracket, which ``rows`` takes with the responder's loads.  None when
+    the split leaves a guard bracket or a shared link (``rows`` tests the
+    latter)."""
     j = 1 - i
     tp = game.two_path[j]
-    others, weighted = _pair_loads(game, j, x)
+    flows = (game.demands[i] - x, x)
+    others, weighted = _state_loads(game, (flows, flows), j)
     lo, hi = tp.split.bracket(others)
     if lo > hi:
         return None
     y = _split_argmin(game, j, tp, lo, hi, others, weighted)
     t = [x, y] if i == 0 else [y, x]
-    at = rows(t, (j, others, weighted))
+    at = rows(t, (j, others, weighted, lo, hi))
     return None if at is None else (t, at, lo < y < hi)
 
 
 def _curve_roots(game: RoutingGame, rows, i: int) -> list:
-    """Points where both users sit strictly inside their guard brackets
-    with a zero derivative, found along the other user's best-response
-    curve (``_on_curve``) as zeros of user ``i``'s derivative ``phi``
-    over user ``i``'s flow.
+    """Points ``t`` where both users sit strictly inside their guard
+    brackets with a zero derivative, as ``(t, rows(t))``, found along the
+    other user's best-response curve (``_on_curve``) as zeros of user
+    ``i``'s derivative ``phi`` over user ``i``'s flow.
 
     ``phi`` is sampled at ``CURVE_GRID`` flows.  Where the curve leaves
     the guard brackets between two of them, the last flow inside, found
@@ -1035,7 +1036,7 @@ def _curve_roots(game: RoutingGame, rows, i: int) -> list:
 
         p = _on_curve(game, rows, i, newton_argmin(phi, a, b))
         if p is not None and p[2] and 0.0 < p[0][i] < game.demands[i]:
-            roots.append(p[0])
+            roots.append(p[:2])
     return roots
 
 
@@ -1051,7 +1052,8 @@ def _support_roots(game: RoutingGame, rows) -> list:
     Two solve a linear system on affine links, from ``rows`` at the
     centroid, and otherwise take ``_curve_roots`` along both users'
     best-response curves, since such a support can hold several roots.
-    Both scans can find the same root, and near a continuum of equilibria
+    A root keeps the rows it was found with for the slack test.  Both
+    scans can find the same root, and near a continuum of equilibria
     their copies can lie further apart than ``DISTINCT_TOL``, so a root
     within ``CLUSTER_RADIUS`` of an earlier one of its support is dropped;
     ``multistart_nash`` merges roots of different supports only within
@@ -1064,16 +1066,15 @@ def _support_roots(game: RoutingGame, rows) -> list:
         t = [(0.0, r[i], 0.5 * r[i])[s] for i, s in enumerate(support)]
         free = [i for i, s in enumerate(support) if s == 2]
         if not free:
-            roots = [t]
+            roots = [(t, rows(t))]
         elif len(free) == 1:
             p = _on_curve(game, rows, 1 - free[0], t[1 - free[0]])
-            roots = [p[0]] if p is not None and p[2] else []
+            roots = [p[:2]] if p is not None and p[2] else []
         elif not affine:
             roots = []
             for root in (_curve_roots(game, rows, 0)
                          + _curve_roots(game, rows, 1)):
-                if not any(all(abs(a - b) <= CLUSTER_RADIUS
-                               for a, b in zip(root, seen))
+                if not any(_distance(root[0], seen[0]) <= CLUSTER_RADIUS
                            for seen in roots):
                     roots.append(root)
         else:
@@ -1083,19 +1084,28 @@ def _support_roots(game: RoutingGame, rows) -> list:
             if at is None:
                 continue
             (g0, s0, x0), (g1, s1, x1) = at
-            det = s0 * s1 - x0 * x1
+            det = _free_det(at, free)[0]
             if not det:
                 continue
             t = [t[0] + (x0 * g1 - s1 * g0) / det,
                  t[1] + (x1 * g0 - s0 * g1) / det]
-            roots = [t] if all(0.0 < v < ri for v, ri in zip(t, r)) else []
-        for t in roots:
-            at = rows(t)
+            inside = all(0.0 < v < ri for v, ri in zip(t, r))
+            roots = [(t, rows(t))] if inside else []
+        for t, at in roots:
             if at is None or any(s == 0 and g < 0.0 or s == 1 and g > 0.0
                                  for s, (g, _, _) in zip(support, at)):
                 continue
             out.append((support, ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))))
     return out
+
+
+def _free_det(at, free) -> tuple[float, float]:
+    """The determinant of the Jacobian of the derivatives in ``at``
+    (``rows``' slopes and crosses) reduced to the users in ``free``, and
+    its size: the product of those users' ``hypot(slope, cross)``."""
+    det = math.prod(at[i][1] for i in free)
+    return (det - at[0][2] * at[1][2] if len(free) == 2 else det,
+            math.prod(math.hypot(at[i][1], at[i][2]) for i in free))
 
 
 def _index_sum(game: RoutingGame, rows,
@@ -1108,9 +1118,9 @@ def _index_sum(game: RoutingGame, rows,
     the derivatives, reduced to the users on both paths (+1 when there is
     none).  The indices of a game's regular equilibria sum to 1 (Simsek,
     Ozdaglar and Acemoglu 2007).  A point is degenerate when that
-    determinant is near zero against its rows' norms, when an unused
-    path's slack is near zero against the user's multiplier, or when pass
-    roots of two supports fell in its cluster.
+    determinant is near zero against its size (``_free_det``), when an
+    unused path's slack is near zero against the user's multiplier, or
+    when pass roots of two supports fell in its cluster.
     """
     total = degenerate = 0
     for c in clusters:
@@ -1128,15 +1138,7 @@ def _index_sum(game: RoutingGame, rows,
                 for i in range(2) if i not in free):
             degenerate += 1
             continue
-        if len(free) == 2:
-            (_, s0, x0), (_, s1, x1) = at
-            det = s0 * s1 - x0 * x1
-            size = math.hypot(s0, x0) * math.hypot(x1, s1)
-        elif free:
-            _, det, x = at[free[0]]
-            size = math.hypot(det, x)
-        else:
-            det = size = 1.0
+        det, size = _free_det(at, free)
         if abs(det) <= DEGENERATE_TOL * size:
             degenerate += 1
         else:

@@ -66,13 +66,11 @@ def bisect_sign_change(f: Callable[[float], float], lo: float,
 
 
 def scan_sign_changes(f: Callable[[float], float], xs: Sequence[float],
-                      vals: Sequence[float] | None = None) -> list[float]:
+                      vals: Sequence[float]) -> list[float]:
     """Every zero of ``f`` that the increasing grid ``xs`` brackets, in
     grid order: grid points where ``f`` is exactly zero, and each strict
-    sign change between neighbours bisected.  ``vals``, when given, is
-    ``f`` at ``xs``, which is then called for the bisections alone."""
-    if vals is None:
-        vals = [f(x) for x in xs]
+    sign change between neighbours bisected.  ``vals`` is ``f`` at
+    ``xs``, so ``f`` is called for the bisections alone."""
     roots = []
     for i in range(len(xs) - 1):
         a, b = vals[i], vals[i + 1]

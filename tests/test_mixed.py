@@ -414,8 +414,11 @@ def alternated_alone(s):
         clusters.append([x, w, weight])
 
     xs = grid(r1, mixed.STARTS)
-    for x in scan_sign_changes(
-            lambda x: mixed._group_response(s, mass(x)) - x, xs):
+
+    def gap(x):
+        return mixed._group_response(s, mass(x)) - x
+
+    for x in scan_sign_changes(gap, xs, [gap(x) for x in xs]):
         merge(x, mass(x), 0)
     non_converged = 0
     for x in xs:

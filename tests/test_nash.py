@@ -90,7 +90,8 @@ def composition_scan(game):
     # reverse scan, on that user's own coordinate, finds the point.
     for outer, inner, r, flip in ((br_first, br_second, r1, False),
                                   (br_second, br_first, r2, True)):
-        for x in scan_sign_changes(gap(outer, inner), grid(r, 801)):
+        f, xs = gap(outer, inner), grid(r, 801)
+        for x in scan_sign_changes(f, xs, [f(x) for x in xs]):
             try:
                 y = inner(x)
             except SolverError:
@@ -362,9 +363,9 @@ def test_water_filling_response_is_optimal(case):
             assert m - lam <= 1e-9 * max(1.0, abs(lam))
     cost = deviation_cost(game.net.links, game.paths.paths, state,
                           game.coop.rows[0], 0)
-    at_br = cost([br])[0]
+    at_br = cost.price([br])[0]
     # splits that fill an M/M/1 link cost infinity; leave them out
-    grid_min = min(cost(simplex_grid(r, rooms)), default=math.inf)
+    grid_min = min(cost.price(simplex_grid(r, rooms)), default=math.inf)
     assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
 
 
@@ -515,7 +516,7 @@ def test_deviation_cost_equals_full_state_cost(name):
                       for i in range(g)]
             cost = deviation_cost(game.net.links, game.paths.paths, state,
                                   game.coop.rows[ui], ui)
-            for flows, got in zip(splits, cost(splits)):
+            for flows, got in zip(splits, cost.price(splits)):
                 trial = [list(s) for s in state]
                 trial[ui] = list(flows)
                 assert got == link_sum_cost(game, trial, ui)
@@ -541,8 +542,8 @@ def test_a_split_costs_the_same_alone_and_in_the_sweep(name):
         cost = deviation_cost(game.net.links, game.paths.paths, state,
                               game.coop.rows[ui], ui)
         splits = nash._deviation_splits(r)
-        together = cost(splits)
-        assert [cost([flows])[0] for flows in splits] == together
+        together = cost.price(splits)
+        assert [cost.price([flows])[0] for flows in splits] == together
         if name == "asym-cross-0":
             # the crossing path's link has capacity 0
             assert math.inf in together
@@ -605,7 +606,7 @@ def test_deviation_kernel_equals_full_state_cost(case):
         for ui, pts in enumerate(points):
             cost = deviation_cost(game.net.links, game.paths.paths, state,
                                   game.coop.rows[ui], ui)
-            for flows, got in zip(pts, cost(pts)):
+            for flows, got in zip(pts, cost.price(pts)):
                 trial = [list(s) for s in state]
                 trial[ui] = list(flows)
                 assert got == link_sum_cost(game, trial, ui)
@@ -800,6 +801,15 @@ DEVIATION_WORK = {"exp1": 48_086, "braess": 13_532}
 # finds 2,193 of them again.  exp1's affine links need none.  Wall time
 # is too noisy to show a lost reuse; the count is not.
 RESPONSE_WORK = {"solved": 3_435, "asked": 5_628}
+# ``SplitCost.bracket`` and ``SplitCost.row`` calls of the two Braess
+# parameter sweeps and of exp3's 101-row vary="all" sweep: 5,221 and
+# 2,498, 6,473 and 3,078, and 22,516 and 11,386 while the support pass
+# took each curve point's guard bracket twice and priced each root again
+# for its slack test.  Wall time is too noisy to show a point priced
+# twice; the count is not.
+PRICING_WORK = {"braess-lb-asym": {"bracket": 4_024, "row": 2_452},
+                "braess-lb-sym": {"bracket": 5_012, "row": 3_028},
+                "exp3": {"bracket": 17_186, "row": 11_022}}
 
 
 def test_unconverged_starts_leave_the_support_pass_roots(monkeypatch):
@@ -884,6 +894,25 @@ def test_deviation_kernels_compile_once_per_shape(monkeypatch):
     monkeypatch.setattr(nash, "deviation_cost", all_splits)
     for game, profile, check in checks:
         assert repr(verify_nash(game, profile)) == check
+
+
+def test_the_support_pass_prices_each_point_once(monkeypatch):
+    calls = dict.fromkeys(("bracket", "row"), 0)
+    for name in calls:
+        def counted(*args, _orig=getattr(SplitCost, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(SplitCost, name, counted)
+    sweeps = {
+        "braess-lb-asym": lambda: parameter_sweep(
+            get_preset("braess-lb-asym")),
+        "braess-lb-sym": lambda: parameter_sweep(get_preset("braess-lb-sym")),
+        "exp3": lambda: alpha_sweep(get_preset("exp3"),
+                                    [i / 100 for i in range(101)], "all")}
+    for name, sweep in sweeps.items():
+        calls.update(bracket=0, row=0)
+        sweep()
+        assert calls == PRICING_WORK[name], name
 
 
 @pytest.mark.parametrize("preset,build,newton", [
@@ -1471,8 +1500,8 @@ def test_overlapping_paths_use_pairwise_exchange():
     assert check.kkt_multipliers[0] == pytest.approx(3.0, abs=1e-6)
     cost = deviation_cost(game.net.links, game.paths.paths,
                           [list(res.state[0])], game.coop.rows[0], 0)
-    at_br = cost([res.state[0]])[0]
-    grid_min = min(cost(simplex_grid(1.0, [math.inf] * 3)))
+    at_br = cost.price([res.state[0]])[0]
+    grid_min = min(cost.price(simplex_grid(1.0, [math.inf] * 3)))
     assert at_br <= grid_min + 1e-12 * max(1.0, abs(at_br))
 
 
@@ -2170,8 +2199,8 @@ def test_bounded_sweep_reads_what_the_full_sweep_reads(case, rand):
 
     counted = dataclasses.replace(cost, price=price)
     splits = nash._deviation_splits(r)
-    full = min(math.inf, *cost(splits))
-    for bound in (cost([split])[0], math.inf, full, rand):
+    full = min(math.inf, *cost.price(splits))
+    for bound in (cost.price([split])[0], math.inf, full, rand):
         got = counted.least_below(splits, bound)
         if not full >= bound:
             assert same_float(got, full), (bound, got, full)
@@ -2396,9 +2425,9 @@ def reference_rows(game, t):
 @settings(max_examples=100, deadline=None)
 @given(paired_games(), st.data())
 def test_split_rows_read_the_state_loads(game, data):
-    # bit for bit, signs of zero included: the loads from the other
-    # user's flow alone are the path walk's (a second-path flow of -0.0
-    # loads nothing), and the rows are the reference's
+    # bit for bit, signs of zero included: the loads of the pair's state
+    # are the path walk's (a second-path flow of -0.0 loads nothing), and
+    # the rows are the reference's
     rows = nash._split_rows(game)
     r = game.demands
     for _ in range(4):
@@ -2407,10 +2436,51 @@ def test_split_rows_read_the_state_loads(game, data):
         state = ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
         for i, tp in enumerate(game.two_path):
             walked = walked_loads(game, state, i)
-            assert [list(map(repr, v)) for v in nash._pair_loads(
-                game, i, t[1 - i])] == [[repr(v[li]) for li in tp.links]
-                                        for v in walked]
+            assert [list(map(repr, v)) for v in _state_loads(
+                game, state, i)] == [[repr(v[li]) for li in tp.links]
+                                     for v in walked]
         assert repr(rows(t)) == repr(reference_rows(game, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(paired_games())
+def test_support_roots_keep_the_rows_of_their_state(game):
+    # every pricing of a kept root's point, with the responder's loads
+    # and bracket handed in on a best-response curve or not, is rows(t)
+    # bit for bit, so the slack test may read the rows it was found with
+    rows = nash._split_rows(game)
+    priced = {}
+
+    def spy(t, given=(None,)):
+        at = rows(t, given)
+        priced.setdefault(repr(t), set()).add(repr(at))
+        return at
+
+    for _, state in nash._support_roots(game, spy):
+        t = [state[0][1], state[1][1]]
+        assert priced[repr(t)] == {repr(rows(t))}
+
+
+def three_branch_det(at, free):
+    """The reduced determinant and its size by the number of free users,
+    as ``_index_sum`` took them before ``_free_det``."""
+    if len(free) == 2:
+        (_, s0, x0), (_, s1, x1) = at
+        return s0 * s1 - x0 * x1, math.hypot(s0, x0) * math.hypot(x1, s1)
+    if free:
+        _, det, x = at[free[0]]
+        return det, math.hypot(det, x)
+    return 1.0, 1.0
+
+
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False)] * 3),
+                min_size=2, max_size=2))
+@example([(0.0, -0.0, 1.0), (2.0, 3.0, -0.0)])
+def test_free_det_is_the_three_branch_determinant(at):
+    # bit for bit, signs of zero included, for 0, 1 and 2 free users
+    for free in ([], [0], [1], [0, 1]):
+        assert [repr(float(v)) for v in nash._free_det(at, free)] == [
+            repr(v) for v in three_branch_det(at, free)], free
 
 
 def solved_reprs(solve, reuse=True):

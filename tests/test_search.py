@@ -46,34 +46,37 @@ class TestBisectSignChange:
 class TestScanSignChanges:
     GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
 
+    def scan(self, f):
+        return scan_sign_changes(f, self.GRID, [f(x) for x in self.GRID])
+
     def test_zero_at_grid_point_is_kept_as_is(self):
         # f vanishes exactly at 0.5; the next interval has no strict change
-        assert scan_sign_changes(lambda x: x - 0.5, self.GRID) == [0.5]
+        assert self.scan(lambda x: x - 0.5) == [0.5]
 
     def test_falling_sign_change_is_bisected(self):
-        roots = scan_sign_changes(lambda x: 1.3 - x, self.GRID)
+        roots = self.scan(lambda x: 1.3 - x)
         assert roots == [pytest.approx(1.3, abs=1e-12)]
 
     def test_rising_sign_change_is_bisected(self):
-        roots = scan_sign_changes(lambda x: x * x - 2.0, self.GRID)
+        roots = self.scan(lambda x: x * x - 2.0)
         assert roots == [pytest.approx(math.sqrt(2.0), abs=1e-12)]
 
     def test_zero_at_upper_end(self):
-        assert scan_sign_changes(lambda x: x - 2.0, self.GRID) == [2.0]
+        assert self.scan(lambda x: x - 2.0) == [2.0]
 
     def test_no_root(self):
-        assert scan_sign_changes(lambda x: x + 1.0, self.GRID) == []
+        assert self.scan(lambda x: x + 1.0) == []
 
     def test_roots_in_grid_order_and_step_count(self, monkeypatch):
         def f(x):
             return (x - 0.3) * (x - 1.2)
 
-        roots = scan_sign_changes(f, self.GRID)
+        roots = self.scan(f)
         assert roots == [pytest.approx(0.3, abs=1e-12),
                          pytest.approx(1.2, abs=1e-12)]
         # with one step the root is the midpoint of the halved bracket
         monkeypatch.setattr(search, "SEARCH_STEPS", 1)
-        assert scan_sign_changes(f, self.GRID) == [0.375, 1.125]
+        assert self.scan(f) == [0.375, 1.125]
 
     def test_given_values_leave_f_to_the_bisections(self):
         def f(x):
@@ -81,12 +84,15 @@ class TestScanSignChanges:
             return (x - 0.3) * (x - 1.2)
 
         calls = []
-        want = scan_sign_changes(f, self.GRID)
-        bisecting = len(calls) - len(self.GRID)
         vals = [f(x) for x in self.GRID]
         calls.clear()
-        assert scan_sign_changes(f, self.GRID, vals) == want
-        assert len(calls) == bisecting
+        roots = scan_sign_changes(f, self.GRID, vals)
+        scanned = calls[:]
+        calls.clear()
+        # f is called by the two bisections alone, at the same points
+        assert roots == [search._bisect(f, 0.0, 0.5, vals[0]),
+                         search._bisect(f, 1.0, 1.5, vals[2])]
+        assert scanned == calls and calls
 
 
 class TestArgminByDerivative:
