@@ -474,7 +474,7 @@ def _cmd_sweep(args, manifest):
                              for s in eqsets),
         **{key: sum(s.diagnostics[key] for s in eqsets)
            for key in ("sweeps", "jumps_kept", "jumps_rejected",
-                       "pass_missed", "responses", "responses_reused")},
+                       "responses", "responses_reused")},
         "clusters": sum(len(s.equilibria) for s in eqsets),
         "scan_coverage": dict(collections.Counter(
             s.diagnostics["scan_coverage"] for s in eqsets))}

@@ -248,8 +248,8 @@ class SplitCost:
     ``2 b T' + (w + b x) T''`` to the derivative's slope.  On affine
     links the derivative is the line ``C + S t``.
 
-    ``derivative`` and ``row`` loop over a table built once per split, a
-    row per moving link: on the first path or not, and an M/M/1 link's
+    ``derivative`` loops over a table built once per split, a row per
+    moving link: on the first path or not, and an M/M/1 link's
     capacity or an affine one's slope and intercept.  The loop writes
     ``T``, ``T'``, ``T''`` as ``1 / s``, ``1 / s^2``, ``2 / s^3`` at slack
     ``s`` (infinite at ``s <= 0``) or ``a f + g``, ``a``, 0, with the
@@ -363,42 +363,6 @@ class SplitCost:
                 g += b * v + c * dt
             slope += 2.0 * b * dt + c * ddt
         return g, slope
-
-    def row(self, t: float, others, weighted, shift, weight: float
-            ) -> tuple:
-        """``derivative`` at ``t`` and then ``cross``, in one walk: one more
-        unit of another user's flow moves ``others[i]`` by ``shift[i]`` (1,
-        -1 or 0) and ``weighted[i]`` by ``weight * shift[i]``, and a link
-        adds ``(b + weight) T' + (w + b x) T''`` times its path's sign and
-        ``shift[i]``.  On affine links alone all three read the line."""
-        if self._line is not None:
-            c, slope = self.line(others, weighted)
-            return c + slope * t, slope, sum(
-                (co + cw * weight) * e
-                for (co, cw), e in zip(self._line[2], shift) if e)
-        b, r = self.own_weight, self.demand
-        g = slope = cross = 0.0
-        for (first, a, icpt), o, w, e in zip(self._table, others, weighted,
-                                             shift):
-            own = r - t if first else t
-            f = o + own
-            if icpt is None:
-                s = a - f
-                if s <= 0.0:
-                    v = dt = ddt = INFINITE_COST
-                else:
-                    v, dt, ddt = 1.0 / s, 1.0 / (s * s), 2.0 / (s * s * s)
-            else:
-                v, dt, ddt = a * f + icpt, a, 0.0
-            c = w + b * own
-            if first:
-                g -= b * v + c * dt
-            else:
-                g += b * v + c * dt
-            slope += 2.0 * b * dt + c * ddt
-            if e:
-                cross += (-e if first else e) * ((b + weight) * dt + c * ddt)
-        return g, slope, cross
 
     def argmin(self, lo: float, hi: float, others, weighted) -> float:
         """The split ``t`` in ``[lo, hi]`` of least cost.

@@ -25,28 +25,13 @@ clusters the fixed points reached from a grid of starting splits
 basin sizes and failed starts.
 
 Best-response iteration only ever reaches attracting fixed points, and
-interior equilibria of these games are often repelling.  For two users
-with two paths each the driver therefore also enumerates supports
-(``_support_roots``): each user on its first path, its second or both,
-with "the derivative along the split is zero" solved for the users on
-both.  One such user takes its exact best response; two solve a linear
-system on affine links, and otherwise follow each user's best-response
-curve and solve each sign change of the other's derivative by Newton's
-method with its analytic slope.  Each point is priced once, by
-``SplitCost.row`` with loads read from the pair's state
-(``_split_rows``): a point on a curve takes the responder's loads and
-guard bracket from its best response, and a root keeps the rows it was
-found with.  The verified roots are the equilibria: each cluster of
-dynamics limits gives its basin to the nearest root within
-``CLUSTER_RADIUS``, and only a cluster near no root is polished and
-verified itself.  The pass checks itself by the index sum of the
-verified equilibria (``_index_sum``), which is 1 for a complete set of
-regular equilibria; when it is not 1, or a point is degenerate, no check
-says the set is complete.  On affine links
-the game can be certified, in exact arithmetic, to have a single
-equilibrium (Rosen's diagonal strict convexity with unit weights); when
-the dynamics reach one verified equilibrium of a certified game, there
-is nothing left to find and the pass does not run.
+interior equilibria of these games are often repelling.  Two users with
+two paths each are therefore solved as one map (``_map_points``): the
+equilibria are the fixed points of ``phi(t)``, user 2's split after one
+sweep from its split ``t``.  When the links that both users' splits move
+push the loads one way, ``phi`` does not decrease, and an exclusion
+search drops each interval that ``phi`` maps wholly above or below
+itself.  Basins follow from the direction of each start's first step.
 
 Costs, path marginals and the two-path derivative, which also prices
 one path alone, come from ``costs``; this module only sums the other
@@ -65,22 +50,22 @@ could cost less, and reads the same least cost as a sweep of all 1,001.
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .costs import (CAPACITY_GUARD, INFINITE_COST, CooperationProfile,
-                    LinearCost, MM1Cost, SplitCost, deviation_cost,
+                    MM1Cost, SplitCost, deviation_cost,
                     guard_fill, path_marginals, user_costs, weighted_cost)
 from .errors import ConfigError, SolverError
 from .netmodel import (FlowProfile, Network, PathSet, UserSpec,
                        assemble_profile, build_path_set, check_feasibility,
                        saturated_links)
-from .search import SEARCH_STEPS, grid, newton_argmin
+from .search import SEARCH_STEPS, grid
 
 
 # Solver settings.  The pairwise exchange stops when no used path's
@@ -90,14 +75,11 @@ from .search import SEARCH_STEPS, grid, newton_argmin
 # extrapolate from a window of d + 2 iterates, where d, the number of
 # coordinates a sweep reads, is capped at EXTRAPOLATION_RANK.
 # GRID_DENSITY splits per two-path user seed the multistart, and fixed
-# points within CLUSTER_RADIUS of each other, or of a support-pass root,
-# are one equilibrium.  One support's pass roots are one within
-# CLUSTER_RADIUS too (_support_roots); roots of different supports are
-# one only within DISTINCT_TOL.  The support pass samples each
-# best-response curve at CURVE_GRID flows; a reduced Jacobian's
-# determinant, or an unused path's slack, at or below DEGENERATE_TOL
-# relative makes a point degenerate.  Verification sweeps DEVIATION_GRID
-# splits and accepts a normalized violation up to VERIFY_TOL.
+# points within CLUSTER_RADIUS of each other are one equilibrium.  The
+# map's exclusion search halves intervals down to MAP_TOL relative to
+# the demand, for at most MAP_EVALS evaluations of the map.
+# Verification sweeps DEVIATION_GRID splits and accepts a normalized
+# violation up to VERIFY_TOL.
 EXCHANGE_TOL = 1e-14
 EXCHANGE_STEPS = 1_000
 FP_TOL = 1e-8
@@ -105,9 +87,8 @@ MAX_SWEEPS = 10_000
 EXTRAPOLATION_RANK = 8
 GRID_DENSITY = 21
 CLUSTER_RADIUS = 1e-4
-DISTINCT_TOL = 1e-9
-CURVE_GRID = 21
-DEGENERATE_TOL = 1e-9
+MAP_TOL = 1e-7
+MAP_EVALS = 3_000
 VERIFY_TOL = 1e-6
 DEVIATION_GRID = 1001
 
@@ -806,45 +787,24 @@ def profile_from_state(game: RoutingGame, state) -> FlowProfile:
 
 
 class _Cluster:
-    """Fixed points within ``CLUSTER_RADIUS`` of the first one, or a
-    verified support-pass root.  ``mins`` and ``maxs`` bound the dynamics
-    limits in it, ``supports`` holds the supports of the pass roots in
-    it, ``done`` its profile and check (``_finish``), and ``polish`` its
-    polishing run."""
+    """Fixed points of the dynamics within ``CLUSTER_RADIUS`` of the first
+    one; ``mins`` and ``maxs`` bound the limits in it."""
 
-    __slots__ = ("red", "state", "basin", "mins", "maxs", "supports",
-                 "done", "polish")
+    __slots__ = ("red", "state", "basin", "mins", "maxs")
 
-    def __init__(self, red, state, weight, done):
+    def __init__(self, red, state, weight):
         self.red = red
         self.state = state
         self.basin = weight
         self.mins = list(red)
         self.maxs = list(red)
-        self.supports = set()
-        self.done = done
-        self.polish = None
-
-
-def _cluster_of(clusters: list[_Cluster], red, far=None) -> _Cluster | None:
-    """The first cluster within ``CLUSTER_RADIUS`` of ``red``, if any;
-    given ``far``, the one that is first for every point of the box that
-    ``red`` and ``far`` span, if one is."""
-    far = red if far is None else far
-    for c in clusters:
-        if all(abs(x - r) <= CLUSTER_RADIUS and abs(y - r) <= CLUSTER_RADIUS
-               for x, y, r in zip(red, far, c.red)):
-            return c
-        if not any(abs(x - r) > CLUSTER_RADIUS and abs(y - r) > CLUSTER_RADIUS
-                   and (x > r) == (y > r) for x, y, r in zip(red, far, c.red)):
-            return None
-    return None
 
 
 def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
-    c = _cluster_of(clusters, red)
+    c = next((c for c in clusters if _distance(red, c.red) <= CLUSTER_RADIUS),
+             None)
     if c is None:
-        clusters.append(_Cluster(red, state, weight, None))
+        clusters.append(_Cluster(red, state, weight))
         return
     c.basin += weight
     for i, v in enumerate(red):
@@ -854,58 +814,12 @@ def _cluster_merge(clusters: list[_Cluster], red, state, weight) -> None:
             c.maxs[i] = v
 
 
-def _finish(game: RoutingGame, c: _Cluster) -> tuple[FlowProfile, NashCheck]:
-    """A cluster's profile and its check.  A cluster the pass opened
-    holds the check that admitted it; one that dynamics reached is
-    polished (``_iterate``), its run kept in ``c.polish``, and verified on
-    the first call."""
-    if c.done is None:
-        c.polish = _iterate(game, [list(s) for s in c.state], True)
-        profile = profile_from_state(game, c.polish.state)
-        c.done = (profile, verify_nash(game, profile))
-    return c.done
-
-
 def _signs(tp: _TwoPath) -> dict[int, int]:
     """+1 on each link of ``tp``'s second path only, -1 on each link of
     its first path only: how one more unit of ``t`` moves their loads."""
     n1 = tp.split.n1
     return {li: (1 if i < n1 else -1)
             for i, li in enumerate(tp.links[:len(tp.split.specs)])}
-
-
-def _certified_unique(game: RoutingGame) -> bool:
-    """Whether Rosen's test proves that the game has one equilibrium.
-
-    It applies to two users with two paths each on affine links.  User
-    ``i``'s derivative along its second-path flow is then affine in both
-    users' second-path flows, with the constant Jacobian
-
-        J_ii = 2 w_ii sum_l a_l e_il^2,
-        J_ij = (w_ii + w_ij) sum_l a_l e_il e_jl,
-
-    where ``a_l`` is link ``l``'s slope, ``w`` the cooperation rows, and
-    ``e_il`` is +1 on links of ``i``'s second path only, -1 on links of
-    its first path only and 0 elsewhere.  If the symmetric part of ``J``
-    is positive definite, the users' derivatives are strictly monotone
-    and the equilibrium is unique (diagonal strict convexity with unit
-    weights).  In rational arithmetic the 2x2 test decides that exactly.
-    """
-    if (len(game.two_path) != 2 or any(tp is None for tp in game.two_path)
-            or not all(isinstance(lk.cost, LinearCost)
-                       for lk in game.net.links)):
-        return False
-    links = game.net.links
-    signs = [_signs(tp) for tp in game.two_path]
-    w = [[Fraction(v) for v in row] for row in game.coop.rows]
-
-    def jac(i, j):
-        return (2 * w[i][i] if i == j else w[i][i] + w[i][j]) * sum(
-            (Fraction(links[li].cost.slope) * e * signs[j][li]
-             for li, e in signs[i].items() if li in signs[j]), Fraction(0))
-
-    j00, j11 = jac(0, 0), jac(1, 1)
-    return j00 > 0 and j00 * j11 > ((jac(0, 1) + jac(1, 0)) / 2) ** 2
 
 
 def _start_options(game: RoutingGame):
@@ -930,263 +844,346 @@ def _start_options(game: RoutingGame):
     return options
 
 
-def _split_rows(game: RoutingGame):
-    """For two two-path users: a function from their second-path flows
-    ``t``, and user ``j``'s loads and bracket ``(j, others, weighted, lo,
-    hi)`` if ``given``, to each user's ``(derivative, slope, cross)``
-    along its split (``SplitCost.row``, loads by ``_state_loads`` of the
-    pair's state), where ``cross`` is the slope in the other user's flow.
-    It returns None when a user's demand does not fit on a shared M/M/1
-    link, or its split leaves the guard bracket on a path it uses."""
-    tps = game.two_path
-    r = game.demands
-    shifts = [tuple(_signs(tps[1 - i]).get(li, 0)
-                    for li in tp.links[:len(tp.split.specs)])
-              for i, tp in enumerate(tps)]
-    weights = [game.coop.rows[i][1 - i] for i in range(2)]
-
-    def rows(t, given=(None,)):
-        state = ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
-        out = []
-        for i, tp in enumerate(tps):
-            if given[0] == i:
-                others, weighted, lo, hi = given[1:]
-            else:
-                others, weighted = _state_loads(game, state, i)
-                lo, hi = tp.split.bracket(others)
-            if any(others[k] + r[i] > cap - CAPACITY_GUARD
-                   for k, cap in tp.caps):
-                return None
-            if not ((t[i] == r[i] or lo <= t[i])
-                    and (t[i] == 0.0 or t[i] <= hi)):
-                return None
-            out.append(tp.split.row(t[i], others, weighted, shifts[i],
-                                    weights[i]))
-        return out
-    return rows
+def _refine(f, a: float, b: float) -> tuple[float, float]:
+    """Adjacent floats ``a < b`` at which ``f`` has opposite signs, from
+    ``[a, b]`` whose ends it gives opposite signs, or ``(x, x)`` at a zero
+    ``x``.  Each step is Illinois' secant (the value at an end kept twice
+    in a row is halved), or the midpoint when the secant leaves the
+    bracket or the step before did not halve it."""
+    fa = f(a)
+    wa, wb = fa, f(b)
+    kept, halve = 0, False
+    while True:
+        x = 0.5 * (a + b)
+        if x == a or x == b:
+            return a, b
+        if not halve:
+            s = a - wa * ((b - a) / (wb - wa))
+            if a < s < b:
+                x = s
+        width = b - a
+        fx = f(x)
+        if fx == 0.0:
+            return x, x
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa, wa = x, fx, fx
+            wb *= 0.5 if kept == -1 else 1.0
+            kept = -1
+        else:
+            b, wb = x, fx
+            wa *= 0.5 if kept == 1 else 1.0
+            kept = 1
+        halve = not halve and b - a > 0.5 * width
 
 
-def _on_curve(game: RoutingGame, rows, i: int, x: float):
-    """User ``i`` at second-path flow ``x`` and the other user at its
-    exact best response (``_split_argmin``), as ``(t, rows(t), inside)``:
-    ``inside`` tells whether that response lies strictly inside its guard
-    bracket, which ``rows`` takes with the responder's loads.  None when
-    the split leaves a guard bracket or a shared link (``rows`` tests the
-    latter)."""
-    j = 1 - i
-    tp = game.two_path[j]
-    flows = (game.demands[i] - x, x)
-    others, weighted = _state_loads(game, (flows, flows), j)
-    lo, hi = tp.split.bracket(others)
-    if lo > hi:
-        return None
-    y = _split_argmin(game, j, tp, lo, hi, others, weighted)
-    t = [x, y] if i == 0 else [y, x]
-    at = rows(t, (j, others, weighted, lo, hi))
-    return None if at is None else (t, at, lo < y < hi)
+def _map_points(game: RoutingGame, weight: int):
+    """The equilibria of two two-path users as the fixed points of ``phi``,
+    each with its check, basin and bracket width, and the diagnostics.
 
+    ``phi(t)`` is user 2's split after one sweep from ``((r1, 0), (r2 -
+    t, t))``, evaluated once per ``t``, and ``g = phi - t``.  When every
+    link that both users' splits move gives their ``_signs`` one product,
+    ``phi`` does not decrease (Topkis 1978; Vives 1990), so no fixed
+    point lies in ``[a, phi(a))`` nor in ``(phi(b), b]``.  The search
+    drops those pieces of the grid's intervals (a whole interval, or its
+    larger piece when that is a quarter of it) and halves the rest, down
+    to ``MAP_TOL`` relative, for at most ``MAP_EVALS`` evaluations.
+    Adjacent kept intervals form a stretch, whose roots are the zeros of
+    ``g`` at its points and its first sign change refined to adjacent
+    floats (``_refine``), sought from the next float in beside a corner
+    where ``g`` is 0, as a corner fixed point can hide a root beside it.
+    A root within ``FP_TOL`` of an earlier one in both splits is that
+    one.  The search closes when the cap is not met and every stretch
+    gives a root.  A stretch the cap left wide proves nothing, but each
+    sign change in it beyond ``FP_TOL`` (not a continuum's noise) gives
+    a root.  With mixed signs each grid interval where ``g`` changes sign
+    or is zero is a stretch, and nothing closes.
 
-def _curve_roots(game: RoutingGame, rows, i: int) -> list:
-    """Points ``t`` where both users sit strictly inside their guard
-    brackets with a zero derivative, as ``(t, rows(t))``, found along the
-    other user's best-response curve (``_on_curve``) as zeros of user
-    ``i``'s derivative ``phi`` over user ``i``'s flow.
+    A root ``t`` gives user 1's answer to it, or, where user 1 answers
+    the ends of the final bracket differently, the fixed point of the
+    reverse composition between those answers.  Where ``g`` jumps across
+    0 at ``t``, or user 1's own weight is 0, the split at which user 2's
+    answer crosses ``t`` stands in for that answer, or is tried beside
+    it when far from it; a user that can be indifferent along a segment
+    (own weight 0, or flat moving links) adds the four corners; and a
+    closed search adds each sweep's end where user 1 would stay, since
+    ``g`` can touch 0 there without crossing.  A point is kept when
+    verified or reached.
 
-    ``phi`` is sampled at ``CURVE_GRID`` flows.  Where the curve leaves
-    the guard brackets between two of them, the last flow inside, found
-    by bisection, is sampled too: a root can sit in a sliver next to a
-    capacity.  Each sign change is solved by ``newton_argmin`` with
-    ``phi``'s analytic slope ``s_i - c_i c_j / s_j`` in ``rows``' terms:
-    the best response moves by ``-c_j / s_j``, or not at all where it
-    sits at an end of its bracket.
+    A start goes where monotone sweeps take it: to the nearest point above
+    when ``g > 0``, below when ``g < 0``, and with ``|g| <= FP_TOL`` to a
+    root within ``CLUSTER_RADIUS`` or else to a point of its own; one
+    whose sweep raised fails, and one with nowhere to go does not
+    converge.  A verified root's index is the sign of ``g``'s crossing,
+    ``+1`` from above to below; a verified point that does not cross is
+    degenerate.
     """
-    j = 1 - i
-    xs = grid(game.demands[i], CURVE_GRID)
-    marks = [(x, _on_curve(game, rows, i, x)) for x in xs]
-    for (a, pa), (b, pb) in zip(marks[:len(xs)], marks[1:len(xs)]):
-        if (pa is None) == (pb is None):
-            continue
-        if pa is None:
-            a, b, pa = b, a, pb
-        for _ in range(SEARCH_STEPS):
+    r1, r2 = game.demands
+    # each evaluated t: (user 1's answer x to it, phi(t))
+    sweeps: dict = {}
+
+    def answer(ui: int, x: float, t: float) -> float:
+        # user ui's second-path flow against the splits x and t, or NaN
+        if math.isnan(x + t):
+            return math.nan
+        try:
+            return _best_response(game, ((r1 - x, x), (r2 - t, t)), ui)[1]
+        except SolverError:
+            return math.nan
+
+    def phi(t: float) -> float:
+        if t not in sweeps:
+            x = answer(0, 0.0, t)
+            sweeps[t] = (x, answer(1, x, t))
+        return sweeps[t][1]
+
+    def g(t: float) -> float:
+        return phi(t) - t
+
+    # the reverse composition's gap at user 1's split x
+    h = functools.cache(lambda x: answer(0, x, answer(1, x, 0.0)) - x)
+
+    def closest(f, lo: float, hi: float) -> float:
+        return lo if abs(f(lo)) <= abs(f(hi)) else hi
+
+    def crossing(t: float) -> list[float]:
+        # user 1's split at which user 2's answer crosses t, if one does
+        gap = functools.cache(lambda x: answer(1, x, t) - t)
+        return ([closest(gap, *_refine(gap, 0.0, r1))] if gap(0.0) < 0.0 <
+                gap(r1) or gap(r1) < 0.0 < gap(0.0) else [])
+
+    starts = grid(r2, GRID_DENSITY)
+    s0, s1 = map(_signs, game.two_path)
+    uniform = len({s0[li] * s1[li] for li in s0.keys() & s1.keys()}) <= 1
+    tol = MAP_TOL * max(1.0, r2)
+    closed = uniform
+    stretches: list[list[float]] = []
+    if uniform:
+        stack = list(zip(starts, starts[1:]))[::-1]
+        while stack:
+            a, b = stack.pop()
+            pa, pb = phi(a), phi(b)
+            if pa > b or pb < a:
+                continue
+            # up = g(a) and down = -g(b); below tol only an interval
+            # whose ends give g one sign holds no root yet
+            up, down = pa - a, b - pb
+            wide = b - a > tol
+            work = wide or up > 0.0 > down or up < 0.0 < down
             mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            pm = _on_curve(game, rows, i, mid)
-            if pm is None:
-                b = mid
+            if work and len(sweeps) >= MAP_EVALS:
+                closed = False
+            if work and closed and a < mid < b:
+                quarter = 0.25 * (b - a) if wide else 0.0
+                if up > 0.0 and up >= max(down, quarter):
+                    stack.append((pa, b))
+                elif down > 0.0 and down >= quarter:
+                    stack.append((a, pb))
+                else:
+                    stack += [(mid, b), (a, mid)]
+            elif stretches and a - stretches[-1][-1] <= tol:
+                stretches[-1].append(b)
             else:
-                a, pa = mid, pm
-        marks.append((a, pa))
-    marks = sorted((x, p[1][i][0]) for x, p in marks if p is not None)
-    roots = []
-    for (a, ga), (b, gb) in zip(marks, marks[1:]):
-        if not (ga <= 0.0 <= gb or gb <= 0.0 <= ga):
+                stretches.append([a, b])
+    else:
+        stretches = [[a, b] for a, b in zip(starts, starts[1:])
+                     if not g(a) * g(b) > 0.0]
+
+    def crosses(a: float, b: float, least: float = 0.0) -> bool:
+        return (min(abs(g(a)), abs(g(b))) > least
+                and (g(a) < 0.0 < g(b) or g(b) < 0.0 < g(a)))
+
+    # each point: [t, user 1's split, final bracket width, basin, root]
+    points: list[list] = []
+    for pts in stretches:
+        pairs = list(zip(pts, pts[1:]))
+        if uniform and any(b - a > tol for a, b in pairs):
+            # left wide by the cap: no proof, but a sign change of g
+            # beyond FP_TOL (not the noise of a continuum) holds a root
+            brackets = [_refine(g, a, b) for a, b in pairs
+                        if crosses(a, b, FP_TOL)]
+        else:
+            # each zero of g, and the first sign change; a corner fixed
+            # point can hide one beside it, sought from the next float in
+            inner = [t if 0.0 < t < r2 or g(t) != 0.0 else
+                     math.nextafter(t, r2 - t) for t in pts]
+            pair = next(((a, b) for a, b in zip(inner, inner[1:])
+                         if crosses(a, b)), None)
+            brackets = [(t, t) for t in pts if g(t) == 0.0] + (
+                [_refine(g, *pair)] if pair is not None else [])
+            closed = closed and bool(brackets)
+        for lo, hi in brackets:
+            t = closest(g, lo, hi)
+            x = sweeps[t][0]
+            a, b = sorted((sweeps[lo][0], sweeps[hi][0]))
+            if h(a) < 0.0 < h(b) or h(b) < 0.0 < h(a):
+                x = closest(h, *_refine(h, a, b))
+            # one point, found twice: beside a corner, or at a shared end
+            if not any(abs(p[0] - t) <= FP_TOL and abs(p[1] - x) <= FP_TOL
+                       for p in points):
+                points.append([t, x, hi - lo, 0, True])
+    roots = len(points)
+
+    failed = non_converged = 0
+    for t in starts:
+        if abs(g(t)) <= FP_TOL and not any(
+                abs(p[0] - t) <= CLUSTER_RADIUS for p in points):
+            points.append([t, sweeps[t][0], 0.0, 0, False])
+    for t in starts:
+        gt = g(t)
+        if math.isnan(gt):
+            failed += weight
             continue
-        sign = 1.0 if ga <= gb else -1.0
+        near = [p for p in points if (
+            abs(p[0] - t) <= CLUSTER_RADIUS if abs(gt) <= FP_TOL
+            else p[0] > t if gt > 0.0 else p[0] < t)]
+        if near:
+            min(near, key=lambda p: abs(p[0] - t))[3] += weight
+        else:
+            non_converged += weight
+    if closed:
+        # a sweep that ends where user 1 would stay (its answers to t and
+        # to phi(t) agree within FP_TOL) ends at an equilibrium, also on
+        # a kink where g touches 0 and float arithmetic misses the root
+        for x, t in list(sweeps.values()):
+            end = sweeps.get(t)
+            if end is not None and abs(end[0] - x) <= FP_TOL and not any(
+                    abs(p[0] - t) <= CLUSTER_RADIUS for p in points):
+                points.append([t, x, 0.0, 0, False])
 
-        def phi(x: float) -> tuple[float, float]:
-            p = _on_curve(game, rows, i, x)
-            if p is None:
-                return math.nan, math.nan
-            (g, s, c), (_, sj, cj) = p[1][i], p[1][j]
-            if not p[2]:
-                return sign * g, sign * s
-            return sign * g, sign * (s - c * cj / sj) if sj else math.nan
+    # A user whose own weight is 0, or whose moving links are all flat,
+    # can be indifferent along a segment of which the map sees one
+    # answer: the four corners are tried too, where no user's derivative
+    # points away from its corner (a float test, finer than VERIFY_TOL).
+    unique = all(tp.split.own_weight > 0.0 and any(
+        isinstance(c, MM1Cost) or c.slope > 0.0 for c in tp.split.specs)
+        for tp in game.two_path)
 
-        p = _on_curve(game, rows, i, newton_argmin(phi, a, b))
-        if p is not None and p[2] and 0.0 < p[0][i] < game.demands[i]:
-            roots.append(p[:2])
-    return roots
+    def stays(state) -> bool:
+        for ui, tp in enumerate(game.two_path):
+            d = tp.split.derivative(state[ui][1],
+                                    *_state_loads(game, state, ui))[0]
+            if d < 0.0 < state[ui][0] or state[ui][1] > 0.0 < d:
+                return False
+        return True
 
+    for t, x in itertools.product((0.0, r2), () if unique else (0.0, r1)):
+        if not any(abs(p[0] - t) <= CLUSTER_RADIUS
+                   and abs(p[1] - x) <= CLUSTER_RADIUS for p in points) \
+                and stays(((r1 - x, x), (r2 - t, t))):
+            points.append([t, x, 0.0, 0, False])
 
-def _support_roots(game: RoutingGame, rows) -> list:
-    """For two two-path users, the roots of each support, as ``(support,
-    state)``: each user on its first path (0), its second (1) or both
-    (2), with a zero derivative for the users on both, strictly inside
-    the box and the guard brackets, and no unused path cheaper.  The
-    solves test the guard brackets and shared links first, so a support
-    whose splits do not fit yields no root instead of raising.
+    evaluated = sorted(sweeps)
 
-    One user on both paths takes its exact best response (``_on_curve``).
-    Two solve a linear system on affine links, from ``rows`` at the
-    centroid, and otherwise take ``_curve_roots`` along both users'
-    best-response curves, since such a support can hold several roots.
-    A root keeps the rows it was found with for the slack test.  Both
-    scans can find the same root, and near a continuum of equilibria
-    their copies can lie further apart than ``DISTINCT_TOL``, so a root
-    within ``CLUSTER_RADIUS`` of an earlier one of its support is dropped;
-    ``multistart_nash`` merges roots of different supports only within
-    ``DISTINCT_TOL``.
-    """
-    r = game.demands
-    affine = all(tp.split.affine for tp in game.two_path)
+    def index(t: float) -> int:
+        # the sign of 1 - phi' at t, read from g past FP_TOL each side;
+        # the ends of [0, r2] count as g > 0 below and g < 0 above
+        i = bisect.bisect_left(evaluated, t - FP_TOL)
+        j = bisect.bisect_right(evaluated, t + FP_TOL)
+        below = g(evaluated[i - 1]) if i else 1.0
+        above = g(evaluated[j]) if j < len(evaluated) else -1.0
+        return 1 if below > 0.0 > above else -1 if below < 0.0 < above else 0
+
     out = []
-    for support in itertools.product((0, 1, 2), repeat=2):
-        t = [(0.0, r[i], 0.5 * r[i])[s] for i, s in enumerate(support)]
-        free = [i for i, s in enumerate(support) if s == 2]
-        if not free:
-            roots = [(t, rows(t))]
-        elif len(free) == 1:
-            p = _on_curve(game, rows, 1 - free[0], t[1 - free[0]])
-            roots = [p[:2]] if p is not None and p[2] else []
-        elif not affine:
-            roots = []
-            for root in (_curve_roots(game, rows, 0)
-                         + _curve_roots(game, rows, 1)):
-                if not any(_distance(root[0], seen[0]) <= CLUSTER_RADIUS
-                           for seen in roots):
-                    roots.append(root)
-        else:
-            # On affine links the derivatives are linear in t: one Newton
-            # step from the centroid lands on the root.
-            at = rows(t)
-            if at is None:
-                continue
-            (g0, s0, x0), (g1, s1, x1) = at
-            det = _free_det(at, free)[0]
-            if not det:
-                continue
-            t = [t[0] + (x0 * g1 - s1 * g0) / det,
-                 t[1] + (x1 * g0 - s0 * g1) / det]
-            inside = all(0.0 < v < ri for v, ri in zip(t, r))
-            roots = [(t, rows(t))] if inside else []
-        for t, at in roots:
-            if at is None or any(s == 0 and g < 0.0 or s == 1 and g > 0.0
-                                 for s, (g, _, _) in zip(support, at)):
-                continue
-            out.append((support, ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))))
-    return out
+    index_sum = degenerate = 0
+    for t, x, width, basin, root in points:
+        # where g jumps across 0 user 1's answer leaves user 2's answer off
+        # t, so the crossing stands in for it, as it does for one near it
+        jump = root and abs(g(t)) > FP_TOL
+        c = (crossing(t) if jump or root and game.coop.rows[0][0] == 0.0
+             else [])
+        tried = (c if c and (jump or abs(c[0] - x) <= CLUSTER_RADIUS)
+                 else [x] + c)
+        ok = False
+        for k, x in enumerate(tried):
+            profile = profile_from_state(game, ((r1 - x, x), (r2 - t, t)))
+            check = verify_nash(game, profile)
+            if check.ok or (basin and not k):
+                out.append((profile, check, 0 if k else basin, width))
+            ok = ok or check.ok
+        if ok:
+            k = index(t) if root else 0
+            index_sum += k
+            degenerate += not k
+    diagnostics = {"trajectories": 0, "non_converged": non_converged,
+                   "failed_starts": failed, "sweeps": len(sweeps),
+                   "jumps_kept": 0, "jumps_rejected": 0,
+                   "scan_candidates": roots,
+                   "scan_coverage": ("map" if closed and unique
+                                     and not degenerate else "none"),
+                   "index_sum": None if degenerate else index_sum,
+                   "degenerate": degenerate}
+    return out, diagnostics
 
 
-def _free_det(at, free) -> tuple[float, float]:
-    """The determinant of the Jacobian of the derivatives in ``at``
-    (``rows``' slopes and crosses) reduced to the users in ``free``, and
-    its size: the product of those users' ``hypot(slope, cross)``."""
-    det = math.prod(at[i][1] for i in free)
-    return (det - at[0][2] * at[1][2] if len(free) == 2 else det,
-            math.prod(math.hypot(at[i][1], at[i][2]) for i in free))
-
-
-def _index_sum(game: RoutingGame, rows,
-               clusters) -> tuple[int | None, int]:
-    """The index sum of the verified clusters of two two-path users, or
-    None if one is degenerate, and the number of degenerate ones.
-
-    A point's support puts each user on its first path, its second or
-    both, and its index is the sign of the determinant of the Jacobian of
-    the derivatives, reduced to the users on both paths (+1 when there is
-    none).  The indices of a game's regular equilibria sum to 1 (Simsek,
-    Ozdaglar and Acemoglu 2007).  A point is degenerate when that
-    determinant is near zero against its size (``_free_det``), when an
-    unused path's slack is near zero against the user's multiplier, or
-    when pass roots of two supports fell in its cluster.
-    """
-    total = degenerate = 0
+def _dynamics_points(game: RoutingGame, options, weight: int):
+    """The clusters of the dynamics from every start, each polished and
+    verified, with its basin and the spread of its limits, and the
+    diagnostics."""
+    head = options[0][:1] if weight > 1 else options[0]
+    clusters: list[_Cluster] = []
+    runs = []
+    trajectories = non_converged = failed = 0
+    for combo in itertools.product(head, *options[1:]):
+        trajectories += 1
+        try:
+            res = br_dynamics(game, combo)
+        except SolverError:
+            failed += weight
+            continue
+        runs.append(res)
+        if not res.converged:
+            non_converged += weight
+            continue
+        _cluster_merge(clusters, _reduced(game, res.state), res.state, weight)
+    out = []
     for c in clusters:
-        profile, check = _finish(game, c)
-        if not check.ok:
-            continue
-        t = [profile.path_flows[i][1] for i in range(2)]
-        support = tuple(0 if v == 0.0 else 1 if v == r else 2
-                        for v, r in zip(t, game.demands))
-        at = rows(t)
-        free = [i for i, s in enumerate(support) if s == 2]
-        if at is None or len(c.supports | {support}) > 1 or any(
-                abs(at[i][0]) <= DEGENERATE_TOL * max(
-                    1.0, abs(check.kkt_multipliers[i]))
-                for i in range(2) if i not in free):
-            degenerate += 1
-            continue
-        det, size = _free_det(at, free)
-        if abs(det) <= DEGENERATE_TOL * size:
-            degenerate += 1
-        else:
-            total += 1 if det > 0.0 else -1
-    return (None if degenerate else total), degenerate
+        runs.append(_iterate(game, [list(s) for s in c.state], True))
+        profile = profile_from_state(game, runs[-1].state)
+        out.append((profile, verify_nash(game, profile), c.basin,
+                    max((mx - mn for mn, mx in zip(c.mins, c.maxs)),
+                        default=0.0)))
+    diagnostics = {"trajectories": trajectories,
+                   "non_converged": non_converged, "failed_starts": failed,
+                   "sweeps": sum(r.sweeps for r in runs),
+                   "jumps_kept": sum(r.jumps_kept for r in runs),
+                   "jumps_rejected": sum(r.jumps_rejected for r in runs),
+                   "scan_candidates": 0, "scan_coverage": "none",
+                   "index_sum": None, "degenerate": 0}
+    return out, diagnostics
 
 
 def multistart_nash(game: RoutingGame) -> EquilibriumSet:
-    """Find the game's equilibria from a grid of starts plus a support pass.
+    """Find the game's equilibria from a grid of starts.
 
     Starting profiles are the product of per-user splits.  When the
     first user's best response ignores its own flows
-    (``_forgets_start``), it does not depend on its own start, so
-    trajectories differing only there coincide after one step; they are
-    run once and their count is credited to the reached basin.  A start
-    whose dynamics raise ``SolverError`` counts in ``failed_starts``.
+    (``_forgets_start``), it does not depend on its own start, so starts
+    differing only there are one start whose count is credited to where
+    it goes.  A start whose sweep raises ``SolverError`` counts in
+    ``failed_starts``.
 
-    With two users, the first user's start fixed and the second on two
-    paths, the starts are bisected when one sweep from each keeps them
-    in order (Topkis 1979; Milgrom and Roberts 1990): from the lowest
-    up, an interval whose ends' limits span a box in one cluster
-    (``_cluster_of``) credits its inner starts to the lower end.  That
-    this matches running every start is tested, not proved: the probe
-    checks order at the starts only, and the dynamics extrapolate.
+    Two users with two paths each and positive demands are solved on
+    the map of user 2's split (``_map_points``), whose fixed points are
+    the equilibria.  ``diagnostics["scan_coverage"]`` reads ``"map"``
+    when that proved the set complete (``phi`` monotone, the search
+    closed, each user's cost strictly convex in its split, no verified
+    point degenerate), and ``"none"`` otherwise and for every other
+    game.  ``scan_candidates`` counts the map's roots, ``scan_added``
+    the points no start reaches (``scan_found``), and ``index_sum`` sums
+    the sign of ``g``'s crossing over the verified roots (None when one
+    does not cross; ``degenerate`` counts those).  ``cluster_diameter``
+    is a root's final bracket width, and ``sweeps`` counts evaluations
+    of the map.
 
-    For two two-path users with positive demands the support pass then
-    lists the supports' roots (``_support_roots``), the repelling fixed
-    points among them.  Each root is verified and, if it passes, opens a
-    cluster with basin 0, or notes its support on an earlier root's
-    within ``DISTINCT_TOL``.  Each dynamics cluster within
-    ``CLUSTER_RADIUS`` of one gives the nearest its basin and limits'
-    bounds; one near none stays, to be polished and verified, and counts
-    in ``pass_missed``.  ``diagnostics["scan_coverage"]`` reads
-    ``"support"`` when the verified clusters' index sum (``_index_sum``)
-    is 1 with no degenerate point.  The pass does not run, and it reads
-    ``"unique"``, when the game is certified to have one equilibrium
-    (``_certified_unique``), every trajectory converged, and the one
-    cluster they reached verifies.  Otherwise it reads ``"none"``: no
-    check says the listed set is complete.  ``scan_candidates`` counts
-    the pass's roots, ``scan_added`` the basin-0 clusters
-    (``scan_found``), and ``index_sum`` and ``degenerate`` describe the
-    final set (None and 0 without two two-path users), so they tell a
-    pass that did not close from one that did not run.
-    ``sweeps`` counts the probe's sweeps and those of the dynamics and
-    the polish, trial sweeps included, and ``jumps_kept`` and
-    ``jumps_rejected`` their extrapolations (``_iterate``); a start that
-    raised adds none.  ``responses`` and ``responses_reused`` count the
-    Newton best responses solved and found again (``_split_argmin``).
+    Any other game runs Gauss-Seidel best response (``br_dynamics``) from
+    every start, clusters the limits within ``CLUSTER_RADIUS``, and
+    polishes and verifies each cluster; ``cluster_diameter`` is then the
+    spread of a cluster's limits, ``sweeps`` counts the dynamics' and the
+    polish's sweeps, and ``jumps_kept`` and ``jumps_rejected`` their
+    extrapolations (``_iterate``).  ``responses`` and
+    ``responses_reused`` count the Newton best responses solved and
+    found again (``_split_argmin``).
     """
     return contextvars.copy_context().run(_multistart, game)
 
@@ -1194,142 +1191,30 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
 def _multistart(game: RoutingGame) -> EquilibriumSet:
     table: dict = {}
     _RESPONSES.set((game, table))
-    n = len(game.users)
     options = _start_options(game)
-    total_starts = 1
-    for opts in options:
-        total_starts *= len(opts)
-    if _forgets_start(game) and len(options[0]) > 1:
-        weight = len(options[0])
-        head = [options[0][0]]
+    total_starts = math.prod(map(len, options))
+    weight = (len(options[0]) if _forgets_start(game) and len(options[0]) > 1
+              else 1)
+    if (len(game.users) == 2 and None not in game.two_path
+            and all(r > 0 for r in game.demands)):
+        points, found = _map_points(game, weight)
     else:
-        weight = 1
-        head = options[0]
-    combos = list(itertools.product(head, *options[1:]))
-    probes = []
-    if n == 2 and len(head) == 1 and game.two_path[1] is not None:
-        try:
-            for state in ([list(s) for s in combo] for combo in combos):
-                _sweep(game, state)
-                probes.append(state[1][1])
-        except SolverError:
-            probes = []
-    ordered = bool(probes) and probes == sorted(probes)
-    runs = []
-    clusters: list[_Cluster] = []
-    trajectories = non_converged = failed_starts = 0
-
-    def run(i):
-        # start i's dynamics (None if they raised) and limit (or None)
-        nonlocal trajectories
-        trajectories += 1
-        try:
-            res = br_dynamics(game, combos[i])
-        except SolverError:
-            return None, None
-        runs.append(res)
-        return res, _reduced(game, res.state) if res.converged else None
-
-    def fill(lo, a, hi, b):
-        # the starts up to lo are merged and hi has run: merge those up
-        # to hi, crediting the ones between to lo's cluster or bisecting
-        nonlocal non_converged, failed_starts
-        if hi - lo > 1 and not (ordered and a[1] and b[1]
-                                and _cluster_of(clusters, a[1], b[1])):
-            mid = (lo + hi) // 2
-            m = run(mid)
-            fill(lo, a, mid, m)
-            fill(mid, m, hi, b)
-            return
-        for (res, red), count in ((a, hi - lo - 1), (b, 1)):
-            if res is None:
-                failed_starts += count * weight
-            elif red is None:
-                non_converged += count * weight
-            else:
-                _cluster_merge(clusters, red, res.state, count * weight)
-
-    first = run(0)
-    fill(-1, (None, None), 0, first)
-    if len(combos) > 1:
-        fill(0, first, len(combos) - 1, run(len(combos) - 1))
-    reached = clusters
-    scan_candidates = pass_missed = 0
-    index_sum, degenerate = None, 0
-    paired = (n == 2 and all(k is not None for k in game.two_path)
-              and all(r > 0 for r in game.demands))
-    # A certified game has one equilibrium: once the dynamics all reach
-    # it and it verifies, there is nothing left to find.
-    unique = (paired and non_converged == 0 and len(clusters) == 1
-              and _certified_unique(game) and _finish(game, clusters[0])[1].ok)
-
-    coverage = "none"
-    if paired:
-        rows = _split_rows(game)
-        if not unique:
-            roots: list[_Cluster] = []
-            for support, cand in _support_roots(game, rows):
-                scan_candidates += 1
-                red = _reduced(game, cand)
-                c = next((h for h in roots
-                          if _distance(red, h.red) <= DISTINCT_TOL), None)
-                if c is None:
-                    # a new root opens a basin-0 cluster if it verifies
-                    profile = profile_from_state(game, cand)
-                    check = verify_nash(game, profile)
-                    if not check.ok:
-                        continue
-                    c = _Cluster(red, cand, 0, (profile, check))
-                    roots.append(c)
-                c.supports.add(support)
-            # each dynamics cluster near a root gives the nearest its
-            # basin and the bounds of its limits; the rest stay
-            missed = []
-            for c in reached:
-                h = min(roots, key=lambda h: _distance(c.red, h.red),
-                        default=None)
-                if h is None or _distance(c.red, h.red) > CLUSTER_RADIUS:
-                    missed.append(c)
-                    continue
-                if h.basin:
-                    c.mins = list(map(min, h.mins, c.mins))
-                    c.maxs = list(map(max, h.maxs, c.maxs))
-                h.mins, h.maxs = c.mins, c.maxs
-                h.basin += c.basin
-            clusters, pass_missed = roots + missed, len(missed)
-        index_sum, degenerate = _index_sum(game, rows, clusters)
-        coverage = ("unique" if unique
-                    else "support" if index_sum == 1 else "none")
+        points, found = _dynamics_points(game, options, weight)
     results = []
-    for c in clusters:
-        profile, check = _finish(game, c)
+    for profile, check, basin, diameter in points:
         raws = user_costs(game.net.links, profile.user_link_flows,
                           profile.total_link_flows)
-        diameter = max((mx - mn for mn, mx in zip(c.mins, c.maxs)),
-                       default=0.0)
         results.append(EquilibriumResult(
             profile=profile, raw_costs=tuple(raws),
             operating_costs=tuple(weighted_cost(row, raws)
                                   for row in game.coop.rows),
-            basin_count=c.basin, cluster_diameter=diameter,
-            scan_found=c.basin == 0,
+            basin_count=basin, cluster_diameter=diameter,
+            scan_found=basin == 0,
             verified=check.ok, max_violation=check.max_violation))
-    runs += [c.polish for c in reached if c.polish is not None]
-    diagnostics = {"total_starts": total_starts,
-                   "trajectories": trajectories,
-                   "non_converged": non_converged,
-                   "failed_starts": failed_starts,
-                   "sweeps": len(probes) + sum(r.sweeps for r in runs),
+    diagnostics = {"total_starts": total_starts, **found,
                    "responses": len(table),
                    "responses_reused": sum(k[1] for k in table.values()),
-                   "jumps_kept": sum(r.jumps_kept for r in runs),
-                   "jumps_rejected": sum(r.jumps_rejected for r in runs),
-                   "scan_candidates": scan_candidates,
-                   "scan_added": sum(c.basin == 0 for c in clusters),
-                   "pass_missed": pass_missed,
-                   "scan_coverage": coverage,
-                   "index_sum": index_sum,
-                   "degenerate": degenerate}
+                   "scan_added": sum(e.scan_found for e in results)}
     if not results:
         raise SolverError("no starting point converged to an equilibrium",
                           diagnostics=diagnostics)

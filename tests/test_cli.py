@@ -150,18 +150,18 @@ class TestSolveCommand:
         assert "solve" in manifest["timings"]
 
     def test_manifest_reports_scan_coverage(self, capsys, tmp_path):
-        # selfish exp1 is certified to have one equilibrium; at (0.95, 0)
-        # it has three, which the support pass finds with index sum 1; at
-        # (0.9, 0) an equilibrium has an unused path at zero slack, so no
-        # check closes the set
+        # selfish exp1 has one equilibrium and at (0.95, 0) three, which
+        # the map's search proves, with index sum 1; at (0.9, 0) an
+        # equilibrium has an unused path at zero slack, where g does not
+        # cross 0, so nothing proves the set complete
         rc, _, err = run(capsys, "solve", "--preset", "exp1")
         assert rc == 0
-        assert json.loads(err)["diagnostics"]["scan_coverage"] == "unique"
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == "map"
         rc, _, err = run(capsys, "solve", "--preset", "exp1",
                          "--alpha", "0.95", "0")
         assert rc == 0
         diagnostics = json.loads(err)["diagnostics"]
-        assert diagnostics["scan_coverage"] == "support"
+        assert diagnostics["scan_coverage"] == "map"
         assert diagnostics["index_sum"] == 1
         rc, _, err = run(capsys, "solve", "--preset", "exp1",
                          "--alpha", "0.9", "0")
@@ -589,11 +589,12 @@ class TestSweepCommand:
         assert "none" not in json.loads(err)["diagnostics"]["scan_coverage"]
 
     def test_manifest_counts_rows_certified_unique(self, capsys):
+        # rows that Rosen's test certifies (0 and 0.5) read "map" like the
+        # row with three equilibria
         rc, _, err = run(capsys, "sweep", "--preset", "exp1",
                          "--alphas", "0,0.5,0.95", "--vary", "first")
         assert rc == 0
-        assert json.loads(err)["diagnostics"]["scan_coverage"] == {
-            "unique": 2, "support": 1}
+        assert json.loads(err)["diagnostics"]["scan_coverage"] == {"map": 3}
 
     def test_manifest_counts_rows_by_scan_coverage(self, capsys):
         # at 0.9 an unused path has zero slack, so no check closes that
@@ -602,7 +603,7 @@ class TestSweepCommand:
                          "--alphas", "0.5,0.9,0.95", "--vary", "first")
         assert rc == 0
         assert json.loads(err)["diagnostics"]["scan_coverage"] == {
-            "unique": 1, "none": 1, "support": 1}
+            "map": 2, "none": 1}
 
     def test_manifest_sums_the_dynamics_work(self, capsys, tmp_path,
                                              monkeypatch):
@@ -619,8 +620,8 @@ class TestSweepCommand:
                          "--alphas", "0.3,0.6", "--vary", "all")
         assert rc == 0
         diagnostics = json.loads(err)["diagnostics"]
-        for key in ("sweeps", "jumps_kept", "jumps_rejected", "pass_missed",
-                    "responses", "responses_reused"):
+        for key in ("sweeps", "jumps_kept", "jumps_rejected", "responses",
+                    "responses_reused"):
             assert diagnostics[key] == sum(row[key] for row in rows)
         assert diagnostics["jumps_kept"] > 0
 
@@ -904,35 +905,35 @@ def test_readme_commands_parse(line):
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
 
-# Each golden sweep's arguments, and what the pass decided on it as its
-# manifest counts it: rows, clusters, non-converged and failed starts,
-# dynamics clusters near no pass root, and rows per scan coverage.  The
-# work counters ``sweeps`` and ``jumps_*`` are not pinned.
+# Each golden sweep's arguments, and what the solver decided on it as
+# its manifest counts it: rows, clusters, non-converged and failed
+# starts, and rows per scan coverage.  The work counters ``sweeps`` and
+# ``jumps_*`` are not pinned.
 PINNED = ("rows", "clusters", "non_converged", "failed_starts",
-          "pass_missed", "scan_coverage")
+          "scan_coverage")
 GOLDEN_SWEEPS = {
     "exp1_first.csv": (
         ("--preset", "exp1", "--alphas", "0:1:0.05", "--vary", "first"),
-        (21, 26, 0, 0, 0, {"none": 1, "support": 5, "unique": 15})),
+        (21, 26, 0, 0, {"none": 2, "map": 19})),
     "exp1_all.csv": (
         ("--preset", "exp1", "--alphas", "0:1:0.05", "--vary", "all"),
-        (21, 38, 0, 0, 0, {"none": 1, "support": 10, "unique": 10})),
+        (21, 38, 0, 0, {"none": 2, "map": 19})),
     "braess_lb_sym.csv": (
         ("--preset", "braess-lb-sym", "--parameter"),
-        (21, 51, 0, 0, 0, {"support": 21})),
+        (21, 51, 0, 0, {"map": 21})),
     "braess_lb_asym.csv": (
         ("--preset", "braess-lb-asym", "--parameter"),
-        (21, 23, 0, 0, 0, {"support": 21})),
+        (21, 23, 0, 0, {"map": 21})),
     "exp3_all.csv": (
         ("--preset", "exp3", "--alphas", "0:1:0.05", "--vary", "all"),
-        (21, 29, 0, 0, 0, {"support": 21})),
+        (21, 29, 0, 0, {"map": 20, "none": 1})),
     "exp5_parameter.csv": (
         ("--preset", "exp5", "--parameter"),
-        (51, 55, 0, 0, 0, {"support": 3, "unique": 48})),
+        (51, 55, 0, 0, {"map": 51})),
     "exp4_feasible_first.csv": (
         ("--preset", "exp4-feasible", "--alphas", "0:1:0.05", "--vary",
          "first"),
-        (21, 31, 0, 0, 0, {"support": 21})),
+        (21, 31, 0, 0, {"map": 20, "none": 1})),
 }
 
 

@@ -236,30 +236,6 @@ class TestSplitCost:
         assert slope == pytest.approx(fd, rel=1e-5)
 
     @settings(max_examples=40)
-    @given(st.floats(0.0, 1.0), st.floats(0.05, 0.95), st.floats(0.0, 1.0),
-           st.sampled_from([(1, 0, -1), (0, -1, 1), (-1, 1, 0)]),
-           st.booleans())
-    def test_cross_slope_is_the_shifted_derivative(self, b, share, weight,
-                                                   shift, affine):
-        # another user's flow moving others by shift and weighted by
-        # weight * shift: the derivative's slope in that flow
-        specs = ([LinearCost(2.0, 0.1), LinearCost(0.5, 0.3),
-                  LinearCost(1.0, 0.2)] if affine else
-                 [MM1Cost(3.0), MM1Cost(2.5), LinearCost(1.0, 0.2)])
-        split = self.split(specs, b, 1.5)
-        others, weighted = [0.4, 0.1, 0.7], [0.2, 0.05, 0.3]
-        t, h = 1.5 * share, 1e-6
-
-        def moved(step):
-            return split.derivative(
-                t, [o + step * e for o, e in zip(others, shift)],
-                [w + step * weight * e for w, e in zip(weighted, shift)])[0]
-
-        fd = (moved(h) - moved(-h)) / (2 * h)
-        assert split.row(t, others, weighted, shift, weight)[2] == \
-            pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-    @settings(max_examples=40)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 0.95))
     def test_one_path_derivative_is_the_path_marginal(self, b, share):
         # every link on the second path: the marginal along (l2, l3)
@@ -309,42 +285,6 @@ def reference_derivative(split, t, others, weighted):
     return g, slope
 
 
-def reference_cross(split, t, others, weighted, shift, weight):
-    """``SplitCost.row``'s cross slope off the affine line, as a sum of
-    cost-method calls over the shifted links."""
-    b, acc = split.own_weight, 0.0
-    for i, (spec, e) in enumerate(zip(split.specs, shift)):
-        if not e:
-            continue
-        own, sgn = (t, e) if i < split.n1 else (split.demand - t, -e)
-        f = others[i] + own
-        acc += sgn * ((b + weight) * spec.derivative(f)
-                      + (weighted[i] + b * own) * curvature(spec, f))
-    return acc
-
-
-def reference_line_cross(split, shift, weight):
-    """``SplitCost.row``'s cross slope on affine links alone, from the
-    line's coefficients of each shifted link: ``b a`` and ``a`` on the
-    second path, ``-b a`` and ``-a`` on the first."""
-    b = split.own_weight
-    return sum(((b * s.slope if i < split.n1 else -b * s.slope)
-                + (s.slope if i < split.n1 else -s.slope) * weight) * e
-               for i, (s, e) in enumerate(zip(split.specs, shift)) if e)
-
-
-def reference_row(split, t, others, weighted, shift, weight):
-    """``SplitCost.row``: on affine links the line at ``t``, its slope
-    and ``reference_line_cross``; otherwise ``derivative`` and then
-    ``reference_cross``."""
-    if split.affine:
-        c, slope = split.line(others, weighted)
-        return c + slope * t, slope, reference_line_cross(split, shift,
-                                                          weight)
-    return split.derivative(t, others, weighted) + (
-        reference_cross(split, t, others, weighted, shift, weight),)
-
-
 def outcome(fn, *args):
     """``fn(*args)`` as a tuple of floats, or the class of the error it
     raises: a slack whose square or cube underflows to zero divides by
@@ -369,9 +309,8 @@ def split_tables(draw):
     """A ``SplitCost`` over a random mix of M/M/1 and affine links, or
     over affine or M/M/1 links alone, the other users' loads on them,
     and a split ``t`` inside the guard bracket, at an end of it or of
-    ``[0, r]``, or putting an M/M/1 link at or past its capacity; and a
-    shift of another user's flow and its weight, for ``row``.  Loads,
-    ``t`` and the weight may be zeros of either sign."""
+    ``[0, r]``, or putting an M/M/1 link at or past its capacity.  Loads
+    and ``t`` may be zeros of either sign."""
     kind = draw(st.sampled_from(["mixed", "affine", "queue"]))
     specs = tuple(
         MM1Cost(draw(st.just(0.0) | st.floats(MIN_CAPACITY, 8.0)))
@@ -398,14 +337,12 @@ def split_tables(draw):
         t = lo + (hi - lo) * draw(st.floats(0.0, 1.0))
     else:
         t = draw(st.sampled_from([lo, hi, 0.0, -0.0, r]))
-    shift = tuple(draw(st.sampled_from([-1, 0, 1])) for _ in specs)
-    return split, t, others, weighted, shift, draw(zero
-                                                   | st.floats(0.0, 1.0))
+    return split, t, others, weighted
 
 
 class TestSplitTable:
-    """``SplitCost.derivative`` and ``row`` run one loop over a table of
-    link constants, with the float operations of the cost methods."""
+    """``SplitCost.derivative`` runs one loop over a table of link
+    constants, with the float operations of the cost methods."""
 
     @settings(max_examples=500)
     @given(split_tables())
@@ -414,12 +351,19 @@ class TestSplitTable:
     # an M/M/1 link (0.25 at slack 2), infinite at and past capacity
     @example((SplitCost(specs=(LinearCost(2.0, 1.0), MM1Cost(4.0)), n1=1,
                         own_weight=0.5, demand=3.0),
-              1.0, (2.0, 0.0), (1.0, 0.0), (1, -1), 0.5))
+              1.0, (2.0, 0.0), (1.0, 0.0)))
     @example((SplitCost(specs=(MM1Cost(4.0), MM1Cost(4.0)), n1=1,
                         own_weight=1.0, demand=5.0),
-              4.0, (0.0, 3.5), (0.0, 0.0), (1, 1), 0.5))
+              4.0, (0.0, 3.5), (0.0, 0.0)))
+    # an infinite term; signed zeros everywhere
+    @example((SplitCost(specs=(MM1Cost(2.0), LinearCost(1.0, 0.5)), n1=1,
+                        own_weight=0.0, demand=1.0),
+              -0.0, (2.0, -0.0), (0.0, -0.0)))
+    @example((SplitCost(specs=(LinearCost(0.0), LinearCost(2.0)), n1=1,
+                        own_weight=0.0, demand=1.0),
+              0.0, (-0.0, 0.0), (-0.0, 0.0)))
     def test_table_matches_cost_methods(self, case):
-        split, t, others, weighted, shift, weight = case
+        split, t, others, weighted = case
         for i, spec in enumerate(split.specs):
             f = others[i] + (t if i < split.n1 else split.demand - t)
             if isinstance(spec, LinearCost):
@@ -431,23 +375,6 @@ class TestSplitTable:
         got = outcome(split.derivative, t, others, weighted)
         want = outcome(reference_derivative, split, t, others, weighted)
         assert same_outcome(got, want), (got, want)
-
-    @settings(max_examples=500)
-    @given(split_tables())
-    # an infinite term and a zero shift; signed zeros everywhere
-    @example((SplitCost(specs=(MM1Cost(2.0), LinearCost(1.0, 0.5)), n1=1,
-                        own_weight=0.0, demand=1.0),
-              -0.0, (2.0, -0.0), (0.0, -0.0), (1, 0), -0.0))
-    @example((SplitCost(specs=(LinearCost(0.0), LinearCost(2.0)), n1=1,
-                        own_weight=0.0, demand=1.0),
-              0.0, (-0.0, 0.0), (-0.0, 0.0), (0, 0), 0.0))
-    def test_row_is_the_derivative_then_the_cross_slope(self, case):
-        # bit for bit, signs of zero, infinities and NaNs included: one
-        # walk of the table does derivative's operations and then the
-        # cross slope's, each summed in table order
-        got = outcome(SplitCost.row, *case)
-        want = outcome(reference_row, *case)
-        assert repr(got) == repr(want)
 
 
 def split_objective(split, t, others, weighted):

@@ -132,29 +132,31 @@ class TestParameterSweep:
 
     @pytest.mark.parametrize("preset", ["braess-lb-sym", "braess-lb-asym"])
     def test_braess_rows_need_no_scan(self, preset):
-        # the support pass's index sum is 1 on every row, with no
-        # degenerate point, so the pass closes every row
+        # the map's search closes every row, with index sum 1 and no
+        # degenerate point
         table = parameter_sweep(get_preset(preset))
         assert len(table.rows) == 21
         for row in table.rows:
             diag = row.equilibria.diagnostics
             assert (diag["scan_coverage"], diag["index_sum"],
-                    diag["degenerate"]) == ("support", 1, 0), row.value
+                    diag["degenerate"]) == ("map", 1, 0), row.value
 
 
 @pytest.mark.parametrize("preset, vary", [
     ("exp1", "first"), ("exp1", "all"), ("exp3", "all"),
     ("exp3-text", "all"), ("braess-lb-sym", None), ("braess-lb-asym", None)])
 def test_support_pass_takes_every_dynamics_cluster(preset, vary):
-    # on a row that the support pass or the certificate closes, every
-    # cluster the dynamics reached lies near a verified root
+    # on a row that the map's search closes, every start goes to a
+    # verified root: the basins sum to the starts
     scenario = get_preset(preset)
     table = (parameter_sweep(scenario) if vary is None else alpha_sweep(
         scenario, [i / 20 for i in range(21)], vary))
     for row in table.rows:
-        diag = row.equilibria.diagnostics
-        if diag["scan_coverage"] in ("support", "unique"):
-            assert diag["pass_missed"] == 0, row.value
+        eqs = row.equilibria
+        if eqs.diagnostics["scan_coverage"] == "map":
+            assert all(eq.verified for eq in eqs if eq.basin_count)
+            assert sum(eq.basin_count for eq in eqs) == \
+                eqs.diagnostics["total_starts"], row.value
 
 
 class TestDetectBraess:

@@ -38,8 +38,6 @@ from cooproute.search import argmin_by_derivative, grid, scan_sign_changes
 # The benchmark's exact oracles, which import nothing from cooproute.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
-# The table-walk references, beside the tests of the tables they check.
-from test_costs import reference_row  # noqa: E402
 
 
 def load_balancing_game(latencies, demands, alphas):
@@ -65,7 +63,7 @@ def composition_scan(game):
     composition, as path flows: each sign change of ``br(br(x)) - x`` on
     a grid of 801 flows, bisected, in both user orders.  A grid point or
     bisection step whose best response raises ``SolverError`` reads as no
-    sign change.  It is the reference that the support pass is checked
+    sign change.  It is the reference that the paired map is checked
     against."""
     r1, r2 = game.demands
 
@@ -635,8 +633,8 @@ def three_link_game(alpha):
 
 # Evaluations one solve makes: cost-method calls (``value`` and
 # ``derivative`` of ``LinearCost`` and ``MM1Cost``), table rows of
-# ``SplitCost.derivative`` and ``row``, and levels of the water-filling
-# inverse (``SplitCost.inverse``).
+# ``SplitCost.derivative``, and levels of the water-filling inverse
+# (``SplitCost.inverse``).
 #
 # History, in cost-method calls.  When the exact best response came in,
 # exp1 at (0.95, 0) and braess-lb-sym at capacity 10 made 48,208 value
@@ -658,10 +656,11 @@ def three_link_game(alpha):
 # by factors of over 1,000 and 30.  Now every table row and level counts.
 # braess-lb-sym made 3,058 rows while ``SplitCost.cross`` walked the
 # table a second time for the support pass, and Newton best responses
-# were solved again on the same input.
+# were solved again on the same input, and 1,773 with the support pass,
+# its row walks included, before the map's search replaced it.
 SOLVE_WORK = {
     "exp1": {"value": 45, "derivative": 18, "rows": 0, "levels": 0},
-    "braess-lb-sym": {"value": 46, "derivative": 18, "rows": 1_773,
+    "braess-lb-sym": {"value": 46, "derivative": 18, "rows": 2_196,
                       "levels": 0},
     "parallel-3x3": {"value": 15, "derivative": 9, "rows": 4_266,
                      "levels": 11_930},
@@ -679,9 +678,8 @@ SOLVE_GAMES = {
 
 def count_solve_work(game, monkeypatch):
     """``multistart_nash(game)`` and the evaluations it made: cost-method
-    calls, table rows of ``SplitCost.derivative`` and ``row`` (a row per
-    moving link; an affine ``row`` reads the line) and levels of
-    ``SplitCost.inverse``."""
+    calls, table rows of ``SplitCost.derivative`` (a row per moving link)
+    and levels of ``SplitCost.inverse``."""
     calls = dict.fromkeys(("value", "derivative", "rows", "levels"), 0)
     for cls in (LinearCost, MM1Cost):
         for meth in ("value", "derivative"):
@@ -689,17 +687,11 @@ def count_solve_work(game, monkeypatch):
                 calls[_meth] += 1
                 return _orig(self, flow)
             monkeypatch.setattr(cls, meth, counted)
-    split_derivative, split_row = SplitCost.derivative, SplitCost.row
-    inverse = SplitCost.inverse
+    split_derivative, inverse = SplitCost.derivative, SplitCost.inverse
 
     def counted_derivative(self, t, others, weighted):
         calls["rows"] += len(self.specs)
         return split_derivative(self, t, others, weighted)
-
-    def counted_row(self, t, others, weighted, shift, weight):
-        if not self.affine:
-            calls["rows"] += len(self.specs)
-        return split_row(self, t, others, weighted, shift, weight)
 
     def counted_inverse(self, others, weighted, top):
         level = inverse(self, others, weighted, top)
@@ -710,7 +702,6 @@ def count_solve_work(game, monkeypatch):
         return counted_level
 
     monkeypatch.setattr(SplitCost, "derivative", counted_derivative)
-    monkeypatch.setattr(SplitCost, "row", counted_row)
     monkeypatch.setattr(SplitCost, "inverse", counted_inverse)
     return multistart_nash(game), calls
 
@@ -735,8 +726,11 @@ def test_solve_work_stays_bounded(preset, monkeypatch):
 # merge-before-verify and the scan skipped on the 15 certified rows; 26
 # and 1 with the support pass, whose index sum sent only the row at 0.9
 # (an unused path at zero slack) to the fallback scan.  With the scan
-# gone, verify_nash still runs 26 times: the scan's candidates at 0.9
-# all fell in clusters that the pass and the dynamics had found.
+# gone, verify_nash still ran 26 times: the scan's candidates at 0.9
+# all fell in clusters that the pass and the dynamics had found.  The
+# map verifies each of the 26 points once; at alpha 1, where user 1's
+# own weight is 0, the split where user 2's answer crosses the middle
+# root stands in for user 1's answer there.
 SWEEP_WORK = {"verify_nash": 26}
 
 
@@ -759,7 +753,8 @@ def test_sweep_work_stays_bounded(monkeypatch):
 # clusters) on exp4-feasible and 201 (201 clusters) on exp2 while a 2x2
 # composition scan ran as the fallback and opened a cluster for each of
 # its verified candidates on the continuum; 21 and 6 without it, one per
-# support-pass root or dynamics cluster.
+# support-pass root or dynamics cluster, and as many on the map, one per
+# start that is a point of its own or takes the rest's basins.
 CONTINUUM_WORK = {"exp4-feasible": 21, "exp2": 6}
 
 
@@ -786,44 +781,50 @@ def test_continuum_rows_stay_small(preset, monkeypatch):
 # a constant would compile one kernel per verified profile.
 KERNEL_WORK = {"exp1": 2, "braess-lb-sym": 2, "braess-lb-asym": 0}
 # Trajectories the same sweeps run: 2,121, 441 and 441 from every start
-# of the second user; 246, 105 and 46 once the bisection over ordered
-# starts credits the starts between two that reach one cluster.  Wall
-# time is too noisy to show a bisection that stops crediting starts; the
-# count is not.
-TRAJECTORY_WORK = {"exp1": 246, "braess-lb-sym": 105, "braess-lb-asym": 46}
+# of the second user; 246, 105 and 46 once a bisection over ordered
+# starts credited the starts between two that reach one cluster; none
+# since the map credits every start of these paired games by the
+# direction of its first step.  A paired game that falls back to the
+# dynamics shows here.
+TRAJECTORY_WORK = {"exp1": 0, "braess-lb-sym": 0, "braess-lb-asym": 0}
 # Splits the deviation sweeps of the same sweeps price, block corners
 # included: 244,244 and 148,148 (1,001 a sweep) when every split is
-# priced.  Wall time is too noisy to show a bound that stops pruning.
+# priced, 48,086 and 13,532 when the support pass and the dynamics gave
+# the points, and the same on the map.  Wall time is too noisy to show
+# a bound that stops pruning.
 DEVIATION_WORK = {"exp1": 48_086, "braess": 13_532}
 # Newton best responses (``SplitCost.argmin`` off the line and the pair)
 # that the two Braess parameter sweeps solve: 5,628 when every one asked
-# for was solved, 3,435 once each solve keeps them by exact input and
-# finds 2,193 of them again.  exp1's affine links need none.  Wall time
-# is too noisy to show a lost reuse; the count is not.
-RESPONSE_WORK = {"solved": 3_435, "asked": 5_628}
-# ``SplitCost.bracket`` and ``SplitCost.row`` calls of the two Braess
-# parameter sweeps and of exp3's 101-row vary="all" sweep: 5,221 and
-# 2,498, 6,473 and 3,078, and 22,516 and 11,386 while the support pass
-# took each curve point's guard bracket twice and priced each root again
-# for its slack test.  Wall time is too noisy to show a point priced
-# twice; the count is not.
-PRICING_WORK = {"braess-lb-asym": {"bracket": 4_024, "row": 2_452},
-                "braess-lb-sym": {"bracket": 5_012, "row": 3_028},
-                "exp3": {"bracket": 17_186, "row": 11_022}}
+# for was solved, 3,435 once each solve kept them by exact input and
+# found 2,193 of them again, with the dynamics and the support pass; the
+# map asks for 3,536 and finds 465 of them again.  exp1's affine links
+# need none.  Wall time is too noisy to show a lost reuse; the count is
+# not.
+RESPONSE_WORK = {"solved": 3_071, "asked": 3_536}
+# Evaluations of the map (``diagnostics["sweeps"]``) that the braess-lb-asym
+# parameter sweep and exp1's 101-row vary="first" sweep make.  Wall time
+# is too noisy to show a search that stops dropping intervals; the count
+# is not.
+MAP_WORK = {"braess-lb-asym": 562, "exp1": 4_205}
 
 
-def test_unconverged_starts_leave_the_support_pass_roots(monkeypatch):
-    # one sweep per run: no start converges, and every one is counted as
-    # such, while the support pass still finds and verifies all three
-    # equilibria, each with an empty basin
-    monkeypatch.setattr(nash, "MAX_SWEEPS", 1)
-    eqs = multistart_nash(get_preset("exp1").build_game(alphas=(0.95, 0.0)))
+def test_a_capped_search_keeps_the_clear_crossings(monkeypatch):
+    # with no evaluation left for the exclusion search nothing is proved,
+    # but each grid interval where g changes sign beyond FP_TOL still
+    # holds a root: all three equilibria, with the basins of a full search
+    game = get_preset("exp1").build_game(alphas=(0.95, 0.0))
+    full = multistart_nash(game)
+    monkeypatch.setattr(nash, "MAP_EVALS", 0)
+    eqs = multistart_nash(game)
     diag = eqs.diagnostics
-    assert diag["non_converged"] == diag["total_starts"] == 441
-    assert diag["failed_starts"] == 0
-    assert len(eqs) == 3
-    assert all(eq.verified and eq.scan_found and eq.basin_count == 0
-               for eq in eqs)
+    assert diag["scan_coverage"] == "none"
+    assert diag["sweeps"] < full.diagnostics["sweeps"]
+    assert (diag["non_converged"], diag["failed_starts"]) == (0, 0)
+    assert len(eqs) == len(full) == 3
+    for eq, ref in zip(eqs, full):
+        assert eq.verified and eq.basin_count == ref.basin_count
+        assert transfer_flows(eq) == pytest.approx(transfer_flows(ref),
+                                                   abs=1e-12)
 
 
 def all_splits(*args):
@@ -896,23 +897,19 @@ def test_deviation_kernels_compile_once_per_shape(monkeypatch):
         assert repr(verify_nash(game, profile)) == check
 
 
-def test_the_support_pass_prices_each_point_once(monkeypatch):
-    calls = dict.fromkeys(("bracket", "row"), 0)
-    for name in calls:
-        def counted(*args, _orig=getattr(SplitCost, name), _name=name):
-            calls[_name] += 1
-            return _orig(*args)
-        monkeypatch.setattr(SplitCost, name, counted)
+def test_the_map_search_work_is_pinned():
     sweeps = {
         "braess-lb-asym": lambda: parameter_sweep(
             get_preset("braess-lb-asym")),
-        "braess-lb-sym": lambda: parameter_sweep(get_preset("braess-lb-sym")),
-        "exp3": lambda: alpha_sweep(get_preset("exp3"),
-                                    [i / 100 for i in range(101)], "all")}
+        "exp1": lambda: alpha_sweep(get_preset("exp1"),
+                                    [i / 100 for i in range(101)], "first")}
     for name, sweep in sweeps.items():
-        calls.update(bracket=0, row=0)
-        sweep()
-        assert calls == PRICING_WORK[name], name
+        diags = [row.equilibria.diagnostics for row in sweep().rows]
+        assert sum(d["sweeps"] for d in diags) == MAP_WORK[name], name
+        # exp1's zero-slack corner at 0.9 and its row at alpha 1, where
+        # user 1's own weight is 0, are the rows not proved
+        assert [d["scan_coverage"] for d in diags].count("none") == (
+            2 if name == "exp1" else 0), name
 
 
 @pytest.mark.parametrize("preset,build,newton", [
@@ -1080,8 +1077,8 @@ class TestMultistartLinear:
         assert find_near(eqs, 1.0, 1.0) is not None
 
     def test_scan_clusters_are_verified_once(self, monkeypatch):
-        # each support-pass root is verified once, and the clusters that
-        # dynamics reached give their basins to the roots unverified
+        # each root of the map is verified once, whether starts reach it
+        # or not
         calls = []
 
         def counted(game, profile):
@@ -1091,9 +1088,8 @@ class TestMultistartLinear:
         monkeypatch.setattr(nash, "verify_nash", counted)
         eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
         reached = sum(1 for eq in eqs if not eq.scan_found)
-        assert eqs.diagnostics["scan_coverage"] == "support"
+        assert eqs.diagnostics["scan_coverage"] == "map"
         assert eqs.diagnostics["scan_added"] == 1
-        # one root for each of the three equilibria's supports
         assert eqs.diagnostics["scan_candidates"] == 3
         assert len(calls) == eqs.diagnostics["scan_added"] + reached == 3
 
@@ -1104,11 +1100,14 @@ class TestMultistartLinear:
         game = parallel_game([LinearCost(2.0502, 0.5027),
                               LinearCost(1.9063, 0.9537)],
                              [0.7622, 0.9072], [0.128, 1.0])
-        # The support pass solves the both-paths support directly, so
-        # the scan does not run: the index sum of the three points is 1.
+        # The map's search finds the three points, whose index sum is
+        # 1; the interior one, where user 2 jumps from corner to corner,
+        # is a sign change of g.  User 2's own weight is 0, so it could
+        # be indifferent along a segment that the map does not see, and
+        # nothing proves the set complete.
         eqs = multistart_nash(game)
         assert len(eqs) == 3 and all(eq.verified for eq in eqs)
-        assert eqs.diagnostics["scan_coverage"] == "support"
+        assert eqs.diagnostics["scan_coverage"] == "none"
         assert eqs.diagnostics["index_sum"] == 1
         interior = [eq for eq in eqs if 0.0 < eq.profile.path_flows[1][1]
                     < game.demands[1]]
@@ -1129,8 +1128,10 @@ class TestMultistartLinear:
 
     def test_scan_coverage(self):
         eqs = multistart_nash(linear_two_origin((0.95, 0.0)))
-        assert eqs.diagnostics["scan_coverage"] == "support"
-        # at 0.9 the corner (0, 1) of user 1 has zero slack
+        assert eqs.diagnostics["scan_coverage"] == "map"
+        assert eqs.diagnostics["index_sum"] == 1
+        # at 0.9 the corner (0, 1) of user 1 has zero slack: g does not
+        # cross 0 there, so the search closes but proves nothing
         eqs = multistart_nash(linear_two_origin((0.9, 0.0)))
         assert eqs.diagnostics["scan_coverage"] == "none"
         assert eqs.diagnostics["index_sum"] is None
@@ -1187,9 +1188,8 @@ class TestMultistartQueueing:
 
     def test_covered_points_are_neither_polished_nor_verified_twice(
             self, monkeypatch):
-        # all three equilibria are support-pass roots: each is verified
-        # once, as a root, and the two that the dynamics reach take their
-        # basins unpolished
+        # all three equilibria are roots of the map: each is verified
+        # once, and none is polished
         polishes, verifies = [], []
         iterate = nash._iterate
 
@@ -1207,7 +1207,6 @@ class TestMultistartQueueing:
         eqs = multistart_nash(
             get_preset("exp3").build_game(alphas=(0.85, 0.85)))
         assert sorted(eq.basin_count for eq in eqs) == [0, 105, 336]
-        assert eqs.diagnostics["pass_missed"] == 0
         assert (len(polishes), len(verifies)) == (0, 3)
 
 
@@ -1705,7 +1704,7 @@ def test_raising_best_response_does_not_abort_a_converged_solve():
     eqs = multistart_nash(game)
     diag = eqs.diagnostics
     assert diag["failed_starts"] == diag["non_converged"] == 0
-    assert diag["scan_coverage"] == "support"
+    assert diag["scan_coverage"] == "map"
     assert len(eqs) == 1 and eqs.equilibria[0].verified
     # the composition scan reads the raising grid points as no sign
     # change
@@ -1737,34 +1736,66 @@ def test_random_parallel_games_solve_clean(slopes, icepts, demands, alphas):
 
 # ------------------------------------------------ uniqueness certificate
 
+def rosen_certified(game):
+    """Whether Rosen's test proves that a game of two two-path users on
+    affine links has one equilibrium.
+
+    User ``i``'s derivative along its second-path flow is then affine in
+    both users' second-path flows, with the constant Jacobian
+
+        J_ii = 2 w_ii sum_l a_l e_il^2,
+        J_ij = (w_ii + w_ij) sum_l a_l e_il e_jl,
+
+    where ``a_l`` is link ``l``'s slope, ``w`` the cooperation rows, and
+    ``e_il`` is +1 on links of ``i``'s second path only, -1 on links of
+    its first path only and 0 elsewhere (``nash._signs``).  If the
+    symmetric part of ``J`` is positive definite, the users' derivatives
+    are strictly monotone and the equilibrium is unique (diagonal strict
+    convexity with unit weights).  In rational arithmetic the 2x2 test
+    decides that exactly.
+    """
+    if (len(game.two_path) != 2 or any(tp is None for tp in game.two_path)
+            or not all(isinstance(lk.cost, LinearCost)
+                       for lk in game.net.links)):
+        return False
+    links = game.net.links
+    signs = [nash._signs(tp) for tp in game.two_path]
+    w = [[Fraction(v) for v in row] for row in game.coop.rows]
+
+    def jac(i, j):
+        return (2 * w[i][i] if i == j else w[i][i] + w[i][j]) * sum(
+            (Fraction(links[li].cost.slope) * e * signs[j][li]
+             for li, e in signs[i].items() if li in signs[j]), Fraction(0))
+
+    j00, j11 = jac(0, 0), jac(1, 1)
+    return j00 > 0 and j00 * j11 > ((jac(0, 1) + jac(1, 0)) / 2) ** 2
+
+
 class TestUniquenessCertificate:
     @pytest.mark.parametrize("a, certified", [(0.74, True), (0.75, False)])
     def test_exp1_threshold(self, a, certified):
         # the Jacobian's symmetric part [[4 (1 - a), -2], [-2, 4]] is
-        # positive definite exactly for a < 0.75
+        # positive definite exactly for a < 0.75; on either side the map
+        # proves the one equilibrium alone, as a crossing root
         game = get_preset("exp1").build_game(alphas=(a, 0.0))
-        assert nash._certified_unique(game) is certified
+        assert rosen_certified(game) is certified
         eqs = multistart_nash(game)
         assert len(eqs) == 1
-        assert eqs.diagnostics["scan_coverage"] == (
-            "unique" if certified else "support")
-        # the pass's one root is the equilibrium the dynamics reached
-        assert eqs.diagnostics["scan_candidates"] == (0 if certified else 1)
+        assert eqs.diagnostics["scan_coverage"] == "map"
+        assert eqs.diagnostics["scan_candidates"] == 1
         assert eqs.diagnostics["scan_added"] == 0
         assert eqs.diagnostics["index_sum"] == 1
 
     @pytest.mark.parametrize("build, coverage", [
-        (lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)),
-         "support"),
-        (lambda: get_preset("exp3").build_game(alphas=(0.0, 0.0)),
-         "support"),
+        (lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)), "map"),
+        (lambda: get_preset("exp3").build_game(alphas=(0.0, 0.0)), "map"),
         (lambda: parallel_game([LinearCost(1.0), LinearCost(2.0, 0.1),
                                 LinearCost(0.5, 0.3)], [1.0, 1.0],
                                [0.0, 0.0]), "none"),
     ], ids=["exp1-0.95", "exp3-mm1", "three-paths"])
     def test_uncertified_games_keep_their_coverage(self, build, coverage):
         game = build()
-        assert not nash._certified_unique(game)
+        assert not rosen_certified(game)
         assert multistart_nash(game).diagnostics["scan_coverage"] == coverage
 
 
@@ -1804,14 +1835,16 @@ def affine_two_user_games(draw):
 @given(affine_two_user_games())
 def test_certified_games_have_one_equilibrium(case):
     game, links, users, alphas = case
-    assume(nash._certified_unique(game))
+    # a certified game reads coverage "map" with one root
+    assume(rosen_certified(game))
     points, segments = checks.affine_equilibria(links, users, alphas)
     assert len(points) == 1 and not segments
     eqs = multistart_nash(game)
     assert len(eqs) == 1
     eq = eqs.equilibria[0]
     assert eq.verified
-    assert eqs.diagnostics["scan_coverage"] == "unique"
+    assert eqs.diagnostics["scan_coverage"] == "map"
+    assert eqs.diagnostics["scan_candidates"] == 1
     flows = [eq.profile.path_flows[ui][1] for ui in range(2)]
     assert max(abs(f - float(t)) for f, t in zip(flows, points[0])) \
         <= checks.FLOW_TOL
@@ -1826,25 +1859,20 @@ def oracle_holds(flows, points, segments):
 
 @settings(max_examples=60, deadline=None)
 @given(affine_two_user_games())
-# Known misses, until affine games are solved in exact arithmetic.  The
-# oracle's point where user 1 sits on l2 has a slack of exactly zero for
-# user 1; the pass's exact sign test drops that root and the dynamics
-# stop short of it.
+# A point where user 1 sits on l2 with a slack of exactly zero: the
+# support pass's exact sign test dropped it, and the dynamics stopped
+# short of it.
 @example(affine_two_user_game([(1.082884660382893, 0.5), (0.0, 1.5)],
-                              [1.0, 0.625], [0.5, 0.99999])).xfail(
-    raises=AssertionError, reason="zero-slack point missed")
+                              [1.0, 0.625], [0.5, 0.99999]))
 # An own weight of 2^-53, at float resolution: user 1's float derivative
 # at the oracle's point (1, 0.9389) reads +1.1e-16 where the exact slack
-# is zero (the slope 0.8911 is rounded from a random draw; the miss is
-# the same) ...
+# is zero (the slope 0.8911 is rounded from a random draw) ...
 @example(affine_two_user_game([(0.8911, 0.0), (0.0, 1.0)], [1.0, 1.5],
-                              [0.5, 1 - 2**-53])).xfail(
-    raises=AssertionError, reason="float derivative hides a zero slack")
+                              [0.5, 1 - 2**-53]))
 # ... and the oracle's third point puts 2.75e-17 on user 1's path, below
-# float resolution, where no solve finds it.
+# float resolution.
 @example(affine_two_user_game([(0.0, 0.25), (1.0, 0.0)], [1.0, 1.0],
-                              [0.99609375, 1 - 2**-53])).xfail(
-    raises=AssertionError, reason="point below float resolution missed")
+                              [0.99609375, 1 - 2**-53]))
 def test_affine_games_match_the_oracle(case):
     # certified or not: every verified point is an equilibrium of the
     # exact oracle, and every isolated oracle point is emitted, also
@@ -1871,9 +1899,10 @@ def test_affine_games_match_the_oracle(case):
 
 def test_pass_roots_of_other_supports_inside_the_cluster_radius():
     # parallel links of slopes 1 and 1e-6, alphas (0, 0.875): three
-    # equilibria within 5e-6 of each other, one per support.  The pass
-    # once dropped the two the dynamics miss, as inside CLUSTER_RADIUS
-    # of the one they reach.
+    # equilibria within 5e-6 of each other, one per support.  The
+    # support pass once dropped the two the dynamics miss, as inside
+    # CLUSTER_RADIUS of the one they reach; the map's roots are apart
+    # by more than its bracket.
     links = {"l1": (1.0, 0.0), "l2": (1e-6, 0.0)}
     users = [(1.0, ["l1"], ["l2"]), (1.0, ["l1"], ["l2"])]
     alphas = [0.0, 0.875]
@@ -1887,7 +1916,7 @@ def test_pass_roots_of_other_supports_inside_the_cluster_radius():
                      for eq in eqs)
     for flows, p in zip(emitted, sorted(points)):
         assert flows == pytest.approx([float(v) for v in p], abs=1e-12)
-    assert eqs.diagnostics["scan_coverage"] == "support"
+    assert eqs.diagnostics["scan_coverage"] == "map"
     assert eqs.diagnostics["index_sum"] == 1
     assert sum(eq.basin_count for eq in eqs) == 441
 
@@ -1895,7 +1924,9 @@ def test_pass_roots_of_other_supports_inside_the_cluster_radius():
 def test_exp1_at_full_cooperation_lists_the_oracles_three_points():
     # each user at alpha 1 weighs only the other's cost, so its own
     # objective is linear in its split; the point (0.5, 0.5) of each user
-    # repels best response, and the composition scan steps over it
+    # repels best response, and the composition scan steps over it.
+    # On the map it is a jump of g across 0, where user 1's answer
+    # leaves one corner for the other.
     eqs = multistart_nash(get_preset("exp1").build_game(alphas=(1.0, 1.0)))
     points, segments = checks.affine_equilibria(
         {"l1": (1.0, 0.0), "l2": (1.0, 0.0), "l3": (0.0, 0.5),
@@ -1908,7 +1939,9 @@ def test_exp1_at_full_cooperation_lists_the_oracles_three_points():
     for flows, p in zip(emitted, sorted(points)):
         assert flows == pytest.approx([float(v) for v in p], abs=1e-12)
     assert find_near(eqs, 0.5, 0.5).basin_count == 0
-    assert eqs.diagnostics["scan_coverage"] == "support"
+    # an own weight of 0 can leave a user indifferent along a segment,
+    # which the map does not see: nothing proves the set complete
+    assert eqs.diagnostics["scan_coverage"] == "none"
     assert eqs.diagnostics["index_sum"] == 1
 
 
@@ -1971,14 +2004,18 @@ def on_verified_segment(game, t, flows, steps=4):
     ("b", 2, 3, MM1Cost(2.0))]),
     [UserSpec(1, 1, 3, 1.2), UserSpec(2, 0, 2, 1.0)], [0.0, 0.0]))
 def test_support_pass_finds_what_the_scan_finds(game):
-    # the completeness check on M/M/1 links, where no exact oracle
-    # exists: every verified candidate of the composition scan is
-    # emitted, unless it lies on a continuum.  The solver lists a
-    # continuum only by the pass's roots and the dynamics' clusters, so
-    # a candidate it leaves out must lie on a segment of verified points
-    # to an emitted one, in a game that reports no check closing its set.
-    # Candidates are taken farthest first, and one on a segment already
-    # checked needs no check of its own.
+    scan_points_are_emitted(game)
+
+
+def scan_points_are_emitted(game):
+    """The completeness check on M/M/1 links, where no exact oracle
+    exists: every verified candidate of the composition scan is emitted,
+    unless it lies on a continuum.  The solver lists a continuum only by
+    the map's roots and its points of their own, so a candidate it
+    leaves out must lie on a segment of verified points to an emitted
+    one, in a game that reports no check closing its set.  Candidates
+    are taken farthest first, and one on a segment already checked needs
+    no check of its own."""
     try:
         eqs = multistart_nash(game)
     except SolverError:
@@ -2009,23 +2046,12 @@ def test_support_pass_finds_what_the_scan_finds(game):
         segments.append((t, end))
 
 
-def test_split_rows_refuses_a_demand_that_misses_a_shared_link():
+def test_a_demand_that_misses_a_shared_link_is_refused():
     # user 1's two paths share the M/M/1 link s of capacity 2, and user 2
-    # loads it too.  In the first game user 2's second path alone loads
-    # s, whose room its own guard bracket also bounds; in the second both
-    # of its paths do, so no bracket sees s and only the shared-link test
-    # refuses.  The affine step of the pass then meets no rows at all.
-    # make_game refuses the second game, whose users bound for different
-    # destinations must both cross s; built without that check, the
-    # solver refuses it too.
-    first = make_game(build_network([0, 1, 2, 3], [
-        ("e", 0, 1, LinearCost(0.5)), ("d", 0, 2, LinearCost(1.0, 0.5)),
-        ("s", 1, 2, MM1Cost(2.0)), ("a", 2, 3, LinearCost(1.0)),
-        ("b", 2, 3, MM1Cost(2.0))]),
-        [UserSpec(1, 1, 3, 1.2), UserSpec(2, 0, 2, 1.0)], [0.0, 0.0])
-    rows = nash._split_rows(first)
-    assert rows([0.5, 0.0]) is not None
-    assert rows([0.5, 0.9]) is None and rows([0.5, 1.0]) is None
+    # loads it too.  make_game refuses the game in which both of user
+    # 2's paths load s, since its users bound for different destinations
+    # must both cross s; built without that check, every sweep of the
+    # map raises, so every start fails and the solver refuses it too.
     net = build_network([0, 1, 2, 3], [
         ("s", 0, 1, MM1Cost(2.0)), ("a", 1, 2, LinearCost(1.0)),
         ("b", 1, 2, LinearCost(0.0, 0.5)), ("c", 2, 3, LinearCost(1.0))])
@@ -2038,25 +2064,11 @@ def test_split_rows_refuses_a_demand_that_misses_a_shared_link():
     both = nash.RoutingGame(net, users, netmodel.build_path_set(net, users),
                             CooperationProfile.from_alphas((1, 2),
                                                            [0.0, 0.0]))
-    rows = nash._split_rows(both)
-    assert all(rows([x, y]) is None
-               for x in grid(1.2, 5) for y in grid(1.0, 5))
-    assert nash._support_roots(both, rows) == []
-    with pytest.raises(SolverError, match="no starting point"):
+    with pytest.raises(SolverError, match="no starting point") as info:
         multistart_nash(both)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(affine_two_user_games().map(lambda case: case[0]),
-                 queue_two_user_games()))
-def test_support_roots_assemble_into_profiles(game):
-    # every pass root routes each user's demand within [0, r], so the
-    # pass may build its profile without a guard against ConfigError
-    r = game.demands
-    for support, state in nash._support_roots(game, nash._split_rows(game)):
-        assert all(0.0 <= v <= ri for flows, ri in zip(state, r)
-                   for v in flows), (support, state)
-        profile_from_state(game, state)
+    diag = info.value.diagnostics
+    assert diag["failed_starts"] == diag["total_starts"] == 441
+    assert diag["scan_candidates"] == 0 and diag["scan_coverage"] == "none"
 
 
 # ----------------------------------------------------- deviation splits
@@ -2247,7 +2259,7 @@ def test_the_sweep_alone_rejects_a_moved_equilibrium(preset, build,
             assert check.max_violation > nash.VERIFY_TOL
 
 
-# ------------------------------------------------------ ordered starts
+# ---------------------------------------------------------------- basins
 
 @st.composite
 def ordered_start_games(draw):
@@ -2300,69 +2312,26 @@ def every_start_clusters(game):
 @settings(max_examples=30, deadline=None)
 @given(ordered_start_games())
 def test_ordered_starts_match_every_start(game):
-    # the bisection credits the starts between two that reach one limit;
-    # the loop over every start must find the same clusters
-    expected = every_start_clusters(game)
-    seen = []
-    merge = nash._cluster_merge
-
-    def recorded(clusters, *args):
-        seen.append(clusters)
-        merge(clusters, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nash, "_cluster_merge", recorded)
-        try:
-            diag = multistart_nash(game).diagnostics
-        except SolverError as err:
-            diag = err.diagnostics
-    clusters = [(c.state, c.basin) for c in (seen[0] if seen else [])]
-    assert (clusters, diag["non_converged"], diag["failed_starts"]) \
-        == expected
+    # the map credits each start to where the dynamics from it go, by
+    # the order of phi: each cluster of the dynamics from every start is
+    # an emitted point with its basin, and the failed starts agree
+    clusters, non_converged, failed = every_start_clusters(game)
+    assume(non_converged == 0)
+    try:
+        eqs = multistart_nash(game)
+    except SolverError as err:
+        assert not clusters and err.diagnostics["failed_starts"] == failed
+        return
+    assert eqs.diagnostics["failed_starts"] == failed
+    reached = [eq for eq in eqs if eq.basin_count]
+    assert len(reached) == len(clusters)
+    for state, basin in clusters:
+        near = [eq for eq in reached if abs(
+            eq.profile.path_flows[1][1] - state[1][1]) <= nash.CLUSTER_RADIUS]
+        assert [eq.basin_count for eq in near] == [basin], state
 
 
-def test_decreasing_probe_runs_every_start(monkeypatch):
-    # user 2 answers half a unit against its own split around 1/2: one
-    # sweep reverses the starts' order, so none is credited, and all 21
-    # still reach the one fixed point
-    game = linear_two_origin((0.0, 0.0))
-    assert multistart_nash(game).diagnostics["trajectories"] < 21
-    response = nash._best_response
-
-    def reversed_second(game, state, ui):
-        if ui == 0:
-            return response(game, state, ui)
-        t = 0.75 - 0.5 * state[1][1]
-        return (1.0 - t, t)
-
-    monkeypatch.setattr(nash, "_best_response", reversed_second)
-    eqs = multistart_nash(game)
-    assert eqs.diagnostics["trajectories"] == 21
-    dynamic = [eq for eq in eqs if not eq.scan_found]
-    assert [eq.basin_count for eq in dynamic] == [
-        eqs.diagnostics["total_starts"]]
-
-
-def test_box_cluster_is_first_for_every_point():
-    # a and b both fall in the second cluster, but the box they span
-    # reaches the first, whose radius holds (6e-5, 6e-5): a start between
-    # them might join it, so the interval must not be credited
-    r = nash.CLUSTER_RADIUS
-    first = nash._Cluster([0.0, 0.0], None, 1, None)
-    second = nash._Cluster([1.5 * r, 1.5 * r], None, 1, None)
-    a, b = [1.5 * r, 0.6 * r], [0.6 * r, 1.5 * r]
-    clusters = [first, second]
-    assert nash._cluster_of(clusters, a) is second
-    assert nash._cluster_of(clusters, b) is second
-    assert nash._cluster_of(clusters, a, b) is None
-    assert nash._cluster_of([second], a, b) is second
-    # an end outside the cluster's radius leaves the box only partly in it
-    assert nash._cluster_of([second], a, [0.4 * r, 1.5 * r]) is None
-    # a box wholly on one side of a cluster misses it
-    assert nash._cluster_of(clusters, [1.5 * r, 2.0 * r], b) is second
-
-
-# ------------------------------------------ split rows and reused responses
+# ------------------------------------------ paired games and reused responses
 
 # Each shape of SWEEP_SHAPES as two users' (source, destination).
 PAIRED_ENDS = {"parallel": ((1, 2), (1, 2)),
@@ -2399,36 +2368,12 @@ def paired_games(draw, queue=st.booleans()):
         reject()
 
 
-def reference_rows(game, t):
-    """``_split_rows(game)(t)`` from the pair's state: each user's loads
-    by ``_state_loads``, the shared-link and guard tests, and the row by
-    ``SplitCost.derivative`` and ``reference_cross``, or on affine links
-    by the line."""
-    r = game.demands
-    state = ((r[0] - t[0], t[0]), (r[1] - t[1], t[1]))
-    out = []
-    for i, tp in enumerate(game.two_path):
-        others, weighted = _state_loads(game, state, i)
-        if any(others[k] + r[i] > cap - CAPACITY_GUARD for k, cap in tp.caps):
-            return None
-        lo, hi = tp.split.bracket(others)
-        if not ((t[i] == r[i] or lo <= t[i]) and (t[i] == 0.0 or t[i] <= hi)):
-            return None
-        moves = nash._signs(game.two_path[1 - i])
-        shift = tuple(moves.get(li, 0)
-                      for li in tp.links[:len(tp.split.specs)])
-        out.append(reference_row(tp.split, t[i], others, weighted, shift,
-                                 game.coop.rows[i][1 - i]))
-    return out
-
-
 @settings(max_examples=100, deadline=None)
 @given(paired_games(), st.data())
-def test_split_rows_read_the_state_loads(game, data):
-    # bit for bit, signs of zero included: the loads of the pair's state
-    # are the path walk's (a second-path flow of -0.0 loads nothing), and
-    # the rows are the reference's
-    rows = nash._split_rows(game)
+def test_pair_state_loads_are_the_path_walk(game, data):
+    # bit for bit, signs of zero included: the loads of a pair's state,
+    # as the map's sweeps read them, are the path walk's (a second-path
+    # flow of -0.0 loads nothing)
     r = game.demands
     for _ in range(4):
         t = [data.draw(st.sampled_from([0.0, -0.0, ri]) | st.floats(0.0, ri))
@@ -2439,48 +2384,57 @@ def test_split_rows_read_the_state_loads(game, data):
             assert [list(map(repr, v)) for v in _state_loads(
                 game, state, i)] == [[repr(v[li]) for li in tp.links]
                                      for v in walked]
-        assert repr(rows(t)) == repr(reference_rows(game, t))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(paired_games())
-def test_support_roots_keep_the_rows_of_their_state(game):
-    # every pricing of a kept root's point, with the responder's loads
-    # and bracket handed in on a best-response curve or not, is rows(t)
-    # bit for bit, so the slack test may read the rows it was found with
-    rows = nash._split_rows(game)
-    priced = {}
-
-    def spy(t, given=(None,)):
-        at = rows(t, given)
-        priced.setdefault(repr(t), set()).add(repr(at))
-        return at
-
-    for _, state in nash._support_roots(game, spy):
-        t = [state[0][1], state[1][1]]
-        assert priced[repr(t)] == {repr(rows(t))}
+def test_map_finds_what_the_scan_finds(game):
+    scan_points_are_emitted(game)
 
 
-def three_branch_det(at, free):
-    """The reduced determinant and its size by the number of free users,
-    as ``_index_sum`` took them before ``_free_det``."""
-    if len(free) == 2:
-        (_, s0, x0), (_, s1, x1) = at
-        return s0 * s1 - x0 * x1, math.hypot(s0, x0) * math.hypot(x1, s1)
-    if free:
-        _, det, x = at[free[0]]
-        return det, math.hypot(det, x)
-    return 1.0, 1.0
+# Two users from node 1 to node 3 over u = l0 (1 to 2), v = l1 (2 to 3),
+# w = l2 (1 to 3), x = l3 (1 to 2) and y = l4 (2 to 3), each held to two
+# of its five paths: user 1 to (u, v) or w, user 2 to (u, y) or (x, v).
+# Each user's split moves u one way and v the other way for user 2, so
+# the signs are mixed and phi need not be monotone.
+MIXED_ENDS = ((1, 2), (2, 3), (1, 3), (1, 2), (2, 3))
+MIXED_PATHS = (((0, 1), (2,)), ((0, 4), (3, 1)))
 
 
-@given(st.lists(st.tuples(*[st.floats(allow_nan=False)] * 3),
-                min_size=2, max_size=2))
-@example([(0.0, -0.0, 1.0), (2.0, 3.0, -0.0)])
-def test_free_det_is_the_three_branch_determinant(at):
-    # bit for bit, signs of zero included, for 0, 1 and 2 free users
-    for free in ([], [0], [1], [0, 1]):
-        assert [repr(float(v)) for v in nash._free_det(at, free)] == [
-            repr(v) for v in three_branch_det(at, free)], free
+@st.composite
+def mixed_sign_games(draw):
+    """Two two-path users on the links of ``MIXED_ENDS`` held to
+    ``MIXED_PATHS``, each link M/M/1 or affine as in ``paired_games``."""
+    demands = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=2))
+    latencies = [
+        MM1Cost(sum(demands) * draw(st.floats(0.3, 1.5))
+                + draw(st.floats(1e-3, 1.0)))
+        if draw(st.booleans()) else
+        LinearCost(draw(st.floats(0.0, 3.0, allow_subnormal=False)),
+                   draw(st.floats(0.0, 2.0)))
+        for _ in MIXED_ENDS]
+    net = build_network([1, 2, 3], [(f"l{i}", a, b, c) for i, ((a, b), c)
+                                     in enumerate(zip(MIXED_ENDS, latencies))])
+    alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=2, max_size=2))
+    return nash.RoutingGame(
+        net, (UserSpec(1, 1, 3, demands[0]), UserSpec(2, 1, 3, demands[1])),
+        netmodel.PathSet((1, 2), MIXED_PATHS),
+        CooperationProfile.from_alphas((1, 2), alphas))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_sign_games())
+def test_mixed_sign_map_finds_what_the_scan_finds(game):
+    # with phi not monotone no search closes, and the grid's sign changes
+    # of g still hold every point that the scan verifies
+    signs = [nash._signs(tp) for tp in game.two_path]
+    assert {signs[0][li] * signs[1][li] for li in (0, 1)} == {1, -1}
+    try:
+        assert multistart_nash(game).diagnostics["scan_coverage"] == "none"
+    except SolverError:
+        reject()
+    scan_points_are_emitted(game)
 
 
 def solved_reprs(solve, reuse=True):
