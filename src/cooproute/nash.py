@@ -876,6 +876,39 @@ def _refine(f, a: float, b: float) -> tuple[float, float]:
         halve = not halve and b - a > 0.5 * width
 
 
+def _coarse_to_fine(n: int) -> list[int]:
+    """The indices ``0 .. n - 1``, ``n >= 2``: both ends, then level by
+    level the middle of each range between two indices already listed."""
+    order, ranges = [0, n - 1], [(0, n - 1)]
+    while ranges:
+        mids = [(i, (i + j) // 2, j) for i, j in ranges if j - i > 1]
+        order += [m for _, m, _ in mids]
+        ranges = [r for i, m, j in mids for r in ((i, m), (m, j))]
+    return order
+
+
+def _piece_sign(evaluated: list[float], phi, a: float, b: float,
+                margin: float = 0.0) -> int:
+    """The sign of ``g = phi - t`` on all of ``[a, b]`` that a
+    nondecreasing ``phi`` proves beyond ``margin`` from the sorted
+    ``evaluated`` points, or 0.
+
+    ``g`` is at least ``phi(c) - t > 0`` on ``[c, phi(c))`` and at most
+    ``phi(c) - t < 0`` on ``(phi(c), c]``, the pieces the search drops.
+    Of the points at or below ``a``, the nearest has the piece that
+    reaches highest, and of those at or above ``b`` the nearest has the
+    one that reaches lowest, so two bisections find the piece that holds
+    ``[a, b]`` when one does.
+    """
+    i = bisect.bisect_right(evaluated, a)
+    if i and phi(evaluated[i - 1]) - b > margin:
+        return 1
+    j = bisect.bisect_left(evaluated, b)
+    if j < len(evaluated) and a - phi(evaluated[j]) > margin:
+        return -1
+    return 0
+
+
 def _map_points(game: RoutingGame, weight: int):
     """The equilibria of two two-path users as the fixed points of ``phi``,
     each with its check, basin and bracket width, and the diagnostics.
@@ -884,14 +917,21 @@ def _map_points(game: RoutingGame, weight: int):
     t, t))``, evaluated once per ``t``, and ``g = phi - t``.  When every
     link that both users' splits move gives their ``_signs`` one product,
     ``phi`` does not decrease (Topkis 1978; Vives 1990), so no fixed
-    point lies in ``[a, phi(a))`` nor in ``(phi(b), b]``.  The search
-    drops those pieces of the grid's intervals (a whole interval, or its
-    larger piece when that is a quarter of it) and halves the rest, down
-    to ``MAP_TOL`` relative, for at most ``MAP_EVALS`` evaluations.
-    Adjacent kept intervals form a stretch, whose roots are the zeros of
-    ``g`` at its points and its first sign change refined to adjacent
-    floats (``_refine``), sought from the next float in beside a corner
-    where ``g`` is 0, as a corner fixed point can hide a root beside it.
+    point lies in ``[a, phi(a))`` nor in ``(phi(b), b]``, the pieces on
+    which ``g`` keeps the sign of ``g(a)`` and of ``g(b)``
+    (``_piece_sign``).  The starts are evaluated coarse to fine
+    (``_coarse_to_fine``), each unless a piece of a point already
+    evaluated holds it.  Then each grid interval that no one piece
+    covers is searched in turn: the search drops those pieces (a whole
+    interval, or its larger piece when that is a quarter of it) and
+    halves the rest, down to ``MAP_TOL`` relative, for at most
+    ``MAP_EVALS`` evaluations counting every start up to the interval
+    searched.  So it evaluates no point that a search evaluating every
+    start in turn would not.  Adjacent kept intervals form a stretch,
+    whose roots are the zeros of ``g`` at its points and its first sign
+    change refined to adjacent floats (``_refine``), sought from the
+    next float in beside a corner where ``g`` is 0, as a corner fixed
+    point can hide a root beside it.
     A root within ``FP_TOL`` of an earlier one in both splits is that
     one.  The search closes when the cap is not met and every stretch
     gives a root.  A stretch the cap left wide proves nothing, but each
@@ -914,13 +954,17 @@ def _map_points(game: RoutingGame, weight: int):
     when ``g > 0``, below when ``g < 0``, and with ``|g| <= FP_TOL`` to a
     root within ``CLUSTER_RADIUS`` or else to a point of its own; one
     whose sweep raised fails, and one with nowhere to go does not
-    converge.  A verified root's index is the sign of ``g``'s crossing,
+    converge.  A start the search did not evaluate takes the sign of
+    ``g`` that a piece proves beyond ``FP_TOL``, and is evaluated when no
+    piece does.  A verified root's index is the sign of ``g``'s crossing,
     ``+1`` from above to below; a verified point that does not cross is
     degenerate.
     """
     r1, r2 = game.demands
-    # each evaluated t: (user 1's answer x to it, phi(t))
+    # each evaluated t: (user 1's answer x to it, phi(t)); and those t,
+    # sorted
     sweeps: dict = {}
+    evaluated: list[float] = []
 
     def answer(ui: int, x: float, t: float) -> float:
         # user ui's second-path flow against the splits x and t, or NaN
@@ -935,6 +979,7 @@ def _map_points(game: RoutingGame, weight: int):
         if t not in sweeps:
             x = answer(0, 0.0, t)
             sweeps[t] = (x, answer(1, x, t))
+            bisect.insort(evaluated, t)
         return sweeps[t][1]
 
     def g(t: float) -> float:
@@ -959,32 +1004,44 @@ def _map_points(game: RoutingGame, weight: int):
     closed = uniform
     stretches: list[list[float]] = []
     if uniform:
-        stack = list(zip(starts, starts[1:]))[::-1]
-        while stack:
-            a, b = stack.pop()
-            pa, pb = phi(a), phi(b)
-            if pa > b or pb < a:
+        # the starts coarse to fine, each unless a dropped piece holds it
+        for t in (starts[i] for i in _coarse_to_fine(len(starts))):
+            if not _piece_sign(evaluated, phi, t, t):
+                phi(t)
+        for a0, b0 in zip(starts, starts[1:]):
+            if _piece_sign(evaluated, phi, a0, b0):
                 continue
-            # up = g(a) and down = -g(b); below tol only an interval
-            # whose ends give g one sign holds no root yet
-            up, down = pa - a, b - pb
-            wide = b - a > tol
-            work = wide or up > 0.0 > down or up < 0.0 < down
-            mid = 0.5 * (a + b)
-            if work and len(sweeps) >= MAP_EVALS:
-                closed = False
-            if work and closed and a < mid < b:
-                quarter = 0.25 * (b - a) if wide else 0.0
-                if up > 0.0 and up >= max(down, quarter):
-                    stack.append((pa, b))
-                elif down > 0.0 and down >= quarter:
-                    stack.append((a, pb))
+            # the cap counts every start up to b0, evaluated or not, and
+            # none beyond it, as a search that evaluates each in turn does
+            ahead = {t for t in starts if t > b0 and t in sweeps}
+            skipped = {t for t in starts if t < a0 and t not in sweeps}
+            cap = MAP_EVALS + len(ahead) - len(skipped)
+            stack = [(a0, b0)]
+            while stack:
+                a, b = stack.pop()
+                pa, pb = phi(a), phi(b)
+                if pa > b or pb < a:
+                    continue
+                # up = g(a) and down = -g(b); below tol only an interval
+                # whose ends give g one sign holds no root yet
+                up, down = pa - a, b - pb
+                wide = b - a > tol
+                work = wide or up > 0.0 > down or up < 0.0 < down
+                mid = 0.5 * (a + b)
+                if work and len(sweeps) >= cap:
+                    closed = False
+                if work and closed and a < mid < b:
+                    quarter = 0.25 * (b - a) if wide else 0.0
+                    if up > 0.0 and up >= max(down, quarter):
+                        stack.append((pa, b))
+                    elif down > 0.0 and down >= quarter:
+                        stack.append((a, pb))
+                    else:
+                        stack += [(mid, b), (a, mid)]
+                elif stretches and a - stretches[-1][-1] <= tol:
+                    stretches[-1].append(b)
                 else:
-                    stack += [(mid, b), (a, mid)]
-            elif stretches and a - stretches[-1][-1] <= tol:
-                stretches[-1].append(b)
-            else:
-                stretches.append([a, b])
+                    stretches.append([a, b])
     else:
         stretches = [[a, b] for a, b in zip(starts, starts[1:])
                      if not g(a) * g(b) > 0.0]
@@ -1024,13 +1081,16 @@ def _map_points(game: RoutingGame, weight: int):
                 points.append([t, x, hi - lo, 0, True])
     roots = len(points)
 
+    # g at each start, or the sign that a dropped piece proves beyond
+    # FP_TOL at one the search did not evaluate
+    gs = [g(t) if t in sweeps or not uniform else
+          _piece_sign(evaluated, phi, t, t, FP_TOL) or g(t) for t in starts]
     failed = non_converged = 0
-    for t in starts:
-        if abs(g(t)) <= FP_TOL and not any(
+    for t, gt in zip(starts, gs):
+        if abs(gt) <= FP_TOL and not any(
                 abs(p[0] - t) <= CLUSTER_RADIUS for p in points):
             points.append([t, sweeps[t][0], 0.0, 0, False])
-    for t in starts:
-        gt = g(t)
+    for t, gt in zip(starts, gs):
         if math.isnan(gt):
             failed += weight
             continue
@@ -1072,8 +1132,6 @@ def _map_points(game: RoutingGame, weight: int):
                    and abs(p[1] - x) <= CLUSTER_RADIUS for p in points) \
                 and stays(((r1 - x, x), (r2 - t, t))):
             points.append([t, x, 0.0, 0, False])
-
-    evaluated = sorted(sweeps)
 
     def index(t: float) -> int:
         # the sign of 1 - phi' at t, read from g past FP_TOL each side;
@@ -1174,7 +1232,8 @@ def multistart_nash(game: RoutingGame) -> EquilibriumSet:
     the sign of ``g``'s crossing over the verified roots (None when one
     does not cross; ``degenerate`` counts those).  ``cluster_diameter``
     is a root's final bracket width, and ``sweeps`` counts evaluations
-    of the map.
+    of the map, starts included; a start whose sign of ``g`` a piece of
+    an evaluated point proves is credited by that sign, not evaluated.
 
     Any other game runs Gauss-Seidel best response (``br_dynamics``) from
     every start, clusters the limits within ``CLUSTER_RADIUS``, and

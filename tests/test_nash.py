@@ -797,15 +797,17 @@ DEVIATION_WORK = {"exp1": 48_086, "braess": 13_532}
 # that the two Braess parameter sweeps solve: 5,628 when every one asked
 # for was solved, 3,435 once each solve kept them by exact input and
 # found 2,193 of them again, with the dynamics and the support pass; the
-# map asks for 3,536 and finds 465 of them again.  exp1's affine links
-# need none.  Wall time is too noisy to show a lost reuse; the count is
-# not.
-RESPONSE_WORK = {"solved": 3_071, "asked": 3_536}
+# map asks for 3,536 and finds 465 of them again, and for 2,608 and
+# finds 404 again once it skips the starts that a dropped piece decides.
+# exp1's affine links need none.  Wall time is too noisy to show a lost
+# reuse; the count is not.
+RESPONSE_WORK = {"solved": 2_204, "asked": 2_608}
 # Evaluations of the map (``diagnostics["sweeps"]``) that the braess-lb-asym
-# parameter sweep and exp1's 101-row vary="first" sweep make.  Wall time
-# is too noisy to show a search that stops dropping intervals; the count
-# is not.
-MAP_WORK = {"braess-lb-asym": 562, "exp1": 4_205}
+# parameter sweep and exp1's 101-row vary="first" sweep make: 562 and
+# 4,205 with every start evaluated, 302 and 3,119 once the starts that a
+# dropped piece decides are not.  Wall time is too noisy to show a search
+# that stops dropping intervals; the count is not.
+MAP_WORK = {"braess-lb-asym": 302, "exp1": 3_119}
 
 
 def test_a_capped_search_keeps_the_clear_crossings(monkeypatch):
@@ -932,14 +934,21 @@ def test_queue_pairs_skip_newton(preset, build, newton, monkeypatch):
     assert bool(calls) == newton
 
 
-@pytest.mark.parametrize("capacity,alphas", [
-    (1.05, (0.7, 0.35)), (1.05, (0.3, 0.9)), (4.1, (0.3, 0.9))])
+# Capacities and alphas of two users on two equal parallel M/M/1 links
+# whose asymmetric equilibria are mirror images.
+TIED_MIRRORS = [(1.05, (0.7, 0.35)), (1.05, (0.3, 0.9)), (4.1, (0.3, 0.9))]
+
+
+def mirror_game(capacity, alphas):
+    return parallel_game([MM1Cost(capacity), MM1Cost(capacity)], [1.0, 1.0],
+                         alphas)
+
+
+@pytest.mark.parametrize("capacity,alphas", TIED_MIRRORS)
 def test_tied_equilibria_come_in_flow_order(capacity, alphas):
     # mirror images: two asymmetric equilibria cost user 1 the same in
     # exact arithmetic, and only the last bits tell their floats apart
-    game = parallel_game([MM1Cost(capacity), MM1Cost(capacity)], [1.0, 1.0],
-                         alphas)
-    eqs = multistart_nash(game).equilibria
+    eqs = multistart_nash(mirror_game(capacity, alphas)).equilibria
     assert len(eqs) == 3
     first, second = eqs[0], eqs[1]
     assert (format(first.operating_costs[0], ".12g")
@@ -1857,22 +1866,28 @@ def oracle_holds(flows, points, segments):
                    for seg in segments))
 
 
+# The arguments of ``affine_two_user_game`` for three float-degenerate
+# games.
+ORACLE_EXAMPLES = [
+    # A point where user 1 sits on l2 with a slack of exactly zero: the
+    # support pass's exact sign test dropped it, and the dynamics stopped
+    # short of it.
+    ([(1.082884660382893, 0.5), (0.0, 1.5)], [1.0, 0.625], [0.5, 0.99999]),
+    # An own weight of 2^-53, at float resolution: user 1's float
+    # derivative at the oracle's point (1, 0.9389) reads +1.1e-16 where
+    # the exact slack is zero (the slope 0.8911 is rounded from a random
+    # draw) ...
+    ([(0.8911, 0.0), (0.0, 1.0)], [1.0, 1.5], [0.5, 1 - 2**-53]),
+    # ... and the oracle's third point puts 2.75e-17 on user 1's path,
+    # below float resolution.
+    ([(0.0, 0.25), (1.0, 0.0)], [1.0, 1.0], [0.99609375, 1 - 2**-53])]
+
+
 @settings(max_examples=60, deadline=None)
 @given(affine_two_user_games())
-# A point where user 1 sits on l2 with a slack of exactly zero: the
-# support pass's exact sign test dropped it, and the dynamics stopped
-# short of it.
-@example(affine_two_user_game([(1.082884660382893, 0.5), (0.0, 1.5)],
-                              [1.0, 0.625], [0.5, 0.99999]))
-# An own weight of 2^-53, at float resolution: user 1's float derivative
-# at the oracle's point (1, 0.9389) reads +1.1e-16 where the exact slack
-# is zero (the slope 0.8911 is rounded from a random draw) ...
-@example(affine_two_user_game([(0.8911, 0.0), (0.0, 1.0)], [1.0, 1.5],
-                              [0.5, 1 - 2**-53]))
-# ... and the oracle's third point puts 2.75e-17 on user 1's path, below
-# float resolution.
-@example(affine_two_user_game([(0.0, 0.25), (1.0, 0.0)], [1.0, 1.0],
-                              [0.99609375, 1 - 2**-53]))
+@example(affine_two_user_game(*ORACLE_EXAMPLES[0]))
+@example(affine_two_user_game(*ORACLE_EXAMPLES[1]))
+@example(affine_two_user_game(*ORACLE_EXAMPLES[2]))
 def test_affine_games_match_the_oracle(case):
     # certified or not: every verified point is an equilibrium of the
     # exact oracle, and every isolated oracle point is emitted, also
@@ -2518,3 +2533,82 @@ def test_a_kept_response_is_kept_by_its_bracket():
         nash._RESPONSES.reset(token)
     assert answers == [whole, mid, whole]
     assert sorted(n for _, n in table.values()) == [0, 1]
+
+
+# ------------------------------ starts that a dropped piece already decides
+
+def map_solve(game, decide=True):
+    """``multistart_nash(game)`` as the repr of its equilibria and of its
+    diagnostics but the work counters, and the t's at which its map
+    evaluated ``phi``; with ``decide`` False the piece lookup decides
+    nothing, so that the map evaluates every start, and the search each
+    grid interval, as a search from the first start to the last does."""
+    seen = []
+    piece_sign = nash._piece_sign
+
+    def spied(evaluated, *args):
+        seen.append(evaluated)
+        return piece_sign(evaluated, *args) if decide else 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash, "_piece_sign", spied)
+        try:
+            eqs = multistart_nash(game)
+        except SolverError as err:
+            eqs = nash.EquilibriumSet((), err.diagnostics)
+    diag = {k: v for k, v in eqs.diagnostics.items()
+            if k not in ("sweeps", "responses", "responses_reused")}
+    # one list, sorted, which the map extends as it evaluates
+    assert seen and len(set(map(id, seen))) == 1
+    assert len(seen[0]) == eqs.diagnostics["sweeps"]
+    return repr(eqs.equilibria) + repr(diag), set(seen[0])
+
+
+def skipping_changes_nothing(game):
+    """The map's answer with the starts a dropped piece decides, and the
+    evaluations that decide them, left out is its answer with every start
+    evaluated, from a subset of that one's evaluations."""
+    got, evaluated = map_solve(game)
+    reference, every = map_solve(game, decide=False)
+    assert got == reference
+    assert evaluated <= every
+
+
+def failing_start_game():
+    """A load-balancing game whose last start fails: above t = 1.915
+    user 1 answers with a split beside which user 2 has no feasible
+    split.  The search halves that band, where every sweep fails, until
+    it runs into ``MAP_EVALS``."""
+    return load_balancing_game(
+        [LinearCost(1.0), MM1Cost(1.75), LinearCost(0.0), MM1Cost(1.0625)],
+        [1.0, 2.0], [0.0, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(paired_games())
+@example(failing_start_game())
+def test_skipped_starts_change_no_answer(game):
+    skipping_changes_nothing(game)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda args=args: affine_two_user_game(*args)[0]
+      for args in ORACLE_EXAMPLES),
+    *(lambda args=args: mirror_game(*args) for args in TIED_MIRRORS),
+    lambda: get_preset("exp1").build_game(alphas=(0.95, 0.0)),
+    lambda: get_preset("braess-lb-asym").build_game(param=1.0),
+    failing_start_game,
+], ids=["oracle-0", "oracle-1", "oracle-2", "mirror-0", "mirror-1",
+        "mirror-2", "exp1-0.95", "braess-lb-asym", "failed-start"])
+@pytest.mark.parametrize("capped", [False, True])
+def test_skipped_starts_change_no_listed_answer(build, capped, monkeypatch):
+    # with no evaluation left for the search, too, as in
+    # test_a_capped_search_keeps_the_clear_crossings
+    if capped:
+        monkeypatch.setattr(nash, "MAP_EVALS", 0)
+    game = build()
+    skipping_changes_nothing(game)
+    if build is failing_start_game:
+        diag = multistart_nash(game).diagnostics
+        assert 0 < diag["failed_starts"] < diag["total_starts"]
+        assert diag["scan_coverage"] == "none"
